@@ -4,11 +4,16 @@ Everything here is exact: integers are Python ints (arbitrary precision),
 rationals are `fractions.Fraction`, modular values are canonical
 representatives in [0, m).  Matrices are dense; instance sizes stay at desk
 scale so no sparse machinery is needed.
+
+A matrix's Smith decomposition (`Matrix.smith`) is computed at most once, on
+first use, and lives as long as the matrix: every kernel and lattice solve
+against the same matrix object reuses it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Sequence
 
 from .errors import CompositionNotZeroError, UnsupportedRingError
@@ -32,17 +37,11 @@ class Ring:
 
     name: str
     is_field: bool
+    zero: Scalar
+    one: Scalar
 
     def coerce(self, x) -> Scalar:
         raise NotImplementedError
-
-    @property
-    def zero(self) -> Scalar:
-        return self.coerce(0)
-
-    @property
-    def one(self) -> Scalar:
-        return self.coerce(1)
 
     def add(self, a, b) -> Scalar:
         raise NotImplementedError
@@ -80,6 +79,8 @@ class Ring:
 class IntegerRing(Ring):
     name = "Z"
     is_field = False
+    zero = 0
+    one = 1
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -124,6 +125,8 @@ class IntegerRing(Ring):
 class RationalRing(Ring):
     name = "Q"
     is_field = True
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x):
         return Fraction(x)
@@ -168,6 +171,8 @@ class ModularRing(Ring):
         self.m = m
         self.name = f"Z/{m}"
         self.is_field = _is_prime(m)
+        self.zero = 0
+        self.one = 1
 
     def coerce(self, x):
         return int(x) % self.m
@@ -303,12 +308,17 @@ class Matrix:
     def __matmul__(self, other):
         return self.matmul(other)
 
+    @cached_property
+    def smith(self) -> "SmithDecomposition":
+        """The Smith decomposition of this matrix, computed on first use and kept with it."""
+        return smith_normal_form(self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class SmithDecomposition:
     """left @ original @ right == diagonal of d padded with zeros."""
 
-    d: list
+    d: tuple
     left: Matrix
     right: Matrix
     rank: int
@@ -422,7 +432,7 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
             row_scale(t, -1)
         t += 1
 
-    d = [a[i][i] for i in range(min(nr, nc)) if a[i][i] != ring.zero]
+    d = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i] != ring.zero)
     return SmithDecomposition(
         d=d,
         left=Matrix.from_rows(ring, left),
@@ -483,7 +493,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     if m.rows == 0:
         cols = Matrix.identity(m.ring, m.cols).columns()
     else:
-        snf = smith_normal_form(m)
+        snf = m.smith
         cols = [snf.right.column(j) for j in range(snf.rank, m.cols)]
     cols = _hermite_column_reduce(cols, m.cols, m.ring)
     return Matrix.from_columns(m.ring, cols, m.cols)
@@ -502,7 +512,7 @@ def solve_in_lattice(basis: Matrix, target: Sequence):
         raise ValueError("target length mismatch")
     if basis.cols == 0:
         return () if all(x == ring.zero for x in target) else None
-    snf = smith_normal_form(basis)
+    snf = basis.smith
     y = snf.left.apply(target)
     z = []
     for i in range(basis.cols):
@@ -553,6 +563,6 @@ def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup
             raise CompositionNotZeroError("image vector escapes the kernel lattice")
         coeff_cols.append(c)
     coeff = Matrix.from_columns(ring, coeff_cols, ker.cols)
-    snf = smith_normal_form(coeff)
+    snf = coeff.smith
     torsion = [] if ring.is_field else [x for x in snf.d if x > 1]
     return HomologyGroup(free_rank=ker.cols - snf.rank, torsion=torsion)

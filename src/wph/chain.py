@@ -13,7 +13,7 @@ from .algebra import (
     require_pid,
     solve_in_lattice,
 )
-from .errors import ImageNotInOmegaError, MissingWeightError
+from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError
 from .pathcx import Path, PathComplex, PathMorphism
 
 
@@ -192,10 +192,12 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
                 if c == ring.zero:
                     continue
                 # supports outside P cancelled by the kernel construction
-                assert p in prev_index, f"boundary support {p.render()} escaped P"
+                if p not in prev_index:
+                    raise InvariantError(f"boundary support {p.render()} escaped P")
                 vec[prev_index[p]] = c
             sol = solve_in_lattice(bases[n - 1], vec)
-            assert sol is not None, "generator boundary escaped the Omega lattice"
+            if sol is None:
+                raise InvariantError("generator boundary escaped the Omega lattice")
             cols.append(sol)
         boundaries[n] = Matrix.from_columns(ring, cols, bases[n - 1].cols)
     return OmegaComplex(pc, max_degree, ring, reg_paths, bases, boundaries)

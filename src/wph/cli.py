@@ -78,6 +78,8 @@ def _parse_coeff(text: str):
             m = int(text[4:])
         except ValueError:
             raise SchemaError(f"bad modulus in --coeff {text!r}") from None
+        if m < 2:
+            raise SchemaError(f"--coeff modulus must be >= 2, got {text!r}")
         return Zmod(m)
     raise SchemaError(f"--coeff must be z, q or mod:p, got {text!r}")
 
@@ -324,7 +326,7 @@ def cmd_prism_check(args) -> int:
             failures.append((p, rep))
     if failures:
         for p, rep in failures:
-            _diag(f"FAIL on {p.render()}: " + "; ".join(rep.problems))
+            _diag(f"FAIL on {p.render()}: difference {rep.difference.render()}")
         print(f"FAIL: {len(failures)} of {len(sample)} checked paths violate the prism identity")
         return EXIT_VERIFY
     print(f"PASS: prism identity holds on {len(sample)} regular paths of length {args.degree}")

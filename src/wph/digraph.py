@@ -32,7 +32,6 @@ class LineDigraph:
 
 
 I1_FORWARD = LineDigraph.forward(1)
-I1_BACKWARD = LineDigraph.backward(1)
 
 
 @dataclass(frozen=True)

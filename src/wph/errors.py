@@ -13,10 +13,6 @@ class CompositionNotZeroError(WphError):
     """Two boundary matrices handed to a homology computation do not compose to zero."""
 
 
-class NoSolutionError(WphError):
-    """A lattice/linear solve has no solution (internal signal)."""
-
-
 class MissingWeightError(WphError):
     """A vertex needed by a weighted computation has no weight."""
 
@@ -42,4 +38,4 @@ class SchemaError(WphError):
 
 
 class InvariantError(WphError):
-    """A structurally valid document violates a domain invariant."""
+    """A structurally valid document, or a computed structure, violates a domain invariant."""

@@ -353,15 +353,10 @@ def emit_hypergraph(h: Hypergraph, description: Optional[str] = None) -> bytes:
     return _dump(_envelope("hypergraph", None, body, description))
 
 
-def emit_morphism(vertex_map: dict, description: Optional[str] = None) -> bytes:
-    body = {"vertex_map": {k.render(): v.render() for k, v in sorted(vertex_map.items())}}
-    return _dump(_envelope("morphism", None, body, description))
-
-
 def emit_homology(result: HomologyResult, description: Optional[str] = None) -> bytes:
     """Canonical homology document: degrees ascending, torsion ascending."""
     body = {
-        "max_degree": len(result.groups) - 1,
+        "max_degree": result.max_degree,
         "groups": [
             {
                 "degree": n,

@@ -122,9 +122,6 @@ class PathComplex:
     def sorted_paths(self) -> list:
         return sorted(self.paths, key=lambda p: (p.length, p.vertices))
 
-    def max_path_length(self) -> int:
-        return max((p.length for p in self.paths), default=-1)
-
     def validate(self) -> ValidationReport:
         problems = []
         for v in self.sorted_vertices():

@@ -4,6 +4,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wph import algebra
 from wph.algebra import QQ, ZZ
 from wph.chain import (
     ChainVector,
@@ -12,9 +13,18 @@ from wph.chain import (
     induced_chain_map,
     weighted_boundary,
 )
-from wph.pathcx import Path, PathMorphism, Vertex, complex_from_paths, inclusion_bottom
+from wph.digraph import WeightedDigraph, paths_functor
+from wph.homotopy import chain_homotopy_certificate
+from wph.pathcx import (
+    Path,
+    PathMorphism,
+    Vertex,
+    complex_from_paths,
+    inclusion_bottom,
+    inclusion_top,
+)
 
-from helpers import random_complex
+from helpers import random_complex, random_unit_weight_complex
 
 a, b, c, d = (Vertex(s) for s in "abcd")
 
@@ -115,3 +125,30 @@ def test_identity_morphism_induces_identity_matrices():
         for i in range(m.rows):
             for j in range(m.cols):
                 assert m.data[i][j] == (1 if i == j else 0)
+
+
+def test_each_matrix_is_factored_at_most_once(monkeypatch):
+    factored = {}  # id -> matrix; holding the matrix keeps its id from being reused
+    repeats = []
+    original = algebra.smith_normal_form
+
+    def counting(m):
+        if id(m) in factored:
+            repeats.append((m.rows, m.cols))
+        factored[id(m)] = m
+        return original(m)
+
+    monkeypatch.setattr(algebra, "smith_normal_form", counting)
+
+    vs = [Vertex(s) for s in "abcd"]
+    k4 = WeightedDigraph.build(
+        vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, [1, 2, 3, 4])), ZZ
+    )
+    homology(paths_functor(k4, 3), 3)
+
+    pc = random_unit_weight_complex(random.Random(17), max_vertices=5, maxlen=3)
+    cert = chain_homotopy_certificate(inclusion_bottom(pc), inclusion_top(pc), 3)
+    assert cert.ok
+
+    assert factored
+    assert repeats == []

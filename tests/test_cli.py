@@ -1,6 +1,7 @@
 import pytest
 
 from wph.cli import main
+from wph.homotopy import PrismReport
 
 from helpers import FIXTURES
 
@@ -54,6 +55,14 @@ def test_homology_composite_modulus_exits_3(capsys):
     code, _, err = run(capsys, "homology", str(FIXTURES / "pc_diamond_weighted.json"), "--coeff", "mod:6")
     assert code == 3
     assert "Z/6" in err
+
+
+@pytest.mark.parametrize("coeff", ["mod:0", "mod:1"])
+def test_homology_modulus_below_two_exits_2(capsys, coeff):
+    code, out, err = run(capsys, "homology", str(FIXTURES / "pc_diamond_weighted.json"), "--coeff", coeff)
+    assert code == 2
+    assert out == ""
+    assert coeff in err
 
 
 def test_homology_pipelines_on_hypergraph(capsys):
@@ -167,6 +176,17 @@ def test_prism_check_pass_and_gate(capsys):
     assert out.splitlines()[-1].startswith("PASS")
     code, _, err = run(capsys, "prism-check", str(FIXTURES / "pc_edge_torsion.json"))
     assert code == 3
+
+
+def test_prism_check_failure_exits_4(capsys, monkeypatch):
+    def failing(v, pc):
+        return PrismReport(ok=False, difference=v)
+
+    monkeypatch.setattr("wph.cli.verify_prism_identity", failing)
+    code, out, err = run(capsys, "prism-check", str(FIXTURES / "pc_diamond_q.json"), "--degree", "1")
+    assert code == 4
+    assert out.splitlines()[-1].startswith("FAIL: ")
+    assert "difference" in err
 
 
 def test_prism_check_seeded_sampling_is_deterministic(capsys):

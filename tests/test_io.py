@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wph import io as wio
 from wph.algebra import QQ, ZZ, Zmod
+from wph.chain import homology
 from wph.errors import InvariantError, SchemaError
 
 from helpers import FIXTURES, random_complex
@@ -29,6 +30,15 @@ def test_path_complex_round_trip(seed, ring_name):
     doc = wio.parse(blob)
     assert doc.body == pc
     assert wio.emit(doc.body) == blob
+
+
+def test_homology_document_round_trips_max_degree():
+    pc = random_complex(random.Random(3), ring=ZZ, max_vertices=4, maxlen=3)
+    for n in (1, 3):
+        doc = wio.parse(wio.emit(homology(pc, n)))
+        assert doc.kind == "homology"
+        assert doc.body["max_degree"] == n
+        assert len(doc.body["groups"]) == n
 
 
 def test_emission_is_byte_stable():
