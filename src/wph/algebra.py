@@ -265,9 +265,6 @@ class Matrix:
         data = tuple(tuple(ring.coerce(c[i]) for c in cols) for i in range(rows))
         return cls(ring, rows, len(cols), data)
 
-    def entry(self, i: int, j: int):
-        return self.data[i][j]
-
     def column(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 
@@ -307,6 +304,18 @@ class Matrix:
 
     def __matmul__(self, other):
         return self.matmul(other)
+
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
+            raise ValueError("dimension or ring mismatch")
+        data = tuple(tuple(map(op, r, s)) for r, s in zip(self.data, other.data))
+        return Matrix(self.ring, self.rows, self.cols, data)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, self.ring.add)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, self.ring.sub)
 
     @cached_property
     def smith(self) -> "SmithDecomposition":

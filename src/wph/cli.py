@@ -15,11 +15,10 @@ from typing import Optional
 
 from . import io as wio
 from .algebra import QQ, ZZ, Zmod
-from .chain import HomologyResult, homology
+from .chain import ChainVector, HomologyResult, homology
 from .dhyper import (
     DirectedHypergraph,
     HyperMorphism,
-    Hypergraph,
     edge_weighted_homology,
     hyper_box_product,
     natural_digraph,
@@ -27,7 +26,7 @@ from .dhyper import (
     vertex_weighted_complex,
     vertex_weighted_homologies,
 )
-from .digraph import LineDigraph, WeightedDigraph, box_product
+from .digraph import LineDigraph, box_product
 from .errors import (
     InvariantError,
     MissingWeightError,
@@ -82,6 +81,11 @@ def _parse_coeff(text: str):
             raise SchemaError(f"--coeff modulus must be >= 2, got {text!r}")
         return Zmod(m)
     raise SchemaError(f"--coeff must be z, q or mod:p, got {text!r}")
+
+
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise SchemaError(f"{flag} must be >= {low}, got {value}")
 
 
 def _load(path: str) -> wio.Document:
@@ -159,6 +163,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    _require_at_least("--max-dim", args.max_dim, 1)
+    _require_at_least("--maxlen", args.maxlen, 0)
     ring = _parse_coeff(args.coeff)
     doc = _load(args.file)
     header = (
@@ -205,6 +211,7 @@ def _apply_functor(doc: wio.Document, name: str, maxlen: int):
 
 
 def cmd_functor(args) -> int:
+    _require_at_least("--maxlen", args.maxlen, 0)
     doc = _load(args.file)
     out = _apply_functor(doc, args.functor, args.maxlen)
     description = f"functor={args.functor} maxlen={args.maxlen}"
@@ -250,7 +257,17 @@ def _report(ok: bool, what: str, problems) -> int:
     return EXIT_OK
 
 
+def _report_certificate(cert, max_dim: int) -> int:
+    code = _report(cert.ok, "chain-homotopy certificate", cert.problems)
+    if cert.ok:
+        print(f"identity dL + Ld = g* - f* holds in degrees <= {max_dim}")
+        print(f"induced homology maps equal: {'yes' if cert.homology_maps_equal else 'no'}")
+    return code
+
+
 def cmd_homotopy_check(args) -> int:
+    _require_at_least("--max-dim", args.max_dim, 0)
+    _require_at_least("--maxlen", args.maxlen, 0)
     src_doc = _load(args.source)
     tgt_doc = _load(args.target)
     f_spec = _expect(_load(args.f), args.f, "morphism")
@@ -281,10 +298,7 @@ def cmd_homotopy_check(args) -> int:
             code = _report(rep.ok, "one-step homotopy", rep.problems)
         if code == EXIT_OK and args.certify:
             cert = chain_homotopy_certificate(f, g, args.max_dim, allow_degenerate=allow_deg)
-            code = _report(cert.ok, "chain-homotopy certificate", cert.problems)
-            if cert.ok:
-                print(f"identity dL + Ld = g* - f* holds in degrees <= {args.max_dim}")
-                print(f"induced homology maps equal: {'yes' if cert.homology_maps_equal else 'no'}")
+            code = _report_certificate(cert, args.max_dim)
         return code
 
     source = _expect(src_doc, args.source, "directed_hypergraph")
@@ -298,32 +312,30 @@ def cmd_homotopy_check(args) -> int:
     code = _report(rep.ok, "one-step homotopy", rep.problems)
     if code == EXIT_OK and args.certify:
         cert = edge_weighted_certificate(f, g, args.max_dim, maxlen=args.maxlen, mode=mode)
-        code = _report(cert.ok, "chain-homotopy certificate", cert.problems)
-        if cert.ok:
-            print(f"identity dL + Ld = g* - f* holds in degrees <= {args.max_dim}")
-            print(f"induced homology maps equal: {'yes' if cert.homology_maps_equal else 'no'}")
+        code = _report_certificate(cert, args.max_dim)
     return code
 
 
 def cmd_prism_check(args) -> int:
+    _require_at_least("--samples", args.samples, 1)
     doc = _load(args.file)
     pc = _expect(doc, args.file, "path_complex")
     if not pc.is_weighted:
         raise NonInvertibleWeightError("prism-check needs a weighted complex")
     paths = pc.regular_paths(args.degree)
+    if not paths:
+        raise SchemaError(f"--degree {args.degree}: the complex has no regular paths of that length")
     rng = random.Random(args.seed)
     sample = paths if len(paths) <= args.samples else sorted(rng.sample(paths, args.samples))
-    print(
-        f"# prism-check input={os.path.basename(args.file)} degree={args.degree} "
-        f"samples={args.samples} seed={args.seed}"
-    )
-    from .chain import ChainVector
-
     failures = []
     for p in sample:
         rep = verify_prism_identity(ChainVector.basis(p, pc.ring), pc)
         if not rep.ok:
             failures.append((p, rep))
+    print(
+        f"# prism-check input={os.path.basename(args.file)} degree={args.degree} "
+        f"samples={args.samples} seed={args.seed}"
+    )
     if failures:
         for p, rep in failures:
             _diag(f"FAIL on {p.render()}: difference {rep.difference.render()}")

@@ -1,14 +1,14 @@
 """Weighted directed hypergraphs: morphism classes, functors, box product, homology."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .algebra import Ring
 from .chain import HomologyResult, homology
-from .digraph import I1_FORWARD, LineDigraph, WeightedDigraph
+from .digraph import LineDigraph, WeightedDigraph, paths_functor
 from .errors import InvariantError, MissingWeightError, NotAMorphismError
-from .pathcx import Path, PathComplex, Vertex, complex_from_paths
+from .pathcx import Path, PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, walk_paths
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Arrow:
 
 
 @dataclass(frozen=True)
-class DirectedHypergraph:
+class DirectedHypergraph(Weighted):
     vertices: frozenset
     arrows: frozenset  # frozenset of Arrow
     weights: Optional[tuple] = None
@@ -51,27 +51,17 @@ class DirectedHypergraph:
         if not arrows:
             raise InvariantError("a directed hypergraph needs at least one arrow")
         vertices = frozenset().union(*(a.origin | a.end for a in arrows))
-        wt = None
-        if weights is not None:
-            if ring is None:
-                raise InvariantError("weights need a coefficient ring")
+        wt = canonical_weights(weights, ring)
+        if wt is not None:
             extra = set(weights) - vertices
             if extra:
                 raise InvariantError(
                     f"weighted vertex {sorted(extra)[0].render()} is not covered by any arrow"
                 )
-            wt = tuple(sorted((v, ring.coerce(x)) for v, x in weights.items()))
             if {v for v, _ in wt} != vertices:
                 missing = sorted(vertices - {v for v, _ in wt})[0]
                 raise InvariantError(f"vertex {missing.render()} has no weight")
         return cls(vertices, arrows, wt, ring)
-
-    @property
-    def is_weighted(self) -> bool:
-        return self.weights is not None
-
-    def weight_map(self) -> dict:
-        return dict(self.weights) if self.weights is not None else {}
 
     def sorted_arrows(self) -> list:
         return sorted(self.arrows, key=Arrow.sort_key)
@@ -196,22 +186,7 @@ def natural_digraph(g: DirectedHypergraph) -> WeightedDigraph:
 
 def edge_weighted_homology(g: DirectedHypergraph, max_degree: int, maxlen: int = 4) -> HomologyResult:
     """H^e: weighted path homology of the path complex of the natural digraph."""
-    from .digraph import paths_functor
-
     return homology(paths_functor(natural_digraph(g), maxlen), max_degree)
-
-
-def _paths_by_steps(start_vertices, step, maxlen: int) -> list:
-    paths = [Path.of(v) for v in sorted(start_vertices)]
-    frontier = list(paths)
-    for _ in range(maxlen):
-        nxt = []
-        for p in frontier:
-            for y in step(p.vertices[-1]):
-                nxt.append(Path(p.vertices + (y,)))
-        paths.extend(nxt)
-        frontier = nxt
-    return paths
 
 
 def connective_functor(g: DirectedHypergraph, maxlen: int) -> PathComplex:
@@ -220,8 +195,7 @@ def connective_functor(g: DirectedHypergraph, maxlen: int) -> PathComplex:
     for a in g.arrows:
         for v in a.origin:
             succ[v].update(a.end)
-    step = lambda v: sorted(succ[v])
-    paths = _paths_by_steps(g.vertices, step, maxlen)
+    paths = walk_paths(succ, maxlen)
     return complex_from_paths(paths, g.weight_map() if g.is_weighted else None, g.ring)
 
 
@@ -241,9 +215,7 @@ def density_two_functor(h: Hypergraph, maxlen: int) -> PathComplex:
     for e in h.edges:
         for v in e:
             neigh[v].update(e)  # includes v itself: the pair (v, v) lies in e
-    step = lambda v: sorted(neigh[v])
-    paths = _paths_by_steps(h.vertices, step, maxlen)
-    return complex_from_paths(paths)
+    return complex_from_paths(walk_paths(neigh, maxlen))
 
 
 def density_two_of(g: DirectedHypergraph, maxlen: int) -> PathComplex:
@@ -329,7 +301,7 @@ def hyper_box_product(g: DirectedHypergraph, line: LineDigraph) -> DirectedHyper
     """The directed-hypergraph box product G x I_n (levels as prime levels)."""
 
     def lift(xs: frozenset, i: int) -> frozenset:
-        return frozenset(Vertex(v.label, v.prime + i) for v in xs)
+        return frozenset(v.primed(i) for v in xs)
 
     levels = range(line.n + 1)
     arrows = {Arrow(lift(a.origin, i), lift(a.end, i)) for a in g.arrows for i in levels}
@@ -338,14 +310,7 @@ def hyper_box_product(g: DirectedHypergraph, line: LineDigraph) -> DirectedHyper
         for s in g.origin_end_sets()
         for i, j in line.arrows()
     )
-    weights = None
-    if g.is_weighted:
-        weights = {
-            Vertex(v.label, v.prime + i): w
-            for v, w in g.weight_map().items()
-            for i in levels
-        }
-    return DirectedHypergraph.build(arrows, weights, g.ring)
+    return DirectedHypergraph.build(arrows, g.level_weights(levels), g.ring)
 
 
 VERTEX_PIPELINES = ("c", "b", "2")

@@ -6,7 +6,7 @@ from typing import Iterable, Mapping, Optional
 
 from .algebra import Ring
 from .errors import InvariantError
-from .pathcx import Path, PathComplex, Vertex, complex_from_paths
+from .pathcx import PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, walk_paths
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ I1_FORWARD = LineDigraph.forward(1)
 
 
 @dataclass(frozen=True)
-class WeightedDigraph:
+class WeightedDigraph(Weighted):
     """A loop-free digraph, optionally with a vertex weight function."""
 
     vertices: frozenset
@@ -58,56 +58,31 @@ class WeightedDigraph:
                 raise InvariantError(f"loop at vertex {x.render()}")
             if x not in vertices or y not in vertices:
                 raise InvariantError(f"edge ({x.render()} -> {y.render()}) uses unknown vertex")
-        wt = None
-        if weights is not None:
-            if ring is None:
-                raise InvariantError("weights need a coefficient ring")
-            wt = tuple(sorted((v, ring.coerce(x)) for v, x in weights.items()))
+        wt = canonical_weights(weights, ring)
+        if wt is not None:
             declared = {v for v, _ in wt}
             if not vertices <= declared:
                 missing = sorted(vertices - declared)[0]
                 raise InvariantError(f"vertex {missing.render()} has no weight")
         return cls(vertices, edges, wt, ring)
 
-    @property
-    def is_weighted(self) -> bool:
-        return self.weights is not None
-
-    def weight_map(self) -> dict:
-        return dict(self.weights) if self.weights is not None else {}
-
-    def successors(self, v: Vertex) -> list:
-        return sorted(y for x, y in self.edges if x == v)
-
 
 def paths_functor(g: WeightedDigraph, maxlen: int) -> PathComplex:
     """All edge-paths of length <= maxlen, as a weighted path complex."""
-    paths = [Path.of(v) for v in g.vertices]
-    frontier = list(paths)
-    for _ in range(maxlen):
-        nxt = []
-        for p in frontier:
-            for y in g.successors(p.vertices[-1]):
-                nxt.append(Path(p.vertices + (y,)))
-        paths.extend(nxt)
-        frontier = nxt
+    successors: dict = {v: [] for v in g.vertices}
+    for x, y in g.edges:
+        successors[x].append(y)
+    paths = walk_paths(successors, maxlen)
     return complex_from_paths(paths, g.weight_map() if g.is_weighted else None, g.ring)
 
 
 def box_product(g: WeightedDigraph, line: LineDigraph) -> WeightedDigraph:
     """The digraph box product G x I_n; level i is encoded as prime level +i."""
-
-    def lift(v: Vertex, i: int) -> Vertex:
-        return Vertex(v.label, v.prime + i)
-
     levels = range(line.n + 1)
-    vertices = {lift(v, i) for v in g.vertices for i in levels}
-    edges = {(lift(x, i), lift(y, i)) for x, y in g.edges for i in levels}
-    edges.update((lift(v, i), lift(v, j)) for v in g.vertices for i, j in line.arrows())
-    weights = None
-    if g.is_weighted:
-        weights = {lift(v, i): w for v, w in g.weight_map().items() for i in levels}
-    return WeightedDigraph.build(vertices, edges, weights, g.ring)
+    vertices = {v.primed(i) for v in g.vertices for i in levels}
+    edges = {(x.primed(i), y.primed(i)) for x, y in g.edges for i in levels}
+    edges.update((v.primed(i), v.primed(j)) for v in g.vertices for i, j in line.arrows())
+    return WeightedDigraph.build(vertices, edges, g.level_weights(levels), g.ring)
 
 
 @dataclass

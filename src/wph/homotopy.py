@@ -5,15 +5,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import Matrix, kernel_basis, solve_in_lattice
-from .chain import ChainVector, OmegaComplex, build_omega, induced_chain_map, weighted_boundary
-from .dhyper import Arrow, DirectedHypergraph, HyperMorphism, classify_morphism, hyper_box_product
-from .digraph import I1_FORWARD, paths_functor
+from .chain import ChainVector, build_omega, induced_chain_map, weighted_boundary
+from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
+from .digraph import paths_functor
 from .errors import (
     HomotopyIdentityFailedError,
     ImageNotInOmegaError,
     NonInvertibleWeightError,
 )
-from .pathcx import Path, PathComplex, PathMorphism, Vertex
+from .pathcx import PathComplex, PathMorphism
 
 
 @dataclass
@@ -123,26 +123,15 @@ def _require_invertible_weights(pc: PathComplex) -> dict:
     return gammas
 
 
-def prism(v: ChainVector, weights: dict, gammas: Optional[dict] = None) -> ChainVector:
-    """The prism operator: insert a primed copy at each slot, scaled by 1/weight."""
+def prism(v: ChainVector, gammas: dict) -> ChainVector:
+    """The prism operator: one-jump lifts scaled by the inverse weights `gammas`."""
     ring = v.ring
-    if gammas is None:
-        gammas = {}
-        for vert in sorted({x for p, _ in v.coeffs for x in p.vertices}):
-            if not ring.is_unit(weights[vert]):
-                raise NonInvertibleWeightError(
-                    f"weight {weights[vert]} of vertex {vert.render()} "
-                    f"is not invertible in {ring.name}"
-                )
-            gammas[vert] = ring.inv(weights[vert])
     if v.degree < 0:
         return ChainVector.zero(0, ring)
     out: dict = {}
     for p, c in v.coeffs:
-        vs = p.vertices
-        for k in range(len(vs)):
-            lifted = Path(vs[: k + 1] + tuple(x.primed() for x in vs[k:]))
-            term = ring.mul(c, gammas[vs[k]])
+        for k, (vert, lifted) in enumerate(zip(p.vertices, p.lifts())):
+            term = ring.mul(c, gammas[vert])
             if k % 2:
                 term = ring.neg(term)
             out[lifted] = ring.add(out.get(lifted, ring.zero), term)
@@ -160,10 +149,8 @@ def verify_prism_identity(v: ChainVector, pc: PathComplex) -> PrismReport:
     gammas = _require_invertible_weights(pc)
     ring = v.ring
     weights = pc.cylinder().weight_map()
-    gammas = dict(gammas)
-    gammas.update({vert.primed(): g for vert, g in gammas.items()})
-    lhs = weighted_boundary(prism(v, weights, gammas), weights).add(
-        prism(weighted_boundary(v, weights), weights, gammas)
+    lhs = weighted_boundary(prism(v, gammas), weights).add(
+        prism(weighted_boundary(v, weights), gammas)
     )
     primed = ChainVector.from_dict(
         v.degree, {p.primed(): c for p, c in v.coeffs}, ring
@@ -201,13 +188,13 @@ def chain_homotopy_certificate(
     ring = f.source.ring
     F = hrep.homotopy
     cyl = F.source
-    cyl_weights = cyl.weight_map()
-    cyl_gammas = dict(gammas)
-    cyl_gammas.update({v.primed(): x for v, x in gammas.items()})
 
-    om_src = build_omega(f.source, max_degree + 1)
-    om_cyl = build_omega(cyl, max_degree + 1)
-    om_tgt = build_omega(f.target, max_degree + 1)
+    # One Omega per distinct complex: for the cylinder inclusions the target is the cylinder.
+    omegas: dict = {}
+    for pc in (f.source, cyl, f.target):
+        if pc not in omegas:
+            omegas[pc] = build_omega(pc, max_degree + 1)
+    om_src, om_cyl, om_tgt = omegas[f.source], omegas[cyl], omegas[f.target]
     f_mats = induced_chain_map(f, om_src, om_tgt)
     g_mats = induced_chain_map(g, om_src, om_tgt)
     F_mats = induced_chain_map(F, om_cyl, om_tgt)
@@ -218,7 +205,7 @@ def chain_homotopy_certificate(
         prism_cols = []
         for j in range(om_src.rank(n)):
             chain = om_src.generator_chain(n, j)
-            lifted = prism(chain, cyl_weights, cyl_gammas)
+            lifted = prism(chain, gammas)
             sol = om_cyl.express_in_omega(lifted)
             if sol is None:
                 raise ImageNotInOmegaError(
@@ -231,24 +218,8 @@ def chain_homotopy_certificate(
     for n in range(max_degree + 1):
         total = om_tgt.boundary(n + 1) @ L[n]
         if n >= 1:
-            ld = L[n - 1] @ om_src.boundary(n)
-            total = Matrix.from_rows(
-                ring,
-                [
-                    [ring.add(total.data[i][j], ld.data[i][j]) for j in range(total.cols)]
-                    for i in range(total.rows)
-                ],
-            )
-        want = Matrix.from_rows(
-            ring,
-            [
-                [
-                    ring.sub(g_mats[n].data[i][j], f_mats[n].data[i][j])
-                    for j in range(g_mats[n].cols)
-                ]
-                for i in range(g_mats[n].rows)
-            ],
-        )
+            total = total + L[n - 1] @ om_src.boundary(n)
+        want = g_mats[n] - f_mats[n]
         if total.data != want.data:
             for j in range(total.cols):
                 if total.column(j) != want.column(j):
@@ -267,17 +238,12 @@ def chain_homotopy_certificate(
 
 def _induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> bool:
     """f_* == g_* on homology: their difference on cycles lies in the image."""
-    ring = om_src.ring
     for n in range(max_degree + 1):
         ker = kernel_basis(om_src.boundary(n))
         img = om_tgt.boundary(n + 1)
+        diff = f_mats[n] - g_mats[n]
         for j in range(ker.cols):
-            k = ker.column(j)
-            d = tuple(
-                ring.sub(x, y)
-                for x, y in zip(f_mats[n].apply(k), g_mats[n].apply(k))
-            )
-            if solve_in_lattice(img, d) is None:
+            if solve_in_lattice(img, diff.apply(ker.column(j))) is None:
                 return False
     return True
 
@@ -363,8 +329,6 @@ def edge_weighted_certificate(
     Refuses with NonInvertibleWeight when some origin/end set weight |A| of
     the source is not a unit of the ring.
     """
-    from .dhyper import natural_digraph, set_weight
-
     hrep = one_step_homotopy_dhyper(f, g, mode=mode)
     if not hrep.ok:
         return CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
@@ -380,8 +344,6 @@ def edge_weighted_certificate(
     src_pc = paths_functor(natural_digraph(f.source), maxlen)
     tgt_pc = paths_functor(natural_digraph(f.target), maxlen + 1)
     # vertex maps of the induced path morphisms: set vertex S -> set vertex f(S)
-    from .dhyper import _set_vertex
-
     def induced(m: HyperMorphism) -> PathMorphism:
         vmap = {}
         for s in f.source.origin_end_sets():

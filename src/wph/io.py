@@ -15,7 +15,7 @@ from .chain import HomologyResult
 from .dhyper import Arrow, DirectedHypergraph, Hypergraph
 from .digraph import WeightedDigraph
 from .errors import InvariantError, SchemaError
-from .pathcx import Path, PathComplex, Vertex
+from .pathcx import Path, PathComplex, Vertex, Weighted
 
 FORMAT_VERSION = "1"
 KINDS = (
@@ -171,7 +171,7 @@ def _parse_path_complex(body: dict, ring) -> PathComplex:
     paths = [Path(tuple(parse_vertex(x) for x in seq)) for seq in raw_paths]
     weights = _parse_weights(body, ring)
     _no_extra(body, "path_complex body")
-    pc = PathComplex.build(vertices, paths, weights, ring if weights is not None else ring)
+    pc = PathComplex.build(vertices, paths, weights, ring)
     report = pc.validate()
     if not report.ok:
         raise InvariantError(report.problems[0])
@@ -190,7 +190,7 @@ def _parse_digraph(body: dict, ring) -> WeightedDigraph:
         edges.append((parse_vertex(e[0]), parse_vertex(e[1])))
     weights = _parse_weights(body, ring)
     _no_extra(body, "digraph body")
-    return WeightedDigraph.build(vertices, edges, weights, ring if weights is not None else ring)
+    return WeightedDigraph.build(vertices, edges, weights, ring)
 
 
 def _parse_directed_hypergraph(body: dict, ring) -> DirectedHypergraph:
@@ -211,7 +211,7 @@ def _parse_directed_hypergraph(body: dict, ring) -> DirectedHypergraph:
     declared = _pop(body, "vertices", required=False)
     weights = _parse_weights(body, ring)
     _no_extra(body, "directed_hypergraph body")
-    g = DirectedHypergraph.build(arrows, weights, ring if weights is not None else ring)
+    g = DirectedHypergraph.build(arrows, weights, ring)
     if declared is not None:
         declared_set = frozenset(_parse_vertex_list(declared, "vertices"))
         if declared_set != g.vertices:
@@ -269,6 +269,8 @@ def _parse_homology(body: dict, ring):
         raise SchemaError("homology body needs integer max_degree and a groups list")
     groups = []
     for gr in raw_groups:
+        if not isinstance(gr, dict):
+            raise SchemaError(f"homology group {gr!r} is not an object")
         gr = dict(gr)
         degree = _pop(gr, "degree")
         free_rank = _pop(gr, "free_rank")
@@ -303,10 +305,9 @@ def _envelope(kind: str, ring: Optional[Ring], body: dict, description: Optional
     return doc
 
 
-def _emit_weights(weights, ring) -> Optional[dict]:
-    if weights is None:
-        return None
-    return {v.render(): emit_weight(w, ring) for v, w in sorted(dict(weights).items())}
+def _emit_weights(body: dict, obj: Weighted) -> None:
+    if obj.is_weighted:
+        body["weights"] = {v.render(): emit_weight(w, obj.ring) for v, w in obj.weights}
 
 
 def emit_path_complex(pc: PathComplex, description: Optional[str] = None) -> bytes:
@@ -314,8 +315,7 @@ def emit_path_complex(pc: PathComplex, description: Optional[str] = None) -> byt
         "vertices": [v.render() for v in pc.sorted_vertices()],
         "paths": [[v.render() for v in p.vertices] for p in pc.sorted_paths()],
     }
-    if pc.is_weighted:
-        body["weights"] = _emit_weights(pc.weights, pc.ring)
+    _emit_weights(body, pc)
     return _dump(_envelope("path_complex", pc.ring, body, description))
 
 
@@ -324,8 +324,7 @@ def emit_digraph(g: WeightedDigraph, description: Optional[str] = None) -> bytes
         "vertices": [v.render() for v in sorted(g.vertices)],
         "edges": [[x.render(), y.render()] for x, y in sorted(g.edges)],
     }
-    if g.is_weighted:
-        body["weights"] = _emit_weights(g.weights, g.ring)
+    _emit_weights(body, g)
     return _dump(_envelope("digraph", g.ring, body, description))
 
 
@@ -340,8 +339,7 @@ def emit_directed_hypergraph(g: DirectedHypergraph, description: Optional[str] =
             for a in g.sorted_arrows()
         ],
     }
-    if g.is_weighted:
-        body["weights"] = _emit_weights(g.weights, g.ring)
+    _emit_weights(body, g)
     return _dump(_envelope("directed_hypergraph", g.ring, body, description))
 
 

@@ -15,8 +15,9 @@ class Vertex:
     label: str
     prime: int = 0
 
-    def primed(self) -> "Vertex":
-        return Vertex(self.label, self.prime + 1)
+    def primed(self, k: int = 1) -> "Vertex":
+        """The copy k prime levels up: the top of a cylinder, or level k of a box product."""
+        return Vertex(self.label, self.prime + k)
 
     def render(self) -> str:
         return self.label + "'" * self.prime
@@ -59,6 +60,11 @@ class Path:
     def primed(self) -> "Path":
         return Path(tuple(v.primed() for v in self.vertices))
 
+    def lifts(self) -> list:
+        """The one-jump lifts into the cylinder: the k-th runs v0..vk, then vk'..vn'."""
+        vs, up = self.vertices, self.primed().vertices
+        return [Path(vs[: k + 1] + up[k:]) for k in range(len(vs))]
+
     def collapse_repeats(self) -> "Path":
         out = [self.vertices[0]]
         for v in self.vertices[1:]:
@@ -73,6 +79,47 @@ class Path:
         return self.render()
 
 
+def canonical_weights(
+    weights: Optional[Mapping[Vertex, object]], ring: Optional[Ring]
+) -> Optional[tuple]:
+    """A vertex weight map as the sorted tuple of (Vertex, scalar coerced into ring)."""
+    if weights is None:
+        return None
+    if ring is None:
+        raise InvariantError("weights need a coefficient ring")
+    return tuple(sorted((v, ring.coerce(x)) for v, x in weights.items()))
+
+
+class Weighted:
+    """An optional vertex weight function, stored as a `canonical_weights` tuple with its ring."""
+
+    weights: Optional[tuple]
+    ring: Optional[Ring]
+
+    @property
+    def is_weighted(self) -> bool:
+        return self.weights is not None
+
+    def weight_map(self) -> dict:
+        return dict(self.weights) if self.weights is not None else {}
+
+    def level_weights(self, levels: Iterable[int]) -> Optional[dict]:
+        """Every weight copied to each of the given prime levels above its vertex."""
+        if self.weights is None:
+            return None
+        return {v.primed(i): w for v, w in self.weights for i in levels}
+
+
+def walk_paths(successors: Mapping[Vertex, Iterable[Vertex]], maxlen: int) -> list:
+    """Every walk of at most maxlen steps from any key of `successors` along its values."""
+    paths = [Path.of(v) for v in sorted(successors)]
+    frontier = list(paths)
+    for _ in range(maxlen):
+        frontier = [Path(p.vertices + (y,)) for p in frontier for y in successors[p.vertices[-1]]]
+        paths.extend(frontier)
+    return paths
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -80,7 +127,7 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class PathComplex:
+class PathComplex(Weighted):
     """A vertex set plus a truncation-closed set of elementary paths.
 
     `weights` maps every vertex to an element of `ring` when present.
@@ -102,19 +149,7 @@ class PathComplex:
         weights: Optional[Mapping[Vertex, object]] = None,
         ring: Optional[Ring] = None,
     ) -> "PathComplex":
-        wt = None
-        if weights is not None:
-            if ring is None:
-                raise InvariantError("weights need a coefficient ring")
-            wt = tuple(sorted((v, ring.coerce(x)) for v, x in weights.items()))
-        return cls(frozenset(vertices), frozenset(paths), wt, ring)
-
-    @property
-    def is_weighted(self) -> bool:
-        return self.weights is not None
-
-    def weight_map(self) -> dict:
-        return dict(self.weights) if self.weights is not None else {}
+        return cls(frozenset(vertices), frozenset(paths), canonical_weights(weights, ring), ring)
 
     def sorted_vertices(self) -> list:
         return sorted(self.vertices)
@@ -163,20 +198,24 @@ class PathComplex:
         return PathComplex.build(self.vertices, self.paths, weights, ring)
 
     def cylinder(self) -> "PathComplex":
-        """The cylinder on V + V' with paths P, P' and the one-jump lifts P#."""
+        """The cylinder on V + V' with paths P, P' and the one-jump lifts P#.
+
+        A complex holding both v and v' has none: the copy v' would merge with
+        the existing vertex.
+        """
         prime_vs = {v.primed() for v in self.vertices}
+        clash = self.vertices & prime_vs
+        if clash:
+            v = min(clash)
+            raise InvariantError(
+                f"no cylinder: vertex {v.render()} collides with the primed copy "
+                f"of {v.primed(-1).render()}"
+            )
         paths = set(self.paths)
         paths.update(p.primed() for p in self.paths)
         for p in self.paths:
-            vs = p.vertices
-            for k in range(len(vs)):
-                lifted = vs[: k + 1] + tuple(v.primed() for v in vs[k:])
-                paths.add(Path(lifted))
-        weights = None
-        if self.is_weighted:
-            weights = self.weight_map()
-            weights.update({v.primed(): w for v, w in self.weight_map().items()})
-        return PathComplex.build(self.vertices | prime_vs, paths, weights, self.ring)
+            paths.update(p.lifts())
+        return PathComplex.build(self.vertices | prime_vs, paths, self.level_weights((0, 1)), self.ring)
 
 
 def complex_from_paths(
@@ -207,9 +246,6 @@ class PathMorphism:
     source: PathComplex
     target: PathComplex
     vertex_map: dict
-
-    def image_vertex(self, v: Vertex) -> Vertex:
-        return self.vertex_map[v]
 
     def image_path(self, p: Path, collapse: bool = False) -> Path:
         img = Path(tuple(self.vertex_map[v] for v in p.vertices))

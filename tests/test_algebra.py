@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -147,3 +148,23 @@ def test_homology_of_pair_requires_zero_composition():
     d_in = Matrix.from_rows(ZZ, [[1]])
     with pytest.raises(CompositionNotZeroError):
         homology_of_pair(d_out, d_in)
+
+
+def test_matrix_add_and_sub_are_entrywise():
+    m = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+    n = Matrix.from_rows(ZZ, [[5, -1], [0, 2]])
+    assert (m + n) == Matrix.from_rows(ZZ, [[6, 1], [3, 6]])
+    assert (m - n) == Matrix.from_rows(ZZ, [[-4, 3], [3, 2]])
+    assert (m - m).is_zero()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+@pytest.mark.parametrize(
+    "right",
+    [Matrix.from_rows(ZZ, [[1, 2, 3]]), Matrix.from_rows(QQ, [[1, 2], [3, 4]])],
+    ids=["shape", "ring"],
+)
+def test_matrix_arithmetic_rejects_shape_or_ring_mismatch(op, right):
+    left = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="mismatch"):
+        op(left, right)

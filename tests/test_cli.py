@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from wph.cli import main
@@ -201,3 +203,55 @@ def test_all_fixture_documents_validate(capsys):
     for path in sorted(FIXTURES.glob("*.json")):
         code, out, err = run(capsys, "validate", str(path))
         assert code == 0, (path.name, err)
+
+
+def test_prism_check_on_a_complex_without_cylinder_exits_2(tmp_path, capsys):
+    doc = {
+        "format_version": "1",
+        "kind": "path_complex",
+        "ring": "Q",
+        "body": {
+            "vertices": ["a", "a'", "b"],
+            "paths": [["a"], ["a'"], ["b"], ["a", "a'"], ["a'", "b"], ["a", "a'", "b"]],
+            "weights": {"a": 1, "a'": 2, "b": 3},
+        },
+    }
+    path = tmp_path / "primed_labels.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "prism-check", str(path), "--degree", "1")
+    assert code == 2
+    assert out == ""
+    assert "collides with the primed copy" in err
+
+
+_CERT_ARGS = (
+    "homotopy-check", str(FIXTURES / "pc_point_q.json"), str(FIXTURES / "pc_edge_q.json"),
+    "--f", str(FIXTURES / "mor_a_to_x.json"), "--g", str(FIXTURES / "mor_a_to_y.json"),
+    "--certify-chain-homotopy",
+)
+_DIAMOND_Z = str(FIXTURES / "pc_diamond_weighted.json")
+_DIAMOND_Q = str(FIXTURES / "pc_diamond_q.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("homology", _DIAMOND_Z, "--max-dim", "0"),
+        ("homology", _DIAMOND_Z, "--max-dim", "-1"),
+        ("homology", _DIAMOND_Z, "--maxlen", "-1"),
+        ("functor", str(FIXTURES / "dh_single.json"), "--functor", "connective", "--maxlen", "-1"),
+        _CERT_ARGS + ("--max-dim", "-1"),
+        ("prism-check", _DIAMOND_Q, "--samples", "0"),
+        ("prism-check", _DIAMOND_Q, "--samples", "-3"),
+        ("prism-check", _DIAMOND_Q, "--degree", "9"),
+    ],
+    ids=[
+        "homology-max-dim-0", "homology-max-dim-neg", "homology-maxlen-neg", "functor-maxlen-neg",
+        "certificate-max-dim-neg", "prism-samples-0", "prism-samples-neg", "prism-empty-degree",
+    ],
+)
+def test_out_of_range_bounds_exit_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

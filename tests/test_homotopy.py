@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wph import homotopy
 from wph.algebra import QQ, ZZ
 from wph.chain import ChainVector
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
@@ -84,7 +85,7 @@ def test_prism_of_an_edge_uses_inverse_weights():
     )
     gammas = {v: Fraction(1, w) for v, w in pc.weights}
     gammas.update({v.primed(): g for v, g in gammas.items()})
-    tau = prism(ChainVector.basis(Path((a, b)), QQ), pc.weight_map(), gammas)
+    tau = prism(ChainVector.basis(Path((a, b)), QQ), gammas)
     ap, bp = a.primed(), b.primed()
     assert tau.as_dict() == {
         Path((a, ap, bp)): Fraction(1, 2),
@@ -201,3 +202,19 @@ def test_edge_weighted_certificate_gates_on_set_weights():
     g = HyperMorphism(src, tgt, {a: c, b: d})
     with pytest.raises(NonInvertibleWeightError):
         edge_weighted_certificate(f, g, 2)
+
+
+def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
+    built = []
+    original = homotopy.build_omega
+
+    def counting(pc, max_degree):
+        built.append(pc)
+        return original(pc, max_degree)
+
+    monkeypatch.setattr(homotopy, "build_omega", counting)
+    pc = random_unit_weight_complex(random.Random(17), max_vertices=5, maxlen=3)
+    f, g = inclusion_bottom(pc), inclusion_top(pc)
+    assert f.target == pc.cylinder()
+    assert chain_homotopy_certificate(f, g, 3).ok
+    assert len(built) == 2

@@ -105,3 +105,12 @@ def test_morphism_and_chain_documents():
     doc = wio.parse((FIXTURES / "chain_a_xy.json").read_bytes())
     assert doc.kind == "homotopy_chain"
     assert [d for _, d in doc.body.steps] == ["forward", "forward"]
+
+
+def test_homology_group_that_is_not_an_object_is_a_schema_error():
+    blob = (
+        '{"format_version": "1", "kind": "homology", "ring": "Z",'
+        ' "body": {"max_degree": 1, "groups": [5]}}'
+    )
+    with pytest.raises(SchemaError, match="not an object"):
+        wio.parse(blob)

@@ -1,9 +1,11 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wph.algebra import ZZ
+from wph.errors import InvariantError
 from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
 
 from helpers import random_complex
@@ -69,6 +71,13 @@ def test_cylinder_contains_all_one_jump_lifts():
     ap, bp = a.primed(), b.primed()
     for lift in (Path((a, ap, bp)), Path((a, b, bp))):
         assert lift in cyl.paths
+
+
+def test_cylinder_refuses_a_vertex_next_to_its_primed_copy():
+    ap = a.primed()
+    pc = complex_from_paths([Path((a, ap, b))], weights={a: 1, ap: 2, b: 3}, ring=ZZ)
+    with pytest.raises(InvariantError, match="vertex a' collides with the primed copy of a"):
+        pc.cylinder()
 
 
 def test_truncate_drops_long_paths_only():
