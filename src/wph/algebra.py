@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Any, Sequence
 
 from .errors import CompositionNotZeroError, UnsupportedRingError
@@ -33,7 +34,10 @@ def _is_prime(m: int) -> bool:
 
 
 class Ring:
-    """A coefficient ring: Z, Q, or Z/m.  Values are plain Python scalars."""
+    """A coefficient ring: Z, Q, or Z/m.  Values are plain Python scalars.
+
+    The plain operators serve Z and Q; Z/m overrides them to reduce mod m.
+    """
 
     name: str
     is_field: bool
@@ -44,19 +48,16 @@ class Ring:
         raise NotImplementedError
 
     def add(self, a, b) -> Scalar:
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b) -> Scalar:
-        raise NotImplementedError
+        return a - b
 
     def mul(self, a, b) -> Scalar:
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a) -> Scalar:
-        raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
+        return -a
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -89,18 +90,6 @@ class IntegerRing(Ring):
             return x.numerator
         return int(x)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_unit(self, a):
         return a in (1, -1)
 
@@ -130,18 +119,6 @@ class RationalRing(Ring):
 
     def coerce(self, x):
         return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def is_unit(self, a):
         return a != 0
@@ -190,8 +167,6 @@ class ModularRing(Ring):
         return (-a) % self.m
 
     def is_unit(self, a):
-        from math import gcd
-
         return gcd(a, self.m) == 1
 
     def inv(self, a):
@@ -262,7 +237,8 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, ring: Ring, cols: Sequence[Sequence], rows: int) -> "Matrix":
-        data = tuple(tuple(ring.coerce(c[i]) for c in cols) for i in range(rows))
+        """A matrix from columns whose entries are already values of `ring`."""
+        data = tuple(tuple(c[i] for c in cols) for i in range(rows))
         return cls(ring, rows, len(cols), data)
 
     def column(self, j: int) -> tuple:
@@ -444,8 +420,8 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
     d = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i] != ring.zero)
     return SmithDecomposition(
         d=d,
-        left=Matrix.from_rows(ring, left),
-        right=Matrix.from_rows(ring, right),
+        left=Matrix(ring, nr, nr, tuple(map(tuple, left))),
+        right=Matrix(ring, nc, nc, tuple(map(tuple, right))),
         rank=len(d),
     )
 

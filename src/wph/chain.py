@@ -117,29 +117,6 @@ class OmegaComplex:
             return Matrix.zeros(self.ring, 0, self.rank(0))
         return Matrix.zeros(self.ring, self.rank(n - 1), 0)
 
-    def generator_chain(self, n: int, j: int) -> ChainVector:
-        col = self.bases[n].column(j)
-        return ChainVector.from_dict(
-            n, {p: c for p, c in zip(self.reg_paths[n], col)}, self.ring
-        )
-
-    def chain_to_coords(self, v: ChainVector):
-        """Coordinates of a chain over the regular-path basis in degree v.degree."""
-        index = {p: i for i, p in enumerate(self.reg_paths[v.degree])}
-        vec = [self.ring.zero] * len(index)
-        for p, c in v.coeffs:
-            if p not in index:
-                return None
-            vec[index[p]] = c
-        return tuple(vec)
-
-    def express_in_omega(self, v: ChainVector):
-        """Coefficients of a chain over the Omega basis of its degree, or None."""
-        vec = self.chain_to_coords(v)
-        if vec is None:
-            return None
-        return solve_in_lattice(self.bases[v.degree], vec)
-
 
 def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     """Compute Omega_n for n <= max_degree and the boundary matrices.
@@ -155,51 +132,66 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     require_pid(ring)
     weights = pc.weight_map()
     reg_paths = [pc.regular_paths(n) for n in range(max_degree + 1)]
+    # the weighted boundary of each regular path, shared by the kernel rows and the boundary maps
+    faces = {
+        p: weighted_boundary(ChainVector.basis(p, ring), weights).coeffs
+        for paths in reg_paths
+        for p in paths
+    }
     bases = []
-    path_boundaries: list = []  # per degree: boundary ChainVector of each basis path
-    for n in range(max_degree + 1):
-        bnds = [weighted_boundary(ChainVector.basis(p, ring), weights) for p in reg_paths[n]]
-        path_boundaries.append(bnds)
-        outside = sorted(
-            {p for b in bnds for p, _ in b.coeffs if p not in pc.paths}
-        )
+    for paths in reg_paths:
+        outside = sorted({q for p in paths for q, _ in faces[p] if q not in pc.paths})
         if not outside:
-            bases.append(Matrix.identity(ring, len(reg_paths[n])))
+            bases.append(Matrix.identity(ring, len(paths)))
             continue
-        row_index = {p: i for i, p in enumerate(outside)}
-        rows = [[ring.zero] * len(reg_paths[n]) for _ in outside]
-        for j, b in enumerate(bnds):
-            for p, c in b.coeffs:
-                if p in row_index:
-                    rows[row_index[p]][j] = c
+        row_index = {q: i for i, q in enumerate(outside)}
+        rows = [[ring.zero] * len(paths) for _ in outside]
+        for j, p in enumerate(paths):
+            for q, c in faces[p]:
+                if q in row_index:
+                    rows[row_index[q]][j] = c
         bases.append(kernel_basis(Matrix.from_rows(ring, rows)))
 
-    boundaries = {}
+    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, {})
     for n in range(1, max_degree + 1):
-        prev_index = {p: i for i, p in enumerate(reg_paths[n - 1])}
-        cols = []
-        for j in range(bases[n].cols):
-            gen = bases[n].column(j)
-            acc: dict = {}
-            for coeff, b in zip(gen, path_boundaries[n]):
-                if coeff == ring.zero:
-                    continue
-                for p, c in b.coeffs:
-                    acc[p] = ring.add(acc.get(p, ring.zero), ring.mul(coeff, c))
-            vec = [ring.zero] * len(prev_index)
-            for p, c in acc.items():
-                if c == ring.zero:
-                    continue
-                # supports outside P cancelled by the kernel construction
-                if p not in prev_index:
-                    raise InvariantError(f"boundary support {p.render()} escaped P")
-                vec[prev_index[p]] = c
-            sol = solve_in_lattice(bases[n - 1], vec)
-            if sol is None:
-                raise InvariantError("generator boundary escaped the Omega lattice")
-            cols.append(sol)
-        boundaries[n] = Matrix.from_columns(ring, cols, bases[n - 1].cols)
-    return OmegaComplex(pc, max_degree, ring, reg_paths, bases, boundaries)
+        omega.boundaries[n] = restrict_to_omega(
+            faces.__getitem__, omega, n, omega, n - 1, InvariantError
+        )
+    return omega
+
+
+def restrict_to_omega(
+    image, source: OmegaComplex, n: int, target: OmegaComplex, m: int, error
+) -> Matrix:
+    """The matrix, source Omega_n -> target Omega_m, of a linear map given on elementary paths.
+
+    `image(p)` yields the (path, coefficient) terms of the image of the regular
+    n-path p, for every path a generator uses.  `error` is raised when a
+    generator's image leaves the target's regular m-paths or its Omega_m lattice.
+    """
+    ring = source.ring
+    zero = ring.zero
+    index = {q: i for i, q in enumerate(target.reg_paths[m])}
+    cols = []
+    for j, gen in enumerate(source.bases[n].columns()):
+        acc: dict = {}
+        for coeff, p in zip(gen, source.reg_paths[n]):
+            if coeff == zero:
+                continue
+            for q, c in image(p):
+                acc[q] = ring.add(acc.get(q, zero), ring.mul(coeff, c))
+        vec = [zero] * len(index)
+        for q, c in acc.items():
+            if c == zero:
+                continue
+            if q not in index:
+                raise error(f"Omega_{n} generator {j} maps onto {q.render()}, off the target paths")
+            vec[index[q]] = c
+        sol = solve_in_lattice(target.bases[m], vec)
+        if sol is None:
+            raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
+        cols.append(sol)
+    return Matrix.from_columns(ring, cols, target.rank(m))
 
 
 @dataclass
@@ -233,31 +225,19 @@ def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComple
 
     Basis paths map to their image paths with irregular images dropped.
     """
-    ring = source.ring
+    def image(p: Path) -> tuple:
+        q = f.image_path(p)
+        if not q.is_regular():
+            return ()
+        if q not in target.pc.paths:
+            raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
+        return ((q, source.ring.one),)
+
     top = min(source.max_degree, target.max_degree)
-    mats = {}
-    for n in range(top + 1):
-        cols = []
-        for j in range(source.rank(n)):
-            gen = source.generator_chain(n, j)
-            img: dict = {}
-            for p, c in gen.coeffs:
-                q = f.image_path(p)
-                if not q.is_regular():
-                    continue
-                if q not in target.pc.paths:
-                    raise ImageNotInOmegaError(
-                        f"image path {q.render()} is not in the target complex"
-                    )
-                img[q] = ring.add(img.get(q, ring.zero), c)
-            chain = ChainVector.from_dict(n, img, ring)
-            sol = target.express_in_omega(chain)
-            if sol is None:
-                raise ImageNotInOmegaError(
-                    f"image of Omega_{n} generator {j} is not in the target Omega basis"
-                )
-            cols.append(sol)
-        mats[n] = Matrix.from_columns(ring, cols, target.rank(n))
+    mats = {
+        n: restrict_to_omega(image, source, n, target, n, ImageNotInOmegaError)
+        for n in range(top + 1)
+    }
     for n in range(1, top + 1):
         lhs = target.boundary(n) @ mats[n]
         rhs = mats[n - 1] @ source.boundary(n)

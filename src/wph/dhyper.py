@@ -8,7 +8,10 @@ from .algebra import Ring
 from .chain import HomologyResult, homology
 from .digraph import LineDigraph, WeightedDigraph, paths_functor
 from .errors import InvariantError, MissingWeightError, NotAMorphismError
-from .pathcx import Path, PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, walk_paths
+from .pathcx import (
+    Path, PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, level_copies,
+    walk_paths,
+)
 
 
 @dataclass(frozen=True)
@@ -304,6 +307,7 @@ def hyper_box_product(g: DirectedHypergraph, line: LineDigraph) -> DirectedHyper
         return frozenset(v.primed(i) for v in xs)
 
     levels = range(line.n + 1)
+    level_copies(g.vertices, levels)  # refuses vertex sets whose level copies meet
     arrows = {Arrow(lift(a.origin, i), lift(a.end, i)) for a in g.arrows for i in levels}
     arrows.update(
         Arrow(lift(s, i), lift(s, j))

@@ -6,7 +6,9 @@ from typing import Iterable, Mapping, Optional
 
 from .algebra import Ring
 from .errors import InvariantError
-from .pathcx import PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, walk_paths
+from .pathcx import (
+    PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, level_copies, walk_paths,
+)
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def paths_functor(g: WeightedDigraph, maxlen: int) -> PathComplex:
 def box_product(g: WeightedDigraph, line: LineDigraph) -> WeightedDigraph:
     """The digraph box product G x I_n; level i is encoded as prime level +i."""
     levels = range(line.n + 1)
-    vertices = {v.primed(i) for v in g.vertices for i in levels}
+    vertices = level_copies(g.vertices, levels)
     edges = {(x.primed(i), y.primed(i)) for x, y in g.edges for i in levels}
     edges.update((v.primed(i), v.primed(j)) for v in g.vertices for i, j in line.arrows())
     return WeightedDigraph.build(vertices, edges, g.level_weights(levels), g.ring)

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Matrix, kernel_basis, solve_in_lattice
-from .chain import ChainVector, build_omega, induced_chain_map, weighted_boundary
+from .algebra import kernel_basis, solve_in_lattice
+from .chain import ChainVector, build_omega, induced_chain_map, restrict_to_omega, weighted_boundary
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
 from .digraph import paths_functor
 from .errors import (
@@ -13,7 +13,7 @@ from .errors import (
     ImageNotInOmegaError,
     NonInvertibleWeightError,
 )
-from .pathcx import PathComplex, PathMorphism
+from .pathcx import Path, PathComplex, PathMorphism, level_copies
 
 
 @dataclass
@@ -126,8 +126,6 @@ def _require_invertible_weights(pc: PathComplex) -> dict:
 def prism(v: ChainVector, gammas: dict) -> ChainVector:
     """The prism operator: one-jump lifts scaled by the inverse weights `gammas`."""
     ring = v.ring
-    if v.degree < 0:
-        return ChainVector.zero(0, ring)
     out: dict = {}
     for p, c in v.coeffs:
         for k, (vert, lifted) in enumerate(zip(p.vertices, p.lifts())):
@@ -148,7 +146,8 @@ def verify_prism_identity(v: ChainVector, pc: PathComplex) -> PrismReport:
     """Check d(prism v) + prism(d v) == v' - v on the cylinder chain modules."""
     gammas = _require_invertible_weights(pc)
     ring = v.ring
-    weights = pc.cylinder().weight_map()
+    level_copies(pc.vertices, (0, 1))  # refuses a complex that has no cylinder
+    weights = pc.level_weights((0, 1))
     lhs = weighted_boundary(prism(v, gammas), weights).add(
         prism(weighted_boundary(v, weights), gammas)
     )
@@ -200,19 +199,12 @@ def chain_homotopy_certificate(
     F_mats = induced_chain_map(F, om_cyl, om_tgt)
 
     # L_n = F_* after the prism, as a matrix Omega_n(src) -> Omega_{n+1}(tgt)
+    def lifted(p: Path) -> tuple:
+        return prism(ChainVector.basis(p, ring), gammas).coeffs
+
     L = {}
     for n in range(max_degree + 1):
-        prism_cols = []
-        for j in range(om_src.rank(n)):
-            chain = om_src.generator_chain(n, j)
-            lifted = prism(chain, gammas)
-            sol = om_cyl.express_in_omega(lifted)
-            if sol is None:
-                raise ImageNotInOmegaError(
-                    f"prism of Omega_{n} generator {j} escapes the cylinder Omega"
-                )
-            prism_cols.append(sol)
-        T = Matrix.from_columns(ring, prism_cols, om_cyl.rank(n + 1))
+        T = restrict_to_omega(lifted, om_src, n, om_cyl, n + 1, ImageNotInOmegaError)
         L[n] = F_mats[n + 1] @ T
 
     for n in range(max_degree + 1):

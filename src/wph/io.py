@@ -205,8 +205,6 @@ def _parse_directed_hypergraph(body: dict, ring) -> DirectedHypergraph:
         origin = frozenset(_parse_vertex_list(_pop(a, "origin"), "origin"))
         end = frozenset(_parse_vertex_list(_pop(a, "end"), "end"))
         _no_extra(a, "arrow")
-        if origin & end:
-            raise InvariantError("origin and end must be disjoint")
         arrows.append(Arrow(origin, end))
     declared = _pop(body, "vertices", required=False)
     weights = _parse_weights(body, ring)

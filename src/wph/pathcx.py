@@ -110,6 +110,25 @@ class Weighted:
         return {v.primed(i): w for v, w in self.weights for i in levels}
 
 
+def level_copies(vertices: Iterable[Vertex], levels: Iterable[int]) -> set:
+    """Every vertex copied to each of the given prime levels above it.
+
+    This is the vertex set of a cylinder (levels 0, 1) or a box product with
+    I_n (levels 0..n).  A vertex set whose copies meet has neither, e.g. one
+    holding both v and v': the level-1 copy of v would merge with v'.
+    """
+    copies: dict = {}
+    for v in sorted(vertices):
+        for i in levels:
+            u = v.primed(i)
+            if u in copies:
+                raise InvariantError(
+                    f"vertex {v.render()} collides with the primed copy of {copies[u].render()}"
+                )
+            copies[u] = v
+    return set(copies)
+
+
 def walk_paths(successors: Mapping[Vertex, Iterable[Vertex]], maxlen: int) -> list:
     """Every walk of at most maxlen steps from any key of `successors` along its values."""
     paths = [Path.of(v) for v in sorted(successors)]
@@ -198,24 +217,13 @@ class PathComplex(Weighted):
         return PathComplex.build(self.vertices, self.paths, weights, ring)
 
     def cylinder(self) -> "PathComplex":
-        """The cylinder on V + V' with paths P, P' and the one-jump lifts P#.
-
-        A complex holding both v and v' has none: the copy v' would merge with
-        the existing vertex.
-        """
-        prime_vs = {v.primed() for v in self.vertices}
-        clash = self.vertices & prime_vs
-        if clash:
-            v = min(clash)
-            raise InvariantError(
-                f"no cylinder: vertex {v.render()} collides with the primed copy "
-                f"of {v.primed(-1).render()}"
-            )
+        """The cylinder on V + V' with paths P, P' and the one-jump lifts P#."""
+        vertices = level_copies(self.vertices, (0, 1))
         paths = set(self.paths)
         paths.update(p.primed() for p in self.paths)
         for p in self.paths:
             paths.update(p.lifts())
-        return PathComplex.build(self.vertices | prime_vs, paths, self.level_weights((0, 1)), self.ring)
+        return PathComplex.build(vertices, paths, self.level_weights((0, 1)), self.ring)
 
 
 def complex_from_paths(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +15,11 @@ from wph.chain import (
     weighted_boundary,
 )
 from wph.digraph import WeightedDigraph, paths_functor
+from wph.errors import ImageNotInOmegaError
 from wph.homotopy import chain_homotopy_certificate
 from wph.pathcx import (
     Path,
+    PathComplex,
     PathMorphism,
     Vertex,
     complex_from_paths,
@@ -125,6 +128,30 @@ def test_identity_morphism_induces_identity_matrices():
         for i in range(m.rows):
             for j in range(m.cols):
                 assert m.data[i][j] == (1 if i == j else 0)
+
+
+def test_induced_chain_map_refuses_an_image_path_outside_the_target():
+    x, y = Vertex("x"), Vertex("y")
+    src = complex_from_paths([Path((a, b))], weights={a: 1, b: 1}, ring=ZZ)
+    tgt = PathComplex.build([x, y], [Path.of(x), Path.of(y)], {x: 1, y: 1}, ZZ)
+    f = PathMorphism(src, tgt, {a: x, b: y})
+    with pytest.raises(ImageNotInOmegaError, match=r"image path \(x y\) is not in the target complex"):
+        induced_chain_map(f, build_omega(src, 1), build_omega(tgt, 1))
+
+
+def test_induced_chain_map_refuses_a_chain_outside_the_target_omega():
+    # Omega_2 is spanned by (abc) - (adc) in the source, by 2(xyz) - (xuz) in the target.
+    x, y, z, u = (Vertex(s) for s in "xyzu")
+    src = complex_from_paths(
+        [Path((a, b, c)), Path((a, d, c))], weights={a: 1, b: 1, c: 1, d: 1}, ring=ZZ
+    )
+    tgt = complex_from_paths(
+        [Path((x, y, z)), Path((x, u, z))], weights={x: 1, y: 1, z: 1, u: 2}, ring=ZZ
+    )
+    f = PathMorphism(src, tgt, {a: x, b: y, c: z, d: u})
+    assert all(f.image_path(p) in tgt.paths for p in src.paths)
+    with pytest.raises(ImageNotInOmegaError, match="generator 0 is not in the target Omega"):
+        induced_chain_map(f, build_omega(src, 2), build_omega(tgt, 2))
 
 
 def test_each_matrix_is_factored_at_most_once(monkeypatch):

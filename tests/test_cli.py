@@ -4,6 +4,7 @@ import pytest
 
 from wph.cli import main
 from wph.homotopy import PrismReport
+from wph.pathcx import PathComplex
 
 from helpers import FIXTURES
 
@@ -222,6 +223,40 @@ def test_prism_check_on_a_complex_without_cylinder_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "collides with the primed copy" in err
+
+
+def test_box_product_of_a_digraph_with_primed_labels_exits_2(tmp_path, capsys):
+    doc = {
+        "format_version": "1",
+        "kind": "digraph",
+        "ring": "Z",
+        "body": {
+            "vertices": ["a", "a'", "b"],
+            "edges": [["a", "a'"], ["a'", "b"]],
+            "weights": {"a": 2, "a'": 1, "b": 3},
+        },
+    }
+    path = tmp_path / "primed_labels.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "functor", str(path), "--functor", "box:I1f")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "collides with the primed copy" in err
+
+
+def test_prism_check_builds_no_cylinder(monkeypatch, capsys):
+    built = []
+    original = PathComplex.cylinder
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PathComplex, "cylinder", counting)
+    code, out, _ = run(capsys, "prism-check", str(FIXTURES / "pc_diamond_q.json"), "--degree", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS: prism identity holds on 4 regular paths of length 1"
+    assert built == []
 
 
 _CERT_ARGS = (

@@ -111,6 +111,13 @@ def test_classify_morphism_weight_flags():
     assert cls.vertex_weighted and cls.edge_weighted and cls.strong_weighted
 
 
+def test_hyper_box_product_refuses_a_vertex_next_to_its_primed_copy():
+    ap = a.primed()
+    g = DirectedHypergraph.build([A({a}, {ap}), A({ap}, {b})], {a: 2, ap: 1, b: 3}, ZZ)
+    with pytest.raises(InvariantError, match="vertex a' collides with the primed copy of a"):
+        hyper_box_product(g, I1_FORWARD)
+
+
 def test_natural_digraph_commutes_with_box_product_on_fixtures():
     for path in fixture_paths("dh_"):
         g = wio.parse(path.read_bytes()).body

@@ -55,6 +55,13 @@ def test_box_product_with_backward_interval_flips_crossing_edges():
     assert (a, a.primed()) not in boxed.edges
 
 
+def test_box_product_refuses_a_vertex_next_to_its_primed_copy():
+    ap = a.primed()
+    g = WeightedDigraph.build([a, ap, b], [(a, ap), (ap, b)], {a: 2, ap: 1, b: 3}, ZZ)
+    with pytest.raises(InvariantError, match="vertex a' collides with the primed copy of a"):
+        box_product(g, LineDigraph.forward())
+
+
 def test_line_digraph_arrows():
     assert LineDigraph.forward().arrows() == [(0, 1)]
     assert LineDigraph.backward().arrows() == [(1, 0)]
