@@ -476,10 +476,9 @@ def kernel_basis(m: Matrix) -> Matrix:
     """
     require_pid(m.ring)
     if m.rows == 0:
-        cols = Matrix.identity(m.ring, m.cols).columns()
-    else:
-        snf = m.smith
-        cols = [snf.right.column(j) for j in range(snf.rank, m.cols)]
+        return Matrix.identity(m.ring, m.cols)  # already in Hermite form
+    snf = m.smith
+    cols = [snf.right.column(j) for j in range(snf.rank, m.cols)]
     cols = _hermite_column_reduce(cols, m.cols, m.ring)
     return Matrix.from_columns(m.ring, cols, m.cols)
 

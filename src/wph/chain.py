@@ -88,13 +88,32 @@ def weighted_boundary(v: ChainVector, weights: dict) -> ChainVector:
     return ChainVector.from_dict(v.degree - 1, out, ring)
 
 
+@dataclass(frozen=True)
+class OmegaBlock:
+    """One connected block of the Omega_n constraint matrix and its kernel basis.
+
+    paths indexes the block's regular n-paths in reg_paths[n], gens the block's
+    generators among the Omega_n generators, both ascending; basis has one row
+    per block path and one column per block generator.
+    """
+
+    paths: tuple
+    gens: tuple
+    basis: Matrix
+
+
 @dataclass
 class OmegaComplex:
     """Bases of the allowed chains Omega_n and the boundary matrices between them.
 
     bases[n] has one row per regular n-path of the complex (canonical order)
-    and one column per Omega_n generator.  boundaries[n] (n >= 1) expresses
-    the weighted boundary Omega_n -> Omega_{n-1} in those generator bases.
+    and one column per Omega_n generator, in column Hermite form (reduced
+    echelon form over a field).  blocks[n] splits it into the connected blocks
+    of the Omega_n constraint matrix: two paths share a block when they are
+    linked by faces outside the complex.  Block row supports are disjoint, so
+    bases[n] is the block bases placed side by side and ordered by pivot row.
+    boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
+    Omega_{n-1} in those generator bases.
     """
 
     pc: PathComplex
@@ -102,6 +121,7 @@ class OmegaComplex:
     ring: Ring
     reg_paths: list  # reg_paths[n]: canonical list of regular n-paths in P
     bases: list  # bases[n]: Matrix (len(reg_paths[n]) x rank)
+    blocks: list  # blocks[n]: list of OmegaBlock, covering reg_paths[n]
     boundaries: dict  # n -> Matrix (rank_{n-1} x rank_n)
 
     def rank(self, n: int) -> int:
@@ -123,6 +143,9 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
 
     Omega_n is the kernel of the composite: regular n-chains on P, mapped by
     the weighted boundary, projected onto the regular (n-1)-paths NOT in P.
+    That constraint matrix is block-diagonal: its connected blocks are the
+    classes of paths linked by shared outside faces.  Each block's kernel is
+    taken on its own, and a path with no outside face is a 1x1 identity block.
     Over Z the kernel basis is saturated, so boundaries of generators always
     re-express integrally in the next basis down.
     """
@@ -138,26 +161,69 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         for paths in reg_paths
         for p in paths
     }
-    bases = []
+    bases, blocks = [], []
     for paths in reg_paths:
-        outside = sorted({q for p in paths for q, _ in faces[p] if q not in pc.paths})
-        if not outside:
-            bases.append(Matrix.identity(ring, len(paths)))
-            continue
-        row_index = {q: i for i, q in enumerate(outside)}
-        rows = [[ring.zero] * len(paths) for _ in outside]
-        for j, p in enumerate(paths):
-            for q, c in faces[p]:
-                if q in row_index:
-                    rows[row_index[q]][j] = c
-        bases.append(kernel_basis(Matrix.from_rows(ring, rows)))
+        # each path's faces outside P: its column of the constraint matrix
+        cut = [[(q, c) for q, c in faces[p] if q not in pc.paths] for p in paths]
+        kernels = []  # (block path indices, block kernel basis)
+        for members in _linked_paths(cut):
+            outside = sorted({q for j in members for q, _ in cut[j]})
+            row_index = {q: i for i, q in enumerate(outside)}
+            rows = [[ring.zero] * len(members) for _ in outside]
+            for k, j in enumerate(members):
+                for q, c in cut[j]:
+                    rows[row_index[q]][k] = c
+            constraint = Matrix(ring, len(outside), len(members), tuple(map(tuple, rows)))
+            kernels.append((members, kernel_basis(constraint)))
+        # every generator by its pivot (first nonzero) row, which no other generator shares
+        order = sorted(
+            (members[next(k for k, x in enumerate(col) if x != ring.zero)], b, col)
+            for b, (members, basis) in enumerate(kernels)
+            for col in basis.columns()
+        )
+        gens = [[] for _ in kernels]
+        columns = []
+        for g, (_, b, col) in enumerate(order):
+            gens[b].append(g)
+            full = [ring.zero] * len(paths)
+            for j, x in zip(kernels[b][0], col):
+                full[j] = x
+            columns.append(full)
+        bases.append(Matrix.from_columns(ring, columns, len(paths)))
+        blocks.append([
+            OmegaBlock(members, tuple(g), basis) for (members, basis), g in zip(kernels, gens)
+        ])
 
-    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, {})
+    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, blocks, {})
     for n in range(1, max_degree + 1):
         omega.boundaries[n] = restrict_to_omega(
             faces.__getitem__, omega, n, omega, n - 1, InvariantError
         )
     return omega
+
+
+def _linked_paths(cut: list) -> list:
+    """The classes of paths linked by shared outside faces, as ascending index tuples.
+
+    cut[j] lists the (face, coefficient) terms of path j outside the complex.
+    Union-find over the paths; classes come in the order of their first path.
+    """
+    parent = list(range(len(cut)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}  # outside face -> the first path that has it
+    for j, terms in enumerate(cut):
+        for q, _ in terms:
+            parent[find(j)] = find(first.setdefault(q, j))
+    classes: dict = {}
+    for j in range(len(cut)):
+        classes.setdefault(find(j), []).append(j)
+    return [tuple(members) for members in classes.values()]
 
 
 def restrict_to_omega(
@@ -168,29 +234,48 @@ def restrict_to_omega(
     `image(p)` yields the (path, coefficient) terms of the image of the regular
     n-path p, for every path a generator uses.  `error` is raised when a
     generator's image leaves the target's regular m-paths or its Omega_m lattice.
+    Each image is split by target block and solved block by block: a block the
+    image misses contributes zeros, and a block without constraints (identity
+    basis) takes its slice as it is.
     """
     ring = source.ring
     zero = ring.zero
-    index = {q: i for i, q in enumerate(target.reg_paths[m])}
+    blocks = target.blocks[m]
+    place = {}  # target regular m-path -> (its block's number, its row in the block)
+    for b, block in enumerate(blocks):
+        for k, i in enumerate(block.paths):
+            place[target.reg_paths[m][i]] = (b, k)
+    generators = sorted(
+        ((g, block.paths, gen) for block in source.blocks[n] for g, gen in zip(block.gens, block.basis.columns())),
+        key=lambda t: t[0],
+    )
     cols = []
-    for j, gen in enumerate(source.bases[n].columns()):
+    for j, paths, gen in generators:
         acc: dict = {}
-        for coeff, p in zip(gen, source.reg_paths[n]):
+        for coeff, i in zip(gen, paths):
             if coeff == zero:
                 continue
-            for q, c in image(p):
+            for q, c in image(source.reg_paths[n][i]):
                 acc[q] = ring.add(acc.get(q, zero), ring.mul(coeff, c))
-        vec = [zero] * len(index)
+        slices: dict = {}  # target block number -> the image's slice on that block
         for q, c in acc.items():
             if c == zero:
                 continue
-            if q not in index:
+            if q not in place:
                 raise error(f"Omega_{n} generator {j} maps onto {q.render()}, off the target paths")
-            vec[index[q]] = c
-        sol = solve_in_lattice(target.bases[m], vec)
-        if sol is None:
-            raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
-        cols.append(sol)
+            b, k = place[q]
+            if b not in slices:
+                slices[b] = [zero] * len(blocks[b].paths)
+            slices[b][k] = c
+        col = [zero] * target.rank(m)
+        for b, vec in slices.items():
+            block = blocks[b]
+            sol = vec if len(block.gens) == len(block.paths) else solve_in_lattice(block.basis, vec)
+            if sol is None:
+                raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
+            for g, x in zip(block.gens, sol):
+                col[g] = x
+        cols.append(col)
     return Matrix.from_columns(ring, cols, target.rank(m))
 
 

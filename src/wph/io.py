@@ -63,6 +63,8 @@ def emit_ring(ring: Ring):
 
 
 def parse_weight(value, ring: Ring):
+    if isinstance(value, bool):
+        raise SchemaError(f"weights over {ring.name} must be numbers, got {value!r}")
     if ring == QQ:
         if isinstance(value, str):
             try:
@@ -72,7 +74,7 @@ def parse_weight(value, ring: Ring):
         if isinstance(value, int):
             return Fraction(value)
         raise SchemaError(f"rational weights are integers or 'p/q' strings, got {value!r}")
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not isinstance(value, int):
         raise SchemaError(f"weights over {ring.name} must be integers, got {value!r}")
     return ring.coerce(value)
 
@@ -168,7 +170,7 @@ def _parse_path_complex(body: dict, ring) -> PathComplex:
     raw_paths = _pop(body, "paths")
     if not isinstance(raw_paths, list):
         raise SchemaError("paths must be a list of label lists")
-    paths = [Path(tuple(parse_vertex(x) for x in seq)) for seq in raw_paths]
+    paths = [Path(tuple(_parse_vertex_list(seq, "each path"))) for seq in raw_paths]
     weights = _parse_weights(body, ring)
     _no_extra(body, "path_complex body")
     pc = PathComplex.build(vertices, paths, weights, ring)
@@ -259,6 +261,10 @@ def _parse_homotopy_chain(body: dict, ring) -> HomotopyChainSpec:
     return HomotopyChainSpec(steps=steps)
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _parse_homology(body: dict, ring):
     max_degree = _pop(body, "max_degree")
     raw_groups = _pop(body, "groups")
@@ -274,6 +280,10 @@ def _parse_homology(body: dict, ring):
         free_rank = _pop(gr, "free_rank")
         torsion = _pop(gr, "torsion")
         _no_extra(gr, "homology group")
+        if not (_is_count(degree) and _is_count(free_rank)):
+            raise SchemaError("homology group degree and free_rank must be non-negative integers")
+        if not isinstance(torsion, list) or not all(_is_count(t) and t >= 2 for t in torsion):
+            raise SchemaError("homology group torsion must be a list of integers >= 2")
         groups.append({"degree": degree, "free_rank": free_rank, "torsion": torsion})
     return {"max_degree": max_degree, "groups": groups}
 

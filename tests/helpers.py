@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path as FsPath
 
 from wph.algebra import QQ, ZZ
+from wph.digraph import WeightedDigraph, paths_functor
 from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
 
 FIXTURES = FsPath(__file__).resolve().parent.parent / "fixtures"
@@ -52,3 +53,15 @@ def random_complex(
 def random_unit_weight_complex(rng: random.Random, max_vertices: int = 6, maxlen: int = 3) -> PathComplex:
     """A random complex over Q whose weights are all nonzero (hence units)."""
     return random_complex(rng, ring=QQ, max_vertices=max_vertices, maxlen=maxlen, nonzero=True)
+
+
+def grid_complex(rows: int, cols: int, maxlen: int) -> PathComplex:
+    """The path complex of the rows x cols right/down grid digraph over Z.
+
+    Vertex (i, j) has weight 1 + (7i + j) mod 3.
+    """
+    vs = {(i, j): Vertex(f"v{i}_{j}") for i in range(rows) for j in range(cols)}
+    edges = [(vs[i, j], vs[i, j + 1]) for i in range(rows) for j in range(cols - 1)]
+    edges += [(vs[i, j], vs[i + 1, j]) for i in range(rows - 1) for j in range(cols)]
+    weights = {v: 1 + (7 * i + j) % 3 for (i, j), v in vs.items()}
+    return paths_functor(WeightedDigraph.build(vs.values(), edges, weights, ZZ), maxlen)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wph import algebra
-from wph.algebra import QQ, ZZ
+from wph.algebra import QQ, ZZ, Matrix, Zmod, kernel_basis, solve_in_lattice
 from wph.chain import (
     ChainVector,
     build_omega,
@@ -27,7 +27,7 @@ from wph.pathcx import (
     inclusion_top,
 )
 
-from helpers import random_complex, random_unit_weight_complex
+from helpers import grid_complex, random_complex, random_unit_weight_complex
 
 a, b, c, d = (Vertex(s) for s in "abcd")
 
@@ -179,3 +179,77 @@ def test_each_matrix_is_factored_at_most_once(monkeypatch):
 
     assert factored
     assert repeats == []
+
+
+def whole_matrix_omega(pc: PathComplex, max_degree: int) -> tuple:
+    """Omega bases from one kernel of each degree's whole constraint matrix, and the
+    boundaries solved against those whole bases: the construction before blocks."""
+    ring = pc.ring
+    weights = pc.weight_map()
+    reg = [pc.regular_paths(n) for n in range(max_degree + 1)]
+    bases = []
+    for paths in reg:
+        faces = [weighted_boundary(ChainVector.basis(p, ring), weights).as_dict() for p in paths]
+        outside = sorted({q for f in faces for q in f if q not in pc.paths})
+        rows = tuple(tuple(f.get(q, ring.zero) for f in faces) for q in outside)
+        bases.append(kernel_basis(Matrix(ring, len(outside), len(paths), rows)))
+    boundaries = {}
+    for n in range(1, max_degree + 1):
+        index = {q: i for i, q in enumerate(reg[n - 1])}
+        cols = []
+        for gen in bases[n].columns():
+            chain = ChainVector.from_dict(n, dict(zip(reg[n], gen)), ring)
+            vec = [ring.zero] * len(index)
+            for q, c in weighted_boundary(chain, weights).coeffs:
+                vec[index[q]] = c
+            cols.append(solve_in_lattice(bases[n - 1], vec))
+        boundaries[n] = Matrix.from_columns(ring, cols, bases[n - 1].cols)
+    return bases, boundaries
+
+
+def not_truncation_closed_complex():
+    # (b c) is missing, so it is an outside face of (a b c), (d b c) and (e b c): one
+    # block of three paths with different first vertices and two generators.  The
+    # unconstrained (a c b) sorts between them, so generators interleave across blocks.
+    e = Vertex("e")
+    paths = [Path.of(v) for v in (a, b, c, d, e)]
+    paths += [Path((x, y)) for x, y in ((a, b), (a, c), (c, b), (d, b), (d, c), (e, b), (e, c))]
+    paths += [Path((x, b, c)) for x in (a, d, e)] + [Path((a, c, b))]
+    return PathComplex.build([a, b, c, d, e], paths, {a: 2, b: 1, c: 1, d: 3, e: 5}, ZZ)
+
+
+def test_block_bases_and_boundaries_equal_the_whole_matrix_kernel():
+    complexes = [not_truncation_closed_complex()]
+    for ring in (ZZ, QQ, Zmod(7)):
+        rng = random.Random(3)
+        complexes += [random_complex(rng, ring=ring) for _ in range(40)]
+    for pc in complexes:
+        om = build_omega(pc, 4)
+        bases, boundaries = whole_matrix_omega(pc, 4)
+        assert [m.data for m in om.bases] == [m.data for m in bases], pc
+        assert {n: m.data for n, m in om.boundaries.items()} == {n: m.data for n, m in boundaries.items()}, pc
+        for n, blocks in enumerate(om.blocks):
+            assert sorted(j for blk in blocks for j in blk.paths) == list(range(len(om.reg_paths[n])))
+            assert sorted(g for blk in blocks for g in blk.gens) == list(range(om.rank(n)))
+    (linked,) = [blk for blk in build_omega(complexes[0], 2).blocks[2] if len(blk.paths) > 1]
+    assert (linked.paths, linked.gens) == ((0, 2, 3), (0, 2))
+
+
+def test_block_kernels_factor_at_most_six_columns_on_the_5x5_grid(monkeypatch):
+    widths = []
+    original = algebra.smith_normal_form
+
+    def recording(m):
+        widths.append(m.cols)
+        return original(m)
+
+    pc = grid_complex(5, 5, 4)
+    monkeypatch.setattr(algebra, "smith_normal_form", recording)
+    om = build_omega(pc, 4)
+    assert [om.rank(n) for n in range(5)] == [25, 40, 16, 0, 0]
+    assert widths and max(widths) <= 6
+
+
+def test_omega_ranks_of_the_8x8_grid_at_length_5():
+    om = build_omega(grid_complex(8, 8, 5), 5)
+    assert [om.rank(n) for n in range(6)] == [64, 112, 49, 0, 0, 0]

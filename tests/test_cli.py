@@ -259,6 +259,38 @@ def test_prism_check_builds_no_cylinder(monkeypatch, capsys):
     assert built == []
 
 
+@pytest.mark.parametrize("command", ["validate", "homology"])
+@pytest.mark.parametrize("entry", [5, "ab"], ids=["number", "string"])
+def test_path_entry_that_is_not_a_label_list_exits_2(tmp_path, capsys, command, entry):
+    doc = {
+        "format_version": "1",
+        "kind": "path_complex",
+        "ring": "Z",
+        "body": {"vertices": ["a", "b"], "paths": [["a"], ["b"], entry], "weights": {"a": 1, "b": 2}},
+    }
+    path = tmp_path / "bad_path_entry.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "each path must be a list" in err
+
+
+def test_validate_homology_document_with_untyped_fields_exits_2(tmp_path, capsys):
+    doc = {
+        "format_version": "1",
+        "kind": "homology",
+        "ring": "Z",
+        "body": {"max_degree": 1, "groups": [{"degree": "x", "free_rank": -3, "torsion": "no"}]},
+    }
+    path = tmp_path / "untyped_homology.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 _CERT_ARGS = (
     "homotopy-check", str(FIXTURES / "pc_point_q.json"), str(FIXTURES / "pc_edge_q.json"),
     "--f", str(FIXTURES / "mor_a_to_x.json"), "--g", str(FIXTURES / "mor_a_to_y.json"),

@@ -114,3 +114,47 @@ def test_homology_group_that_is_not_an_object_is_a_schema_error():
     )
     with pytest.raises(SchemaError, match="not an object"):
         wio.parse(blob)
+
+
+def _path_complex_blob(paths: str, ring: str = '"Z"', weights: str = '{"a": 1, "b": 2}') -> str:
+    return (
+        '{"format_version": "1", "kind": "path_complex", "ring": %s, '
+        '"body": {"vertices": ["a", "b"], "paths": %s, "weights": %s}}' % (ring, paths, weights)
+    )
+
+
+@pytest.mark.parametrize("entry", ["5", '"ab"', '{"a": 1}'], ids=["number", "string", "object"])
+def test_path_entry_that_is_not_a_label_list_is_a_schema_error(entry):
+    with pytest.raises(SchemaError, match="each path must be a list"):
+        wio.parse(_path_complex_blob('[["a"], ["b"], %s]' % entry))
+
+
+@pytest.mark.parametrize("ring", ['"Z"', '"Q"', '{"Zmod": 5}'], ids=["Z", "Q", "Zmod5"])
+def test_boolean_weight_is_a_schema_error_over_every_ring(ring):
+    with pytest.raises(SchemaError, match="must be numbers, got True"):
+        wio.parse(_path_complex_blob('[["a"], ["b"]]', ring, '{"a": true, "b": 2}'))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        '{"degree": "x", "free_rank": 1, "torsion": []}',
+        '{"degree": -1, "free_rank": 1, "torsion": []}',
+        '{"degree": 0, "free_rank": -3, "torsion": []}',
+        '{"degree": 0, "free_rank": true, "torsion": []}',
+        '{"degree": 0, "free_rank": 1, "torsion": "no"}',
+        '{"degree": 0, "free_rank": 1, "torsion": [1]}',
+        '{"degree": 0, "free_rank": 1, "torsion": [2, "6"]}',
+    ],
+    ids=[
+        "degree-string", "degree-negative", "free-rank-negative", "free-rank-bool",
+        "torsion-string", "torsion-unit", "torsion-entry-string",
+    ],
+)
+def test_homology_group_with_untyped_fields_is_a_schema_error(group):
+    blob = (
+        '{"format_version": "1", "kind": "homology", "ring": "Z",'
+        ' "body": {"max_degree": 1, "groups": [%s]}}' % group
+    )
+    with pytest.raises(SchemaError, match="homology group"):
+        wio.parse(blob)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
-from wph.algebra import QQ
-from wph.chain import homology
-from wph.oracle import homology_dimensions, kernel_vectors, rank, row_reduce
+import pytest
 
-from helpers import random_complex
+from wph.algebra import QQ, ZZ, Zmod
+from wph.chain import build_omega, homology, homology_of_omega
+from wph.oracle import homology_dimensions, kernel_vectors, omega_dimensions, rank, row_reduce
+
+from helpers import grid_complex, random_complex
 
 
 def test_row_reduce_and_rank():
@@ -27,3 +29,39 @@ def test_oracle_matches_snf_pipeline_on_random_complexes():
         dims = homology_dimensions(pc, 3)
         res = homology(pc, 3)
         assert dims == [g.free_rank for g in res.groups], pc
+
+
+def test_oracle_matches_snf_pipeline_over_z_mod_p():
+    rng = random.Random(7)
+    for _ in range(30):
+        pc = random_complex(rng, ring=Zmod(5), max_vertices=6, maxlen=3)
+        assert homology_dimensions(pc, 3, p=5) == [g.free_rank for g in homology(pc, 3).groups], pc
+        assert omega_dimensions(pc, 3, p=5) == [build_omega(pc, 3).rank(n) for n in range(4)], pc
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_z_mod_p_betti_numbers_follow_from_z_homology(p):
+    """Universal coefficients: dim H_n(Z/p) = free rank of H_n + Tor terms of H_n and H_(n-1).
+
+    H_n over Z/p is that of Omega over Z reduced mod p when Omega_n and
+    Omega_(n+1) over Z/p are the reductions of those over Z, that is when
+    their ranks agree.  Weighted Omega does not commute with reduction mod p
+    in general, so other degrees are skipped.
+    """
+    rng = random.Random(11)
+    complexes = [random_complex(rng, ring=ZZ, max_vertices=6, maxlen=3) for _ in range(60)]
+    complexes += [grid_complex(r, c, 3) for r, c in ((2, 3), (3, 3), (3, 4), (4, 4))]
+    checked = with_tor = 0
+    for pc in complexes:
+        omega = build_omega(pc, 3)
+        agree = [a == b for a, b in zip(omega_dimensions(pc, 3, p), (omega.rank(n) for n in range(4)))]
+        groups = homology_of_omega(omega).groups
+        tor = [sum(1 for t in g.torsion if t % p == 0) for g in groups]
+        betti = homology_dimensions(pc, 3, p)
+        for n, g in enumerate(groups):
+            if agree[n] and agree[n + 1]:
+                want = g.free_rank + tor[n] + (tor[n - 1] if n else 0)
+                assert betti[n] == want, (pc, n)
+                checked += 1
+                with_tor += want != g.free_rank
+    assert checked >= 150 and with_tor >= 25, (checked, with_tor)
