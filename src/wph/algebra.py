@@ -2,12 +2,13 @@
 
 Everything here is exact: integers are Python ints (arbitrary precision),
 rationals are `fractions.Fraction`, modular values are canonical
-representatives in [0, m).  Matrices are dense; instance sizes stay at desk
-scale so no sparse machinery is needed.
+representatives in [0, m).  Matrices are stored dense; products skip zeros.
 
 A matrix's Smith decomposition (`Matrix.smith`) is computed at most once, on
 first use, and lives as long as the matrix: every kernel and lattice solve
-against the same matrix object reuses it.
+against the same matrix object reuses it.  Homology reads only invariant
+factors (`Matrix.invariant_factors`), which the same elimination finds
+without transforms.
 """
 from __future__ import annotations
 
@@ -255,15 +256,16 @@ class Matrix:
         if self.cols != other.rows or self.ring != other.ring:
             raise ValueError("dimension or ring mismatch")
         r = self.ring
+        # row i of the product sums a_ik times row k of other, over the nonzero a_ik
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = r.zero
-                for k in range(self.cols):
-                    acc = r.add(acc, r.mul(self.data[i][k], other.data[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
+        for row in self.data:
+            acc = [r.zero] * other.cols
+            for a, terms in zip(row, sparse):
+                if a:
+                    for j, x in terms:
+                        acc[j] = r.add(acc[j], r.mul(a, x))
+            out.append(tuple(acc))
         return Matrix(r, self.rows, other.cols, tuple(out))
 
     def apply(self, vec: Sequence) -> tuple:
@@ -298,6 +300,14 @@ class Matrix:
         """The Smith decomposition of this matrix, computed on first use and kept with it."""
         return smith_normal_form(self)
 
+    @cached_property
+    def invariant_factors(self) -> tuple:
+        """The nonzero Smith diagonal (all ones over a field), whose length is the rank; from
+        `smith` if that is computed, else by one elimination without transforms."""
+        if "smith" in self.__dict__:
+            return self.smith.d
+        return _eliminate(self, transforms=False)[0]
+
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -316,60 +326,53 @@ class SmithDecomposition:
 
 
 def _find_pivot(a, t, nr, nc, ring):
-    best = None
+    best = None  # (pivot size, row, column); the first of equal sizes wins
     for i in range(t, nr):
         for j in range(t, nc):
             x = a[i][j]
-            if x == ring.zero:
-                continue
-            key = (ring.pivot_size(x), i, j)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-    if best is None:
-        return None
-    return best[1], best[2]
+            if x:  # nonzero: zero is falsy in every ring, and the test is cheap on Fractions
+                size = ring.pivot_size(x)
+                if best is None or size < best[0]:
+                    best = (size, i, j)
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(m: Matrix) -> SmithDecomposition:
-    """Smith normal form by elementary row/column operations.
+    """Smith normal form by elementary row/column operations, with its transforms.
 
     Deterministic: the pivot is the nonzero entry of minimal pivot size, ties
     broken by lowest row then column index.
     """
+    d, a = _eliminate(m, transforms=True)
+    left = Matrix(m.ring, m.rows, m.rows, tuple(tuple(row[m.cols:]) for row in a[: m.rows]))
+    return SmithDecomposition(d, left, Matrix(m.ring, m.cols, m.cols, tuple(map(tuple, a[m.rows:]))), len(d))
+
+
+def _eliminate(m: Matrix, transforms: bool) -> tuple:
+    """The Smith diagonal d of m and the working array, in which the transforms ride
+    along if asked: left to the right of m's rows, right below them.  Without them over
+    a field, each step stops after its row sweep, as the echelon pivots give the rank."""
     require_pid(m.ring)
     ring = m.ring
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.data]
-    left = [list(row) for row in Matrix.identity(ring, nr).data]
-    right = [list(row) for row in Matrix.identity(ring, nc).data]
+    if transforms:
+        a = [row + list(e) for row, e in zip(a, Matrix.identity(ring, nr).data)]
+        a += [list(row) for row in Matrix.identity(ring, nc).data]
+    rows_only = ring.is_field and not transforms
+    # At step t, rows t.. are zero left of column t, and (unless rows_only) columns
+    # t.. are zero above row t, so the operations below start there.
 
     def row_sub(i, k, q):  # row i -= q * row k
-        for j in range(nc):
-            a[i][j] = ring.sub(a[i][j], ring.mul(q, a[k][j]))
-        for j in range(nr):
-            left[i][j] = ring.sub(left[i][j], ring.mul(q, left[k][j]))
+        ri, rk = a[i], a[k]
+        for j in range(t, len(ri)):
+            if rk[j]:
+                ri[j] = ring.sub(ri[j], ring.mul(q, rk[j]))
 
     def col_sub(j, k, q):  # col j -= q * col k
-        for i in range(nr):
-            a[i][j] = ring.sub(a[i][j], ring.mul(q, a[i][k]))
-        for i in range(nc):
-            right[i][j] = ring.sub(right[i][j], ring.mul(q, right[i][k]))
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        left[i], left[k] = left[k], left[i]
-
-    def col_swap(j, k):
-        for i in range(nr):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(nc):
-            right[i][j], right[i][k] = right[i][k], right[i][j]
-
-    def row_scale(i, u):  # unit u
-        for j in range(nc):
-            a[i][j] = ring.mul(a[i][j], u)
-        for j in range(nr):
-            left[i][j] = ring.mul(left[i][j], u)
+        for row in a[t:]:
+            if row[k]:
+                row[j] = ring.sub(row[j], ring.mul(q, row[k]))
 
     t = 0
     while t < min(nr, nc):
@@ -379,51 +382,39 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
         while True:
             i, j = piv
             if i != t:
-                row_swap(t, i)
+                a[t], a[i] = a[i], a[t]
             if j != t:
-                col_swap(t, j)
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             # one reduction sweep against the pivot
             for i in range(t + 1, nr):
-                if a[i][t] != ring.zero:
+                if a[i][t]:
                     row_sub(i, t, ring.quo(a[i][t], a[t][t]))
+            if rows_only:
+                break
             for j in range(t + 1, nc):
-                if a[t][j] != ring.zero:
+                if a[t][j]:
                     col_sub(j, t, ring.quo(a[t][j], a[t][t]))
-            cleared = all(a[i][t] == ring.zero for i in range(t + 1, nr)) and all(
-                a[t][j] == ring.zero for j in range(t + 1, nc)
-            )
-            if not cleared:
+            if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][j] for j in range(t + 1, nc)):
                 piv = _find_pivot(a, t, nr, nc, ring)
                 continue
-            if not ring.is_field:
+            if not ring.is_unit(a[t][t]):
                 # enforce the divisibility chain d_t | everything below
-                bad = None
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, nc):
-                        if a[i][j] % a[t][t] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                bad = next(
+                    (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % a[t][t] != 0), None
+                )
                 if bad is not None:
                     row_sub(t, bad, ring.neg(ring.one))  # row t += row bad
                     piv = _find_pivot(a, t, nr, nc, ring)
                     continue
             break
         # normalize pivot: positive over Z, 1 over a field
-        if ring.is_field:
-            row_scale(t, ring.inv(a[t][t]))
-        elif a[t][t] < 0:
-            row_scale(t, -1)
+        u = ring.inv(a[t][t]) if ring.is_field else (-1 if a[t][t] < 0 else 1)
+        if u != 1:
+            a[t] = [ring.mul(x, u) for x in a[t]]
         t += 1
 
-    d = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i] != ring.zero)
-    return SmithDecomposition(
-        d=d,
-        left=Matrix(ring, nr, nr, tuple(map(tuple, left))),
-        right=Matrix(ring, nc, nc, tuple(map(tuple, right))),
-        rank=len(d),
-    )
+    return tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i]), a
 
 
 def _hermite_column_reduce(cols: list, nrows: int, ring: Ring) -> list:
@@ -531,22 +522,20 @@ def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup
     """ker(boundary_out) / im(boundary_in), both expressed in the same basis.
 
     boundary_out maps the degree under inspection outward (to degree n-1),
-    boundary_in maps into it (from degree n+1).
+    boundary_in maps into it (from degree n+1).  With C_n the middle module,
+
+        free rank = dim C_n - rank(boundary_out) - rank(boundary_in)
+        torsion   = the invariant factors of boundary_in that are > 1 (none over a field)
+
+    since over a PID C_n / ker(boundary_out) embeds in the free C_(n-1), so the
+    kernel is saturated, a direct summand C_n = ker + D, and C_n / im(boundary_in)
+    = ker / im + D has the homology's torsion.
     """
     require_pid(boundary_out.ring)
-    ring = boundary_out.ring
     if boundary_out.cols != boundary_in.rows:
         raise CompositionNotZeroError("boundary matrices are not composable")
     if not boundary_out.matmul(boundary_in).is_zero():
         raise CompositionNotZeroError("boundary_out @ boundary_in != 0")
-    ker = kernel_basis(boundary_out)
-    coeff_cols = []
-    for j in range(boundary_in.cols):
-        c = solve_in_lattice(ker, boundary_in.column(j))
-        if c is None:
-            raise CompositionNotZeroError("image vector escapes the kernel lattice")
-        coeff_cols.append(c)
-    coeff = Matrix.from_columns(ring, coeff_cols, ker.cols)
-    snf = coeff.smith
-    torsion = [] if ring.is_field else [x for x in snf.d if x > 1]
-    return HomologyGroup(free_rank=ker.cols - snf.rank, torsion=torsion)
+    d_out, d_in = boundary_out.invariant_factors, boundary_in.invariant_factors
+    torsion = [] if boundary_out.ring.is_field else [x for x in d_in if x > 1]
+    return HomologyGroup(free_rank=boundary_out.cols - len(d_out) - len(d_in), torsion=torsion)

@@ -298,6 +298,7 @@ def homology(pc: PathComplex, max_degree: int) -> HomologyResult:
 
 
 def homology_of_omega(omega: OmegaComplex) -> HomologyResult:
+    """Homology from the boundaries' invariant factors, each boundary eliminated once for both its degrees."""
     groups = [
         homology_of_pair(omega.boundary(n), omega.boundary(n + 1))
         for n in range(omega.max_degree)

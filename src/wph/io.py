@@ -269,8 +269,8 @@ def _parse_homology(body: dict, ring):
     max_degree = _pop(body, "max_degree")
     raw_groups = _pop(body, "groups")
     _no_extra(body, "homology body")
-    if not isinstance(max_degree, int) or not isinstance(raw_groups, list):
-        raise SchemaError("homology body needs integer max_degree and a groups list")
+    if not _is_count(max_degree) or not isinstance(raw_groups, list):
+        raise SchemaError("homology body needs a non-negative integer max_degree and a groups list")
     groups = []
     for gr in raw_groups:
         if not isinstance(gr, dict):
@@ -285,6 +285,11 @@ def _parse_homology(body: dict, ring):
         if not isinstance(torsion, list) or not all(_is_count(t) and t >= 2 for t in torsion):
             raise SchemaError("homology group torsion must be a list of integers >= 2")
         groups.append({"degree": degree, "free_rank": free_rank, "torsion": torsion})
+    degrees = [g["degree"] for g in groups]
+    if len(degrees) != max_degree or degrees != list(range(max_degree)):
+        raise SchemaError(
+            f"homology groups need degrees 0..max_degree-1 in order for max_degree {max_degree}, got {degrees}"
+        )
     return {"max_degree": max_degree, "groups": groups}
 
 

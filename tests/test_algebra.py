@@ -150,6 +150,22 @@ def test_homology_of_pair_requires_zero_composition():
         homology_of_pair(d_out, d_in)
 
 
+RINGS = {"Z": ZZ, "Q": QQ, "Z7": Zmod(7)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_matrices, st.sampled_from(sorted(RINGS)))
+def test_invariant_factors_equal_the_smith_diagonal(rows, ring_name):
+    ring = RINGS[ring_name]
+    assert Matrix.from_rows(ring, rows).invariant_factors == smith_normal_form(Matrix.from_rows(ring, rows)).d
+
+
+def test_invariant_factors_keep_the_divisibility_chain():
+    assert Matrix.from_rows(ZZ, [[2, 0], [0, 3]]).invariant_factors == (1, 6)
+    h = homology_of_pair(Matrix.zeros(ZZ, 0, 2), Matrix.from_rows(ZZ, [[2, 0], [0, 3]]))
+    assert (h.free_rank, h.torsion) == (0, [6])
+
+
 def test_matrix_add_and_sub_are_entrywise():
     m = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
     n = Matrix.from_rows(ZZ, [[5, -1], [0, 2]])
@@ -168,3 +184,45 @@ def test_matrix_arithmetic_rejects_shape_or_ring_mismatch(op, right):
     left = Matrix.from_rows(ZZ, [[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="mismatch"):
         op(left, right)
+
+
+def plain_matmul(m: Matrix, n: Matrix) -> tuple:
+    """The product by the dense triple loop, zeros included."""
+    r = m.ring
+    out = []
+    for i in range(m.rows):
+        row = []
+        for j in range(n.cols):
+            acc = r.zero
+            for k in range(m.cols):
+                acc = r.add(acc, r.mul(m.data[i][k], n.data[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matmul_equals_the_plain_triple_loop(data):
+    ring = RINGS[data.draw(st.sampled_from(sorted(RINGS)))]
+    n, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    if ring == QQ:
+        entry = st.builds(Fraction, entry, st.integers(1, 4))
+
+    def matrix(rows, cols):
+        if rows == 0:
+            return Matrix(ring, 0, cols, ())
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return Matrix.from_rows(ring, data.draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    left, right = matrix(n, k), matrix(k, m)
+    if n and k and m and data.draw(st.booleans()):  # a zero row of left and a zero column of right
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1))
+        left = Matrix.from_rows(ring, [[0] * k if r == i else row for r, row in enumerate(left.data)])
+        right = Matrix.from_rows(ring, [[0 if c == j else x for c, x in enumerate(row)] for row in right.data])
+    product = left.matmul(right)
+    assert (product.rows, product.cols) == (n, m)
+    assert product.data == plain_matmul(left, right)
+    assert all(isinstance(x, type(ring.zero)) for row in product.data for x in row)

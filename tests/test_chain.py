@@ -6,11 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wph import algebra
-from wph.algebra import QQ, ZZ, Matrix, Zmod, kernel_basis, solve_in_lattice
+from wph import chain as wchain
+from wph.algebra import (
+    QQ,
+    ZZ,
+    HomologyGroup,
+    Matrix,
+    Zmod,
+    kernel_basis,
+    smith_normal_form,
+    solve_in_lattice,
+)
 from wph.chain import (
     ChainVector,
     build_omega,
     homology,
+    homology_of_omega,
     induced_chain_map,
     weighted_boundary,
 )
@@ -253,3 +264,79 @@ def test_block_kernels_factor_at_most_six_columns_on_the_5x5_grid(monkeypatch):
 def test_omega_ranks_of_the_8x8_grid_at_length_5():
     om = build_omega(grid_complex(8, 8, 5), 5)
     assert [om.rank(n) for n in range(6)] == [64, 112, 49, 0, 0, 0]
+
+
+def lattice_homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup:
+    """ker / im through the kernel lattice: a kernel basis of boundary_out, each
+    boundary_in column solved in it, and the Smith form of those coefficients.
+    The route before homology was read off invariant factors."""
+    ring = boundary_out.ring
+    ker = kernel_basis(boundary_out)
+    coeffs = [solve_in_lattice(ker, col) for col in boundary_in.columns()]
+    assert None not in coeffs
+    snf = smith_normal_form(Matrix.from_columns(ring, coeffs, ker.cols))
+    torsion = [] if ring.is_field else [x for x in snf.d if x > 1]
+    return HomologyGroup(free_rank=ker.cols - snf.rank, torsion=torsion)
+
+
+def assert_lattice_homology(pc: PathComplex, max_degree: int) -> list:
+    om = build_omega(pc, max_degree)
+    groups = homology_of_omega(om).groups
+    want = [lattice_homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(max_degree)]
+    assert groups == want, pc
+    return groups
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=["Z", "Q", "Z7"])
+def test_homology_equals_the_kernel_lattice_route_on_random_complexes(ring):
+    rng = random.Random(23)
+    groups = [g for _ in range(60) for g in assert_lattice_homology(random_complex(rng, ring=ring), 4)]
+    assert any(g.free_rank for g in groups)
+    if ring == ZZ:
+        assert any(g.torsion for g in groups)
+
+
+def test_homology_equals_the_kernel_lattice_route_on_grids():
+    torsion = []
+    for shape in ((2, 3, 3), (3, 3, 3), (3, 4, 4), (4, 4, 4), (5, 5, 4)):
+        torsion += [t for g in assert_lattice_homology(grid_complex(*shape), shape[2]) for t in g.torsion]
+    assert {2, 6} <= set(torsion)
+
+
+def k4_omega(maxlen: int):
+    vs = [Vertex(s) for s in "abcd"]
+    k4 = WeightedDigraph.build(
+        vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, [1, 2, 3, 4])), ZZ
+    )
+    return build_omega(paths_functor(k4, maxlen), maxlen)
+
+
+def test_homology_takes_no_kernel_solve_or_smith_transform(monkeypatch):
+    om = k4_omega(3)
+    calls = []
+    for module in (algebra, wchain):
+        for name in ("solve_in_lattice", "kernel_basis", "smith_normal_form"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+    groups = homology_of_omega(om).groups
+    assert [(g.free_rank, g.torsion) for g in groups] == [(1, []), (0, []), (0, [])]
+    assert calls == []
+
+
+def test_each_boundary_is_eliminated_at_most_once(monkeypatch):
+    eliminated = {}  # id -> matrix; holding the matrix keeps its id from being reused
+    repeats = []
+    original = algebra._eliminate
+
+    def counting(m, transforms):
+        if id(m) in eliminated:
+            repeats.append((m.rows, m.cols, transforms))
+        eliminated[id(m)] = m
+        return original(m, transforms)
+
+    monkeypatch.setattr(algebra, "_eliminate", counting)
+    om = k4_omega(3)
+    homology_of_omega(om)
+    homology_of_omega(om)
+    assert all(id(m) in eliminated for m in om.boundaries.values())
+    assert repeats == []

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from wph import io as wio
+from wph.chain import homology
 from wph.cli import main
 from wph.homotopy import PrismReport
 from wph.pathcx import PathComplex
@@ -289,6 +291,33 @@ def test_validate_homology_document_with_untyped_fields_exits_2(tmp_path, capsys
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"max_degree": -1, "groups": [{"degree": 5, "free_rank": 1, "torsion": []}] * 2},
+        {"max_degree": True, "groups": []},
+        {"max_degree": 2, "groups": [{"degree": 1, "free_rank": 1, "torsion": []}]},
+    ],
+    ids=["negative-max-degree", "boolean-max-degree", "degrees-off-range"],
+)
+def test_validate_homology_document_with_bad_degrees_exits_2(tmp_path, capsys, body):
+    doc = {"format_version": "1", "kind": "homology", "ring": "Z", "body": body}
+    path = tmp_path / "bad_degrees.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_validate_accepts_an_emitted_homology_document(tmp_path, capsys):
+    pc = wio.parse((FIXTURES / "pc_diamond_weighted.json").read_bytes()).body
+    path = tmp_path / "homology.json"
+    path.write_bytes(wio.emit(homology(pc, 2)))
+    code, out, _ = run(capsys, "validate", str(path))
+    assert (code, out) == (0, "OK kind=homology ring=Z\n")
 
 
 _CERT_ARGS = (

@@ -158,3 +158,34 @@ def test_homology_group_with_untyped_fields_is_a_schema_error(group):
     )
     with pytest.raises(SchemaError, match="homology group"):
         wio.parse(blob)
+
+
+def _homology_blob(max_degree: str, degrees: list) -> str:
+    groups = ", ".join('{"degree": %d, "free_rank": 0, "torsion": []}' % n for n in degrees)
+    return (
+        '{"format_version": "1", "kind": "homology", "ring": "Z",'
+        ' "body": {"max_degree": %s, "groups": [%s]}}' % (max_degree, groups)
+    )
+
+
+@pytest.mark.parametrize("max_degree", ["-1", "true", "false", "1.5", '"2"', "null"])
+def test_homology_max_degree_that_is_not_a_count_is_a_schema_error(max_degree):
+    with pytest.raises(SchemaError, match="non-negative integer max_degree"):
+        wio.parse(_homology_blob(max_degree, []))
+
+
+@pytest.mark.parametrize(
+    "max_degree, degrees",
+    [(3, [5, 5]), (2, [0]), (1, [0, 1]), (2, [1, 0]), (2, [0, 0]), (0, [0]), (2, [1, 2])],
+    ids=["far-off-repeated", "too-few", "too-many", "out-of-order", "repeated", "none-expected", "shifted"],
+)
+def test_homology_group_degrees_must_run_up_to_max_degree(max_degree, degrees):
+    with pytest.raises(SchemaError, match="degrees 0..max_degree-1 in order"):
+        wio.parse(_homology_blob(str(max_degree), degrees))
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 3])
+def test_homology_document_with_every_degree_below_max_degree_parses(max_degree):
+    doc = wio.parse(_homology_blob(str(max_degree), list(range(max_degree))))
+    assert doc.body["max_degree"] == max_degree
+    assert [g["degree"] for g in doc.body["groups"]] == list(range(max_degree))
