@@ -12,8 +12,10 @@ Checks, on freshly sampled instances:
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "tests")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from wph.algebra import QQ, ZZ
 from wph.chain import ChainVector, build_omega, homology
@@ -40,7 +42,7 @@ def main():
         for n in range(4):
             for p in pq.regular_paths(n):
                 rep = verify_prism_identity(ChainVector.basis(p, QQ), pq)
-                assert rep.ok, (i, p.render(), rep.problems)
+                assert rep.ok, (i, p.render(), rep.difference.render())
 
         pq2 = random_complex(rng, ring=QQ, max_vertices=6, maxlen=3)
         dims = homology_dimensions(pq2, 3)

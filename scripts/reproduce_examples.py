@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Reproduce the two concrete homology computations from the library API.
 
-Run from the repository root after installing the package:
+Runs from a checkout, no installation needed:
 
     python3 scripts/reproduce_examples.py
 """
+import sys
+from pathlib import Path as FsPath
+
+sys.path.insert(0, str(FsPath(__file__).resolve().parent.parent / "src"))
+
 from wph.algebra import ZZ
 from wph.chain import homology
 from wph.pathcx import Path, Vertex, complex_from_paths

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Optional
 
 from .algebra import (
     HomologyGroup,
@@ -13,7 +15,7 @@ from .algebra import (
     solve_in_lattice,
 )
 from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError
-from .pathcx import Path, PathComplex, PathMorphism
+from .pathcx import Path, PathComplex, PathMorphism, regular_faces
 
 
 @dataclass(frozen=True)
@@ -75,15 +77,14 @@ def weighted_boundary(v: ChainVector, weights: dict) -> ChainVector:
         return ChainVector.zero(v.degree - 1, ring)
     out: dict = {}
     for p, c in v.coeffs:
-        for s, vert in enumerate(p.vertices):
+        for vert in p.vertices:
             if vert not in weights:
                 raise MissingWeightError(f"vertex {vert.render()} has no weight")
-            face = p.drop(s)
-            if not face.is_regular():
-                continue
-            term = ring.mul(c, weights[vert])
+        for s, face in regular_faces(p.vertices):
+            term = ring.mul(c, weights[p.vertices[s]])
             if s % 2:
                 term = ring.neg(term)
+            face = Path(face)
             out[face] = ring.add(out.get(face, ring.zero), term)
     return ChainVector.from_dict(v.degree - 1, out, ring)
 
@@ -114,6 +115,10 @@ class OmegaComplex:
     bases[n] is the block bases placed side by side and ordered by pivot row.
     boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
     Omega_{n-1} in those generator bases.
+
+    A path's code is the tuple of its vertices' numbers, and numbers follow the
+    sorted vertex order, so codes sort as the paths do.  rows[n] maps the code
+    of each regular n-path to its row, its index in reg_paths[n].
     """
 
     pc: PathComplex
@@ -123,6 +128,8 @@ class OmegaComplex:
     bases: list  # bases[n]: Matrix (len(reg_paths[n]) x rank)
     blocks: list  # blocks[n]: list of OmegaBlock, covering reg_paths[n]
     boundaries: dict  # n -> Matrix (rank_{n-1} x rank_n)
+    numbers: dict  # vertex -> its number; vertices in sorted order, numbered from 0
+    rows: list  # rows[n]: code of a regular n-path -> its row
 
     def rank(self, n: int) -> int:
         if 0 <= n <= self.max_degree:
@@ -137,6 +144,17 @@ class OmegaComplex:
             return Matrix.zeros(self.ring, 0, self.rank(0))
         return Matrix.zeros(self.ring, self.rank(n - 1), 0)
 
+    def row(self, p: Path) -> Optional[int]:
+        """The row of p among the regular paths of its length, or None when it is not one."""
+        if p.length > self.max_degree:
+            return None
+        return self.rows[p.length].get(tuple(map(self.numbers.get, p.vertices)))
+
+    def path(self, code: tuple) -> Path:
+        """The path with the given code."""
+        vertices = list(self.numbers)
+        return Path(tuple(vertices[k] for k in code))
+
 
 def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     """Compute Omega_n for n <= max_degree and the boundary matrices.
@@ -145,59 +163,85 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     the weighted boundary, projected onto the regular (n-1)-paths NOT in P.
     That constraint matrix is block-diagonal: its connected blocks are the
     classes of paths linked by shared outside faces.  Each block's kernel is
-    taken on its own, and a path with no outside face is a 1x1 identity block.
-    Over Z the kernel basis is saturated, so boundaries of generators always
-    re-express integrally in the next basis down.
+    taken on its own.  A single path is a 1x1 identity block when it has no
+    outside face, and has no generator otherwise: its faces carry nonzero
+    coefficients.  Over Z the kernel basis is saturated, so boundaries of
+    generators always re-express integrally in the next basis down.
+
+    The work runs on integer path codes (see OmegaComplex).
     """
     if not pc.is_weighted:
         raise MissingWeightError("Omega construction needs a weighted complex")
     ring = pc.ring
     require_pid(ring)
+    numbers, buckets = pc.regular_path_codes(max_degree)
+    codes = [[c for c, _ in bucket] for bucket in buckets]
     weights = pc.weight_map()
-    reg_paths = [pc.regular_paths(n) for n in range(max_degree + 1)]
-    # the weighted boundary of each regular path, shared by the kernel rows and the boundary maps
-    faces = {
-        p: weighted_boundary(ChainVector.basis(p, ring), weights).coeffs
-        for paths in reg_paths
-        for p in paths
-    }
+    # each vertex number's weight and its negative, None for an unweighted vertex
+    signed = [(weights[v], ring.neg(weights[v])) if v in weights else None for v in numbers]
+    if None in signed:
+        vertices = list(numbers)
+        for c in (c for bucket in codes[1:] for c in bucket):
+            for k in c:
+                if signed[k] is None:
+                    raise MissingWeightError(f"vertex {vertices[k].render()} has no weight")
+    rows = [{c: i for i, c in enumerate(bucket)} for bucket in codes]
+
+    # faces[n][i]: the weighted boundary of regular n-path i, zero coefficients
+    # dropped; a face in P as (its row in degree n - 1, coefficient), a face
+    # outside P as (its code, coefficient)
+    faces = [[()] * len(codes[0])]
+    for n in range(1, max_degree + 1):
+        below = rows[n - 1]
+        faces.append([
+            [
+                (below.get(face, face), signed[c[s]][s & 1])
+                for s, face in regular_faces(c)
+                if signed[c[s]][0]
+            ]
+            for c in codes[n]
+        ])
+
+    identity, empty = Matrix.identity(ring, 1), Matrix.zeros(ring, 1, 0)
     bases, blocks = [], []
-    for paths in reg_paths:
+    for table in faces:
         # each path's faces outside P: its column of the constraint matrix
-        cut = [[(q, c) for q, c in faces[p] if q not in pc.paths] for p in paths]
+        cut = [[(q, c) for q, c in terms if q.__class__ is tuple] for terms in table]
         kernels = []  # (block path indices, block kernel basis)
         for members in _linked_paths(cut):
+            if len(members) == 1:
+                kernels.append((members, empty if cut[members[0]] else identity))
+                continue
             outside = sorted({q for j in members for q, _ in cut[j]})
             row_index = {q: i for i, q in enumerate(outside)}
-            rows = [[ring.zero] * len(members) for _ in outside]
+            mat = [[ring.zero] * len(members) for _ in outside]
             for k, j in enumerate(members):
                 for q, c in cut[j]:
-                    rows[row_index[q]][k] = c
-            constraint = Matrix(ring, len(outside), len(members), tuple(map(tuple, rows)))
+                    mat[row_index[q]][k] = c
+            constraint = Matrix(ring, len(outside), len(members), tuple(map(tuple, mat)))
             kernels.append((members, kernel_basis(constraint)))
         # every generator by its pivot (first nonzero) row, which no other generator shares
         order = sorted(
-            (members[next(k for k, x in enumerate(col) if x != ring.zero)], b, col)
+            (members[next(k for k, x in enumerate(col) if x)], b, col)
             for b, (members, basis) in enumerate(kernels)
             for col in basis.columns()
         )
         gens = [[] for _ in kernels]
-        columns = []
+        basis_rows = [[ring.zero] * len(order) for _ in table]
         for g, (_, b, col) in enumerate(order):
             gens[b].append(g)
-            full = [ring.zero] * len(paths)
             for j, x in zip(kernels[b][0], col):
-                full[j] = x
-            columns.append(full)
-        bases.append(Matrix.from_columns(ring, columns, len(paths)))
+                basis_rows[j][g] = x
+        bases.append(Matrix(ring, len(table), len(order), tuple(map(tuple, basis_rows))))
         blocks.append([
             OmegaBlock(members, tuple(g), basis) for (members, basis), g in zip(kernels, gens)
         ])
 
-    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, blocks, {})
+    reg_paths = [[p for _, p in bucket] for bucket in buckets]
+    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, blocks, {}, numbers, rows)
     for n in range(1, max_degree + 1):
         omega.boundaries[n] = restrict_to_omega(
-            faces.__getitem__, omega, n, omega, n - 1, InvariantError
+            faces[n].__getitem__, omega, n, omega, n - 1, InvariantError
         )
     return omega
 
@@ -231,38 +275,39 @@ def restrict_to_omega(
 ) -> Matrix:
     """The matrix, source Omega_n -> target Omega_m, of a linear map given on elementary paths.
 
-    `image(p)` yields the (path, coefficient) terms of the image of the regular
-    n-path p, for every path a generator uses.  `error` is raised when a
-    generator's image leaves the target's regular m-paths or its Omega_m lattice.
-    Each image is split by target block and solved block by block: a block the
-    image misses contributes zeros, and a block without constraints (identity
-    basis) takes its slice as it is.
+    `image(i)` yields the (key, coefficient) terms of the image of the regular
+    n-path source.reg_paths[n][i], for every path a generator uses.  The key is
+    the term's row among the target's regular m-paths, or, for a path outside
+    them, its code in the target's numbering.  Outside terms must cancel in each
+    generator's image; `error` is raised when they do not, or when the image
+    leaves the target's Omega_m lattice.  Each image is split by target block
+    and solved block by block: a block the image misses contributes zeros, and
+    a block without constraints (identity basis) takes its slice as it is.
     """
     ring = source.ring
-    zero = ring.zero
+    zero, add, mul = ring.zero, ring.add, ring.mul
     blocks = target.blocks[m]
-    place = {}  # target regular m-path -> (its block's number, its row in the block)
+    place = [None] * len(target.reg_paths[m])  # target row -> (its block's number, its row in the block)
     for b, block in enumerate(blocks):
         for k, i in enumerate(block.paths):
-            place[target.reg_paths[m][i]] = (b, k)
+            place[i] = (b, k)
     generators = sorted(
         ((g, block.paths, gen) for block in source.blocks[n] for g, gen in zip(block.gens, block.basis.columns())),
-        key=lambda t: t[0],
+        key=itemgetter(0),
     )
     cols = []
     for j, paths, gen in generators:
         acc: dict = {}
         for coeff, i in zip(gen, paths):
-            if coeff == zero:
-                continue
-            for q, c in image(source.reg_paths[n][i]):
-                acc[q] = ring.add(acc.get(q, zero), ring.mul(coeff, c))
+            if coeff:
+                for q, c in image(i):
+                    acc[q] = add(acc.get(q, zero), mul(coeff, c))
         slices: dict = {}  # target block number -> the image's slice on that block
         for q, c in acc.items():
-            if c == zero:
+            if not c:
                 continue
-            if q not in place:
-                raise error(f"Omega_{n} generator {j} maps onto {q.render()}, off the target paths")
+            if q.__class__ is not int:
+                raise error(f"Omega_{n} generator {j} maps onto {target.path(q).render()}, off the target paths")
             b, k = place[q]
             if b not in slices:
                 slices[b] = [zero] * len(blocks[b].paths)
@@ -311,17 +356,21 @@ def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComple
 
     Basis paths map to their image paths with irregular images dropped.
     """
-    def image(p: Path) -> tuple:
-        q = f.image_path(p)
-        if not q.is_regular():
-            return ()
-        if q not in target.pc.paths:
-            raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
-        return ((q, source.ring.one),)
+    def images(paths: list):
+        def image(i: int) -> tuple:
+            q = f.image_path(paths[i])
+            if not q.is_regular():
+                return ()
+            row = target.row(q)
+            if row is None:
+                raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
+            return ((row, source.ring.one),)
+
+        return image
 
     top = min(source.max_degree, target.max_degree)
     mats = {
-        n: restrict_to_omega(image, source, n, target, n, ImageNotInOmegaError)
+        n: restrict_to_omega(images(source.reg_paths[n]), source, n, target, n, ImageNotInOmegaError)
         for n in range(top + 1)
     }
     for n in range(1, top + 1):

@@ -8,6 +8,7 @@ standard error.  Exit codes: 0 success, 2 validation/schema failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -345,6 +346,7 @@ def cmd_prism_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # the parser holds no data; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wph", description="Weighted path homology of path complexes, digraphs and directed hypergraphs."

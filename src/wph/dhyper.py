@@ -198,8 +198,9 @@ def connective_functor(g: DirectedHypergraph, maxlen: int) -> PathComplex:
     for a in g.arrows:
         for v in a.origin:
             succ[v].update(a.end)
+    # Every successor is a vertex, so the walks already form a path complex (see walk_paths).
     paths = walk_paths(succ, maxlen)
-    return complex_from_paths(paths, g.weight_map() if g.is_weighted else None, g.ring)
+    return PathComplex.build(g.vertices, paths, g.weight_map() if g.is_weighted else None, g.ring)
 
 
 def underlying_hypergraph(g: DirectedHypergraph) -> Hypergraph:
@@ -218,7 +219,8 @@ def density_two_functor(h: Hypergraph, maxlen: int) -> PathComplex:
     for e in h.edges:
         for v in e:
             neigh[v].update(e)  # includes v itself: the pair (v, v) lies in e
-    return complex_from_paths(walk_paths(neigh, maxlen))
+    # Every neighbour is a vertex, so the walks already form a path complex (see walk_paths).
+    return PathComplex.build(h.vertices, walk_paths(neigh, maxlen))
 
 
 def density_two_of(g: DirectedHypergraph, maxlen: int) -> PathComplex:

@@ -7,7 +7,7 @@ from typing import Iterable, Mapping, Optional
 from .algebra import Ring
 from .errors import InvariantError
 from .pathcx import (
-    PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, level_copies, walk_paths,
+    PathComplex, Vertex, Weighted, canonical_weights, level_copies, walk_paths,
 )
 
 
@@ -66,6 +66,9 @@ class WeightedDigraph(Weighted):
             if not vertices <= declared:
                 missing = sorted(vertices - declared)[0]
                 raise InvariantError(f"vertex {missing.render()} has no weight")
+            if not declared <= vertices:
+                extra = sorted(declared - vertices)[0]
+                raise InvariantError(f"weighted vertex {extra.render()} is not a declared vertex")
         return cls(vertices, edges, wt, ring)
 
 
@@ -74,8 +77,9 @@ def paths_functor(g: WeightedDigraph, maxlen: int) -> PathComplex:
     successors: dict = {v: [] for v in g.vertices}
     for x, y in g.edges:
         successors[x].append(y)
+    # Every successor is a vertex, so the walks already form a path complex (see walk_paths).
     paths = walk_paths(successors, maxlen)
-    return complex_from_paths(paths, g.weight_map() if g.is_weighted else None, g.ring)
+    return PathComplex.build(g.vertices, paths, g.weight_map() if g.is_weighted else None, g.ring)
 
 
 def box_product(g: WeightedDigraph, line: LineDigraph) -> WeightedDigraph:

@@ -13,7 +13,7 @@ from .errors import (
     ImageNotInOmegaError,
     NonInvertibleWeightError,
 )
-from .pathcx import Path, PathComplex, PathMorphism, level_copies
+from .pathcx import PathComplex, PathMorphism, level_copies
 
 
 @dataclass
@@ -198,13 +198,17 @@ def chain_homotopy_certificate(
     g_mats = induced_chain_map(g, om_src, om_tgt)
     F_mats = induced_chain_map(F, om_cyl, om_tgt)
 
-    # L_n = F_* after the prism, as a matrix Omega_n(src) -> Omega_{n+1}(tgt)
-    def lifted(p: Path) -> tuple:
-        return prism(ChainVector.basis(p, ring), gammas).coeffs
+    # L_n = F_* after the prism, as a matrix Omega_n(src) -> Omega_{n+1}(tgt).  Every
+    # one-jump lift of a source n-path is a regular (n+1)-path of the cylinder.
+    def lifted(paths: list):
+        def image(i: int) -> list:
+            return [(om_cyl.row(q), c) for q, c in prism(ChainVector.basis(paths[i], ring), gammas).coeffs]
+
+        return image
 
     L = {}
     for n in range(max_degree + 1):
-        T = restrict_to_omega(lifted, om_src, n, om_cyl, n + 1, ImageNotInOmegaError)
+        T = restrict_to_omega(lifted(om_src.reg_paths[n]), om_src, n, om_cyl, n + 1, ImageNotInOmegaError)
         L[n] = F_mats[n + 1] @ T
 
     for n in range(max_degree + 1):

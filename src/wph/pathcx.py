@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from operator import itemgetter, ne
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import Ring
 from .errors import InvariantError
@@ -45,8 +46,7 @@ class Path:
         return len(self.vertices) - 1
 
     def is_regular(self) -> bool:
-        vs = self.vertices
-        return all(vs[k] != vs[k + 1] for k in range(len(vs) - 1))
+        return is_regular(self.vertices)
 
     def drop_front(self) -> "Path":
         return Path(self.vertices[1:])
@@ -77,6 +77,25 @@ class Path:
 
     def __repr__(self):
         return self.render()
+
+
+def is_regular(seq: Sequence) -> bool:
+    """No two consecutive entries are equal: regularity of a vertex tuple or an integer path code."""
+    return all(map(ne, seq, seq[1:]))
+
+
+def regular_faces(seq: Sequence) -> list:
+    """(s, seq with entry s dropped) for every s whose face of the regular sequence is regular.
+
+    Dropping an end keeps a regular sequence regular; dropping an interior
+    entry makes it irregular exactly when the entry's two neighbours are equal.
+    """
+    last = len(seq) - 1
+    return [
+        (s, seq[:s] + seq[s + 1 :])
+        for s in range(last + 1)
+        if s == 0 or s == last or seq[s - 1] != seq[s + 1]
+    ]
 
 
 def canonical_weights(
@@ -130,7 +149,12 @@ def level_copies(vertices: Iterable[Vertex], levels: Iterable[int]) -> set:
 
 
 def walk_paths(successors: Mapping[Vertex, Iterable[Vertex]], maxlen: int) -> list:
-    """Every walk of at most maxlen steps from any key of `successors` along its values."""
+    """Every walk of at most maxlen steps from any key of `successors` along its values.
+
+    When every successor is itself a key, the walks hold every singleton and
+    are closed under truncation: they form a path complex on the keys as they
+    stand, with no closure pass.
+    """
     paths = [Path.of(v) for v in sorted(successors)]
     frontier = list(paths)
     for _ in range(maxlen):
@@ -196,6 +220,9 @@ class PathComplex(Weighted):
             for v in self.sorted_vertices():
                 if v not in wmap:
                     problems.append(f"vertex {v.render()} has no weight")
+            for v, _ in self.weights:
+                if v not in self.vertices:
+                    problems.append(f"weighted vertex {v.render()} is not a declared vertex")
         return ValidationReport(ok=not problems, problems=problems)
 
     def regular_paths(self, n: int) -> list:
@@ -206,7 +233,28 @@ class PathComplex(Weighted):
         """
         if n < 0:
             return []
-        return sorted(p for p in self.paths if p.length == n and p.is_regular())
+        return [p for _, p in self.regular_path_codes(n)[1][n]]
+
+    def regular_path_codes(self, max_degree: int) -> tuple:
+        """The regular paths of length <= max_degree as integer codes, bucketed by length.
+
+        Returns (numbers, buckets).  numbers maps each vertex to its number,
+        counting from 0 in sorted vertex order (also its key order), so
+        comparing codes compares the paths: buckets[n] lists the regular
+        n-paths as (code, Path) pairs in canonical order.  The numbering covers
+        the declared vertices and every vertex a numbered path uses.
+        """
+        candidates = [p for p in self.paths if p.length <= max_degree]
+        vertices = sorted(self.vertices.union(*(p.vertices for p in candidates)))
+        numbers = {v: k for k, v in enumerate(vertices)}
+        buckets = [[] for _ in range(max_degree + 1)]
+        for p in candidates:
+            code = tuple(map(numbers.__getitem__, p.vertices))
+            if is_regular(code):
+                buckets[len(code) - 1].append((code, p))
+        for bucket in buckets:
+            bucket.sort(key=itemgetter(0))
+        return numbers, buckets
 
     def truncate(self, maxlen: int) -> "PathComplex":
         """Drop paths longer than maxlen (truncation closure is preserved)."""

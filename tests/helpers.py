@@ -47,7 +47,8 @@ def random_complex(
         else:
             w = rng.randint(1, 4) if nonzero else rng.randint(-3, 3)
             weights[v] = w
-    return complex_from_paths(paths, weights=weights, ring=ring)
+    used = {v for p in paths for v in p.vertices}  # a weight off the complex's vertices is invalid
+    return complex_from_paths(paths, weights={v: w for v, w in weights.items() if v in used}, ring=ring)
 
 
 def random_unit_weight_complex(rng: random.Random, max_vertices: int = 6, maxlen: int = 3) -> PathComplex:

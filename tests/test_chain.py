@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wph import algebra
+from wph import algebra, oracle
 from wph import chain as wchain
 from wph.algebra import (
     QQ,
@@ -26,7 +26,7 @@ from wph.chain import (
     weighted_boundary,
 )
 from wph.digraph import WeightedDigraph, paths_functor
-from wph.errors import ImageNotInOmegaError
+from wph.errors import ImageNotInOmegaError, InvariantError, MissingWeightError
 from wph.homotopy import chain_homotopy_certificate
 from wph.pathcx import (
     Path,
@@ -244,6 +244,57 @@ def test_block_bases_and_boundaries_equal_the_whole_matrix_kernel():
             assert sorted(g for blk in blocks for g in blk.gens) == list(range(om.rank(n)))
     (linked,) = [blk for blk in build_omega(complexes[0], 2).blocks[2] if len(blk.paths) > 1]
     assert (linked.paths, linked.gens) == ((0, 2, 3), (0, 2))
+
+
+def square_complex(ring, wb, wc):
+    # (a b d) and (a c d) share the outside face (a d), with coefficients -w(b) and -w(c)
+    return complex_from_paths(
+        [Path((a, b, d)), Path((a, c, d))], weights={a: 1, b: wb, c: wc, d: 1}, ring=ring
+    )
+
+
+@pytest.mark.parametrize(
+    "pc, p, ranks",
+    [
+        (diamond_complex(), None, [4, 4, 0, 0]),
+        (square_complex(ZZ, 0, 0), None, [4, 4, 2, 0]),
+        (square_complex(ZZ, 0, 1), None, [4, 4, 1, 0]),
+        (square_complex(Zmod(5), 5, 10), 5, [4, 4, 2, 0]),
+        (square_complex(Zmod(5), 5, 1), 5, [4, 4, 1, 0]),
+        (square_complex(Zmod(5), 1, 1), 5, [4, 4, 1, 0]),
+    ],
+    ids=["diamond-Z", "square-Z-0-0", "square-Z-0-1", "square-Z5-5-10", "square-Z5-5-1", "square-Z5-1-1"],
+)
+def test_faces_with_zero_coefficient_are_not_constraints(pc, p, ranks):
+    om = build_omega(pc, 3)
+    assert [om.rank(n) for n in range(4)] == ranks == oracle.omega_dimensions(pc, 3, p=p)
+    bases, boundaries = whole_matrix_omega(pc, 3)
+    assert [m.data for m in om.bases] == [m.data for m in bases]
+    assert {n: m.data for n, m in om.boundaries.items()} == {n: m.data for n, m in boundaries.items()}
+
+
+def test_boundary_refuses_outside_faces_that_do_not_cancel(monkeypatch):
+    # a wrong block kernel: each path of the linked block {(a b d), (a c d)} its own generator
+    monkeypatch.setattr(wchain, "kernel_basis", lambda m: Matrix.identity(m.ring, m.cols))
+    with pytest.raises(InvariantError, match=r"Omega_2 generator 0 maps onto \(a d\), off the target paths"):
+        build_omega(square_complex(ZZ, 1, 1), 2)
+
+
+def test_missing_weight_fires_only_on_a_regular_path_of_positive_degree():
+    z = Vertex("z")
+    singletons = [Path.of(v) for v in (a, b, z)]
+    weights = {a: 1, b: 1}
+    isolated = PathComplex.build([a, b, z], singletons + [Path((a, b))], weights, ZZ)
+    assert [build_omega(isolated, 2).rank(n) for n in range(3)] == [3, 1, 0]
+    on_edge = PathComplex.build([a, b, z], singletons + [Path((a, b)), Path((a, z))], weights, ZZ)
+    assert build_omega(on_edge, 0).rank(0) == 3
+    # z sits where dropping it leaves the irregular face (a a): it is still checked
+    inside = PathComplex.build([a, b, z], singletons + [Path((a, z, a))], weights, ZZ)
+    irregular = PathComplex.build([a, b, z], singletons + [Path((a, z, z))], weights, ZZ)
+    assert build_omega(irregular, 2).rank(2) == 0
+    for pc, top in ((on_edge, 1), (inside, 2)):
+        with pytest.raises(MissingWeightError, match="vertex z has no weight"):
+            build_omega(pc, top)
 
 
 def test_block_kernels_factor_at_most_six_columns_on_the_5x5_grid(monkeypatch):

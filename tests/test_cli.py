@@ -351,3 +351,21 @@ def test_out_of_range_bounds_exit_2_with_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, body, functor",
+    [
+        ("path_complex", {"vertices": ["a", "b"], "paths": [["a"], ["b"], ["a", "b"]]}, "cylinder"),
+        ("digraph", {"vertices": ["a", "b"], "edges": [["a", "b"]]}, "box:I1f"),
+    ],
+)
+def test_weights_on_undeclared_vertices_exit_2(tmp_path, capsys, kind, body, functor):
+    doc = {"format_version": "1", "kind": kind, "ring": "Z", "body": dict(body, weights={"a": 1, "b": 2, "z": 5})}
+    path = tmp_path / "stray_weight.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("validate", str(path)), ("functor", str(path), "--functor", functor)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: weighted vertex z is not a declared vertex\n"

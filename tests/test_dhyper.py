@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wph import io as wio
@@ -9,6 +11,7 @@ from wph.dhyper import (
     bold_functor,
     classify_morphism,
     connective_functor,
+    density_two_functor,
     density_two_of,
     hyper_box_product,
     merged_arrow_count,
@@ -17,9 +20,9 @@ from wph.dhyper import (
     underlying_hypergraph,
     vertex_weighted_homologies,
 )
-from wph.digraph import I1_FORWARD, box_product, compare_weighted_complexes, paths_functor
+from wph.digraph import I1_FORWARD, WeightedDigraph, box_product, compare_weighted_complexes, paths_functor
 from wph.errors import InvariantError
-from wph.pathcx import Path, Vertex
+from wph.pathcx import Path, Vertex, complex_from_paths
 
 from helpers import fixture_paths
 
@@ -136,3 +139,26 @@ def test_natural_cylinder_equals_box_product_on_fixtures():
         right = paths_functor(natural_digraph(hyper_box_product(g, I1_FORWARD)), maxlen)
         report = compare_weighted_complexes(left, right)
         assert report.equal, (path.name, report.problems)
+
+
+def test_walk_functors_equal_their_truncation_closure():
+    rng = random.Random(5)
+    labels = [Vertex(s) for s in "abcdef"]
+    for _ in range(40):
+        verts = labels[: rng.randint(2, 6)]
+        weights = {v: rng.randint(1, 3) for v in verts}
+        edges = {(x, y) for x in verts for y in verts if x != y and rng.random() < 0.4}
+        arrows = []
+        for _ in range(rng.randint(1, 4)):
+            origin = set(rng.sample(verts, rng.randint(1, len(verts) - 1)))
+            rest = [v for v in verts if v not in origin]
+            arrows.append(A(origin, set(rng.sample(rest, rng.randint(1, len(rest))))))
+        g = DirectedHypergraph.build(arrows, {v: weights[v] for a in arrows for v in a.origin | a.end}, ZZ)
+        maxlen = rng.randint(0, 3)
+        for pc in (
+            paths_functor(WeightedDigraph.build(verts, edges, weights, ZZ), maxlen),
+            connective_functor(g, maxlen),
+            density_two_functor(underlying_hypergraph(g), maxlen),
+        ):
+            weighted = pc.weight_map() if pc.is_weighted else None
+            assert pc == complex_from_paths(pc.paths, weighted, pc.ring)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -89,6 +90,20 @@ def test_invariant_violations_rejected():
     with pytest.raises(InvariantError):
         wio.parse('{"format_version": "1", "kind": "directed_hypergraph", '
                   '"body": {"arrows": [{"origin": ["a"], "end": ["a", "b"]}]}}')
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        ("path_complex", {"vertices": ["a", "b"], "paths": [["a"], ["b"], ["a", "b"]]}),
+        ("digraph", {"vertices": ["a", "b"], "edges": [["a", "b"]]}),
+    ],
+)
+def test_weights_on_undeclared_vertices_are_refused(kind, body):
+    body = dict(body, weights={"a": 1, "b": 2, "z": 5})
+    blob = json.dumps({"format_version": "1", "kind": kind, "ring": "Z", "body": body})
+    with pytest.raises(InvariantError, match="weighted vertex z is not a declared vertex"):
+        wio.parse(blob)
 
 
 def test_interior_apostrophes_rejected():

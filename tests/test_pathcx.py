@@ -56,6 +56,14 @@ def test_regular_paths_order_is_deterministic():
     assert pc.regular_paths(1) == sorted(pc.regular_paths(1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_regular_paths_are_the_sorted_regular_paths_of_each_length(seed):
+    pc = random_complex(random.Random(seed), max_vertices=5, maxlen=3).cylinder()
+    for n in range(5):
+        assert pc.regular_paths(n) == sorted(p for p in pc.paths if p.length == n and p.is_regular())
+
+
 def test_cylinder_of_single_vertex():
     pc = complex_from_paths([Path((a,))], weights={a: 1}, ring=ZZ)
     cyl = pc.cylinder()
