@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Time the workload ladder: Omega build and homology, rung by rung.
+
+The rungs are the complete digraphs K4 and K5 (vertices a, b, ..., weights
+1..n) and the k x k right/down grid digraphs (vertex (i, j) of weight
+1 + (7i + j) mod 3), each at path length L = N.  For every rung this prints
+the best time over --repeat runs of `build_omega` and of `homology_of_omega`
+on the built Omega, and the homology groups as (free rank, torsion) pairs.
+
+    python3 scripts/ladder.py --repeat 3
+"""
+import argparse
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from wph.algebra import QQ, ZZ, Zmod
+from wph.chain import build_omega, homology_of_omega
+from wph.digraph import WeightedDigraph, paths_functor
+from wph.pathcx import Vertex
+
+
+def complete(n: int, ring) -> WeightedDigraph:
+    vs = [Vertex(chr(ord("a") + i)) for i in range(n)]
+    return WeightedDigraph.build(vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, range(1, n + 1))), ring)
+
+
+def grid(k: int) -> WeightedDigraph:
+    vs = {(i, j): Vertex(f"v{i}_{j}") for i in range(k) for j in range(k)}
+    edges = [(vs[i, j], vs[i, j + 1]) for i in range(k) for j in range(k - 1)]
+    edges += [(vs[i, j], vs[i + 1, j]) for i in range(k - 1) for j in range(k)]
+    return WeightedDigraph.build(vs.values(), edges, {v: 1 + (7 * i + j) % 3 for (i, j), v in vs.items()}, ZZ)
+
+
+RUNGS = (  # (name, digraph builder, L = N)
+    ("K4 L3 Z", lambda: complete(4, ZZ), 3),
+    ("K4 L4 Z", lambda: complete(4, ZZ), 4),
+    ("K5 L3 Z", lambda: complete(5, ZZ), 3),
+    ("K5 L3 Q", lambda: complete(5, QQ), 3),
+    ("K5 L3 Z/7", lambda: complete(5, Zmod(7)), 3),
+    ("5x5 grid L4 Z", lambda: grid(5), 4),
+    ("8x8 grid L5 Z", lambda: grid(8), 5),
+    ("K5 L4 Z", lambda: complete(5, ZZ), 4),
+)
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    print(f"{'rung':<14} {'omega_s':>9} {'homology_s':>10}  groups (free rank, torsion)")
+    for name, digraph, length in RUNGS:
+        pc = paths_functor(digraph(), length)
+        times = []  # (omega seconds, homology seconds) per run, each on a fresh Omega
+        for _ in range(args.repeat):
+            start = perf_counter()
+            om = build_omega(pc, length)
+            built = perf_counter()
+            result = homology_of_omega(om)
+            times.append((built - start, perf_counter() - built))
+        omega_s, homology_s = (min(column) for column in zip(*times))
+        groups = [(g.free_rank, list(g.torsion)) for g in result.groups]
+        print(f"{name:<14} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

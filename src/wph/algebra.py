@@ -4,17 +4,19 @@ Everything here is exact: integers are Python ints (arbitrary precision),
 rationals are `fractions.Fraction`, modular values are canonical
 representatives in [0, m).  Matrices are stored dense; products skip zeros.
 
-A matrix's Smith decomposition (`Matrix.smith`) is computed at most once, on
-first use, and lives as long as the matrix: every kernel and lattice solve
-against the same matrix object reuses it.  Homology reads only invariant
-factors (`Matrix.invariant_factors`), which the same elimination finds
-without transforms.
+Kernels and lattice solves read one column reduction of the matrix stacked
+over the identity (`Matrix.echelon`), computed at most once, on first use,
+and kept with the matrix.  Homology reads only invariant factors
+(`Matrix.invariant_factors`): unit pivots are removed first on sparse rows,
+and the Smith elimination runs on the unit-free core that is left (empty
+over a field).  `smith_normal_form` gives the Smith form with its transforms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Any, Sequence
 
@@ -239,14 +241,14 @@ class Matrix:
     @classmethod
     def from_columns(cls, ring: Ring, cols: Sequence[Sequence], rows: int) -> "Matrix":
         """A matrix from columns whose entries are already values of `ring`."""
-        data = tuple(tuple(c[i] for c in cols) for i in range(rows))
+        data = tuple(zip(*cols)) if cols else ((),) * rows
         return cls(ring, rows, len(cols), data)
 
     def column(self, j: int) -> tuple:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -268,18 +270,6 @@ class Matrix:
             out.append(tuple(acc))
         return Matrix(r, self.rows, other.cols, tuple(out))
 
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        r = self.ring
-        out = []
-        for i in range(self.rows):
-            acc = r.zero
-            for k in range(self.cols):
-                acc = r.add(acc, r.mul(self.data[i][k], vec[k]))
-            out.append(acc)
-        return tuple(out)
-
     def __matmul__(self, other):
         return self.matmul(other)
 
@@ -296,16 +286,14 @@ class Matrix:
         return self._entrywise(other, self.ring.sub)
 
     @cached_property
-    def smith(self) -> "SmithDecomposition":
-        """The Smith decomposition of this matrix, computed on first use and kept with it."""
-        return smith_normal_form(self)
+    def echelon(self) -> "Echelon":
+        """The column reduction of this matrix over the identity, computed on first use and kept with it."""
+        return _echelon(self)
 
     @cached_property
     def invariant_factors(self) -> tuple:
-        """The nonzero Smith diagonal (all ones over a field), whose length is the rank; from
-        `smith` if that is computed, else by one elimination without transforms."""
-        if "smith" in self.__dict__:
-            return self.smith.d
+        """The nonzero Smith diagonal (all ones over a field), whose length is the rank; by one
+        elimination without transforms."""
         return _eliminate(self, transforms=False)[0]
 
 
@@ -349,19 +337,22 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
 
 
 def _eliminate(m: Matrix, transforms: bool) -> tuple:
-    """The Smith diagonal d of m and the working array, in which the transforms ride
-    along if asked: left to the right of m's rows, right below them.  Without them over
-    a field, each step stops after its row sweep, as the echelon pivots give the rank."""
+    """The Smith diagonal d of m and the working array.  With transforms, the array is m
+    with the transforms riding along: left to the right of m's rows, right below them.
+    Without them, unit pivots are removed first (`_unit_pivots`), and the array is the
+    unit-free core they leave."""
     require_pid(m.ring)
     ring = m.ring
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.data]
     if transforms:
-        a = [row + list(e) for row, e in zip(a, Matrix.identity(ring, nr).data)]
+        units = ()
+        nr, nc = m.rows, m.cols
+        a = [list(row) + list(e) for row, e in zip(m.data, Matrix.identity(ring, nr).data)]
         a += [list(row) for row in Matrix.identity(ring, nc).data]
-    rows_only = ring.is_field and not transforms
-    # At step t, rows t.. are zero left of column t, and (unless rows_only) columns
-    # t.. are zero above row t, so the operations below start there.
+    else:
+        units, a = _unit_pivots(m)
+        nr, nc = len(a), len(a[0]) if a else 0
+    # At step t, rows t.. are zero left of column t, and columns t.. are zero above
+    # row t, so the operations below start there.
 
     def row_sub(i, k, q):  # row i -= q * row k
         ri, rk = a[i], a[k]
@@ -390,8 +381,6 @@ def _eliminate(m: Matrix, transforms: bool) -> tuple:
             for i in range(t + 1, nr):
                 if a[i][t]:
                     row_sub(i, t, ring.quo(a[i][t], a[t][t]))
-            if rows_only:
-                break
             for j in range(t + 1, nc):
                 if a[t][j]:
                     col_sub(j, t, ring.quo(a[t][j], a[t][t]))
@@ -414,53 +403,164 @@ def _eliminate(m: Matrix, transforms: bool) -> tuple:
             a[t] = [ring.mul(x, u) for x in a[t]]
         t += 1
 
-    return tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i]), a
+    return units + tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i]), a
 
 
-def _hermite_column_reduce(cols: list, nrows: int, ring: Ring) -> list:
+def _unit_pivots(m: Matrix) -> tuple:
+    """Remove the unit pivots of m: one `ring.one` per pivot, and the unit-free core left,
+    as dense rows.
+
+    A unit u at (i, j) clears its column by row operations, then its row by column
+    operations.  That leaves u beside the Schur complement: the rest of m minus
+    (column j) u^-1 (row i).  So m has the invariant factors of the complement plus one
+    unit.  The pivot is the unit entry of least (row nnz - 1) * (column nnz - 1), which
+    bounds its fill; ties go to the lowest row, then the lowest column.  Over a field
+    every nonzero is a unit, so the core is empty.
+    """
+    ring = m.ring
+    sub, mul, zero, field, is_unit = ring.sub, ring.mul, ring.zero, ring.is_field, ring.is_unit
+    if not any(x and (field or is_unit(x)) for row in m.data for x in row):
+        return (), [list(row) for row in m.data]
+    rows: dict = {}  # row -> {column: nonzero entry}; ascending rows, as none is added
+    cols: dict = {}  # column -> the rows with a nonzero entry there
+    for i, row in enumerate(m.data):
+        entries = {j: x for j, x in enumerate(row) if x}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+    # (cost, row, column) keys.  Every change to a unit entry's cost pushes its new
+    # key, so the least key that is still current is the pivot; keys gone out of date
+    # are dropped when popped.
+    heap = [
+        ((len(entries) - 1) * (len(cols[j]) - 1), i, j)
+        for i, entries in rows.items()
+        for j, x in entries.items()
+        if field or is_unit(x)
+    ]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        cost, i, j = heappop(heap)
+        pivot = rows.get(i)
+        if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
+            continue
+        if not (field or is_unit(pivot[j])):
+            continue
+        del rows[i]
+        for c in pivot:
+            cols[c].discard(i)
+        inv = ring.inv(pivot.pop(j))
+        touched = cols.pop(j)
+        for k in touched:
+            entries = rows[k]
+            q = mul(entries.pop(j), inv)  # row k -= q * row i clears its entry in column j
+            for c, x in pivot.items():
+                v = sub(entries.get(c, zero), mul(q, x))
+                if v:
+                    entries[c] = v
+                    cols[c].add(k)
+                else:  # q * x is nonzero, so the entry was there and cancelled
+                    del entries[c]
+                    cols[c].discard(k)
+        # new keys: the touched rows changed their counts, the pivot's columns theirs
+        for k in touched:
+            entries = rows[k]
+            if not entries:
+                del rows[k]
+                continue
+            fill = len(entries) - 1
+            for c, x in entries.items():
+                if field or is_unit(x):
+                    heappush(heap, (fill * (len(cols[c]) - 1), k, c))
+        for c in pivot:
+            ks = cols[c]
+            if not ks:
+                del cols[c]
+                continue
+            fill = len(ks) - 1
+            for k in ks - touched:
+                if field or is_unit(rows[k][c]):
+                    heappush(heap, ((len(rows[k]) - 1) * fill, k, c))
+        pivots += 1
+    keep = sorted(cols)
+    return (ring.one,) * pivots, [[entries.get(j, zero) for j in keep] for entries in rows.values()]
+
+
+@dataclass(frozen=True)
+class Echelon:
+    """The columns of m stacked over the identity and column-reduced: [m; I] u == [e; u]
+    for an invertible u, with e = m u in column Hermite form (reduced column echelon
+    form over a field).
+
+    columns[j] is column j of [e; u].  The first rank columns of e are its nonzero ones;
+    pivots[j] is the row of the first nonzero entry of column j < rank, and these rows
+    ascend.  The u parts of the later columns, themselves in column Hermite form, are
+    the canonical basis of ker m.
+    """
+
+    pivots: tuple
+    columns: tuple
+
+
+def _echelon(m: Matrix) -> Echelon:
+    require_pid(m.ring)
+    stacked = [col + e for col, e in zip(m.columns(), Matrix.identity(m.ring, m.cols).data)]
+    cols, pivots = _hermite_column_reduce(stacked, m.rows + m.cols, m.ring)
+    return Echelon(tuple(p for p in pivots if p < m.rows), tuple(map(tuple, cols)))
+
+
+def _hermite_column_reduce(cols: list, nrows: int, ring: Ring) -> tuple:
     """Canonicalize a list of column vectors spanning a lattice/subspace.
 
     Over Z this is a column-style Hermite normal form (positive pivots,
     entries left of a pivot reduced into [0, pivot)); over a field it is a
     column reduced echelon form.  Column operations only, so the span (the
-    full lattice, over Z) is unchanged.
+    full lattice, over Z) is unchanged.  Returns the columns and the pivot
+    row of each nonzero one; those come first, their pivot rows ascending.
     """
     cols = [list(c) for c in cols]
-    r = 0
+    pivots = []
+
+    def col_sub(j, k, q):  # col j -= q * col k, whose entries above row i are zero
+        cj, ck = cols[j], cols[k]
+        for h in range(i, nrows):
+            if ck[h]:
+                cj[h] = ring.sub(cj[h], ring.mul(q, ck[h]))
+
     for i in range(nrows):
+        r = len(pivots)
         if r == len(cols):
             break
         while True:
-            nz = [j for j in range(r, len(cols)) if cols[j][i] != ring.zero]
+            nz = [j for j in range(r, len(cols)) if cols[j][i]]
             if not nz:
                 break
-            best = min(nz, key=lambda j: (ring.pivot_size(cols[j][i]), j))
+            best = nz[0] if len(nz) == 1 else min(nz, key=lambda j: (ring.pivot_size(cols[j][i]), j))
             if best != r:
                 cols[best], cols[r] = cols[r], cols[best]
             if len(nz) == 1:
                 break
             for j in range(r + 1, len(cols)):
-                if cols[j][i] != ring.zero:
-                    q = ring.quo(cols[j][i], cols[r][i])
-                    cols[j] = [ring.sub(cols[j][k], ring.mul(q, cols[r][k])) for k in range(nrows)]
+                if cols[j][i]:
+                    col_sub(j, r, ring.quo(cols[j][i], cols[r][i]))
             if ring.is_field:
                 break
-        if r < len(cols) and cols[r][i] != ring.zero:
+        if cols[r][i]:
             if ring.is_field:
                 u = ring.inv(cols[r][i])
                 cols[r] = [ring.mul(u, x) for x in cols[r]]
             elif cols[r][i] < 0:
                 cols[r] = [-x for x in cols[r]]
             for j in range(r):
-                if cols[j][i] != ring.zero:
-                    q = ring.quo(cols[j][i], cols[r][i])
-                    cols[j] = [ring.sub(cols[j][k], ring.mul(q, cols[r][k])) for k in range(nrows)]
-            r += 1
-    return cols
+                if cols[j][i]:
+                    col_sub(j, r, ring.quo(cols[j][i], cols[r][i]))
+            pivots.append(i)
+    return cols, pivots
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Canonical basis of ker(m) as matrix columns.
+    """Canonical basis of ker(m) as matrix columns, in column Hermite form.
 
     Over Z the columns span the full (saturated) kernel lattice: every integer
     kernel vector is an integer combination of the columns.
@@ -468,43 +568,40 @@ def kernel_basis(m: Matrix) -> Matrix:
     require_pid(m.ring)
     if m.rows == 0:
         return Matrix.identity(m.ring, m.cols)  # already in Hermite form
-    snf = m.smith
-    cols = [snf.right.column(j) for j in range(snf.rank, m.cols)]
-    cols = _hermite_column_reduce(cols, m.cols, m.ring)
-    return Matrix.from_columns(m.ring, cols, m.cols)
+    ech = m.echelon
+    return Matrix.from_columns(m.ring, [col[m.rows:] for col in ech.columns[len(ech.pivots):]], m.cols)
 
 
 def solve_in_lattice(basis: Matrix, target: Sequence):
     """Coefficients c with basis @ c == target, or None.
 
     Over Z membership means membership in the column lattice.  Dependent
-    columns are tolerated (one solution is returned).
+    columns are tolerated (one solution is returned).  The target is reduced
+    against the echelon columns pivot by pivot; the coefficients are read off
+    their identity parts.
     """
     require_pid(basis.ring)
     ring = basis.ring
-    target = tuple(ring.coerce(x) for x in target)
+    target = [ring.coerce(x) for x in target]
     if len(target) != basis.rows:
         raise ValueError("target length mismatch")
-    if basis.cols == 0:
-        return () if all(x == ring.zero for x in target) else None
-    snf = basis.smith
-    y = snf.left.apply(target)
-    z = []
-    for i in range(basis.cols):
-        if i < snf.rank:
-            di = snf.d[i]
-            if ring.is_field:
-                z.append(ring.quo(y[i], di))
-            else:
-                if y[i] % di != 0:
-                    return None
-                z.append(y[i] // di)
-        else:
-            z.append(ring.zero)
-    for i in range(snf.rank, basis.rows):
-        if y[i] != ring.zero:
-            return None
-    return snf.right.apply(z)
+    ech = basis.echelon
+    top = basis.rows
+    coeffs = [ring.zero] * basis.cols
+    for col, p in zip(ech.columns, ech.pivots):
+        x = target[p]
+        if not x:
+            continue
+        z = ring.quo(x, col[p])  # over Z a remainder stays in target[p] and fails the last test
+        for h in range(p, top):
+            if col[h]:
+                target[h] = ring.sub(target[h], ring.mul(z, col[h]))
+        for k in range(basis.cols):
+            if col[top + k]:
+                coeffs[k] = ring.add(coeffs[k], ring.mul(z, col[top + k]))
+    if any(target):
+        return None
+    return tuple(coeffs)
 
 
 @dataclass

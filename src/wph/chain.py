@@ -282,15 +282,21 @@ def restrict_to_omega(
     generator's image; `error` is raised when they do not, or when the image
     leaves the target's Omega_m lattice.  Each image is split by target block
     and solved block by block: a block the image misses contributes zeros, and
-    a block without constraints (identity basis) takes its slice as it is.
+    a row of a block without constraints (identity basis) is its generator's
+    coefficient as it is.
     """
     ring = source.ring
-    zero, add, mul = ring.zero, ring.add, ring.mul
+    zero, one, add, mul = ring.zero, ring.one, ring.add, ring.mul
     blocks = target.blocks[m]
-    place = [None] * len(target.reg_paths[m])  # target row -> (its block's number, its row in the block)
+    # target row -> its generator, in an identity block, else (its block's number, its row in the block)
+    place: list = [None] * len(target.reg_paths[m])
     for b, block in enumerate(blocks):
-        for k, i in enumerate(block.paths):
-            place[i] = (b, k)
+        if len(block.gens) == len(block.paths):
+            for i, g in zip(block.paths, block.gens):
+                place[i] = g
+        else:
+            for k, i in enumerate(block.paths):
+                place[i] = (b, k)
     generators = sorted(
         ((g, block.paths, gen) for block in source.blocks[n] for g, gen in zip(block.gens, block.basis.columns())),
         key=itemgetter(0),
@@ -300,22 +306,27 @@ def restrict_to_omega(
         acc: dict = {}
         for coeff, i in zip(gen, paths):
             if coeff:
+                unit = coeff == one
                 for q, c in image(i):
-                    acc[q] = add(acc.get(q, zero), mul(coeff, c))
+                    acc[q] = add(acc.get(q, zero), c if unit else mul(coeff, c))
+        col = [zero] * target.rank(m)
         slices: dict = {}  # target block number -> the image's slice on that block
         for q, c in acc.items():
             if not c:
                 continue
             if q.__class__ is not int:
                 raise error(f"Omega_{n} generator {j} maps onto {target.path(q).render()}, off the target paths")
-            b, k = place[q]
+            g = place[q]
+            if g.__class__ is int:
+                col[g] = c
+                continue
+            b, k = g
             if b not in slices:
                 slices[b] = [zero] * len(blocks[b].paths)
             slices[b][k] = c
-        col = [zero] * target.rank(m)
         for b, vec in slices.items():
             block = blocks[b]
-            sol = vec if len(block.gens) == len(block.paths) else solve_in_lattice(block.basis, vec)
+            sol = solve_in_lattice(block.basis, vec)
             if sol is None:
                 raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
             for g, x in zip(block.gens, sol):

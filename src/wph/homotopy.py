@@ -1,10 +1,11 @@
 """Morphism verification, one-step homotopy, the prism operator and certificates."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import kernel_basis, solve_in_lattice
+from .algebra import Matrix, kernel_basis
 from .chain import ChainVector, build_omega, induced_chain_map, restrict_to_omega, weighted_boundary
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
 from .digraph import paths_functor
@@ -233,14 +234,20 @@ def chain_homotopy_certificate(
 
 
 def _induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> bool:
-    """f_* == g_* on homology: their difference on cycles lies in the image."""
+    """f_* == g_* on homology: (f - g) moves every cycle into the boundaries.
+
+    One lattice test per degree: with K a basis of the source cycles, the lattice
+    spanned by [d_(n+1) | (f - g) K] contains the one spanned by d_(n+1), so the two
+    are equal exactly when their invariant factors are (equal rank, over a field).
+    """
     for n in range(max_degree + 1):
-        ker = kernel_basis(om_src.boundary(n))
+        moved = (f_mats[n] - g_mats[n]) @ kernel_basis(om_src.boundary(n))
+        if moved.is_zero():
+            continue
         img = om_tgt.boundary(n + 1)
-        diff = f_mats[n] - g_mats[n]
-        for j in range(ker.cols):
-            if solve_in_lattice(img, diff.apply(ker.column(j))) is None:
-                return False
+        both = Matrix(img.ring, img.rows, img.cols + moved.cols, tuple(map(operator.add, img.data, moved.data)))
+        if both.invariant_factors != img.invariant_factors:
+            return False
     return True
 
 

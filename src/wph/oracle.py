@@ -91,7 +91,7 @@ def _omega(pc: PathComplex, max_degree: int, p) -> tuple:
     field = _Field(p)
     zero = field(0)
     weights = {v: field(w) for v, w in pc.weight_map().items()}
-    reg = [pc.regular_paths(n) for n in range(max_degree + 1)]
+    reg = [[path for _, path in bucket] for bucket in pc.regular_path_codes(max_degree)[1]]
 
     def boundary_rows(n):
         """Rows: coefficient vector of d(e_p) over regular (n-1)-paths on V."""

@@ -19,6 +19,11 @@ from wph.algebra import (
 from wph.errors import CompositionNotZeroError, UnsupportedRingError
 
 
+def apply(m: Matrix, vec) -> tuple:
+    """m times the column vector vec."""
+    return m.matmul(Matrix(m.ring, len(vec), 1, tuple((x,) for x in vec))).column(0)
+
+
 def det(m: Matrix) -> Fraction:
     """Determinant by fraction-free style Gaussian elimination (test-only)."""
     n = m.rows
@@ -100,10 +105,10 @@ def test_solve_in_lattice_round_trip():
             ZZ, [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
         )
         coeffs = [rng.randint(-3, 3) for _ in range(cols)]
-        target = basis.apply(coeffs)
+        target = apply(basis, coeffs)
         sol = solve_in_lattice(basis, target)
         assert sol is not None
-        assert basis.apply(sol) == target
+        assert apply(basis, sol) == target
 
 
 def test_solve_in_lattice_detects_non_membership():
@@ -226,3 +231,113 @@ def test_matmul_equals_the_plain_triple_loop(data):
     assert (product.rows, product.cols) == (n, m)
     assert product.data == plain_matmul(left, right)
     assert all(isinstance(x, type(ring.zero)) for row in product.data for x in row)
+
+
+def reference_hermite(cols: list, nrows: int, ring) -> list:
+    """Column Hermite form (reduced column echelon form over a field), by whole-column operations."""
+    cols = [list(c) for c in cols]
+    r = 0
+    for i in range(nrows):
+        if r == len(cols):
+            break
+        while True:
+            nz = [j for j in range(r, len(cols)) if cols[j][i] != ring.zero]
+            if not nz:
+                break
+            best = min(nz, key=lambda j: (ring.pivot_size(cols[j][i]), j))
+            cols[best], cols[r] = cols[r], cols[best]
+            if len(nz) == 1:
+                break
+            for j in range(r + 1, len(cols)):
+                if cols[j][i] != ring.zero:
+                    q = ring.quo(cols[j][i], cols[r][i])
+                    cols[j] = [ring.sub(cols[j][k], ring.mul(q, cols[r][k])) for k in range(nrows)]
+            if ring.is_field:
+                break
+        if r < len(cols) and cols[r][i] != ring.zero:
+            if ring.is_field:
+                u = ring.inv(cols[r][i])
+                cols[r] = [ring.mul(u, x) for x in cols[r]]
+            elif cols[r][i] < 0:
+                cols[r] = [-x for x in cols[r]]
+            for j in range(r):
+                if cols[j][i] != ring.zero:
+                    q = ring.quo(cols[j][i], cols[r][i])
+                    cols[j] = [ring.sub(cols[j][k], ring.mul(q, cols[r][k])) for k in range(nrows)]
+            r += 1
+    return cols
+
+
+def smith_kernel_basis(m: Matrix) -> Matrix:
+    """The kernel by the Smith route: the right transform's columns past the rank, in
+    column Hermite form.  The route before the stacked echelon."""
+    if m.rows == 0:
+        return Matrix.identity(m.ring, m.cols)
+    snf = smith_normal_form(m)
+    cols = [snf.right.column(j) for j in range(snf.rank, m.cols)]
+    return Matrix.from_columns(m.ring, reference_hermite(cols, m.cols, m.ring), m.cols)
+
+
+def smith_solve_in_lattice(basis: Matrix, target):
+    """The lattice solve by the Smith route: left transform, divide by the diagonal,
+    right transform.  The route before the stacked echelon."""
+    ring = basis.ring
+    if basis.cols == 0:
+        return () if all(x == ring.zero for x in target) else None
+    snf = smith_normal_form(basis)
+    y = apply(snf.left, target)
+    z = [ring.zero] * basis.cols
+    for i, di in enumerate(snf.d):
+        if not ring.is_field and y[i] % di:
+            return None
+        z[i] = ring.quo(y[i], di)
+    if any(y[snf.rank:]):
+        return None
+    return apply(snf.right, z)
+
+
+SPARSE_RINGS = {"Z": ZZ, "Q": QQ, "Z7": Zmod(7), "Z2": Zmod(2)}
+
+
+@st.composite
+def sparse_matrices(draw, max_dim: int = 5):
+    """Mostly zero matrices with unit and non-unit entries, any shape down to 0 x 0."""
+    ring = SPARSE_RINGS[draw(st.sampled_from(sorted(SPARSE_RINGS)))]
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6])
+    if ring == QQ:
+        entry = st.builds(Fraction, entry, st.sampled_from([1, 2, 3]))
+    data = [[ring.coerce(x) for x in draw(st.lists(entry, min_size=cols, max_size=cols))] for _ in range(rows)]
+    if rows and cols and draw(st.booleans()):  # a zero row and a zero column
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        data = [[ring.zero if r == i or c == j else x for c, x in enumerate(row)] for r, row in enumerate(data)]
+    return Matrix(ring, rows, cols, tuple(map(tuple, data)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_kernel_basis_equals_the_smith_route(m):
+    k, want = kernel_basis(m), smith_kernel_basis(m)
+    assert (k.rows, k.cols, k.data) == (want.rows, want.cols, want.data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_solve_in_lattice_agrees_with_the_smith_route(basis, data):
+    ring = basis.ring
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3])
+    if data.draw(st.booleans()):  # a lattice member
+        target = apply(basis, [ring.coerce(x) for x in data.draw(st.lists(entry, min_size=basis.cols, max_size=basis.cols))])
+    else:
+        target = tuple(ring.coerce(x) for x in data.draw(st.lists(entry, min_size=basis.rows, max_size=basis.rows)))
+    sol, want = solve_in_lattice(basis, target), smith_solve_in_lattice(basis, target)
+    assert (sol is None) == (want is None)
+    if sol is not None:
+        assert len(sol) == basis.cols
+        assert apply(basis, sol) == target
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(max_dim=7))
+def test_invariant_factors_equal_the_smith_diagonal_on_sparse_matrices(m):
+    assert m.invariant_factors == smith_normal_form(m).d

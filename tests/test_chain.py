@@ -168,7 +168,7 @@ def test_induced_chain_map_refuses_a_chain_outside_the_target_omega():
 def test_each_matrix_is_factored_at_most_once(monkeypatch):
     factored = {}  # id -> matrix; holding the matrix keeps its id from being reused
     repeats = []
-    original = algebra.smith_normal_form
+    original = algebra._echelon
 
     def counting(m):
         if id(m) in factored:
@@ -176,7 +176,7 @@ def test_each_matrix_is_factored_at_most_once(monkeypatch):
         factored[id(m)] = m
         return original(m)
 
-    monkeypatch.setattr(algebra, "smith_normal_form", counting)
+    monkeypatch.setattr(algebra, "_echelon", counting)
 
     vs = [Vertex(s) for s in "abcd"]
     k4 = WeightedDigraph.build(
@@ -299,14 +299,14 @@ def test_missing_weight_fires_only_on_a_regular_path_of_positive_degree():
 
 def test_block_kernels_factor_at_most_six_columns_on_the_5x5_grid(monkeypatch):
     widths = []
-    original = algebra.smith_normal_form
+    original = algebra._echelon
 
     def recording(m):
         widths.append(m.cols)
         return original(m)
 
     pc = grid_complex(5, 5, 4)
-    monkeypatch.setattr(algebra, "smith_normal_form", recording)
+    monkeypatch.setattr(algebra, "_echelon", recording)
     om = build_omega(pc, 4)
     assert [om.rank(n) for n in range(5)] == [25, 40, 16, 0, 0]
     assert widths and max(widths) <= 6

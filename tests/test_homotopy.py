@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from wph import homotopy
-from wph.algebra import QQ, ZZ
-from wph.chain import ChainVector
+from wph.algebra import QQ, ZZ, Matrix
+from wph.chain import ChainVector, build_omega, induced_chain_map
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.errors import NonInvertibleWeightError
 from wph.homotopy import (
@@ -218,3 +218,59 @@ def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
     assert f.target == pc.cylinder()
     assert chain_homotopy_certificate(f, g, 3).ok
     assert len(built) == 2
+
+
+def maps_equal(f: PathMorphism, g: PathMorphism, max_degree: int) -> bool:
+    """The certificate's homology-map check on the maps that f and g induce."""
+    om_src, om_tgt = build_omega(f.source, max_degree + 1), build_omega(f.target, max_degree + 1)
+    f_mats, g_mats = induced_chain_map(f, om_src, om_tgt), induced_chain_map(g, om_src, om_tgt)
+    return homotopy._induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree)
+
+
+@pytest.mark.parametrize(
+    "ring, weight, paths, equal",
+    [
+        (QQ, 1, [Path((x,)), Path((y,))], False),  # x - y is a cycle and no boundary
+        (QQ, 1, [Path((x, y))], True),  # x - y bounds the edge
+        (QQ, 2, [Path((x, y))], True),  # 2 is a unit over Q
+        (ZZ, 1, [Path((x, y))], True),
+        (ZZ, 2, [Path((x, y))], False),  # x - y is the Z/2 class: 2(x - y) bounds, x - y does not
+    ],
+    ids=["Q-two-points", "Q-edge", "Q-edge-weight-2", "Z-edge", "Z-edge-weight-2"],
+)
+def test_homology_map_check_compares_point_images_in_degree_0(ring, weight, paths, equal):
+    src = complex_from_paths([Path((a,))], weights={a: weight}, ring=ring)
+    tgt = complex_from_paths(paths, weights={x: weight, y: weight}, ring=ring)
+    f, g = PathMorphism(src, tgt, {a: x}), PathMorphism(src, tgt, {a: y})
+    assert maps_equal(f, g, 0) is equal
+    assert maps_equal(f, f, 0)
+
+
+def weighted_square(ring, corner: int, paths=None):
+    # (a b d) - (a c d) spans Omega_2; its boundary is corner times the cycle
+    # (a b) + (b d) - (a c) - (c d), which generates the cycles of degree 1
+    paths = paths or [Path((a, b, d)), Path((a, c, d))]
+    weights = {a: corner, b: 1, c: 1, d: corner}
+    return complex_from_paths(paths, weights=weights, ring=ring)
+
+
+@pytest.mark.parametrize(
+    "ring, corner, filled, equal",
+    [
+        (QQ, 1, False, False),  # the cycle is no boundary without the square's Omega_2
+        (QQ, 1, True, True),
+        (QQ, 2, True, True),
+        (ZZ, 1, True, True),
+        (ZZ, 2, True, False),  # the cycle is in the rational span of the boundaries, not the lattice
+    ],
+    ids=["Q-hollow", "Q-filled", "Q-filled-corner-2", "Z-filled", "Z-filled-corner-2"],
+)
+def test_homology_map_check_sees_a_cycle_move_off_the_boundaries(ring, corner, filled, equal):
+    edges = [Path((a, b)), Path((b, d)), Path((a, c)), Path((c, d))]
+    pc = weighted_square(ring, corner, None if filled else edges)
+    om = build_omega(pc, 2)
+    ident = {n: Matrix.identity(ring, om.rank(n)) for n in range(2)}
+    kill_1 = {0: ident[0], 1: Matrix.zeros(ring, om.rank(1), om.rank(1))}  # differs from ident by the identity on Omega_1
+    assert [om.rank(n) for n in range(3)] == [4, 4, 1 if filled else 0]
+    assert homotopy._induced_homology_maps_equal(om, om, ident, kill_1, 1) is equal
+    assert homotopy._induced_homology_maps_equal(om, om, ident, ident, 1)

@@ -11,8 +11,8 @@ SCRIPTS = FIXTURES.parent / "scripts"
 
 @pytest.mark.parametrize(
     "argv",
-    [["property_sweep.py", "--count", "2", "--seed", "1"], ["reproduce_examples.py"]],
-    ids=["property_sweep", "reproduce_examples"],
+    [["property_sweep.py", "--count", "2", "--seed", "1"], ["reproduce_examples.py"], ["ladder.py", "--repeat", "1"]],
+    ids=["property_sweep", "reproduce_examples", "ladder"],
 )
 def test_script_runs_from_a_fresh_checkout(tmp_path, argv):
     # another working directory and no PYTHONPATH: each script finds src/ and tests/ itself
