@@ -2,8 +2,9 @@
 """Time the workload ladder: Omega build and homology, rung by rung.
 
 The rungs are the complete digraphs K4 and K5 (vertices a, b, ..., weights
-1..n) and the k x k right/down grid digraphs (vertex (i, j) of weight
-1 + (7i + j) mod 3), each at path length L = N.  For every rung this prints
+1..n, or 2..n+1 on the "w2-6" rungs, which have no unit weight) and the
+k x k right/down grid digraphs (vertex (i, j) of weight 1 + (7i + j) mod 3),
+each at path length L = N.  For every rung this prints
 the best time over --repeat runs of `build_omega` and of `homology_of_omega`
 on the built Omega, and the homology groups as (free rank, torsion) pairs.
 
@@ -22,9 +23,11 @@ from wph.digraph import WeightedDigraph, paths_functor
 from wph.pathcx import Vertex
 
 
-def complete(n: int, ring) -> WeightedDigraph:
+def complete(n: int, ring, weights=None) -> WeightedDigraph:
+    """K_n on vertices a, b, ..., weighted 1..n unless `weights` lists the weights in vertex order."""
     vs = [Vertex(chr(ord("a") + i)) for i in range(n)]
-    return WeightedDigraph.build(vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, range(1, n + 1))), ring)
+    weights = range(1, n + 1) if weights is None else weights
+    return WeightedDigraph.build(vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, weights)), ring)
 
 
 def grid(k: int) -> WeightedDigraph:
@@ -43,6 +46,8 @@ RUNGS = (  # (name, digraph builder, L = N)
     ("5x5 grid L4 Z", lambda: grid(5), 4),
     ("8x8 grid L5 Z", lambda: grid(8), 5),
     ("K5 L4 Z", lambda: complete(5, ZZ), 4),
+    ("K5 L3 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 3),
+    ("K5 L4 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 4),
 )
 
 

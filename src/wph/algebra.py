@@ -2,17 +2,21 @@
 
 Everything here is exact: integers are Python ints (arbitrary precision),
 rationals are `fractions.Fraction`, modular values are canonical
-representatives in [0, m).  Matrices are stored dense; products skip zeros.
+representatives in [0, m).  Matrices are stored sparse: each column keeps its
+nonzero entries keyed by row, and zeros are never stored, so equal matrices
+have equal storage.  Products, sums and comparisons work on those entries.
 
-Kernels and lattice solves read one column reduction of the matrix stacked
-over the identity (`Matrix.echelon`), computed at most once, on first use,
-and kept with the matrix.  Homology reads only invariant factors
-(`Matrix.invariant_factors`): unit pivots are removed first on sparse rows,
-and the Smith elimination runs on the unit-free core that is left (empty
-over a field).  `smith_normal_form` gives the Smith form with its transforms.
+Kernels and lattice solves read one column reduction of the sparse columns
+stacked over the identity (`Matrix.echelon`), computed at most once, on first
+use, and kept with the matrix.  Homology reads only invariant factors
+(`Matrix.invariant_factors`), from one sparse elimination: unit pivots first,
+then Euclid steps over Z when no unit is left.  `smith_normal_form` gives the
+Smith form with its transforms, by a dense loop; it is the reference the
+elimination is tested against, and no production path calls it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -50,17 +54,10 @@ class Ring:
     def coerce(self, x) -> Scalar:
         raise NotImplementedError
 
-    def add(self, a, b) -> Scalar:
-        return a + b
-
-    def sub(self, a, b) -> Scalar:
-        return a - b
-
-    def mul(self, a, b) -> Scalar:
-        return a * b
-
-    def neg(self, a) -> Scalar:
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -87,6 +84,8 @@ class IntegerRing(Ring):
     one = 1
 
     def coerce(self, x):
+        if x.__class__ is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
@@ -209,18 +208,34 @@ def require_pid(ring: Ring) -> None:
     )
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix; all entries belong to `ring`."""
+    """Column-sparse matrix; all entries belong to `ring`.
 
-    ring: Ring
-    rows: int
-    cols: int
-    data: tuple  # tuple of row tuples
+    entries[j] maps the row of each nonzero entry of column j to its value.
+    Zeros are never stored, so equal matrices have equal storage.  A matrix and
+    its column dicts never change once built.  `data`, the dense row tuples, is
+    a view computed on first read; `Matrix(ring, rows, cols, data)` builds a
+    matrix from such rows.
+    """
+
+    def __init__(self, ring: Ring, rows: int, cols: int, data: Sequence):
+        entries = tuple({} for _ in range(cols))
+        for i, row in enumerate(data):
+            for j, x in enumerate(row):
+                if x:
+                    entries[j][i] = x
+        self.ring, self.rows, self.cols, self.entries = ring, rows, cols, entries
+
+    @classmethod
+    def _of(cls, ring: Ring, rows: int, cols: int, entries: tuple) -> "Matrix":
+        """A matrix on the given column dicts, which hold no zero and are not copied."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols, m.entries = ring, rows, cols, entries
+        return m
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(tuple(ring.coerce(x) for x in row) for row in rows)
+        data = [[ring.coerce(x) for x in row] for row in rows]
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise ValueError("ragged rows")
@@ -228,47 +243,67 @@ class Matrix:
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
-        z = ring.zero
-        return cls(ring, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return cls._of(ring, rows, cols, tuple({} for _ in range(cols)))
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
-        z, o = ring.zero, ring.one
-        return cls(
-            ring, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-        )
+        one = ring.one
+        return cls._of(ring, n, n, tuple({j: one} for j in range(n)))
 
     @classmethod
-    def from_columns(cls, ring: Ring, cols: Sequence[Sequence], rows: int) -> "Matrix":
-        """A matrix from columns whose entries are already values of `ring`."""
-        data = tuple(zip(*cols)) if cols else ((),) * rows
-        return cls(ring, rows, len(cols), data)
+    def from_columns(cls, ring: Ring, cols: Sequence, rows: int) -> "Matrix":
+        """A matrix from columns whose entries are already values of `ring`: each column a
+        dense sequence, or a {row: nonzero value} dict, which is kept as it is."""
+        entries = tuple(
+            col if col.__class__ is dict else {i: x for i, x in enumerate(col) if x} for col in cols
+        )
+        return cls._of(ring, rows, len(entries), entries)
+
+    @cached_property
+    def data(self) -> tuple:
+        """The dense row tuples."""
+        out = [[self.ring.zero] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.entries):
+            for i, x in col.items():
+                out[i][j] = x
+        return tuple(map(tuple, out))
 
     def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        """Column j as a dense tuple."""
+        col, zero = self.entries[j], self.ring.zero
+        return tuple(col.get(i, zero) for i in range(self.rows))
 
     def columns(self) -> list:
-        return list(zip(*self.data)) if self.rows else [()] * self.cols
+        return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(x == z for row in self.data for x in row)
+        return not any(self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.ring, self.rows, self.cols, self.entries) == (other.ring, other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.ring, self.rows, self.cols, tuple(frozenset(col.items()) for col in self.entries)))
+
+    def __repr__(self):
+        return f"Matrix(ring={self.ring!r}, rows={self.rows}, cols={self.cols}, data={self.data!r})"
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.ring != other.ring:
             raise ValueError("dimension or ring mismatch")
-        r = self.ring
-        # row i of the product sums a_ik times row k of other, over the nonzero a_ik
-        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+        add, mul = self.ring.add, self.ring.mul
+        left = self.entries
         out = []
-        for row in self.data:
-            acc = [r.zero] * other.cols
-            for a, terms in zip(row, sparse):
-                if a:
-                    for j, x in terms:
-                        acc[j] = r.add(acc[j], r.mul(a, x))
-            out.append(tuple(acc))
-        return Matrix(r, self.rows, other.cols, tuple(out))
+        # column j of the product sums b_kj times column k of self, over the nonzero b_kj
+        for col in other.entries:
+            acc: dict = {}
+            for k, b in col.items():
+                for i, a in left[k].items():
+                    acc[i] = add(acc[i], mul(a, b)) if i in acc else mul(a, b)
+            out.append(acc if all(acc.values()) else {i: x for i, x in acc.items() if x})
+        return Matrix._of(self.ring, self.rows, other.cols, tuple(out))
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -276,8 +311,18 @@ class Matrix:
     def _entrywise(self, other: "Matrix", op) -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
             raise ValueError("dimension or ring mismatch")
-        data = tuple(tuple(map(op, r, s)) for r, s in zip(self.data, other.data))
-        return Matrix(self.ring, self.rows, self.cols, data)
+        zero = self.ring.zero
+        out = []
+        for left, right in zip(self.entries, other.entries):
+            col = dict(left)
+            for i, y in right.items():
+                x = op(col.get(i, zero), y)
+                if x:
+                    col[i] = x
+                else:
+                    col.pop(i, None)
+            out.append(col)
+        return Matrix._of(self.ring, self.rows, self.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, self.ring.add)
@@ -293,8 +338,8 @@ class Matrix:
     @cached_property
     def invariant_factors(self) -> tuple:
         """The nonzero Smith diagonal (all ones over a field), whose length is the rank; by one
-        elimination without transforms."""
-        return _eliminate(self, transforms=False)[0]
+        sparse elimination without transforms."""
+        return _eliminate(self)
 
 
 @dataclass(frozen=True)
@@ -329,28 +374,16 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
     """Smith normal form by elementary row/column operations, with its transforms.
 
     Deterministic: the pivot is the nonzero entry of minimal pivot size, ties
-    broken by lowest row then column index.
+    broken by lowest row then column index.  The elimination runs on a dense
+    working array: m with the transforms riding along, left to the right of m's
+    rows and right below them.  This is the reference the sparse engine
+    (`Matrix.invariant_factors`) is tested against; no production path calls it.
     """
-    d, a = _eliminate(m, transforms=True)
-    left = Matrix(m.ring, m.rows, m.rows, tuple(tuple(row[m.cols:]) for row in a[: m.rows]))
-    return SmithDecomposition(d, left, Matrix(m.ring, m.cols, m.cols, tuple(map(tuple, a[m.rows:]))), len(d))
-
-
-def _eliminate(m: Matrix, transforms: bool) -> tuple:
-    """The Smith diagonal d of m and the working array.  With transforms, the array is m
-    with the transforms riding along: left to the right of m's rows, right below them.
-    Without them, unit pivots are removed first (`_unit_pivots`), and the array is the
-    unit-free core they leave."""
     require_pid(m.ring)
     ring = m.ring
-    if transforms:
-        units = ()
-        nr, nc = m.rows, m.cols
-        a = [list(row) + list(e) for row, e in zip(m.data, Matrix.identity(ring, nr).data)]
-        a += [list(row) for row in Matrix.identity(ring, nc).data]
-    else:
-        units, a = _unit_pivots(m)
-        nr, nc = len(a), len(a[0]) if a else 0
+    nr, nc = m.rows, m.cols
+    a = [list(row) + list(e) for row, e in zip(m.data, Matrix.identity(ring, nr).data)]
+    a += [list(row) for row in Matrix.identity(ring, nc).data]
     # At step t, rows t.. are zero left of column t, and columns t.. are zero above
     # row t, so the operations below start there.
 
@@ -403,88 +436,188 @@ def _eliminate(m: Matrix, transforms: bool) -> tuple:
             a[t] = [ring.mul(x, u) for x in a[t]]
         t += 1
 
-    return units + tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i]), a
+    d = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
+    left = Matrix(ring, nr, nr, [row[nc:] for row in a[:nr]])
+    return SmithDecomposition(d, left, Matrix(ring, nc, nc, a[nr:]), len(d))
 
 
-def _unit_pivots(m: Matrix) -> tuple:
-    """Remove the unit pivots of m: one `ring.one` per pivot, and the unit-free core left,
-    as dense rows.
+def _eliminate(m: Matrix) -> tuple:
+    """The invariant factors of m, by sparse elimination without transforms.
 
-    A unit u at (i, j) clears its column by row operations, then its row by column
-    operations.  That leaves u beside the Schur complement: the rest of m minus
-    (column j) u^-1 (row i).  So m has the invariant factors of the complement plus one
-    unit.  The pivot is the unit entry of least (row nnz - 1) * (column nnz - 1), which
-    bounds its fill; ties go to the lowest row, then the lowest column.  Over a field
-    every nonzero is a unit, so the core is empty.
+    m and its transpose have the same invariant factors, so this eliminates
+    whichever has fewer rows: the transpose's rows are m's stored columns, m's own
+    rows are gathered from them.  A pivot touches one row per entry of its column,
+    so fewer, longer rows mean fewer rows touched per pivot.  `rows` maps a row to
+    its {column: nonzero entry} dict, `cols` a column to the rows with an entry there.
+
+    Unit phase.  A unit u at (i, j) clears its column by row operations, then its
+    row by column operations.  That leaves u beside the Schur complement: the rest
+    minus (column j) u^-1 (row i), so it adds one unit factor.  The pivot is the
+    unit entry of least (row nnz - 1) * (column nnz - 1), which bounds its fill;
+    ties go to the lowest row, then the lowest column.  Over a field every nonzero
+    is a unit, so this phase eliminates everything.
+
+    Euclid phase, over Z when no unit is left.  The pivot is an entry p of least
+    |p|, ties going by the same cost, then row and column.  Row operations reduce
+    the other entries of its column to remainders of at most |p| / 2.  When none
+    is left, column operations reduce the entries of its row the same way, which
+    changes that row only; if they all vanish, p is a diagonal pivot and leaves
+    with its row and column.  Otherwise a remainder smaller than |p| is left, so
+    the least entry shrinks, and a unit remainder goes back to the unit phase.
+
+    What is left is diagonal: the units and the non-unit pivots, which gcd/lcm
+    steps (diag(a, b) ~ diag(gcd, lcm)) put into the divisibility chain.  This is
+    the elimination of Dumas, Saunders and Villard (JSC 2001).
     """
+    require_pid(m.ring)
     ring = m.ring
-    sub, mul, zero, field, is_unit = ring.sub, ring.mul, ring.zero, ring.is_field, ring.is_unit
-    if not any(x and (field or is_unit(x)) for row in m.data for x in row):
-        return (), [list(row) for row in m.data]
-    rows: dict = {}  # row -> {column: nonzero entry}; ascending rows, as none is added
-    cols: dict = {}  # column -> the rows with a nonzero entry there
-    for i, row in enumerate(m.data):
-        entries = {j: x for j, x in enumerate(row) if x}
-        if entries:
-            rows[i] = entries
-            for j in entries:
-                cols.setdefault(j, set()).add(i)
-    # (cost, row, column) keys.  Every change to a unit entry's cost pushes its new
-    # key, so the least key that is still current is the pivot; keys gone out of date
-    # are dropped when popped.
-    heap = [
-        ((len(entries) - 1) * (len(cols[j]) - 1), i, j)
-        for i, entries in rows.items()
-        for j, x in entries.items()
-        if field or is_unit(x)
-    ]
-    heapify(heap)
-    pivots = 0
-    while heap:
-        cost, i, j = heappop(heap)
-        pivot = rows.get(i)
-        if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
-            continue
-        if not (field or is_unit(pivot[j])):
-            continue
-        del rows[i]
-        for c in pivot:
-            cols[c].discard(i)
-        inv = ring.inv(pivot.pop(j))
-        touched = cols.pop(j)
-        for k in touched:
+    add, mul, neg, field = ring.add, ring.mul, ring.neg, ring.is_field
+    rows: dict = {}
+    cols: dict = {}
+    if m.rows < m.cols:
+        for j, col in enumerate(m.entries):
+            if col:
+                cols[j] = set(col)
+                for i, x in col.items():
+                    if i in rows:
+                        rows[i][j] = x
+                    else:
+                        rows[i] = {j: x}
+    else:
+        for i, col in enumerate(m.entries):
+            if col:
+                rows[i] = dict(col)
+                for j in col:
+                    if j in cols:
+                        cols[j].add(i)
+                    else:
+                        cols[j] = {i}
+
+    # (cost, row, column) keys of unit entries.  Every change to a unit entry's cost
+    # pushes its new key, so the least key that is still current is the pivot; keys
+    # gone out of date are dropped when popped.  Over a field every nonzero is a unit;
+    # the one other ring is Z, with units 1 and -1.
+    heap: list = []
+    # Euclid phase: (|entry|, cost, row, column) keys of the other entries, from its
+    # first step on, kept current the same way.
+    sizes = None
+
+    def push(ks, cs) -> None:
+        """Keys for the entries of rows ks and of columns cs, whose values or counts changed;
+        ks is a set when cs is not empty."""
+        for k in ks:
             entries = rows[k]
-            q = mul(entries.pop(j), inv)  # row k -= q * row i clears its entry in column j
-            for c, x in pivot.items():
-                v = sub(entries.get(c, zero), mul(q, x))
-                if v:
-                    entries[c] = v
-                    cols[c].add(k)
-                else:  # q * x is nonzero, so the entry was there and cancelled
-                    del entries[c]
-                    cols[c].discard(k)
-        # new keys: the touched rows changed their counts, the pivot's columns theirs
-        for k in touched:
-            entries = rows[k]
-            if not entries:
-                del rows[k]
-                continue
             fill = len(entries) - 1
             for c, x in entries.items():
-                if field or is_unit(x):
+                if field or x == 1 or x == -1:
                     heappush(heap, (fill * (len(cols[c]) - 1), k, c))
-        for c in pivot:
-            ks = cols[c]
-            if not ks:
+                elif sizes is not None:
+                    heappush(sizes, (abs(x), fill * (len(cols[c]) - 1), k, c))
+        for c in cs:
+            fill = len(cols[c]) - 1
+            for k in cols[c]:
+                if k not in ks:
+                    x = rows[k][c]
+                    if field or x == 1 or x == -1:
+                        heappush(heap, ((len(rows[k]) - 1) * fill, k, c))
+                    elif sizes is not None:
+                        heappush(sizes, (abs(x), (len(rows[k]) - 1) * fill, k, c))
+
+    def row_sub(k, q, pivot) -> None:  # row k -= q * pivot, a row's entries; cols kept in step
+        entries, nq = rows[k], neg(q)
+        for c, x in pivot.items():
+            if c in entries:
+                v = add(entries[c], mul(nq, x))
+                if v:
+                    entries[c] = v
+                else:
+                    del entries[c]
+                    cols[c].discard(k)
+            else:  # nq * x is nonzero: a PID has no zero divisors
+                entries[c] = mul(nq, x)
+                cols[c].add(k)
+        if not entries:
+            del rows[k]
+
+    def drop_empty(cs) -> list:
+        """Drop the columns of cs left empty; the others of cs."""
+        for c in cs:
+            if not cols[c]:
                 del cols[c]
+        return [c for c in cs if c in cols]
+
+    push(rows, ())
+    units, pivots = 0, []  # the unit count; the non-unit diagonal pivots
+    while rows:
+        while heap:
+            cost, i, j = heappop(heap)
+            pivot = rows.get(i)
+            if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
                 continue
-            fill = len(ks) - 1
-            for k in ks - touched:
-                if field or is_unit(rows[k][c]):
-                    heappush(heap, ((len(rows[k]) - 1) * fill, k, c))
-        pivots += 1
-    keep = sorted(cols)
-    return (ring.one,) * pivots, [[entries.get(j, zero) for j in keep] for entries in rows.values()]
+            u = pivot[j]
+            if not (field or u == 1 or u == -1):
+                continue
+            del rows[i]
+            for c in pivot:
+                cols[c].discard(i)
+            del pivot[j]
+            inv = ring.inv(u) if field else u  # over Z, u is 1 or -1
+            touched = cols.pop(j)
+            for k in touched:
+                row_sub(k, mul(rows[k].pop(j), inv), pivot)  # clears its entry in column j
+            # new keys: the touched rows changed their counts, the pivot's columns theirs
+            push({k for k in touched if k in rows}, drop_empty(pivot))
+            units += 1
+        if field or not rows:
+            break
+        if sizes is None:
+            sizes = [
+                (abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
+                for k, entries in rows.items()
+                for c, x in entries.items()
+            ]
+            heapify(sizes)
+        while True:
+            size, cost, i, j = heappop(sizes)
+            pivot = rows.get(i)
+            if (
+                pivot is not None
+                and abs(pivot.get(j, 0)) == size
+                and cost == (len(pivot) - 1) * (len(cols[j]) - 1)
+            ):
+                break
+        p = pivot[j]
+        ks = [k for k in cols[j] if k != i]
+        cs = list(pivot)  # the columns whose counts the row operations change
+        for k in ks:
+            q = _nearest_quotient(rows[k][j], p)
+            if q:
+                row_sub(k, q, pivot)
+        if len(cols[j]) == 1:  # column j is p alone: column operations change row i only
+            for c in cs:
+                if c != j:
+                    v = pivot[c] - _nearest_quotient(pivot[c], p) * p
+                    if v:
+                        pivot[c] = v
+                    else:
+                        del pivot[c]
+                        cols[c].discard(i)
+            if len(pivot) == 1:
+                pivots.append(abs(p))
+                del rows[i], cols[j]
+        # every entry that changed is in rows ks and i, and every count that changed
+        push({k for k in ks + [i] if k in rows}, drop_empty([c for c in cs if c in cols]))
+    for a in range(len(pivots)):
+        for b in range(a + 1, len(pivots)):
+            g = gcd(pivots[a], pivots[b])
+            pivots[a], pivots[b] = g, pivots[a] // g * pivots[b]
+    return (ring.one,) * units + tuple(pivots)
+
+
+def _nearest_quotient(x: int, p: int) -> int:
+    """The q with |x - q p| <= |p| / 2: the remainder is as small as it can be."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
 
 
 @dataclass(frozen=True)
@@ -493,10 +626,11 @@ class Echelon:
     for an invertible u, with e = m u in column Hermite form (reduced column echelon
     form over a field).
 
-    columns[j] is column j of [e; u].  The first rank columns of e are its nonzero ones;
-    pivots[j] is the row of the first nonzero entry of column j < rank, and these rows
-    ascend.  The u parts of the later columns, themselves in column Hermite form, are
-    the canonical basis of ker m.
+    columns[j] holds the nonzero entries of column j of [e; u], keyed by row (rows
+    from m.rows on are u's).  The first rank columns of e are its nonzero ones;
+    pivots[j] is the row of the first nonzero entry of column j < rank, and these
+    rows ascend.  The u parts of the later columns, themselves in column Hermite
+    form, are the canonical basis of ker m.
     """
 
     pivots: tuple
@@ -505,58 +639,66 @@ class Echelon:
 
 def _echelon(m: Matrix) -> Echelon:
     require_pid(m.ring)
-    stacked = [col + e for col, e in zip(m.columns(), Matrix.identity(m.ring, m.cols).data)]
-    cols, pivots = _hermite_column_reduce(stacked, m.rows + m.cols, m.ring)
-    return Echelon(tuple(p for p in pivots if p < m.rows), tuple(map(tuple, cols)))
+    one, top = m.ring.one, m.rows
+    stacked = [{**col, top + j: one} for j, col in enumerate(m.entries)]
+    pivots = _hermite_column_reduce(stacked, m.ring)
+    return Echelon(tuple(p for p in pivots if p < top), tuple(stacked))
 
 
-def _hermite_column_reduce(cols: list, nrows: int, ring: Ring) -> tuple:
-    """Canonicalize a list of column vectors spanning a lattice/subspace.
+def _hermite_column_reduce(cols: list, ring: Ring) -> list:
+    """Canonicalize, in place, a list of linearly independent sparse columns ({row: nonzero}).
 
-    Over Z this is a column-style Hermite normal form (positive pivots,
-    entries left of a pivot reduced into [0, pivot)); over a field it is a
-    column reduced echelon form.  Column operations only, so the span (the
-    full lattice, over Z) is unchanged.  Returns the columns and the pivot
-    row of each nonzero one; those come first, their pivot rows ascending.
+    Over Z this is a column-style Hermite normal form (positive pivots, entries
+    left of a pivot reduced into [0, pivot)); over a field it is a column reduced
+    echelon form.  Column operations only, so the span (the full lattice, over Z)
+    is unchanged.  Returns the pivot row of each column; they ascend.
     """
-    cols = [list(c) for c in cols]
+    sub, mul, quo, zero, field = ring.sub, ring.mul, ring.quo, ring.zero, ring.is_field
+
+    def col_sub(cj, ck, q):  # cj -= q * ck
+        for h, x in ck.items():
+            v = sub(cj.get(h, zero), mul(q, x))
+            if v:
+                cj[h] = v
+            else:
+                del cj[h]
+
+    lead = [min(c) for c in cols]  # each column's first row; columns r.. are zero above row i
     pivots = []
-
-    def col_sub(j, k, q):  # col j -= q * col k, whose entries above row i are zero
-        cj, ck = cols[j], cols[k]
-        for h in range(i, nrows):
-            if ck[h]:
-                cj[h] = ring.sub(cj[h], ring.mul(q, ck[h]))
-
-    for i in range(nrows):
-        r = len(pivots)
-        if r == len(cols):
-            break
+    for r in range(len(cols)):
+        i = min(lead[r:])
         while True:
-            nz = [j for j in range(r, len(cols)) if cols[j][i]]
-            if not nz:
-                break
+            nz = [j for j in range(r, len(cols)) if lead[j] == i]
             best = nz[0] if len(nz) == 1 else min(nz, key=lambda j: (ring.pivot_size(cols[j][i]), j))
             if best != r:
                 cols[best], cols[r] = cols[r], cols[best]
+                lead[best], lead[r] = lead[r], lead[best]
             if len(nz) == 1:
                 break
+            pivot = cols[r]
             for j in range(r + 1, len(cols)):
-                if cols[j][i]:
-                    col_sub(j, r, ring.quo(cols[j][i], cols[r][i]))
-            if ring.is_field:
+                if lead[j] == i:
+                    col_sub(cols[j], pivot, quo(cols[j][i], pivot[i]))
+                    lead[j] = min(cols[j])
+            if field:
                 break
-        if cols[r][i]:
-            if ring.is_field:
-                u = ring.inv(cols[r][i])
-                cols[r] = [ring.mul(u, x) for x in cols[r]]
-            elif cols[r][i] < 0:
-                cols[r] = [-x for x in cols[r]]
-            for j in range(r):
-                if cols[j][i]:
-                    col_sub(j, r, ring.quo(cols[j][i], cols[r][i]))
-            pivots.append(i)
-    return cols, pivots
+        pivot = cols[r]
+        if field:
+            u = ring.inv(pivot[i])
+            if u != 1:
+                for h in pivot:
+                    pivot[h] = mul(u, pivot[h])
+        elif pivot[i] < 0:
+            for h in pivot:
+                pivot[h] = -pivot[h]
+        for j in range(r):
+            x = cols[j].get(i)
+            if x:
+                q = quo(x, pivot[i])
+                if q:
+                    col_sub(cols[j], pivot, q)
+        pivots.append(i)
+    return pivots
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -568,8 +710,9 @@ def kernel_basis(m: Matrix) -> Matrix:
     require_pid(m.ring)
     if m.rows == 0:
         return Matrix.identity(m.ring, m.cols)  # already in Hermite form
-    ech = m.echelon
-    return Matrix.from_columns(m.ring, [col[m.rows:] for col in ech.columns[len(ech.pivots):]], m.cols)
+    ech, top = m.echelon, m.rows
+    kernel = tuple({h - top: x for h, x in col.items()} for col in ech.columns[len(ech.pivots):])
+    return Matrix._of(m.ring, m.cols, len(kernel), kernel)
 
 
 def solve_in_lattice(basis: Matrix, target: Sequence):
@@ -582,24 +725,23 @@ def solve_in_lattice(basis: Matrix, target: Sequence):
     """
     require_pid(basis.ring)
     ring = basis.ring
-    target = [ring.coerce(x) for x in target]
+    sub, mul, zero = ring.sub, ring.mul, ring.zero
     if len(target) != basis.rows:
         raise ValueError("target length mismatch")
-    ech = basis.echelon
-    top = basis.rows
-    coeffs = [ring.zero] * basis.cols
+    rest = {i: x for i, x in enumerate(map(ring.coerce, target)) if x}
+    ech, top = basis.echelon, basis.rows
+    coeffs = [zero] * basis.cols
     for col, p in zip(ech.columns, ech.pivots):
-        x = target[p]
+        x = rest.get(p)
         if not x:
             continue
-        z = ring.quo(x, col[p])  # over Z a remainder stays in target[p] and fails the last test
-        for h in range(p, top):
-            if col[h]:
-                target[h] = ring.sub(target[h], ring.mul(z, col[h]))
-        for k in range(basis.cols):
-            if col[top + k]:
-                coeffs[k] = ring.add(coeffs[k], ring.mul(z, col[top + k]))
-    if any(target):
+        z = ring.quo(x, col[p])  # over Z a remainder stays at p and fails the last test
+        for h, y in col.items():
+            if h < top:
+                rest[h] = sub(rest.get(h, zero), mul(z, y))
+            else:
+                coeffs[h - top] = ring.add(coeffs[h - top], mul(z, y))
+    if any(rest.values()):
         return None
     return tuple(coeffs)
 

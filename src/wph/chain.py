@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     HomologyGroup,
@@ -89,8 +89,7 @@ def weighted_boundary(v: ChainVector, weights: dict) -> ChainVector:
     return ChainVector.from_dict(v.degree - 1, out, ring)
 
 
-@dataclass(frozen=True)
-class OmegaBlock:
+class OmegaBlock(NamedTuple):
     """One connected block of the Omega_n constraint matrix and its kernel basis.
 
     paths indexes the block's regular n-paths in reg_paths[n], gens the block's
@@ -208,31 +207,28 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         # each path's faces outside P: its column of the constraint matrix
         cut = [[(q, c) for q, c in terms if q.__class__ is tuple] for terms in table]
         kernels = []  # (block path indices, block kernel basis)
+        order = []  # (pivot row, block number, generator) for every generator
         for members in _linked_paths(cut):
             if len(members) == 1:
-                kernels.append((members, empty if cut[members[0]] else identity))
-                continue
-            outside = sorted({q for j in members for q, _ in cut[j]})
-            row_index = {q: i for i, q in enumerate(outside)}
-            mat = [[ring.zero] * len(members) for _ in outside]
-            for k, j in enumerate(members):
-                for q, c in cut[j]:
-                    mat[row_index[q]][k] = c
-            constraint = Matrix(ring, len(outside), len(members), tuple(map(tuple, mat)))
-            kernels.append((members, kernel_basis(constraint)))
-        # every generator by its pivot (first nonzero) row, which no other generator shares
-        order = sorted(
-            (members[next(k for k, x in enumerate(col) if x)], b, col)
-            for b, (members, basis) in enumerate(kernels)
-            for col in basis.columns()
-        )
+                basis = empty if cut[members[0]] else identity
+            else:
+                outside = sorted({q for j in members for q, _ in cut[j]})
+                row_index = {q: i for i, q in enumerate(outside)}
+                constraint = Matrix.from_columns(
+                    ring, [{row_index[q]: c for q, c in cut[j]} for j in members], len(outside)
+                )
+                basis = kernel_basis(constraint)
+            order += [(members[min(col)], len(kernels), col) for col in basis.entries]
+            kernels.append((members, basis))
+        # generators by their pivot (first nonzero) rows, which no two share
+        order.sort(key=itemgetter(0))
         gens = [[] for _ in kernels]
-        basis_rows = [[ring.zero] * len(order) for _ in table]
+        columns = []
         for g, (_, b, col) in enumerate(order):
             gens[b].append(g)
-            for j, x in zip(kernels[b][0], col):
-                basis_rows[j][g] = x
-        bases.append(Matrix(ring, len(table), len(order), tuple(map(tuple, basis_rows))))
+            members = kernels[b][0]
+            columns.append({members[k]: x for k, x in col.items()})
+        bases.append(Matrix.from_columns(ring, columns, len(table)))
         blocks.append([
             OmegaBlock(members, tuple(g), basis) for (members, basis), g in zip(kernels, gens)
         ])
@@ -276,7 +272,8 @@ def restrict_to_omega(
     """The matrix, source Omega_n -> target Omega_m, of a linear map given on elementary paths.
 
     `image(i)` yields the (key, coefficient) terms of the image of the regular
-    n-path source.reg_paths[n][i], for every path a generator uses.  The key is
+    n-path source.reg_paths[n][i], one per key, for every path a generator uses
+    (every row of source.bases[n] it has an entry in).  The key is
     the term's row among the target's regular m-paths, or, for a path outside
     them, its code in the target's numbering.  Outside terms must cancel in each
     generator's image; `error` is raised when they do not, or when the image
@@ -297,21 +294,21 @@ def restrict_to_omega(
         else:
             for k, i in enumerate(block.paths):
                 place[i] = (b, k)
-    generators = sorted(
-        ((g, block.paths, gen) for block in source.blocks[n] for g, gen in zip(block.gens, block.basis.columns())),
-        key=itemgetter(0),
-    )
     cols = []
-    for j, paths, gen in generators:
-        acc: dict = {}
-        for coeff, i in zip(gen, paths):
-            if coeff:
-                unit = coeff == one
+    for j, gen in enumerate(source.bases[n].entries):
+        if len(gen) == 1:  # the image of one path, whose keys are distinct
+            ((i, coeff),) = gen.items()
+            terms = image(i) if coeff == one else [(q, mul(coeff, c)) for q, c in image(i)]
+        else:
+            acc: dict = {}
+            for i, coeff in sorted(gen.items()):
                 for q, c in image(i):
-                    acc[q] = add(acc.get(q, zero), c if unit else mul(coeff, c))
-        col = [zero] * target.rank(m)
+                    c = mul(coeff, c)
+                    acc[q] = add(acc[q], c) if q in acc else c
+            terms = acc.items()
+        col = {}
         slices: dict = {}  # target block number -> the image's slice on that block
-        for q, c in acc.items():
+        for q, c in terms:
             if not c:
                 continue
             if q.__class__ is not int:
@@ -330,7 +327,8 @@ def restrict_to_omega(
             if sol is None:
                 raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
             for g, x in zip(block.gens, sol):
-                col[g] = x
+                if x:
+                    col[g] = x
         cols.append(col)
     return Matrix.from_columns(ring, cols, target.rank(m))
 
@@ -387,7 +385,7 @@ def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComple
     for n in range(1, top + 1):
         lhs = target.boundary(n) @ mats[n]
         rhs = mats[n - 1] @ source.boundary(n)
-        if lhs.data != rhs.data:
+        if lhs != rhs:
             raise ImageNotInOmegaError(
                 f"induced map does not commute with the boundary in degree {n}"
             )

@@ -1,7 +1,6 @@
 """Morphism verification, one-step homotopy, the prism operator and certificates."""
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -217,9 +216,9 @@ def chain_homotopy_certificate(
         if n >= 1:
             total = total + L[n - 1] @ om_src.boundary(n)
         want = g_mats[n] - f_mats[n]
-        if total.data != want.data:
+        if total != want:
             for j in range(total.cols):
-                if total.column(j) != want.column(j):
+                if total.entries[j] != want.entries[j]:
                     raise HomotopyIdentityFailedError(
                         f"chain-homotopy identity fails on Omega_{n} generator {j}"
                     )
@@ -245,7 +244,7 @@ def _induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> 
         if moved.is_zero():
             continue
         img = om_tgt.boundary(n + 1)
-        both = Matrix(img.ring, img.rows, img.cols + moved.cols, tuple(map(operator.add, img.data, moved.data)))
+        both = Matrix.from_columns(img.ring, img.entries + moved.entries, img.rows)
         if both.invariant_factors != img.invariant_factors:
             return False
     return True

@@ -3,15 +3,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter, ne
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Ring
 from .errors import InvariantError
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
-    """A vertex label plus its prime level (v vs v' in cylinders)."""
+class Vertex(NamedTuple):
+    """A vertex label plus its prime level (v vs v' in cylinders).
+
+    A tuple-backed value: it orders, hashes and compares as the plain tuple
+    (label, prime), and so compares equal to that tuple.
+    """
 
     label: str
     prime: int = 0
@@ -27,15 +30,23 @@ class Vertex:
         return self.render()
 
 
-@dataclass(frozen=True, order=True)
-class Path:
-    """An elementary path: a non-empty ordered vertex sequence."""
-
+class _PathFields(NamedTuple):
     vertices: tuple
 
-    def __post_init__(self):
-        if not self.vertices:
+
+class Path(_PathFields):
+    """An elementary path: a non-empty ordered vertex sequence.
+
+    A tuple-backed value, the 1-tuple (vertices,): it orders, hashes and
+    compares by its vertex tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple):
+        if not vertices:
             raise InvariantError("elementary paths are non-empty")
+        return tuple.__new__(cls, (vertices,))
 
     @classmethod
     def of(cls, *vs: Vertex) -> "Path":

@@ -300,11 +300,14 @@ SPARSE_RINGS = {"Z": ZZ, "Q": QQ, "Z7": Zmod(7), "Z2": Zmod(2)}
 
 
 @st.composite
-def sparse_matrices(draw, max_dim: int = 5):
-    """Mostly zero matrices with unit and non-unit entries, any shape down to 0 x 0."""
-    ring = SPARSE_RINGS[draw(st.sampled_from(sorted(SPARSE_RINGS)))]
+def sparse_matrices(draw, max_dim: int = 5, unit_free: bool = False):
+    """Mostly zero matrices with unit and non-unit entries, any shape down to 0 x 0.
+
+    With unit_free, integer matrices whose entries are 0, +-2, +-3, 4 and 6: no
+    entry is a unit, so their elimination starts with the Euclid phase."""
+    ring = ZZ if unit_free else SPARSE_RINGS[draw(st.sampled_from(sorted(SPARSE_RINGS)))]
     rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
-    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 6])
+    entry = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, 6] if unit_free else [0, 0, 0, 0, 1, -1, 2, -3, 6])
     if ring == QQ:
         entry = st.builds(Fraction, entry, st.sampled_from([1, 2, 3]))
     data = [[ring.coerce(x) for x in draw(st.lists(entry, min_size=cols, max_size=cols))] for _ in range(rows)]
@@ -340,4 +343,10 @@ def test_solve_in_lattice_agrees_with_the_smith_route(basis, data):
 @settings(max_examples=300, deadline=None)
 @given(sparse_matrices(max_dim=7))
 def test_invariant_factors_equal_the_smith_diagonal_on_sparse_matrices(m):
+    assert m.invariant_factors == smith_normal_form(m).d
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(max_dim=7, unit_free=True))
+def test_invariant_factors_equal_the_smith_diagonal_without_units(m):
     assert m.invariant_factors == smith_normal_form(m).d

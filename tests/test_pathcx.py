@@ -23,6 +23,19 @@ def test_path_truncations_and_regularity():
     assert Path((a, a, b)).collapse_repeats() == Path((a, b))
 
 
+def test_an_empty_path_is_refused():
+    with pytest.raises(InvariantError, match="non-empty"):
+        Path(())
+
+
+def test_vertices_and_paths_are_tuple_values():
+    # a Vertex is the tuple (label, prime); a Path orders by its vertex tuple
+    assert Vertex("a", 1) == ("a", 1) and hash(Vertex("a", 1)) == hash(("a", 1))
+    assert sorted([Vertex("b"), Vertex("a", 1), Vertex("a")]) == [Vertex("a"), Vertex("a", 1), Vertex("b")]
+    assert sorted([Path((b,)), Path((a, b)), Path((a,))]) == [Path((a,)), Path((a, b)), Path((b,))]
+    assert repr(Path.of(a, Vertex("b", 1))) == "(a b')"
+
+
 def test_primed_vertices_render_with_trailing_apostrophes():
     v = Vertex("a", 2)
     assert v.render() == "a''"
