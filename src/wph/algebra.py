@@ -16,7 +16,6 @@ elimination is tested against, and no production path calls it.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -54,10 +53,17 @@ class Ring:
     def coerce(self, x) -> Scalar:
         raise NotImplementedError
 
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
+    def add(self, a, b) -> Scalar:
+        return a + b
+
+    def sub(self, a, b) -> Scalar:
+        return a - b
+
+    def mul(self, a, b) -> Scalar:
+        return a * b
+
+    def neg(self, a) -> Scalar:
+        return -a
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -84,8 +90,6 @@ class IntegerRing(Ring):
     one = 1
 
     def coerce(self, x):
-        if x.__class__ is int:
-            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError(f"{x} is not an integer")
@@ -227,13 +231,6 @@ class Matrix:
         self.ring, self.rows, self.cols, self.entries = ring, rows, cols, entries
 
     @classmethod
-    def _of(cls, ring: Ring, rows: int, cols: int, entries: tuple) -> "Matrix":
-        """A matrix on the given column dicts, which hold no zero and are not copied."""
-        m = cls.__new__(cls)
-        m.ring, m.rows, m.cols, m.entries = ring, rows, cols, entries
-        return m
-
-    @classmethod
     def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "Matrix":
         data = [[ring.coerce(x) for x in row] for row in rows]
         ncols = len(data[0]) if data else 0
@@ -243,21 +240,19 @@ class Matrix:
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
-        return cls._of(ring, rows, cols, tuple({} for _ in range(cols)))
+        return cls.from_columns(ring, [{} for _ in range(cols)], rows)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         one = ring.one
-        return cls._of(ring, n, n, tuple({j: one} for j in range(n)))
+        return cls.from_columns(ring, [{j: one} for j in range(n)], n)
 
     @classmethod
     def from_columns(cls, ring: Ring, cols: Sequence, rows: int) -> "Matrix":
-        """A matrix from columns whose entries are already values of `ring`: each column a
-        dense sequence, or a {row: nonzero value} dict, which is kept as it is."""
-        entries = tuple(
-            col if col.__class__ is dict else {i: x for i, x in enumerate(col) if x} for col in cols
-        )
-        return cls._of(ring, rows, len(entries), entries)
+        """A matrix on the given columns: {row: nonzero value of `ring`} dicts, kept as they are."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols, m.entries = ring, rows, len(cols), tuple(cols)
+        return m
 
     @cached_property
     def data(self) -> tuple:
@@ -267,14 +262,6 @@ class Matrix:
             for i, x in col.items():
                 out[i][j] = x
         return tuple(map(tuple, out))
-
-    def column(self, j: int) -> tuple:
-        """Column j as a dense tuple."""
-        col, zero = self.entries[j], self.ring.zero
-        return tuple(col.get(i, zero) for i in range(self.rows))
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -303,7 +290,7 @@ class Matrix:
                 for i, a in left[k].items():
                     acc[i] = add(acc[i], mul(a, b)) if i in acc else mul(a, b)
             out.append(acc if all(acc.values()) else {i: x for i, x in acc.items() if x})
-        return Matrix._of(self.ring, self.rows, other.cols, tuple(out))
+        return Matrix.from_columns(self.ring, out, self.rows)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -322,7 +309,7 @@ class Matrix:
                 else:
                     col.pop(i, None)
             out.append(col)
-        return Matrix._of(self.ring, self.rows, self.cols, tuple(out))
+        return Matrix.from_columns(self.ring, out, self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, self.ring.add)
@@ -447,8 +434,11 @@ def _eliminate(m: Matrix) -> tuple:
     m and its transpose have the same invariant factors, so this eliminates
     whichever has fewer rows: the transpose's rows are m's stored columns, m's own
     rows are gathered from them.  A pivot touches one row per entry of its column,
-    so fewer, longer rows mean fewer rows touched per pivot.  `rows` maps a row to
-    its {column: nonzero entry} dict, `cols` a column to the rows with an entry there.
+    so fewer, longer rows mean fewer rows touched per pivot.  Each side is the
+    faster one where this rule takes it: m's rows on the wide boundaries of the
+    complete digraphs, the transpose on the tall ones of grids and hypergraph
+    cylinders (timings in BENCH_10.json).  `rows` maps a row to its
+    {column: nonzero entry} dict, `cols` a column to the rows with an entry there.
 
     Unit phase.  A unit u at (i, j) clears its column by row operations, then its
     row by column operations.  That leaves u beside the Schur complement: the rest
@@ -711,8 +701,8 @@ def kernel_basis(m: Matrix) -> Matrix:
     if m.rows == 0:
         return Matrix.identity(m.ring, m.cols)  # already in Hermite form
     ech, top = m.echelon, m.rows
-    kernel = tuple({h - top: x for h, x in col.items()} for col in ech.columns[len(ech.pivots):])
-    return Matrix._of(m.ring, m.cols, len(kernel), kernel)
+    kernel = [{h - top: x for h, x in col.items()} for col in ech.columns[len(ech.pivots):]]
+    return Matrix.from_columns(m.ring, kernel, m.cols)
 
 
 def solve_in_lattice(basis: Matrix, target: Sequence):

@@ -281,6 +281,12 @@ def restrict_to_omega(
     and solved block by block: a block the image misses contributes zeros, and
     a row of a block without constraints (identity basis) is its generator's
     coefficient as it is.
+
+    A generator on one path takes that path's image as it is, unsummed, which is
+    why each image must have distinct keys.  Every caller's does: the faces of a
+    regular path are distinct (dropping entries s < t gives the same sequence only
+    if entries s..t are equal), a path morphism's image is one path, and a prism is
+    a chain, with one coefficient per path.
     """
     ring = source.ring
     zero, one, add, mul = ring.zero, ring.one, ring.add, ring.mul
@@ -296,7 +302,7 @@ def restrict_to_omega(
                 place[i] = (b, k)
     cols = []
     for j, gen in enumerate(source.bases[n].entries):
-        if len(gen) == 1:  # the image of one path, whose keys are distinct
+        if len(gen) == 1:  # the image of one path, whose keys are distinct (see above)
             ((i, coeff),) = gen.items()
             terms = image(i) if coeff == one else [(q, mul(coeff, c)) for q, c in image(i)]
         else:

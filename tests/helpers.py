@@ -5,11 +5,21 @@ import random
 from fractions import Fraction
 from pathlib import Path as FsPath
 
-from wph.algebra import QQ, ZZ
+from wph.algebra import QQ, ZZ, Matrix
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
 
 FIXTURES = FsPath(__file__).resolve().parent.parent / "fixtures"
+
+
+def dense_columns(m: Matrix) -> list:
+    """The columns of m as dense tuples."""
+    return [tuple(col.get(i, m.ring.zero) for i in range(m.rows)) for col in m.entries]
+
+
+def matrix_of_columns(ring, cols, rows: int) -> Matrix:
+    """The rows x len(cols) matrix with the given dense columns."""
+    return Matrix(ring, rows, len(cols), list(zip(*cols)))
 
 
 def fixture_paths(prefix: str) -> list:

@@ -18,10 +18,12 @@ from wph.algebra import (
 )
 from wph.errors import CompositionNotZeroError, UnsupportedRingError
 
+from helpers import dense_columns, matrix_of_columns
+
 
 def apply(m: Matrix, vec) -> tuple:
     """m times the column vector vec."""
-    return m.matmul(Matrix(m.ring, len(vec), 1, tuple((x,) for x in vec))).column(0)
+    return dense_columns(m.matmul(Matrix(m.ring, len(vec), 1, tuple((x,) for x in vec))))[0]
 
 
 def det(m: Matrix) -> Fraction:
@@ -93,7 +95,7 @@ def test_kernel_is_saturated_over_z():
     # kernel of [2 -2] must contain (1,1), not only (2,2)
     m = Matrix.from_rows(ZZ, [[2, -2]])
     k = kernel_basis(m)
-    cols = [k.column(j) for j in range(k.cols)]
+    cols = dense_columns(k)
     assert [1, 1] in [[abs(x) for x in c] for c in cols]
 
 
@@ -274,8 +276,8 @@ def smith_kernel_basis(m: Matrix) -> Matrix:
     if m.rows == 0:
         return Matrix.identity(m.ring, m.cols)
     snf = smith_normal_form(m)
-    cols = [snf.right.column(j) for j in range(snf.rank, m.cols)]
-    return Matrix.from_columns(m.ring, reference_hermite(cols, m.cols, m.ring), m.cols)
+    cols = dense_columns(snf.right)[snf.rank:]
+    return matrix_of_columns(m.ring, reference_hermite(cols, m.cols, m.ring), m.cols)
 
 
 def smith_solve_in_lattice(basis: Matrix, target):

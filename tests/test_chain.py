@@ -38,7 +38,7 @@ from wph.pathcx import (
     inclusion_top,
 )
 
-from helpers import grid_complex, random_complex, random_unit_weight_complex
+from helpers import dense_columns, grid_complex, matrix_of_columns, random_complex, random_unit_weight_complex
 
 a, b, c, d = (Vertex(s) for s in "abcd")
 
@@ -208,13 +208,13 @@ def whole_matrix_omega(pc: PathComplex, max_degree: int) -> tuple:
     for n in range(1, max_degree + 1):
         index = {q: i for i, q in enumerate(reg[n - 1])}
         cols = []
-        for gen in bases[n].columns():
+        for gen in dense_columns(bases[n]):
             chain = ChainVector.from_dict(n, dict(zip(reg[n], gen)), ring)
             vec = [ring.zero] * len(index)
             for q, c in weighted_boundary(chain, weights).coeffs:
                 vec[index[q]] = c
             cols.append(solve_in_lattice(bases[n - 1], vec))
-        boundaries[n] = Matrix.from_columns(ring, cols, bases[n - 1].cols)
+        boundaries[n] = matrix_of_columns(ring, cols, bases[n - 1].cols)
     return bases, boundaries
 
 
@@ -323,9 +323,9 @@ def lattice_homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> Homol
     The route before homology was read off invariant factors."""
     ring = boundary_out.ring
     ker = kernel_basis(boundary_out)
-    coeffs = [solve_in_lattice(ker, col) for col in boundary_in.columns()]
+    coeffs = [solve_in_lattice(ker, col) for col in dense_columns(boundary_in)]
     assert None not in coeffs
-    snf = smith_normal_form(Matrix.from_columns(ring, coeffs, ker.cols))
+    snf = smith_normal_form(matrix_of_columns(ring, coeffs, ker.cols))
     torsion = [] if ring.is_field else [x for x in snf.d if x > 1]
     return HomologyGroup(free_rank=ker.cols - snf.rank, torsion=torsion)
 
@@ -401,7 +401,6 @@ def test_sparse_storage_stays_canonical(data):
     n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
     a, b, c = Matrix(ring, n, k, dense(n, k)), Matrix(ring, k, m, dense(k, m)), Matrix(ring, n, k, dense(n, k))
     produced = [a, b, c, a @ b, a + c, a - c, a - a, a + (Matrix.zeros(ring, n, k) - a), kernel_basis(a)]
-    produced += [Matrix.from_columns(ring, list(zip(*rows)) if rows else [()] * k, n) for rows in [dense(n, k)]]
     produced += [Matrix.from_columns(ring, list(a.entries) + list(c.entries), n), Matrix.identity(ring, k)]
     if n:
         produced.append(Matrix.from_rows(ring, dense(n, k)))
