@@ -45,6 +45,7 @@ RUNGS = (  # (name, digraph builder, L = N)
     ("K5 L3 Z/7", lambda: complete(5, Zmod(7)), 3),
     ("5x5 grid L4 Z", lambda: grid(5), 4),
     ("8x8 grid L5 Z", lambda: grid(8), 5),
+    ("12x12 grid L6 Z", lambda: grid(12), 6),
     ("K5 L4 Z", lambda: complete(5, ZZ), 4),
     ("K5 L3 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 3),
     ("K5 L4 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 4),
@@ -57,7 +58,7 @@ def main():
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'rung':<14} {'omega_s':>9} {'homology_s':>10}  groups (free rank, torsion)")
+    print(f"{'rung':<15} {'omega_s':>9} {'homology_s':>10}  groups (free rank, torsion)")
     for name, digraph, length in RUNGS:
         pc = paths_functor(digraph(), length)
         times = []  # (omega seconds, homology seconds) per run, each on a fresh Omega
@@ -69,7 +70,7 @@ def main():
             times.append((built - start, perf_counter() - built))
         omega_s, homology_s = (min(column) for column in zip(*times))
         groups = [(g.free_rank, list(g.torsion)) for g in result.groups]
-        print(f"{name:<14} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
+        print(f"{name:<15} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
 
 
 if __name__ == "__main__":

@@ -223,6 +223,8 @@ class Matrix:
     """
 
     def __init__(self, ring: Ring, rows: int, cols: int, data: Sequence):
+        if len(data) != rows or any(len(row) != cols for row in data):
+            raise ValueError(f"data is not {rows} rows of {cols} entries")
         entries = tuple({} for _ in range(cols))
         for i, row in enumerate(data):
             for j, x in enumerate(row):

@@ -90,11 +90,13 @@ def weighted_boundary(v: ChainVector, weights: dict) -> ChainVector:
 
 
 class OmegaBlock(NamedTuple):
-    """One connected block of the Omega_n constraint matrix and its kernel basis.
+    """One block of the regular n-paths and the basis of its part of Omega_n.
 
     paths indexes the block's regular n-paths in reg_paths[n], gens the block's
     generators among the Omega_n generators, both ascending; basis has one row
-    per block path and one column per block generator.
+    per block path and one column per block generator.  A block is the free
+    paths (identity basis), the pruned paths (no columns), or one class of the
+    core with its kernel basis (fewer columns than paths).
     """
 
     paths: tuple
@@ -108,10 +110,11 @@ class OmegaComplex:
 
     bases[n] has one row per regular n-path of the complex (canonical order)
     and one column per Omega_n generator, in column Hermite form (reduced
-    echelon form over a field).  blocks[n] splits it into the connected blocks
-    of the Omega_n constraint matrix: two paths share a block when they are
-    linked by faces outside the complex.  Block row supports are disjoint, so
-    bases[n] is the block bases placed side by side and ordered by pivot row.
+    echelon form over a field).  blocks[n] splits the regular n-paths into the
+    free paths (no face outside the complex), the pruned paths (forced to
+    coefficient 0) and the classes of the rest, paths linked by shared outside
+    faces (see build_omega).  Block row supports are disjoint, so bases[n] is
+    the block bases placed side by side and ordered by pivot row.
     boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
     Omega_{n-1} in those generator bases.
 
@@ -160,14 +163,12 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
 
     Omega_n is the kernel of the composite: regular n-chains on P, mapped by
     the weighted boundary, projected onto the regular (n-1)-paths NOT in P.
-    That constraint matrix is block-diagonal: its connected blocks are the
-    classes of paths linked by shared outside faces.  Each block's kernel is
-    taken on its own.  A single path is a 1x1 identity block when it has no
-    outside face, and has no generator otherwise: its faces carry nonzero
-    coefficients.  Over Z the kernel basis is saturated, so boundaries of
-    generators always re-express integrally in the next basis down.
-
-    The work runs on integer path codes (see OmegaComplex).
+    The complex settles most paths before any elimination: the paths without
+    outside faces form one identity block, the pruned paths (see _linked_paths)
+    one block without generators, and each class of the core left takes its
+    kernel on its own.  Over Z the kernel basis is saturated, so boundaries of
+    generators always re-express integrally in the next basis down.  The work
+    runs on integer path codes (see OmegaComplex).
     """
     if not pc.is_weighted:
         raise MissingWeightError("Omega construction needs a weighted complex")
@@ -201,36 +202,28 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
             for c in codes[n]
         ])
 
-    identity, empty = Matrix.identity(ring, 1), Matrix.zeros(ring, 1, 0)
     bases, blocks = [], []
     for table in faces:
         # each path's faces outside P: its column of the constraint matrix
         cut = [[(q, c) for q, c in terms if q.__class__ is tuple] for terms in table]
-        kernels = []  # (block path indices, block kernel basis)
-        order = []  # (pivot row, block number, generator) for every generator
-        for members in _linked_paths(cut):
-            if len(members) == 1:
-                basis = empty if cut[members[0]] else identity
-            else:
-                outside = sorted({q for j in members for q, _ in cut[j]})
-                row_index = {q: i for i, q in enumerate(outside)}
-                constraint = Matrix.from_columns(
-                    ring, [{row_index[q]: c for q, c in cut[j]} for j in members], len(outside)
-                )
-                basis = kernel_basis(constraint)
-            order += [(members[min(col)], len(kernels), col) for col in basis.entries]
-            kernels.append((members, basis))
+        core = _linked_paths(cut)
+        free = tuple(j for j, terms in enumerate(cut) if not terms)
+        pruned = tuple(sorted(set(range(len(cut))).difference(free, *core)))
+        kernels = [(free, Matrix.identity(ring, len(free))), (pruned, Matrix.zeros(ring, len(pruned), 0))]
+        for members in core:
+            row_index: dict = {}  # outside face -> its row in the block's constraint matrix
+            cols = [{row_index.setdefault(q, len(row_index)): c for q, c in cut[j]} for j in members]
+            kernels.append((members, kernel_basis(Matrix.from_columns(ring, cols, len(row_index)))))
         # generators by their pivot (first nonzero) rows, which no two share
+        order = [(members[min(col)], b, col) for b, (members, basis) in enumerate(kernels) for col in basis.entries]
         order.sort(key=itemgetter(0))
-        gens = [[] for _ in kernels]
-        columns = []
+        gens, columns = [[] for _ in kernels], []
         for g, (_, b, col) in enumerate(order):
             gens[b].append(g)
-            members = kernels[b][0]
-            columns.append({members[k]: x for k, x in col.items()})
+            columns.append({kernels[b][0][k]: x for k, x in col.items()})
         bases.append(Matrix.from_columns(ring, columns, len(table)))
         blocks.append([
-            OmegaBlock(members, tuple(g), basis) for (members, basis), g in zip(kernels, gens)
+            OmegaBlock(members, tuple(g), basis) for (members, basis), g in zip(kernels, gens) if members
         ])
 
     reg_paths = [[p for _, p in bucket] for bucket in buckets]
@@ -243,27 +236,37 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
 
 
 def _linked_paths(cut: list) -> list:
-    """The classes of paths linked by shared outside faces, as ascending index tuples.
+    """The core: classes of unpruned paths linked by shared outside faces, ascending, by first path.
 
-    cut[j] lists the (face, coefficient) terms of path j outside the complex.
-    Union-find over the paths; classes come in the order of their first path.
+    cut[j] lists path j's (face, coefficient) terms outside the complex.  The last
+    unpruned path with some face is pruned (over Z, Q and Z/p that face's nonzero
+    coefficient forces the path's to 0) until none is, so every class has 2 paths or more.
     """
-    parent = list(range(len(cut)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    first = {}  # outside face -> the first path that has it
+    owners: dict = {}  # outside face -> its unpruned paths
     for j, terms in enumerate(cut):
         for q, _ in terms:
-            parent[find(j)] = find(first.setdefault(q, j))
-    classes: dict = {}
-    for j in range(len(cut)):
-        classes.setdefault(find(j), []).append(j)
-    return [tuple(members) for members in classes.values()]
+            owners.setdefault(q, []).append(j)
+    lone = [js for js in owners.values() if len(js) == 1]
+    while lone:
+        for j in tuple(lone.pop()):  # its one path, or none when pruned through another face
+            for q, _ in cut[j]:
+                owners[q].remove(j)
+                if len(owners[q]) == 1:
+                    lone.append(owners[q])
+    unseen = {j for js in owners.values() for j in js}
+    classes = []
+    for j in sorted(unseen):
+        if j in unseen:
+            unseen.remove(j)
+            members = [j]
+            for i in members:  # grows as the class is found
+                for q, _ in cut[i]:
+                    for k in owners[q]:
+                        if k in unseen:
+                            unseen.remove(k)
+                            members.append(k)
+            classes.append(tuple(sorted(members)))
+    return classes
 
 
 def restrict_to_omega(
@@ -278,9 +281,10 @@ def restrict_to_omega(
     them, its code in the target's numbering.  Outside terms must cancel in each
     generator's image; `error` is raised when they do not, or when the image
     leaves the target's Omega_m lattice.  Each image is split by target block
-    and solved block by block: a block the image misses contributes zeros, and
-    a row of a block without constraints (identity basis) is its generator's
-    coefficient as it is.
+    and solved block by block: a block the image misses contributes zeros, a
+    free path's row is its generator's coefficient as it is, and a nonzero
+    entry on a row of a block without generators (a pruned path, say) raises
+    `error` at once, with no solve.
 
     A generator on one path takes that path's image as it is, unsummed, which is
     why each image must have distinct keys.  Every caller's does: the faces of a
@@ -297,7 +301,7 @@ def restrict_to_omega(
         if len(block.gens) == len(block.paths):
             for i, g in zip(block.paths, block.gens):
                 place[i] = g
-        else:
+        elif block.gens:  # a row of a block without generators stays None
             for k, i in enumerate(block.paths):
                 place[i] = (b, k)
     cols = []
@@ -320,6 +324,8 @@ def restrict_to_omega(
             if q.__class__ is not int:
                 raise error(f"Omega_{n} generator {j} maps onto {target.path(q).render()}, off the target paths")
             g = place[q]
+            if g is None:
+                raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
             if g.__class__ is int:
                 col[g] = c
                 continue

@@ -19,7 +19,7 @@ def dense_columns(m: Matrix) -> list:
 
 def matrix_of_columns(ring, cols, rows: int) -> Matrix:
     """The rows x len(cols) matrix with the given dense columns."""
-    return Matrix(ring, rows, len(cols), list(zip(*cols)))
+    return Matrix(ring, rows, len(cols), list(zip(*cols)) if cols else [()] * rows)
 
 
 def fixture_paths(prefix: str) -> list:

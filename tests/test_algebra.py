@@ -193,6 +193,18 @@ def test_matrix_arithmetic_rejects_shape_or_ring_mismatch(op, right):
         op(left, right)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, data",
+    [(1, 2, [[1], [2]]), (2, 1, [[1]]), (1, 2, [[1, 2, 3]]), (2, 2, [[1, 2], [3]]), (3, 0, [])],
+    ids=["extra-row", "missing-row", "long-row", "short-row", "no-rows"],
+)
+def test_matrix_rejects_data_of_the_wrong_shape(rows, cols, data):
+    # a stray row would be stored past the last row and break the dense view
+    with pytest.raises(ValueError, match=f"not {rows} rows of {cols} entries"):
+        Matrix(ZZ, rows, cols, data)
+    assert Matrix(ZZ, 3, 0, [(), (), ()]).data == ((), (), ())
+
+
 def plain_matmul(m: Matrix, n: Matrix) -> tuple:
     """The product by the dense triple loop, zeros included."""
     r = m.ring

@@ -229,8 +229,21 @@ def not_truncation_closed_complex():
     return PathComplex.build([a, b, c, d, e], paths, {a: 2, b: 1, c: 1, d: 3, e: 5}, ZZ)
 
 
+def pruned_in_three_rounds_complex():
+    # (a c), (b c), (d c) and (f h) are missing.  (a b c) alone has the outside face
+    # (a c), so it is pruned first; that leaves (d b c) alone with (b c), then
+    # (d e c) alone with (d c).  (f g h) and (f i h) share (f h) and stay linked.
+    e, f, g, h, i = (Vertex(s) for s in "efghi")
+    vertices = [a, b, c, d, e, f, g, h, i]
+    edges = [(a, b), (d, b), (d, e), (e, c), (f, g), (g, h), (f, i), (i, h)]
+    paths = [Path.of(v) for v in vertices] + [Path(xy) for xy in edges]
+    paths += [Path(xyz) for xyz in ((a, b, c), (d, b, c), (d, e, c), (f, g, h), (f, i, h))]
+    return PathComplex.build(vertices, paths, {v: 1 + k % 3 for k, v in enumerate(vertices)}, ZZ)
+
+
 def test_block_bases_and_boundaries_equal_the_whole_matrix_kernel():
-    complexes = [not_truncation_closed_complex()]
+    complexes = [not_truncation_closed_complex(), pruned_in_three_rounds_complex()]
+    complexes += [grid_complex(3, 4, 4), grid_complex(4, 4, 5)]
     for ring in (ZZ, QQ, Zmod(7)):
         rng = random.Random(3)
         complexes += [random_complex(rng, ring=ring) for _ in range(40)]
@@ -244,6 +257,42 @@ def test_block_bases_and_boundaries_equal_the_whole_matrix_kernel():
             assert sorted(g for blk in blocks for g in blk.gens) == list(range(om.rank(n)))
     (linked,) = [blk for blk in build_omega(complexes[0], 2).blocks[2] if len(blk.paths) > 1]
     assert (linked.paths, linked.gens) == ((0, 2, 3), (0, 2))
+    # the three pruned paths form the block without generators; no kernel spans them
+    pruned, linked = build_omega(complexes[1], 2).blocks[2]
+    assert (pruned.paths, pruned.gens, pruned.basis.cols) == ((0, 1, 2), (), 0)
+    assert (linked.paths, linked.gens) == ((3, 4), (0,))
+
+
+def test_an_image_on_a_pruned_path_raises_the_callers_error(monkeypatch):
+    # pruned rows carry no generator: an image on one is refused before any solve
+    monkeypatch.setattr(wchain, "solve_in_lattice", None)
+    om = build_omega(pruned_in_three_rounds_complex(), 2)
+    assert om.rank(2) == 1
+    with pytest.raises(InvariantError, match="generator 0 is not in the target Omega_2"):
+        wchain.restrict_to_omega(lambda i: ((1, ZZ.one),), om, 2, om, 2, InvariantError)
+    # 2(a b c) - (a e c) spans the source Omega_2; e -> b maps it onto (a b c), which
+    # the target prunes, as (a c) is not in it
+    e = Vertex("e")
+    src = complex_from_paths([Path((a, b, c)), Path((a, e, c))], weights={a: 1, b: 1, c: 1, e: 2}, ring=ZZ)
+    tgt = complex_from_paths([Path((a, b, c))], weights={a: 1, b: 1, c: 1}, ring=ZZ)
+    f = PathMorphism(src, tgt, {a: a, b: b, c: c, e: b})
+    assert build_omega(tgt, 2).blocks[2][0].gens == ()
+    with pytest.raises(ImageNotInOmegaError, match="generator 0 is not in the target Omega_2"):
+        induced_chain_map(f, build_omega(src, 2), build_omega(tgt, 2))
+
+
+def test_grid_kernels_run_only_on_the_linked_squares(monkeypatch):
+    # in the 3 x 4 grid at length 4 only the two paths round each of the 6 unit
+    # squares share an outside face, their diagonal; every other path is free or pruned
+    shapes = []
+    monkeypatch.setattr(wchain, "kernel_basis", lambda m: shapes.append((m.rows, m.cols)) or kernel_basis(m))
+    om = build_omega(grid_complex(3, 4, 4), 4)
+    assert shapes == [(1, 2)] * 6
+    core = [blk for blocks in om.blocks for blk in blocks if 0 < len(blk.gens) < len(blk.paths)]
+    assert len(core) == 6
+    for blk in core:
+        p, q = (om.reg_paths[2][j].vertices for j in blk.paths)
+        assert p[0] == q[0] and p[2] == q[2] and p[1] != q[1]
 
 
 def square_complex(ring, wb, wc):

@@ -65,3 +65,27 @@ def test_z_mod_p_betti_numbers_follow_from_z_homology(p):
                 checked += 1
                 with_tor += want != g.free_rank
     assert checked >= 150 and with_tor >= 25, (checked, with_tor)
+
+
+def test_unit_weights_keep_the_betti_numbers():
+    """Where every weight is a unit, e_p -> (product of the weights on p)^-1 e_p is a
+    chain isomorphism from the all-ones complex onto the weighted one.
+
+    So over Q, and over Z/p for each p dividing no weight, the Betti numbers agree;
+    over Z the free ranks do.  Checked through the oracle, which shares no code with
+    the elimination engine.  (Equal p-primary torsion is not checked here.)
+    """
+    rng = random.Random(11)
+    nontrivial = 0
+    for _ in range(200):
+        pc = random_complex(rng, ring=ZZ, max_vertices=6, maxlen=3)
+        weights = {v: rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) for v in pc.vertices}
+        weighted, ones = pc.reweighted(weights, ZZ), pc.reweighted({v: 1 for v in pc.vertices}, ZZ)
+        betti = homology_dimensions(ones, 3)
+        assert homology_dimensions(weighted, 3) == betti, weighted
+        for p in (2, 3, 5):
+            if all(w % p for w in weights.values()):
+                assert homology_dimensions(weighted, 3, p) == homology_dimensions(ones, 3, p), (weighted, p)
+        assert [g.free_rank for g in homology(weighted, 3).groups] == betti, weighted
+        nontrivial += any(betti[1:])
+    assert nontrivial >= 50  # the draws reach past H_0
