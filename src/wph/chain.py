@@ -163,12 +163,11 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
 
     Omega_n is the kernel of the composite: regular n-chains on P, mapped by
     the weighted boundary, projected onto the regular (n-1)-paths NOT in P.
-    The complex settles most paths before any elimination: the paths without
-    outside faces form one identity block, the pruned paths (see _linked_paths)
-    one block without generators, and each class of the core left takes its
-    kernel on its own.  Over Z the kernel basis is saturated, so boundaries of
-    generators always re-express integrally in the next basis down.  The work
-    runs on integer path codes (see OmegaComplex).
+    Before any elimination, paths without outside faces form one identity
+    block and pruned paths (see _linked_paths) one block without generators;
+    each class of the core takes its own kernel.  Over Z kernel bases are
+    saturated, so boundaries re-express integrally in the next basis down.
+    The work runs on integer path codes (see OmegaComplex).
     """
     if not pc.is_weighted:
         raise MissingWeightError("Omega construction needs a weighted complex")
@@ -206,9 +205,8 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     for table in faces:
         # each path's faces outside P: its column of the constraint matrix
         cut = [[(q, c) for q, c in terms if q.__class__ is tuple] for terms in table]
-        core = _linked_paths(cut)
+        pruned, core = _linked_paths(cut) if any(cut) else ((), [])
         free = tuple(j for j, terms in enumerate(cut) if not terms)
-        pruned = tuple(sorted(set(range(len(cut))).difference(free, *core)))
         kernels = [(free, Matrix.identity(ring, len(free))), (pruned, Matrix.zeros(ring, len(pruned), 0))]
         for members in core:
             row_index: dict = {}  # outside face -> its row in the block's constraint matrix
@@ -235,26 +233,28 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     return omega
 
 
-def _linked_paths(cut: list) -> list:
-    """The core: classes of unpruned paths linked by shared outside faces, ascending, by first path.
+def _linked_paths(cut: list) -> tuple:
+    """The pruned paths, and the core: classes of the rest linked by shared outside faces.
 
     cut[j] lists path j's (face, coefficient) terms outside the complex.  The last
     unpruned path with some face is pruned (over Z, Q and Z/p that face's nonzero
     coefficient forces the path's to 0) until none is, so every class has 2 paths or more.
+    All are ascending index tuples; classes come in the order of their first path.
     """
     owners: dict = {}  # outside face -> its unpruned paths
     for j, terms in enumerate(cut):
         for q, _ in terms:
             owners.setdefault(q, []).append(j)
     lone = [js for js in owners.values() if len(js) == 1]
+    pruned, classes = [], []
     while lone:
         for j in tuple(lone.pop()):  # its one path, or none when pruned through another face
+            pruned.append(j)
             for q, _ in cut[j]:
                 owners[q].remove(j)
                 if len(owners[q]) == 1:
                     lone.append(owners[q])
     unseen = {j for js in owners.values() for j in js}
-    classes = []
     for j in sorted(unseen):
         if j in unseen:
             unseen.remove(j)
@@ -266,7 +266,7 @@ def _linked_paths(cut: list) -> list:
                             unseen.remove(k)
                             members.append(k)
             classes.append(tuple(sorted(members)))
-    return classes
+    return tuple(sorted(pruned)), classes
 
 
 def restrict_to_omega(
