@@ -265,7 +265,7 @@ def test_block_bases_and_boundaries_equal_the_whole_matrix_kernel():
 
 def test_an_image_on_a_pruned_path_raises_the_callers_error(monkeypatch):
     # pruned rows carry no generator: an image on one is refused before any solve
-    monkeypatch.setattr(wchain, "solve_in_lattice", None)
+    monkeypatch.setattr(wchain, "solve_in_lattice", lambda *args: pytest.fail("solved against a block"))
     om = build_omega(pruned_in_three_rounds_complex(), 2)
     assert om.rank(2) == 1
     with pytest.raises(InvariantError, match="generator 0 is not in the target Omega_2"):
