@@ -13,6 +13,10 @@ use, and kept with the matrix.  Homology reads only invariant factors
 then Euclid steps over Z when no unit is left.  `smith_normal_form` gives the
 Smith form with its transforms, by a dense loop; it is the reference the
 elimination is tested against, and no production path calls it.
+`solve_in_lattice` is a reference too: chains are re-expressed in the Omega
+bases by pivot-row substitution (`chain.restrict_to_omega`), so only the
+tests' reference constructions call it, and the benchmark's tracer wraps it
+by name.
 """
 from __future__ import annotations
 

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import NamedTuple, Optional
+from heapq import heapify, heappop, heappush
+from typing import Optional
 
 from .algebra import (
     HomologyGroup,
@@ -12,7 +12,6 @@ from .algebra import (
     homology_of_pair,
     kernel_basis,
     require_pid,
-    solve_in_lattice,
 )
 from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError
 from .pathcx import Path, PathComplex, PathMorphism, regular_faces
@@ -89,32 +88,17 @@ def weighted_boundary(v: ChainVector, weights: dict) -> ChainVector:
     return ChainVector.from_dict(v.degree - 1, out, ring)
 
 
-class OmegaBlock(NamedTuple):
-    """One block of the regular n-paths and the basis of its part of Omega_n.
-
-    paths indexes the block's regular n-paths in reg_paths[n], gens the block's
-    generators among the Omega_n generators, both ascending; basis has one row
-    per block path and one column per block generator.  A block is the free
-    paths (identity basis), the pruned paths (no columns), or one class of the
-    core with its kernel basis (fewer columns than paths).
-    """
-
-    paths: tuple
-    gens: tuple
-    basis: Matrix
-
-
 @dataclass
 class OmegaComplex:
     """Bases of the allowed chains Omega_n and the boundary matrices between them.
 
     bases[n] has one row per regular n-path of the complex (canonical order)
     and one column per Omega_n generator, in column Hermite form (reduced
-    echelon form over a field).  blocks[n] splits the regular n-paths into the
-    free paths (no face outside the complex), the pruned paths (forced to
-    coefficient 0) and the classes of the rest, paths linked by shared outside
-    faces (see build_omega).  Block row supports are disjoint, so bases[n] is
-    the block bases placed side by side and ordered by pivot row.
+    echelon form over a field): each generator's first nonzero row, its pivot,
+    is its own, and pivots ascend with the columns.  A free path (no face
+    outside the complex) is a generator with one unit entry, a pruned path's
+    row is empty, and the other generators live each on one class of paths
+    linked by shared outside faces (see build_omega).
     boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
     Omega_{n-1} in those generator bases.
 
@@ -128,7 +112,6 @@ class OmegaComplex:
     ring: Ring
     reg_paths: list  # reg_paths[n]: canonical list of regular n-paths in P
     bases: list  # bases[n]: Matrix (len(reg_paths[n]) x rank)
-    blocks: list  # blocks[n]: list of OmegaBlock, covering reg_paths[n]
     boundaries: dict  # n -> Matrix (rank_{n-1} x rank_n)
     numbers: dict  # vertex -> its number; vertices in sorted order, numbered from 0
     rows: list  # rows[n]: code of a regular n-path -> its row
@@ -163,11 +146,13 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
 
     Omega_n is the kernel of the composite: regular n-chains on P, mapped by
     the weighted boundary, projected onto the regular (n-1)-paths NOT in P.
-    Before any elimination, paths without outside faces form one identity
-    block and pruned paths (see _linked_paths) one block without generators;
-    each class of the core takes its own kernel.  Over Z kernel bases are
-    saturated, so boundaries re-express integrally in the next basis down.
-    The work runs on integer path codes (see OmegaComplex).
+    Before any elimination, each path without outside faces becomes its own
+    unit generator and pruned paths (see _linked_paths) get none; each class
+    of the rest takes its own kernel.  Classes have disjoint rows, so their
+    kernel columns and the unit columns, ordered by first row, are the column
+    Hermite form of the whole kernel.  Over Z kernel bases are saturated, so
+    boundaries re-express integrally in the next basis down.  The work runs
+    on integer path codes (see OmegaComplex).
     """
     if not pc.is_weighted:
         raise MissingWeightError("Omega construction needs a weighted complex")
@@ -201,31 +186,21 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
             for c in codes[n]
         ])
 
-    bases, blocks = [], []
+    bases = []
     for table in faces:
         # each path's faces outside P: its column of the constraint matrix
         cut = [[(q, c) for q, c in terms if q.__class__ is tuple] for terms in table]
-        pruned, core = _linked_paths(cut) if any(cut) else ((), [])
-        free = tuple(j for j, terms in enumerate(cut) if not terms)
-        kernels = [(free, Matrix.identity(ring, len(free))), (pruned, Matrix.zeros(ring, len(pruned), 0))]
-        for members in core:
-            row_index: dict = {}  # outside face -> its row in the block's constraint matrix
+        columns = [{j: ring.one} for j, terms in enumerate(cut) if not terms]
+        for members in _linked_paths(cut) if any(cut) else ():
+            row_index: dict = {}  # outside face -> its row in the class's constraint matrix
             cols = [{row_index.setdefault(q, len(row_index)): c for q, c in cut[j]} for j in members]
-            kernels.append((members, kernel_basis(Matrix.from_columns(ring, cols, len(row_index)))))
-        # generators by their pivot (first nonzero) rows, which no two share
-        order = [(members[min(col)], b, col) for b, (members, basis) in enumerate(kernels) for col in basis.entries]
-        order.sort(key=itemgetter(0))
-        gens, columns = [[] for _ in kernels], []
-        for g, (_, b, col) in enumerate(order):
-            gens[b].append(g)
-            columns.append({kernels[b][0][k]: x for k, x in col.items()})
+            for col in kernel_basis(Matrix.from_columns(ring, cols, len(row_index))).entries:
+                columns.append({members[k]: x for k, x in col.items()})
+        columns.sort(key=min)  # by pivot row, which no two generators share
         bases.append(Matrix.from_columns(ring, columns, len(table)))
-        blocks.append([
-            OmegaBlock(members, tuple(g), basis) for (members, basis), g in zip(kernels, gens) if members
-        ])
 
     reg_paths = [[p for _, p in bucket] for bucket in buckets]
-    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, blocks, {}, numbers, rows)
+    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, {}, numbers, rows)
     for n in range(1, max_degree + 1):
         omega.boundaries[n] = restrict_to_omega(
             faces[n].__getitem__, omega, n, omega, n - 1, InvariantError
@@ -233,27 +208,26 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     return omega
 
 
-def _linked_paths(cut: list) -> tuple:
-    """The pruned paths, and the core: classes of the rest linked by shared outside faces.
+def _linked_paths(cut: list) -> list:
+    """The classes of paths linked by shared outside faces, once the pruned paths are gone.
 
     cut[j] lists path j's (face, coefficient) terms outside the complex.  The last
     unpruned path with some face is pruned (over Z, Q and Z/p that face's nonzero
     coefficient forces the path's to 0) until none is, so every class has 2 paths or more.
-    All are ascending index tuples; classes come in the order of their first path.
+    Classes are ascending index tuples, in the order of their first path.
     """
     owners: dict = {}  # outside face -> its unpruned paths
     for j, terms in enumerate(cut):
         for q, _ in terms:
             owners.setdefault(q, []).append(j)
     lone = [js for js in owners.values() if len(js) == 1]
-    pruned, classes = [], []
     while lone:
         for j in tuple(lone.pop()):  # its one path, or none when pruned through another face
-            pruned.append(j)
             for q, _ in cut[j]:
                 owners[q].remove(j)
                 if len(owners[q]) == 1:
                     lone.append(owners[q])
+    classes = []
     unseen = {j for js in owners.values() for j in js}
     for j in sorted(unseen):
         if j in unseen:
@@ -266,7 +240,7 @@ def _linked_paths(cut: list) -> tuple:
                             unseen.remove(k)
                             members.append(k)
             classes.append(tuple(sorted(members)))
-    return tuple(sorted(pruned)), classes
+    return classes
 
 
 def restrict_to_omega(
@@ -280,11 +254,14 @@ def restrict_to_omega(
     the term's row among the target's regular m-paths, or, for a path outside
     them, its code in the target's numbering.  Outside terms must cancel in each
     generator's image; `error` is raised when they do not, or when the image
-    leaves the target's Omega_m lattice.  Each image is split by target block
-    and solved block by block: a block the image misses contributes zeros, a
-    free path's row is its generator's coefficient as it is, and a nonzero
-    entry on a row of a block without generators (a pruned path, say) raises
-    `error` at once, with no solve.
+    leaves the target's Omega_m lattice.
+
+    Each image is re-expressed in target.bases[m] by pivot-row substitution: the
+    least row left must be a generator's pivot, whose entry gives that
+    generator's coefficient (over Z the pivot must divide it), and the
+    generator's column is subtracted.  A row no generator has as its pivot (a
+    pruned path's row, say) refuses the image.  A free path's unit column shares
+    its row with no other column, so its coefficient is the image's entry as it is.
 
     A generator on one path takes that path's image as it is, unsummed, which is
     why each image must have distinct keys.  Every caller's does: the faces of a
@@ -293,17 +270,9 @@ def restrict_to_omega(
     a chain, with one coefficient per path.
     """
     ring = source.ring
-    zero, one, add, mul = ring.zero, ring.one, ring.add, ring.mul
-    blocks = target.blocks[m]
-    # target row -> its generator, in an identity block, else (its block's number, its row in the block)
-    place: list = [None] * len(target.reg_paths[m])
-    for b, block in enumerate(blocks):
-        if len(block.gens) == len(block.paths):
-            for i, g in zip(block.paths, block.gens):
-                place[i] = g
-        elif block.gens:  # a row of a block without generators stays None
-            for k, i in enumerate(block.paths):
-                place[i] = (b, k)
+    zero, one, add, sub, mul, quo = ring.zero, ring.one, ring.add, ring.sub, ring.mul, ring.quo
+    basis = target.bases[m].entries
+    lead = {min(gen): g for g, gen in enumerate(basis)}  # pivot row -> its generator
     cols = []
     for j, gen in enumerate(source.bases[n].entries):
         if len(gen) == 1:  # the image of one path, whose keys are distinct (see above)
@@ -316,31 +285,38 @@ def restrict_to_omega(
                     c = mul(coeff, c)
                     acc[q] = add(acc[q], c) if q in acc else c
             terms = acc.items()
-        col = {}
-        slices: dict = {}  # target block number -> the image's slice on that block
+        col, rest = {}, {}
         for q, c in terms:
             if not c:
                 continue
             if q.__class__ is not int:
                 raise error(f"Omega_{n} generator {j} maps onto {target.path(q).render()}, off the target paths")
-            g = place[q]
+            g = lead.get(q)
+            if g is not None and len(basis[g]) == 1:  # a free path's unit column
+                col[g] = c
+            else:
+                rest[q] = c
+        heap = list(rest)
+        heapify(heap)
+        while heap:
+            i = heappop(heap)
+            x = rest.pop(i)  # final: the columns still to come have their pivots past row i
+            if not x:
+                continue
+            g = lead.get(i)
             if g is None:
                 raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
-            if g.__class__ is int:
-                col[g] = c
-                continue
-            b, k = g
-            if b not in slices:
-                slices[b] = [zero] * len(blocks[b].paths)
-            slices[b][k] = c
-        for b, vec in slices.items():
-            block = blocks[b]
-            sol = solve_in_lattice(block.basis, vec)
-            if sol is None:
+            pivot = basis[g]
+            z = quo(x, pivot[i])
+            if mul(z, pivot[i]) != x:
                 raise error(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
-            for g, x in zip(block.gens, sol):
-                if x:
-                    col[g] = x
+            col[g] = z
+            for h, y in pivot.items():
+                if h != i:
+                    if h not in rest:
+                        rest[h] = zero
+                        heappush(heap, h)
+                    rest[h] = sub(rest[h], mul(z, y))
         cols.append(col)
     return Matrix.from_columns(ring, cols, target.rank(m))
 

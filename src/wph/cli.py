@@ -227,7 +227,9 @@ def cmd_functor(args) -> int:
     return EXIT_OK
 
 
-def _path_morphism(spec: wio.MorphismSpec, source: PathComplex, target: PathComplex, name: str) -> PathMorphism:
+def _morphism(kind, spec: wio.MorphismSpec, source, target, name: str):
+    """spec as a `kind` (PathMorphism or HyperMorphism) from source to target, once its
+    vertex map is defined on exactly the source's vertices and lands in the target's."""
     missing = sorted(v.render() for v in source.vertices if v not in spec.vertex_map)
     if missing:
         raise SchemaError(f"morphism {name} is undefined on source vertices {missing}")
@@ -239,14 +241,7 @@ def _path_morphism(spec: wio.MorphismSpec, source: PathComplex, target: PathComp
     )
     if bad:
         raise SchemaError(f"morphism {name} hits vertices outside the target: {bad}")
-    return PathMorphism(source, target, dict(spec.vertex_map))
-
-
-def _hyper_morphism(spec: wio.MorphismSpec, source: DirectedHypergraph, target: DirectedHypergraph, name: str) -> HyperMorphism:
-    missing = sorted(v.render() for v in source.vertices if v not in spec.vertex_map)
-    if missing:
-        raise SchemaError(f"morphism {name} is undefined on source vertices {missing}")
-    return HyperMorphism(source, target, dict(spec.vertex_map))
+    return kind(source, target, dict(spec.vertex_map))
 
 
 def _report(ok: bool, what: str, problems) -> int:
@@ -278,14 +273,14 @@ def cmd_homotopy_check(args) -> int:
     if args.category == "pathcx":
         source = _expect(src_doc, args.source, "path_complex")
         target = _expect(tgt_doc, args.target, "path_complex")
-        f = _path_morphism(f_spec, source, target, "--f")
-        g = _path_morphism(g_spec, source, target, "--g")
+        f = _morphism(PathMorphism, f_spec, source, target, "--f")
+        g = _morphism(PathMorphism, g_spec, source, target, "--g")
         if args.mode == "chain":
             if not args.chain:
                 raise SchemaError("--mode chain needs --chain with a homotopy_chain document")
             chain_spec = _expect(_load(args.chain), args.chain, "homotopy_chain")
             steps = [
-                StepSpec(_path_morphism(m, source, target, f"chain step {i}"), direction)
+                StepSpec(_morphism(PathMorphism, m, source, target, f"chain step {i}"), direction)
                 for i, (m, direction) in enumerate(chain_spec.steps)
             ]
             if steps[0].morphism.vertex_map != f.vertex_map:
@@ -307,8 +302,8 @@ def cmd_homotopy_check(args) -> int:
     if args.mode == "chain":
         raise SchemaError("--mode chain is only available for --category pathcx")
     mode = "reflexive" if args.strictness == "reflexive" else "strict"
-    f = _hyper_morphism(f_spec, source, target, "--f")
-    g = _hyper_morphism(g_spec, source, target, "--g")
+    f = _morphism(HyperMorphism, f_spec, source, target, "--f")
+    g = _morphism(HyperMorphism, g_spec, source, target, "--g")
     rep = one_step_homotopy_dhyper(f, g, mode=mode)
     code = _report(rep.ok, "one-step homotopy", rep.problems)
     if code == EXIT_OK and args.certify:

@@ -319,9 +319,6 @@ def hyper_box_product(g: DirectedHypergraph, line: LineDigraph) -> DirectedHyper
     return DirectedHypergraph.build(arrows, g.level_weights(levels), g.ring)
 
 
-VERTEX_PIPELINES = ("c", "b", "2")
-
-
 def vertex_weighted_complex(g: DirectedHypergraph, which: str, maxlen: int) -> PathComplex:
     if which == "c":
         return connective_functor(g, maxlen)

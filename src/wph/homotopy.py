@@ -12,6 +12,7 @@ from .errors import (
     HomotopyIdentityFailedError,
     ImageNotInOmegaError,
     NonInvertibleWeightError,
+    NotAMorphismError,
 )
 from .pathcx import PathComplex, PathMorphism, level_copies
 
@@ -281,7 +282,7 @@ def one_step_homotopy_dhyper(
     for name, m in (("f", f), ("g", g)):
         try:
             m.check()
-        except Exception as exc:  # NotAMorphismError
+        except NotAMorphismError as exc:
             problems.append(f"{name} is not a morphism: {exc}")
     if problems:
         return HyperHomotopyReport(False, problems)

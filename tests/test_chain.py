@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -252,20 +253,21 @@ def test_block_bases_and_boundaries_equal_the_whole_matrix_kernel():
         bases, boundaries = whole_matrix_omega(pc, 4)
         assert [m.data for m in om.bases] == [m.data for m in bases], pc
         assert {n: m.data for n, m in om.boundaries.items()} == {n: m.data for n, m in boundaries.items()}, pc
-        for n, blocks in enumerate(om.blocks):
-            assert sorted(j for blk in blocks for j in blk.paths) == list(range(len(om.reg_paths[n])))
-            assert sorted(g for blk in blocks for g in blk.gens) == list(range(om.rank(n)))
-    (linked,) = [blk for blk in build_omega(complexes[0], 2).blocks[2] if len(blk.paths) > 1]
-    assert (linked.paths, linked.gens) == ((0, 2, 3), (0, 2))
-    # the three pruned paths form the block without generators; no kernel spans them
-    pruned, linked = build_omega(complexes[1], 2).blocks[2]
-    assert (pruned.paths, pruned.gens, pruned.basis.cols) == ((0, 1, 2), (), 0)
-    assert (linked.paths, linked.gens) == ((3, 4), (0,))
+        for basis in om.bases:  # each generator's pivot row is its own, and they ascend
+            pivots = [min(col) for col in basis.entries]
+            assert pivots == sorted(set(pivots))
+    # the linked class's two generators, interleaved with the free path (a c b)'s unit column
+    entries = build_omega(complexes[0], 2).bases[2].entries
+    linked = [g for g, col in enumerate(entries) if len(col) > 1]
+    assert linked == [0, 2] and sorted({i for g in linked for i in entries[g]}) == [0, 2, 3]
+    assert entries[1] == {1: ZZ.one}
+    # the three pruned paths carry no basis entry; the linked pair carries the one generator
+    (col,) = build_omega(complexes[1], 2).bases[2].entries
+    assert sorted(col) == [3, 4]
 
 
-def test_an_image_on_a_pruned_path_raises_the_callers_error(monkeypatch):
-    # pruned rows carry no generator: an image on one is refused before any solve
-    monkeypatch.setattr(wchain, "solve_in_lattice", lambda *args: pytest.fail("solved against a block"))
+def test_an_image_on_a_pruned_path_raises_the_callers_error():
+    # pruned rows carry no generator, so no pivot: an image on one is refused
     om = build_omega(pruned_in_three_rounds_complex(), 2)
     assert om.rank(2) == 1
     with pytest.raises(InvariantError, match="generator 0 is not in the target Omega_2"):
@@ -276,9 +278,56 @@ def test_an_image_on_a_pruned_path_raises_the_callers_error(monkeypatch):
     src = complex_from_paths([Path((a, b, c)), Path((a, e, c))], weights={a: 1, b: 1, c: 1, e: 2}, ring=ZZ)
     tgt = complex_from_paths([Path((a, b, c))], weights={a: 1, b: 1, c: 1}, ring=ZZ)
     f = PathMorphism(src, tgt, {a: a, b: b, c: c, e: b})
-    assert build_omega(tgt, 2).blocks[2][0].gens == ()
+    om_tgt = build_omega(tgt, 2)
+    assert (om_tgt.bases[2].rows, om_tgt.rank(2)) == (1, 0)
     with pytest.raises(ImageNotInOmegaError, match="generator 0 is not in the target Omega_2"):
-        induced_chain_map(f, build_omega(src, 2), build_omega(tgt, 2))
+        induced_chain_map(f, build_omega(src, 2), om_tgt)
+
+
+def restrict_images(images: list, target, m: int):
+    """restrict_to_omega of the given images, one per stand-in source generator (a single path)."""
+    ring = target.ring
+    source = SimpleNamespace(ring=ring, bases=[Matrix.identity(ring, len(images))])
+    return wchain.restrict_to_omega(images.__getitem__, source, 0, target, m, InvariantError)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=["Z", "Q", "Z7"])
+def test_substitution_recovers_the_coefficients_of_basis_combinations(ring):
+    rng = random.Random(5)
+    pivots = set()
+    for _ in range(40):
+        om = build_omega(random_complex(rng, ring=ring), 4)
+        for m, basis in enumerate(om.bases):
+            want = [[ring.coerce(rng.randint(-3, 3)) for _ in range(basis.cols)] for _ in range(3)]
+            images = []
+            for coeffs in want:
+                image: dict = {}
+                for x, col in zip(coeffs, basis.entries):
+                    for i, y in col.items():
+                        image[i] = ring.add(image.get(i, ring.zero), ring.mul(x, y))
+                images.append(list(image.items()))
+            assert restrict_images(images, om, m) == matrix_of_columns(ring, want, basis.cols)
+            pivots.update(col[min(col)] for col in basis.entries if len(col) > 1)
+    # the substitution ran past unit columns, over Z also on pivots other than 1
+    assert pivots and (ring != ZZ or pivots - {1})
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7)], ids=["Z", "Q", "Z7"])
+def test_substitution_refuses_an_entry_left_on_a_row_without_a_pivot(ring):
+    # one generator on (a b d) and (a c d), with its pivot on (a b d), row 0
+    om = build_omega(square_complex(ring, 3, 2), 2)
+    assert [min(col) for col in om.bases[2].entries] == [0]
+    with pytest.raises(InvariantError, match="generator 0 is not in the target Omega_2"):
+        restrict_images([((1, ring.one),)], om, 2)
+
+
+def test_substitution_refuses_an_entry_the_pivot_does_not_divide():
+    om = build_omega(square_complex(ZZ, 3, 2), 2)
+    assert om.bases[2].entries == ({0: 2, 1: -3},)
+    assert restrict_images([((0, 4), (1, -6))], om, 2).entries == ({0: 2},)
+    # 3 // 2 = 1 would leave (a c d) at -3 + 3 = 0: only the pivot test refuses it
+    with pytest.raises(InvariantError, match="generator 0 is not in the target Omega_2"):
+        restrict_images([((0, 3), (1, -3))], om, 2)
 
 
 def test_grid_kernels_run_only_on_the_linked_squares(monkeypatch):
@@ -288,10 +337,11 @@ def test_grid_kernels_run_only_on_the_linked_squares(monkeypatch):
     monkeypatch.setattr(wchain, "kernel_basis", lambda m: shapes.append((m.rows, m.cols)) or kernel_basis(m))
     om = build_omega(grid_complex(3, 4, 4), 4)
     assert shapes == [(1, 2)] * 6
-    core = [blk for blocks in om.blocks for blk in blocks if 0 < len(blk.gens) < len(blk.paths)]
-    assert len(core) == 6
-    for blk in core:
-        p, q = (om.reg_paths[2][j].vertices for j in blk.paths)
+    squares = [(n, sorted(col)) for n, basis in enumerate(om.bases) for col in basis.entries if len(col) > 1]
+    assert len(squares) == 6
+    for n, rows in squares:
+        assert n == 2 and len(rows) == 2
+        p, q = (om.reg_paths[2][j].vertices for j in rows)
         assert p[0] == q[0] and p[2] == q[2] and p[1] != q[1]
 
 
@@ -456,7 +506,7 @@ def test_sparse_storage_stays_canonical(data):
     # restrict_to_omega: the Omega boundaries and the identity's induced maps
     pc = random_complex(random.Random(data.draw(st.integers(0, 10 ** 6))), ring=ring, max_vertices=5, maxlen=3)
     om = build_omega(pc, 3)
-    produced += om.bases + list(om.boundaries.values()) + [blk.basis for blocks in om.blocks for blk in blocks]
+    produced += om.bases + list(om.boundaries.values())
     maps = induced_chain_map(PathMorphism(pc, pc, {v: v for v in pc.vertices}), om, om)
     produced += list(maps.values())
     for mat in produced:

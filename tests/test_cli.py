@@ -175,6 +175,29 @@ def test_homotopy_check_dhyper(capsys):
     assert "induced homology maps equal: yes" in out
 
 
+@pytest.mark.parametrize(
+    "source, image, message",
+    [("zzz", "a", "maps unknown vertices ['zzz']"), ("b", "zzz", "hits vertices outside the target: ['zzz']")],
+    ids=["unknown-source-vertex", "image-outside-target"],
+)
+def test_homotopy_check_dhyper_refuses_a_vertex_map_off_the_complexes(tmp_path, capsys, source, image, message):
+    doc = json.loads((FIXTURES / "mor_dh_f.json").read_text())
+    doc["body"]["vertex_map"][source] = image
+    path = tmp_path / "mor.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys,
+        "homotopy-check",
+        str(FIXTURES / "dh_mor_source.json"),
+        str(FIXTURES / "dh_square_sets.json"),
+        "--f", str(path),
+        "--g", str(FIXTURES / "mor_dh_g.json"),
+        "--category", "dhyper",
+    )
+    assert (code, out) == (2, "")
+    assert f"morphism --f {message}" in err
+
+
 def test_prism_check_pass_and_gate(capsys):
     code, out, _ = run(capsys, "prism-check", str(FIXTURES / "pc_diamond_q.json"), "--degree", "1")
     assert code == 0

@@ -181,6 +181,23 @@ def test_dhyper_self_homotopy_needs_reflexive_mode():
     assert one_step_homotopy_dhyper(f, f, mode="reflexive").ok
 
 
+def test_one_step_homotopy_dhyper_reports_only_a_failed_morphism_check(monkeypatch):
+    u, v = Vertex("u"), Vertex("v")
+    src = DirectedHypergraph.build([A({a}, {b})], {a: 1, b: 1}, ZZ)
+    tgt = square_target()
+    f = HyperMorphism(src, tgt, {a: b, b: a})  # (b -> a) is no arrow of the target
+    g = HyperMorphism(src, tgt, {a: u, b: v})
+    report = one_step_homotopy_dhyper(f, g)
+    assert not report.ok and report.problems[0].startswith("f is not a morphism: image of arrow")
+
+    def broken(self):
+        raise RuntimeError("a fault inside check")
+
+    monkeypatch.setattr(HyperMorphism, "check", broken)
+    with pytest.raises(RuntimeError, match="a fault inside check"):
+        one_step_homotopy_dhyper(g, g)
+
+
 def test_edge_weighted_certificate_on_square():
     u, v = Vertex("u"), Vertex("v")
     src = DirectedHypergraph.build([A({a}, {b})], {a: 1, b: 1}, ZZ)
