@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import io as wio
-from .algebra import QQ, ZZ, Zmod
+from .algebra import QQ, ZZ, ModularRing, Zmod
 from .chain import ChainVector, HomologyResult, homology
 from .dhyper import (
     DirectedHypergraph,
@@ -137,8 +137,8 @@ def _reweight_hypergraph(g: DirectedHypergraph, ring, unweighted: bool) -> Direc
 def _render_group(ring, group) -> str:
     parts = []
     if group.free_rank:
-        base = ring.name
-        parts.append(base if group.free_rank == 1 else f"{base}^{group.free_rank}")
+        base = f"({ring.name})" if isinstance(ring, ModularRing) else ring.name  # (Z/p)^r, not Z/(p^r)
+        parts.append(ring.name if group.free_rank == 1 else f"{base}^{group.free_rank}")
     for t in group.torsion:
         parts.append(f"Z/{t}")
     return " + ".join(parts) if parts else "0"

@@ -8,10 +8,7 @@ from .algebra import Ring
 from .chain import HomologyResult, homology
 from .digraph import LineDigraph, WeightedDigraph, paths_functor
 from .errors import InvariantError, MissingWeightError, NotAMorphismError
-from .pathcx import (
-    Path, PathComplex, Vertex, Weighted, canonical_weights, complex_from_paths, level_copies,
-    walk_paths,
-)
+from .pathcx import Path, PathComplex, Vertex, Weighted, canonical_weights, level_copies, walk_paths
 
 
 @dataclass(frozen=True)
@@ -231,75 +228,71 @@ def density_two_of(g: DirectedHypergraph, maxlen: int) -> PathComplex:
     return pc
 
 
-def _bold_accepted(g: DirectedHypergraph, maxlen: int) -> set:
-    """All paths of length <= maxlen admitting a full bold decomposition.
+def bold_functor(g: DirectedHypergraph, maxlen: int) -> PathComplex:
+    """The bold path complex: truncation closure of the fully decomposable paths.
 
-    Forward dynamic program over NFA states instead of enumerating
-    decompositions:
+    One forward walk to maxlen over sets of automaton states:
       pre(e)    -- inside the opening block, all vertices so far in A_e;
       mid(e,f)  -- crossed e, connector block so far inside B_e & A_f;
-      post(e)   -- crossed e, closing block so far inside B_e (accepting).
+      post(e)   -- crossed e, closing block so far inside B_e.
+    Vertex v starts in pre(i) for every arrow i with v in A_i, and in post(e)
+    for every arrow e with v in B_e.  Every path with a run is kept: a path
+    lies in the truncation closure exactly when it has a run from these states.
+    Starting inside a connector block B_e & A_f behaves like starting in
+    pre(f).  A run that starts in post(e) needs one vertex of A_e in front; a
+    run that ends in pre or mid needs one vertex of an arrow's end behind; no
+    run needs both, because post leads only to post.  So every kept path
+    extends to a decomposable path of length <= maxlen + 1, and there is no
+    acceptance test, no longer pass and no closure pass.  A path determines
+    the state set its runs reach, so the walk extends paths group by group,
+    with the moves of each distinct state set computed once per call.
     """
     arrows = g.sorted_arrows()
-    accepted = set()
-    # initial states per starting vertex
-    start = {}
-    for v in sorted(g.vertices):
-        states = frozenset(
-            ("pre", i) for i, a in enumerate(arrows) if v in a.origin
-        )
-        if states:
-            start[v] = states
+    start: dict = {v: set() for v in g.vertices}
+    for i, a in enumerate(arrows):
+        for v in a.origin:
+            start[v].add(("pre", i))
+        for v in a.end:
+            start[v].add(("post", i))
 
-    def arrival_states(w: Vertex, crossed: int) -> frozenset:
-        out = [("post", crossed)]
-        for j, b in enumerate(arrows):
-            if w in b.origin:
-                out.append(("mid", crossed, j))
-        return frozenset(out)
+    def arrival_states(w: Vertex, crossed: int) -> list:
+        return [("post", crossed)] + [("mid", crossed, j) for j, b in enumerate(arrows) if w in b.origin]
 
-    frontier = [(Path.of(v), states) for v, states in sorted(start.items())]
-    while frontier:
-        nxt = []
-        for path, states in frontier:
-            if any(s[0] == "post" for s in states):
-                accepted.add(path)
-            if path.length == maxlen:
-                continue
-            moves: dict = {}
-            for s in states:
-                if s[0] == "pre":
-                    i = s[1]
-                    for u in arrows[i].origin:
-                        moves.setdefault(u, set()).add(s)
-                    for u in arrows[i].end:
-                        moves.setdefault(u, set()).update(arrival_states(u, i))
-                elif s[0] == "mid":
-                    _, e, f = s
-                    zone = arrows[e].end & arrows[f].origin
-                    for u in zone:
-                        moves.setdefault(u, set()).add(s)
-                    for u in arrows[f].end:
-                        moves.setdefault(u, set()).update(arrival_states(u, f))
-                else:  # post
-                    e = s[1]
-                    for u in arrows[e].end:
-                        moves.setdefault(u, set()).add(s)
-            for u in sorted(moves):
-                nxt.append((Path(path.vertices + (u,)), frozenset(moves[u])))
+    def steps_from(states: frozenset) -> list:
+        moves: dict = {}
+        for s in states:
+            if s[0] == "pre":
+                i = s[1]
+                for u in arrows[i].origin:
+                    moves.setdefault(u, set()).add(s)
+                for u in arrows[i].end:
+                    moves.setdefault(u, set()).update(arrival_states(u, i))
+            elif s[0] == "mid":
+                _, e, f = s
+                for u in arrows[e].end & arrows[f].origin:
+                    moves.setdefault(u, set()).add(s)
+                for u in arrows[f].end:
+                    moves.setdefault(u, set()).update(arrival_states(u, f))
+            else:  # post
+                for u in arrows[s[1]].end:
+                    moves.setdefault(u, set()).add(s)
+        return [(u, frozenset(moves[u])) for u in sorted(moves)]
+
+    steps: dict = {}  # state set -> sorted (next vertex, next state set) pairs
+    frontier: dict = {}  # state set -> the vertex tuples whose run ends in it
+    for v, states in sorted(start.items()):
+        frontier.setdefault(frozenset(states), []).append((v,))
+    walks = [vs for group in frontier.values() for vs in group]
+    for _ in range(maxlen):
+        nxt: dict = {}
+        for states, group in frontier.items():
+            if states not in steps:
+                steps[states] = steps_from(states)
+            for u, after in steps[states]:
+                nxt.setdefault(after, []).extend([vs + (u,) for vs in group])
         frontier = nxt
-    return accepted
-
-
-def bold_functor(g: DirectedHypergraph, maxlen: int) -> PathComplex:
-    """The bold path complex: truncation closure of fully decomposable paths.
-
-    Decomposable paths of length maxlen + 1 are generated too, so that every
-    truncation of length <= maxlen is captured.
-    """
-    accepted = _bold_accepted(g, maxlen + 1)
-    pc = complex_from_paths(accepted, g.weight_map() if g.is_weighted else None, g.ring)
-    return pc.truncate(maxlen)
+        walks.extend(vs for group in frontier.values() for vs in group)
+    return PathComplex.build(g.vertices, map(Path, walks), g.weight_map() if g.is_weighted else None, g.ring)
 
 
 def hyper_box_product(g: DirectedHypergraph, line: LineDigraph) -> DirectedHypergraph:

@@ -242,8 +242,8 @@ class PathComplex(Weighted):
         This order is the basis order of the regular chain modules everywhere
         downstream.
         """
-        if n < 0:
-            return []
+        if not 0 <= n <= max((p.length for p in self.paths), default=-1):
+            return []  # no n-paths, and no n + 1 buckets built to find that out
         return [p for _, p in self.regular_path_codes(n)[1][n]]
 
     def regular_path_codes(self, max_degree: int) -> tuple:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path as FsPath
 
 from wph.algebra import QQ, ZZ, Matrix
+from wph.dhyper import Arrow, DirectedHypergraph
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
 
@@ -76,3 +77,72 @@ def grid_complex(rows: int, cols: int, maxlen: int) -> PathComplex:
     edges += [(vs[i, j], vs[i + 1, j]) for i in range(rows - 1) for j in range(cols)]
     weights = {v: 1 + (7 * i + j) % 3 for (i, j), v in vs.items()}
     return paths_functor(WeightedDigraph.build(vs.values(), edges, weights, ZZ), maxlen)
+
+
+def bold_reference(g: DirectedHypergraph, maxlen: int) -> PathComplex:
+    """The bold complex by the definition: the fully decomposable paths of length
+    <= maxlen + 1, closed under truncation, then cut back to maxlen.
+
+    Decompositions are found by a forward program over automaton states:
+      pre(e)    -- inside the opening block, all vertices so far in A_e;
+      mid(e,f)  -- crossed e, connector block so far inside B_e & A_f;
+      post(e)   -- crossed e, closing block so far inside B_e (accepting).
+    """
+    arrows = g.sorted_arrows()
+
+    def arrival_states(w, crossed: int) -> set:
+        return {("post", crossed)} | {("mid", crossed, j) for j, b in enumerate(arrows) if w in b.origin}
+
+    accepted = set()
+    frontier = []
+    for v in sorted(g.vertices):
+        states = frozenset(("pre", i) for i, a in enumerate(arrows) if v in a.origin)
+        if states:
+            frontier.append((Path.of(v), states))
+    while frontier:
+        nxt = []
+        for path, states in frontier:
+            if any(s[0] == "post" for s in states):
+                accepted.add(path)
+            if path.length == maxlen + 1:
+                continue
+            moves: dict = {}
+            for s in states:
+                if s[0] == "pre":
+                    for u in arrows[s[1]].origin:
+                        moves.setdefault(u, set()).add(s)
+                    for u in arrows[s[1]].end:
+                        moves.setdefault(u, set()).update(arrival_states(u, s[1]))
+                elif s[0] == "mid":
+                    _, e, f = s
+                    for u in arrows[e].end & arrows[f].origin:
+                        moves.setdefault(u, set()).add(s)
+                    for u in arrows[f].end:
+                        moves.setdefault(u, set()).update(arrival_states(u, f))
+                else:  # post
+                    for u in arrows[s[1]].end:
+                        moves.setdefault(u, set()).add(s)
+            nxt.extend((Path(path.vertices + (u,)), frozenset(moves[u])) for u in sorted(moves))
+        frontier = nxt
+    pc = complex_from_paths(accepted, g.weight_map() if g.is_weighted else None, g.ring)
+    return pc.truncate(maxlen)
+
+
+def random_directed_hypergraph(
+    rng: random.Random, max_vertices: int = 7, max_arrows: int = 5, max_side: int = 7
+) -> DirectedHypergraph:
+    """A random directed hypergraph over Z on at most max_vertices vertices.
+
+    Each arrow takes an origin of 1..max_side vertices and an end of
+    1..max_side vertices among the rest; the vertices the arrows cover get
+    weights in 1..3.
+    """
+    verts = [Vertex(chr(ord("a") + i)) for i in range(rng.randint(2, max_vertices))]
+    arrows = []
+    for _ in range(rng.randint(1, max_arrows)):
+        origin = set(rng.sample(verts, rng.randint(1, min(max_side, len(verts) - 1))))
+        rest = [v for v in verts if v not in origin]
+        end = rng.sample(rest, rng.randint(1, min(max_side, len(rest))))
+        arrows.append(Arrow(frozenset(origin), frozenset(end)))
+    covered = {v for a in arrows for v in a.origin | a.end}
+    return DirectedHypergraph.build(arrows, {v: rng.randint(1, 3) for v in covered}, ZZ)

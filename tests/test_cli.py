@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,17 @@ def test_homology_torsion_and_unweighted(capsys):
     )
     assert code == 0
     assert "H_0 = Z  (free_rank=1, torsion=[])" in out
+
+
+def test_free_module_over_a_prime_field_renders_as_a_power_of_the_field(capsys):
+    code, out, _ = run(
+        capsys, "homology", str(FIXTURES / "dh_weighted24.json"), "--pipeline", "natural", "--coeff", "mod:2"
+    )
+    assert code == 0
+    assert out.splitlines()[1:3] == [
+        "H_0 = (Z/2)^2  (free_rank=2, torsion=[])",
+        "H_1 = Z/2  (free_rank=1, torsion=[])",
+    ]
 
 
 def test_homology_composite_modulus_exits_3(capsys):
@@ -215,6 +227,18 @@ def test_prism_check_failure_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out.splitlines()[-1].startswith("FAIL: ")
     assert "difference" in err
+
+
+def test_prism_check_refuses_a_huge_degree_without_allocating_for_it(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "prism-check", _DIAMOND_Q, "--degree", "1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --degree 1000000: ")
+    assert peak < 1 << 20
 
 
 def test_prism_check_seeded_sampling_is_deterministic(capsys):

@@ -24,7 +24,7 @@ from wph.digraph import I1_FORWARD, WeightedDigraph, box_product, compare_weight
 from wph.errors import InvariantError
 from wph.pathcx import Path, Vertex, complex_from_paths
 
-from helpers import fixture_paths
+from helpers import bold_reference, fixture_paths, random_directed_hypergraph
 
 a, b, c, d = (Vertex(s) for s in "abcd")
 
@@ -143,22 +143,30 @@ def test_natural_cylinder_equals_box_product_on_fixtures():
 
 def test_walk_functors_equal_their_truncation_closure():
     rng = random.Random(5)
-    labels = [Vertex(s) for s in "abcdef"]
     for _ in range(40):
-        verts = labels[: rng.randint(2, 6)]
-        weights = {v: rng.randint(1, 3) for v in verts}
+        g = random_directed_hypergraph(rng, max_vertices=6, max_arrows=4)
+        verts = sorted(g.vertices)
         edges = {(x, y) for x in verts for y in verts if x != y and rng.random() < 0.4}
-        arrows = []
-        for _ in range(rng.randint(1, 4)):
-            origin = set(rng.sample(verts, rng.randint(1, len(verts) - 1)))
-            rest = [v for v in verts if v not in origin]
-            arrows.append(A(origin, set(rng.sample(rest, rng.randint(1, len(rest))))))
-        g = DirectedHypergraph.build(arrows, {v: weights[v] for a in arrows for v in a.origin | a.end}, ZZ)
         maxlen = rng.randint(0, 3)
         for pc in (
-            paths_functor(WeightedDigraph.build(verts, edges, weights, ZZ), maxlen),
+            paths_functor(WeightedDigraph.build(verts, edges, g.weight_map(), ZZ), maxlen),
             connective_functor(g, maxlen),
+            bold_functor(g, maxlen),
             density_two_functor(underlying_hypergraph(g), maxlen),
         ):
             weighted = pc.weight_map() if pc.is_weighted else None
             assert pc == complex_from_paths(pc.paths, weighted, pc.ring)
+
+
+def test_bold_functor_equals_the_closure_of_decomposable_paths():
+    # the reference closes the decomposable paths of length <= L + 1 and truncates to L
+    cases = []
+    for path in fixture_paths("dh_"):
+        g = wio.parse(path.read_bytes()).body
+        cases += [(path.name, g), (path.name + " x I1", hyper_box_product(g, I1_FORWARD))]
+    rng = random.Random(13)
+    # arrow sides of at most 2 vertices keep the reference's length-5 pass affordable
+    cases += [(f"random {i}", random_directed_hypergraph(rng, max_side=2)) for i in range(500)]
+    for name, g in cases:
+        for maxlen in range(5):
+            assert bold_functor(g, maxlen) == bold_reference(g, maxlen), (name, maxlen)
