@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the workload ladder: Omega build and homology, rung by rung.
 
-The rungs are the complete digraphs K4 and K5 (vertices a, b, ..., weights
-1..n, or 2..n+1 on the "w2-6" rungs, which have no unit weight) and the
+The rungs are the complete digraphs K4, K5 and K6 (vertices a, b, ..., weights
+1..n, or 2..n+1 on the "w2-6" and "w2-7" rungs, or all 1 on the "w1" rung) and the
 k x k right/down grid digraphs (vertex (i, j) of weight 1 + (7i + j) mod 3),
 each at path length L = N.  For every rung this prints
 the best time over --repeat runs of `build_omega` and of `homology_of_omega`
@@ -49,6 +49,9 @@ RUNGS = (  # (name, digraph builder, L = N)
     ("K5 L4 Z", lambda: complete(5, ZZ), 4),
     ("K5 L3 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 3),
     ("K5 L4 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 4),
+    ("K5 L5 Z w1", lambda: complete(5, ZZ, [1] * 5), 5),
+    ("K5 L4 Q", lambda: complete(5, QQ), 4),
+    ("K6 L4 Z/11 w2-7", lambda: complete(6, Zmod(11), range(2, 8)), 4),
 )
 
 

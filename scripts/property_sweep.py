@@ -6,6 +6,9 @@ Checks, on freshly sampled instances:
   * the prism boundary identity holds for every regular path,
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
+  * homology from the reduced chain (each boundary eliminated without the
+    rows the one before settles) equals homology from each pair of full
+    boundaries, over Z with unit-free weights and over Q,
   * the bold functor's one forward walk equals the truncation closure of
     the decomposable paths, on a random directed hypergraph with arrow
     sides of any size, for maxlen 0..4.
@@ -20,13 +23,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from wph.algebra import QQ, ZZ
-from wph.chain import ChainVector, build_omega, homology
+from wph.algebra import QQ, ZZ, homology_of_pair
+from wph.chain import ChainVector, build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
 from wph.homotopy import verify_prism_identity
 from wph.oracle import homology_dimensions
 
-from helpers import bold_reference, random_complex, random_directed_hypergraph, random_unit_weight_complex
+from helpers import (
+    bold_reference,
+    random_complex,
+    random_directed_hypergraph,
+    random_unit_free_complex,
+    random_unit_weight_complex,
+)
 
 
 def main():
@@ -52,6 +61,11 @@ def main():
         dims = homology_dimensions(pq2, 3)
         ranks = [g.free_rank for g in homology(pq2, 3).groups]
         assert dims == ranks, (i, dims, ranks)
+
+        for sample in (random_unit_free_complex(rng, maxlen=5), random_complex(rng, ring=QQ, maxlen=5)):
+            om = build_omega(sample, 5)
+            pairs = [homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(5)]
+            assert homology_of_omega(om).groups == pairs, (i, sample)
 
         g = random_directed_hypergraph(rng)
         for maxlen in range(5):

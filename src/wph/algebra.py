@@ -10,7 +10,9 @@ Kernels and lattice solves read one column reduction of the sparse columns
 stacked over the identity (`Matrix.echelon`), computed at most once, on first
 use, and kept with the matrix.  Homology reads only invariant factors
 (`Matrix.invariant_factors`), from one sparse elimination: unit pivots first,
-then Euclid steps over Z when no unit is left.  `smith_normal_form` gives the
+then Euclid steps over Z when no unit is left.  Along a chain complex
+(`chain_invariant_factors`) each boundary is eliminated without the rows that
+the unit pivots of the boundary before it settle.  `smith_normal_form` gives the
 Smith form with its transforms, by a dense loop; it is the reference the
 elimination is tested against, and no production path calls it.
 `solve_in_lattice` is a reference too: chains are re-expressed in the Omega
@@ -332,7 +334,7 @@ class Matrix:
     def invariant_factors(self) -> tuple:
         """The nonzero Smith diagonal (all ones over a field), whose length is the rank; by one
         sparse elimination without transforms."""
-        return _eliminate(self)
+        return _eliminate(self)[0]
 
 
 @dataclass(frozen=True)
@@ -434,8 +436,10 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
     return SmithDecomposition(d, left, Matrix(ring, nc, nc, a[nr:]), len(d))
 
 
-def _eliminate(m: Matrix) -> tuple:
-    """The invariant factors of m, by sparse elimination without transforms.
+def _eliminate(m: Matrix, skip=()) -> tuple:
+    """The invariant factors of m without its rows in `skip`, by sparse elimination
+    without transforms; and m's columns that the unit phase pivoted on before the
+    first Euclid step (every pivot column, over a field).
 
     m and its transpose have the same invariant factors, so this eliminates
     whichever has fewer rows: the transpose's rows are m's stored columns, m's own
@@ -464,14 +468,27 @@ def _eliminate(m: Matrix) -> tuple:
     What is left is diagonal: the units and the non-unit pivots, which gcd/lcm
     steps (diag(a, b) ~ diag(gcd, lcm)) put into the divisibility chain.  This is
     the elimination of Dumas, Saunders and Villard (JSC 2001).
+
+    Unit columns.  Say the unit phase pivots on rows I and columns J of m before
+    any Euclid step.  Each pivot is a unit of the Schur complement left by the
+    ones before it, so det m[I, J] is +- their product and m[I, J] is invertible.
+    On which side the engine works does not matter: a Schur complement is the same
+    whether rows or columns clear it.  A Euclid step changes m's row and column
+    bases, so the columns are recorded only up to the first one.
+    `chain_invariant_factors` drops the rows J of the next boundary with them.
     """
     require_pid(m.ring)
     ring = m.ring
     add, mul, neg, field = ring.add, ring.mul, ring.neg, ring.is_field
+    entries = m.entries
+    if skip:
+        skip = set(skip)
+        entries = [{i: x for i, x in col.items() if i not in skip} for col in entries]
+    transposed = m.rows >= m.cols  # the side rule looks at m, whatever skip leaves out
     rows: dict = {}
     cols: dict = {}
-    if m.rows < m.cols:
-        for j, col in enumerate(m.entries):
+    if not transposed:
+        for j, col in enumerate(entries):
             if col:
                 cols[j] = set(col)
                 for i, x in col.items():
@@ -480,7 +497,7 @@ def _eliminate(m: Matrix) -> tuple:
                     else:
                         rows[i] = {j: x}
     else:
-        for i, col in enumerate(m.entries):
+        for i, col in enumerate(entries):
             if col:
                 rows[i] = dict(col)
                 for j in col:
@@ -543,7 +560,8 @@ def _eliminate(m: Matrix) -> tuple:
         return [c for c in cs if c in cols]
 
     push(rows, ())
-    units, pivots = 0, []  # the unit count; the non-unit diagonal pivots
+    units, pivots = [], []  # m's columns of the unit pivots; the non-unit diagonal pivots
+    settled = None  # the unit count at the first Euclid step
     while rows:
         while heap:
             cost, i, j = heappop(heap)
@@ -563,10 +581,11 @@ def _eliminate(m: Matrix) -> tuple:
                 row_sub(k, mul(rows[k].pop(j), inv), pivot)  # clears its entry in column j
             # new keys: the touched rows changed their counts, the pivot's columns theirs
             push({k for k in touched if k in rows}, drop_empty(pivot))
-            units += 1
+            units.append(i if transposed else j)
         if field or not rows:
             break
         if sizes is None:
+            settled = len(units)
             sizes = [
                 (abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
                 for k, entries in rows.items()
@@ -607,7 +626,33 @@ def _eliminate(m: Matrix) -> tuple:
         for b in range(a + 1, len(pivots)):
             g = gcd(pivots[a], pivots[b])
             pivots[a], pivots[b] = g, pivots[a] // g * pivots[b]
-    return (ring.one,) * units + tuple(pivots)
+    return (ring.one,) * len(units) + tuple(pivots), units if settled is None else units[:settled]
+
+
+def chain_invariant_factors(boundaries: Sequence[Matrix]) -> list:
+    """The invariant factors of each of the boundaries d_0, d_1, ..., d_N of a chain
+    complex, in order, each eliminated once without the rows that the unit pivots of
+    the one before settle.
+
+    This is the elementary reduction of algebraic Morse theory (Skoldberg, Trans.
+    AMS 2006; Mischaikow and Nanda, DCG 2013), its matching read off the
+    elimination.  Let A = d_n and B = d_(n+1), so A B = 0, and let the unit phase
+    of A's elimination pivot on rows I and columns J (see `_eliminate`), so that
+    A[I, J] is invertible.  From A[I, :] B = 0,
+
+        B[J, :] = -A[I, J]^-1 A[I, J^c] B[J^c, :],
+
+    so the rows J of B are ring combinations of its other rows, and B and B[J^c, :]
+    have the same invariant factors.  A B = 0 still holds with the rows of A that
+    d_(n-1)'s unit columns dropped, so B[J^c, :] d_(n+2) = 0 and the step repeats up
+    the complex.  The argument needs d_n d_(n+1) = 0: callers check it on the full
+    boundaries (`homology_group`).
+    """
+    factors, settled = [], ()
+    for m in boundaries:
+        d, settled = _eliminate(m, settled)
+        factors.append(d)
+    return factors
 
 
 def _nearest_quotient(x: int, p: int) -> int:
@@ -757,7 +802,16 @@ def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup
     """ker(boundary_out) / im(boundary_in), both expressed in the same basis.
 
     boundary_out maps the degree under inspection outward (to degree n-1),
-    boundary_in maps into it (from degree n+1).  With C_n the middle module,
+    boundary_in maps into it (from degree n+1); see `homology_group`.
+    """
+    require_pid(boundary_out.ring)
+    return homology_group(boundary_out, boundary_in, boundary_out.invariant_factors, boundary_in.invariant_factors)
+
+
+def homology_group(boundary_out: Matrix, boundary_in: Matrix, d_out: tuple, d_in: tuple) -> HomologyGroup:
+    """ker(boundary_out) / im(boundary_in), from the invariant factors d_out and d_in
+    of the two boundaries, once they are checked to compose to zero.  With C_n the
+    middle module,
 
         free rank = dim C_n - rank(boundary_out) - rank(boundary_in)
         torsion   = the invariant factors of boundary_in that are > 1 (none over a field)
@@ -766,11 +820,9 @@ def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup
     kernel is saturated, a direct summand C_n = ker + D, and C_n / im(boundary_in)
     = ker / im + D has the homology's torsion.
     """
-    require_pid(boundary_out.ring)
     if boundary_out.cols != boundary_in.rows:
         raise CompositionNotZeroError("boundary matrices are not composable")
     if not boundary_out.matmul(boundary_in).is_zero():
         raise CompositionNotZeroError("boundary_out @ boundary_in != 0")
-    d_out, d_in = boundary_out.invariant_factors, boundary_in.invariant_factors
     torsion = [] if boundary_out.ring.is_field else [x for x in d_in if x > 1]
     return HomologyGroup(free_rank=boundary_out.cols - len(d_out) - len(d_in), torsion=torsion)

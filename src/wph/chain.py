@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
@@ -9,7 +10,8 @@ from .algebra import (
     HomologyGroup,
     Matrix,
     Ring,
-    homology_of_pair,
+    chain_invariant_factors,
+    homology_group,
     kernel_basis,
     require_pid,
 )
@@ -140,8 +142,14 @@ class OmegaComplex:
         vertices = list(self.numbers)
         return Path(tuple(vertices[k] for k in code))
 
+    @cached_property
+    def invariant_factors(self) -> list:
+        """The invariant factors of boundary(0), ..., boundary(max_degree), computed on
+        first use and kept with the complex (see `algebra.chain_invariant_factors`)."""
+        return chain_invariant_factors([self.boundary(n) for n in range(self.max_degree + 1)])
 
-def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
+
+def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = None) -> OmegaComplex:
     """Compute Omega_n for n <= max_degree and the boundary matrices.
 
     Omega_n is the kernel of the composite: regular n-chains on P, mapped by
@@ -152,13 +160,16 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     kernel columns and the unit columns, ordered by first row, are the column
     Hermite form of the whole kernel.  Over Z kernel bases are saturated, so
     boundaries re-express integrally in the next basis down.  The work runs
-    on integer path codes (see OmegaComplex).
+    on integer path codes (see OmegaComplex).  `path_codes` is
+    pc.regular_path_codes(d) for some d >= max_degree when the caller has it
+    already; its buckets past max_degree are left out.
     """
     if not pc.is_weighted:
         raise MissingWeightError("Omega construction needs a weighted complex")
     ring = pc.ring
     require_pid(ring)
-    numbers, buckets = pc.regular_path_codes(max_degree)
+    numbers, buckets = path_codes or pc.regular_path_codes(max_degree)
+    buckets = buckets[:max_degree + 1]
     codes = [[c for c, _ in bucket] for bucket in buckets]
     weights = pc.weight_map()
     # each vertex number's weight and its negative, None for an unweighted vertex
@@ -334,15 +345,31 @@ class HomologyResult:
 
 
 def homology(pc: PathComplex, max_degree: int) -> HomologyResult:
-    """Weighted path homology in degrees 0..max_degree-1."""
-    omega = build_omega(pc, max_degree)
-    return homology_of_omega(omega)
+    """Weighted path homology in degrees 0..max_degree-1.
+
+    Omega is built only up to degree l + 1, with l the length of the longest
+    regular path: Omega_n is 0 for n > l, so every group from degree l + 1 on is 0.
+    """
+    path_codes = pc.regular_path_codes(max_degree)
+    longest = max((n for n, bucket in enumerate(path_codes[1]) if bucket), default=-1)
+    top = min(max_degree, longest + 1)
+    groups = homology_of_omega(build_omega(pc, top, path_codes)).groups
+    groups += [HomologyGroup(0) for _ in range(top, max_degree)]
+    return HomologyResult(pc.ring, max_degree, groups)
 
 
 def homology_of_omega(omega: OmegaComplex) -> HomologyResult:
-    """Homology from the boundaries' invariant factors, each boundary eliminated once for both its degrees."""
+    """Homology from the boundaries' invariant factors, each boundary eliminated once for both its degrees.
+
+    The factors come from `omega.invariant_factors`, which eliminates each boundary
+    d_(n+1) without the rows that d_n's unit pivots settle: those rows are ring
+    combinations of the others, since d_n d_(n+1) = 0 (the argument is in
+    `algebra.chain_invariant_factors`).  `homology_group` checks that identity on
+    the full boundaries, so a complex that breaks it is refused, not misread.
+    """
+    d = omega.invariant_factors
     groups = [
-        homology_of_pair(omega.boundary(n), omega.boundary(n + 1))
+        homology_group(omega.boundary(n), omega.boundary(n + 1), d[n], d[n + 1])
         for n in range(omega.max_degree)
     ]
     return HomologyResult(omega.ring, omega.max_degree, groups)

@@ -67,6 +67,12 @@ def random_unit_weight_complex(rng: random.Random, max_vertices: int = 6, maxlen
     return random_complex(rng, ring=QQ, max_vertices=max_vertices, maxlen=maxlen, nonzero=True)
 
 
+def random_unit_free_complex(rng: random.Random, max_vertices: int = 8, maxlen: int = 4) -> PathComplex:
+    """A random complex over Z whose weights are 0, +-2, 3, 4 or 6: no boundary entry is a unit."""
+    pc = random_complex(rng, max_vertices=max_vertices, maxlen=maxlen)
+    return pc.reweighted({v: rng.choice([0, 2, -2, 3, 4, 6]) for v in sorted(pc.vertices)}, ZZ)
+
+
 def grid_complex(rows: int, cols: int, maxlen: int) -> PathComplex:
     """The path complex of the rows x cols right/down grid digraph over Z.
 

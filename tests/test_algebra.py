@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wph import algebra
 from wph.algebra import (
     QQ,
     ZZ,
@@ -364,3 +365,20 @@ def test_invariant_factors_equal_the_smith_diagonal_on_sparse_matrices(m):
 @given(sparse_matrices(max_dim=7, unit_free=True))
 def test_invariant_factors_equal_the_smith_diagonal_without_units(m):
     assert m.invariant_factors == smith_normal_form(m).d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_rows_that_unit_pivots_settle_leave_the_invariant_factors_as_they_are(data):
+    # A B = 0, so the rows of B at A's unit columns are combinations of B's other rows
+    unit_free = data.draw(st.booleans())
+    a = data.draw(sparse_matrices(max_dim=7, unit_free=unit_free))
+    ring = a.ring
+    ker = kernel_basis(a)
+    entry = st.sampled_from([0, 0, 1, -1, 2, -3, 4] if ring != QQ else [0, 1, -1, Fraction(1, 2), 3])
+    c = Matrix(ring, ker.cols, 4, [[ring.coerce(x) for x in data.draw(st.lists(entry, min_size=4, max_size=4))] for _ in range(ker.cols)])
+    b = ker @ c
+    assert (a @ b).is_zero()
+    factors, settled = algebra._eliminate(a)
+    assert factors == a.invariant_factors and len(settled) <= len(factors)
+    assert algebra._eliminate(b, settled)[0] == b.invariant_factors == smith_normal_form(b).d

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from wph.algebra import (
     HomologyGroup,
     Matrix,
     Zmod,
+    homology_of_pair,
     kernel_basis,
     smith_normal_form,
     solve_in_lattice,
@@ -39,7 +41,15 @@ from wph.pathcx import (
     inclusion_top,
 )
 
-from helpers import dense_columns, grid_complex, matrix_of_columns, random_complex, random_unit_weight_complex
+from helpers import (
+    FIXTURES,
+    dense_columns,
+    grid_complex,
+    matrix_of_columns,
+    random_complex,
+    random_unit_free_complex,
+    random_unit_weight_complex,
+)
 
 a, b, c, d = (Vertex(s) for s in "abcd")
 
@@ -88,6 +98,24 @@ def test_homology_of_diamond_weighted_and_unweighted():
     unw = pc.reweighted({v: 1 for v in pc.vertices}, ZZ)
     res = homology(unw, 3)
     assert [(g.free_rank, g.torsion) for g in res.groups] == [(1, []), (1, []), (0, [])]
+
+
+def test_homology_builds_omega_only_up_to_the_longest_path_plus_one(monkeypatch):
+    pc = diamond_complex()  # its longest path has length 1
+    degrees = []
+    original = wchain.build_omega
+
+    def recording(pc, max_degree, *args):
+        degrees.append(max_degree)
+        return original(pc, max_degree, *args)
+
+    monkeypatch.setattr(wchain, "build_omega", recording)
+    res = homology(pc, 100000)
+    assert degrees == [2]
+    assert res.max_degree == 100000 and len(res.groups) == 100000
+    assert [(g.free_rank, g.torsion) for g in res.groups[:3]] == [(2, []), (2, []), (0, [])]
+    assert all(g.is_zero() for g in res.groups[2:])
+    assert homology(pc, 1).groups == res.groups[:1] and degrees[-1] == 1
 
 
 def test_homology_of_weighted_edge_has_torsion():
@@ -453,10 +481,10 @@ def test_homology_equals_the_kernel_lattice_route_on_grids():
     assert {2, 6} <= set(torsion)
 
 
-def k4_complex(maxlen: int, weights=(1, 2, 3, 4)) -> PathComplex:
+def k4_complex(maxlen: int, weights=(1, 2, 3, 4), ring=ZZ) -> PathComplex:
     vs = [Vertex(s) for s in "abcd"]
     k4 = WeightedDigraph.build(
-        vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, weights)), ZZ
+        vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, weights)), ring
     )
     return paths_functor(k4, maxlen)
 
@@ -531,11 +559,11 @@ def test_each_boundary_is_eliminated_at_most_once(monkeypatch):
     repeats = []
     original = algebra._eliminate
 
-    def counting(m):
+    def counting(m, *args):
         if id(m) in eliminated:
             repeats.append((m.rows, m.cols))
         eliminated[id(m)] = m
-        return original(m)
+        return original(m, *args)
 
     monkeypatch.setattr(algebra, "_eliminate", counting)
     om = k4_omega(3)
@@ -543,3 +571,59 @@ def test_each_boundary_is_eliminated_at_most_once(monkeypatch):
     homology_of_omega(om)
     assert all(id(m) in eliminated for m in om.boundaries.values())
     assert repeats == []
+
+
+def test_each_boundary_is_eliminated_without_the_rows_the_one_below_settles(monkeypatch):
+    # over Q every pivot is a unit, so d_n's unit columns number rank d_n
+    om = build_omega(k4_complex(3, ring=QQ), 3)
+    ranks = [0] + [len(om.boundary(n).invariant_factors) for n in range(1, 4)]
+    received = {}
+    original = algebra._eliminate
+
+    def recording(m, skip=()):
+        received[id(m)] = m.rows - len(skip)
+        return original(m, skip)
+
+    monkeypatch.setattr(algebra, "_eliminate", recording)
+    homology_of_omega(om)
+    assert [received[id(om.boundaries[n])] for n in range(1, 4)] == [om.rank(n - 1) - ranks[n - 1] for n in range(1, 4)]
+    assert ranks[1] == 3 and om.rank(1) == 12
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: random_complex(rng, maxlen=5),
+        lambda rng: random_unit_free_complex(rng, maxlen=5),
+        lambda rng: random_complex(rng, ring=QQ, maxlen=5),
+        lambda rng: random_complex(rng, ring=Zmod(2), maxlen=5),
+        lambda rng: random_complex(rng, ring=Zmod(7), maxlen=5),
+    ],
+    ids=["Z", "Z-unit-free", "Q", "Z2", "Z7"],
+)
+def test_reduced_chain_equals_the_pairs_on_the_full_boundaries(draw):
+    rng = random.Random(29)
+    groups = []
+    for _ in range(120):
+        om = build_omega(draw(rng), 5)
+        got = homology_of_omega(om).groups
+        assert got == [homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(5)], om.pc
+        groups += got
+    assert any(g.free_rank for g in groups)
+    assert any(g.torsion for g in groups) == (om.ring == ZZ)
+
+
+def ladder_rungs() -> tuple:
+    spec = importlib.util.spec_from_file_location("ladder", FIXTURES.parent / "scripts" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return ladder.RUNGS
+
+
+@pytest.mark.parametrize("rung", ladder_rungs(), ids=lambda rung: rung[0])
+def test_reduced_chain_equals_the_pairs_on_every_ladder_rung(rung):
+    _, digraph, length = rung
+    om = build_omega(paths_functor(digraph(), length), length)
+    assert homology_of_omega(om).groups == [
+        homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(length)
+    ]

@@ -3,8 +3,9 @@ import tracemalloc
 
 import pytest
 
+from wph import cli
 from wph import io as wio
-from wph.chain import homology
+from wph.chain import build_omega, homology, homology_of_omega
 from wph.cli import main
 from wph.homotopy import PrismReport
 from wph.pathcx import PathComplex
@@ -365,6 +366,14 @@ def test_validate_accepts_an_emitted_homology_document(tmp_path, capsys):
     path.write_bytes(wio.emit(homology(pc, 2)))
     code, out, _ = run(capsys, "validate", str(path))
     assert (code, out) == (0, "OK kind=homology ring=Z\n")
+
+
+def test_homology_past_the_longest_path_prints_what_the_whole_omega_route_printed(monkeypatch, capsys):
+    argv = ("homology", str(FIXTURES / "pc_diamond_weighted.json"), "--max-dim", "40")
+    code, out, err = run(capsys, *argv)
+    monkeypatch.setattr(cli, "homology", lambda pc, n: homology_of_omega(build_omega(pc, n)))
+    assert (code, out, err) == run(capsys, *argv)
+    assert len(out.splitlines()) == 41
 
 
 _CERT_ARGS = (
