@@ -4,6 +4,11 @@
 Checks, on freshly sampled instances:
   * the composed weighted boundary is exactly zero in every degree,
   * the prism boundary identity holds for every regular path,
+  * the chain-homotopy certificate for the cylinder inclusions holds, with
+    the same report at N = 3 and at N = 40 (past the longest path), and so
+    does the certificate for a homotopy that is not the identity (the bottom
+    inclusion of the regular paths to itself, through the degenerate
+    projection of the cylinder),
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
   * homology from the reduced chain (each boundary eliminated without the
@@ -26,8 +31,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from wph.algebra import QQ, ZZ, homology_of_pair
 from wph.chain import ChainVector, build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
-from wph.homotopy import verify_prism_identity
+from wph.homotopy import chain_homotopy_certificate, verify_prism_identity
 from wph.oracle import homology_dimensions
+from wph.pathcx import PathComplex, inclusion_bottom, inclusion_top
 
 from helpers import (
     bold_reference,
@@ -56,6 +62,17 @@ def main():
             for p in pq.regular_paths(n):
                 rep = verify_prism_identity(ChainVector.basis(p, QQ), pq)
                 assert rep.ok, (i, p.render(), rep.difference.render())
+
+        f, g = inclusion_bottom(pq), inclusion_top(pq)
+        reports = [chain_homotopy_certificate(f, g, n) for n in (3, 40)]
+        flags = [(r.ok, r.problems, r.identity_holds, r.homology_maps_equal) for r in reports]
+        assert flags[0] == flags[1] == (True, [], True, True), (i, flags)
+        assert [r.degrees_checked for r in reports] == [4, 41], i
+        # the regular paths are truncation-closed; onto them the projection F(v') = v is a morphism
+        regular = PathComplex.build(pq.vertices, [p for p in pq.paths if p.is_regular()], pq.weight_map(), QQ)
+        bottom = inclusion_bottom(regular)
+        cert = chain_homotopy_certificate(bottom, bottom, 3, allow_degenerate=True)
+        assert cert.ok and cert.identity_holds and cert.homology_maps_equal, (i, cert.problems)
 
         pq2 = random_complex(rng, ring=QQ, max_vertices=6, maxlen=3)
         dims = homology_dimensions(pq2, 3)

@@ -11,6 +11,7 @@ from .digraph import paths_functor
 from .errors import (
     HomotopyIdentityFailedError,
     ImageNotInOmegaError,
+    MissingWeightError,
     NonInvertibleWeightError,
     NotAMorphismError,
 )
@@ -180,24 +181,47 @@ def chain_homotopy_certificate(
     Builds L_n = F_* (prism of -) on every Omega_n generator of the source,
     verifies the prism lands in the cylinder's Omega, checks the identity
     dL + Ld = g_* - f_* exactly, and compares the induced homology maps.
+    Both sides must be weighted over one ring (MissingWeightError otherwise).
+
+    Two shortcuts give the same report, and the same errors, as the plain
+    construction up to degree max_degree:
+
+    * Identity homotopy.  When the target is the cylinder (so one Omega serves
+      both) and F fixes every vertex, as for the cylinder inclusions, L_n is the
+      prism's matrix T_n and F_* is never computed.  The identity vertex map
+      sends each regular path of the cylinder to itself, so `restrict_to_omega`
+      gives the identity matrix in every degree: each generator's image is its
+      own column.  d I = I d, so F_*'s commutation products cannot fail, and
+      F_* T = T.  No skipped step can raise an error or change a value.
+    * Degree cap.  A complex has no paths past its longest one, so Omega_n = 0
+      there.  Omega is built only up to D = min(max_degree + 1, 1 + the longest
+      path of the source, cylinder and target), and the loops run to D - 1.  In
+      every degree n >= D each boundary, induced map, L_n, identity check and
+      homology-map test has zero columns and passes vacuously.  Every path of
+      length at most max_degree + 1 has length at most D, so Omega reads the
+      same regular paths, and raises the same MissingWeightError or
+      InvariantError, as when built up to max_degree + 1.
     """
     hrep = one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
     if not hrep.ok:
         return CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
     gammas = _require_invertible_weights(f.source)
     ring = f.source.ring
+    if f.target.ring != ring:
+        raise MissingWeightError("the certificate needs both sides weighted over one ring")
     F = hrep.homotopy
     cyl = F.source
 
     # One Omega per distinct complex: for the cylinder inclusions the target is the cylinder.
-    omegas: dict = {}
-    for pc in (f.source, cyl, f.target):
-        if pc not in omegas:
-            omegas[pc] = build_omega(pc, max_degree + 1)
+    complexes = dict.fromkeys((f.source, cyl, f.target))
+    longest = max((p.length for pc in complexes for p in pc.paths), default=-1)
+    top = min(max_degree + 1, longest + 1)
+    omegas = {pc: build_omega(pc, top) for pc in complexes}
     om_src, om_cyl, om_tgt = omegas[f.source], omegas[cyl], omegas[f.target]
     f_mats = induced_chain_map(f, om_src, om_tgt)
     g_mats = induced_chain_map(g, om_src, om_tgt)
-    F_mats = induced_chain_map(F, om_cyl, om_tgt)
+    identity = om_cyl is om_tgt and all(u == v for v, u in F.vertex_map.items())
+    F_mats = None if identity else induced_chain_map(F, om_cyl, om_tgt)
 
     # L_n = F_* after the prism, as a matrix Omega_n(src) -> Omega_{n+1}(tgt).  Every
     # one-jump lift of a source n-path is a regular (n+1)-path of the cylinder.
@@ -208,11 +232,11 @@ def chain_homotopy_certificate(
         return image
 
     L = {}
-    for n in range(max_degree + 1):
+    for n in range(top):
         T = restrict_to_omega(lifted(om_src.reg_paths[n]), om_src, n, om_cyl, n + 1, ImageNotInOmegaError)
-        L[n] = F_mats[n + 1] @ T
+        L[n] = T if identity else F_mats[n + 1] @ T
 
-    for n in range(max_degree + 1):
+    for n in range(top):
         total = om_tgt.boundary(n + 1) @ L[n]
         if n >= 1:
             total = total + L[n - 1] @ om_src.boundary(n)
@@ -224,7 +248,7 @@ def chain_homotopy_certificate(
                         f"chain-homotopy identity fails on Omega_{n} generator {j}"
                     )
 
-    maps_equal = _induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree)
+    maps_equal = _induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, top - 1)
     return CertificateReport(
         ok=maps_equal,
         degrees_checked=max_degree + 1,

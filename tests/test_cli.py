@@ -385,6 +385,33 @@ _DIAMOND_Z = str(FIXTURES / "pc_diamond_weighted.json")
 _DIAMOND_Q = str(FIXTURES / "pc_diamond_q.json")
 
 
+_DH_CERT_ARGS = (
+    "homotopy-check", str(FIXTURES / "dh_mor_source.json"), str(FIXTURES / "dh_square_sets.json"),
+    "--f", str(FIXTURES / "mor_dh_f.json"), "--g", str(FIXTURES / "mor_dh_g.json"),
+    "--category", "dhyper", "--certify-chain-homotopy",
+)
+
+
+@pytest.mark.parametrize("argv", [_CERT_ARGS, _DH_CERT_ARGS], ids=["pathcx", "dhyper"])
+def test_certificate_far_past_the_longest_path(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-dim", "20000")
+    assert (code, err) == (0, "")
+    assert "identity dL + Ld = g* - f* holds in degrees <= 20000\n" in out
+
+
+def test_certificate_over_two_rings_exits_2(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "pc_edge_q.json").read_text())
+    doc["ring"], doc["body"]["weights"] = "Z", {"x": 1, "y": 1}
+    target = tmp_path / "edge_z.json"
+    target.write_text(json.dumps(doc))
+    argv = list(_CERT_ARGS)
+    argv[2] = str(target)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "one-step homotopy: PASS\n"
+    assert err == "error: the certificate needs both sides weighted over one ring\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from wph import homotopy
+from wph import io as wio
 from wph.algebra import QQ, ZZ, Matrix
 from wph.chain import ChainVector, build_omega, induced_chain_map
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
-from wph.errors import NonInvertibleWeightError
+from wph.errors import HomotopyIdentityFailedError, MissingWeightError, NonInvertibleWeightError
 from wph.homotopy import (
     StepSpec,
     chain_homotopy_certificate,
@@ -29,7 +30,7 @@ from wph.pathcx import (
     inclusion_top,
 )
 
-from helpers import random_unit_weight_complex
+from helpers import FIXTURES, random_unit_weight_complex
 
 a, b, c, d, x, y = (Vertex(s) for s in "abcdxy")
 
@@ -121,12 +122,16 @@ def test_prism_requires_invertible_weights():
         verify_prism_identity(ChainVector.basis(Path((a, b)), ZZ), pc)
 
 
-def test_cylinder_inclusions_are_chain_homotopic():
-    pc = complex_from_paths(
+def two_by_two():
+    return complex_from_paths(
         [Path((a, c)), Path((a, d)), Path((b, c)), Path((b, d))],
         weights={v: Fraction(1) for v in (a, b, c, d)},
         ring=QQ,
     )
+
+
+def test_cylinder_inclusions_are_chain_homotopic():
+    pc = two_by_two()
     f, g = inclusion_bottom(pc), inclusion_top(pc)
     cert = chain_homotopy_certificate(f, g, 3)
     assert cert.ok, cert.problems
@@ -147,6 +152,15 @@ def test_certificate_rejects_non_invertible_source_weights():
     f = PathMorphism(src, tgt, {a: x})
     g = PathMorphism(src, tgt, {a: y})
     with pytest.raises(NonInvertibleWeightError):
+        chain_homotopy_certificate(f, g, 2)
+
+
+def test_certificate_refuses_two_rings():
+    tgt = complex_from_paths([Path((x, y))], weights={x: 1, y: 1}, ring=ZZ)
+    f = PathMorphism(point_source(), tgt, {a: x})
+    g = PathMorphism(point_source(), tgt, {a: y})
+    assert one_step_homotopy_pathcx(f, g).ok
+    with pytest.raises(MissingWeightError, match="both sides weighted over one ring"):
         chain_homotopy_certificate(f, g, 2)
 
 
@@ -291,3 +305,102 @@ def test_homology_map_check_sees_a_cycle_move_off_the_boundaries(ring, corner, f
     assert [om.rank(n) for n in range(3)] == [4, 4, 1 if filled else 0]
     assert homotopy._induced_homology_maps_equal(om, om, ident, kill_1, 1) is equal
     assert homotopy._induced_homology_maps_equal(om, om, ident, ident, 1)
+
+
+def criterion5_complexes():
+    """The 20 complexes whose cylinder inclusions acceptance criterion 5 certifies."""
+    rng = random.Random(17)
+    return [random_unit_weight_complex(rng, max_vertices=5, maxlen=3) for _ in range(20)]
+
+
+def test_the_cylinder_inclusions_homotopy_induces_the_identity():
+    sizes = []
+    for pc in criterion5_complexes():
+        F = one_step_homotopy_pathcx(inclusion_bottom(pc), inclusion_top(pc)).homotopy
+        assert F.target == F.source and all(u == v for v, u in F.vertex_map.items())
+        om = build_omega(F.source, 4)
+        mats = induced_chain_map(F, om, om)
+        assert all(mats[n] == Matrix.identity(QQ, om.rank(n)) for n in range(5))
+        sizes.append(len(pc.paths))
+    assert max(sizes) > 11  # larger than every certify-q complex
+
+
+def fixture_body(name: str):
+    return wio.parse((FIXTURES / name).read_bytes()).body
+
+
+def dh_fixture_certificate(max_degree: int):
+    src, tgt = fixture_body("dh_mor_source.json"), fixture_body("dh_square_sets.json")
+    f, g = (HyperMorphism(src, tgt, dict(fixture_body(m).vertex_map)) for m in ("mor_dh_f.json", "mor_dh_g.json"))
+    return edge_weighted_certificate(f, g, max_degree)
+
+
+def point_to_edge():
+    f = PathMorphism(point_source(), edge_target(), {a: x})
+    g = PathMorphism(point_source(), edge_target(), {a: y})
+    return f, g
+
+
+@pytest.mark.parametrize(
+    "certify, induced_maps",
+    [
+        (lambda: chain_homotopy_certificate(inclusion_bottom(two_by_two()), inclusion_top(two_by_two()), 3), 2),
+        (lambda: chain_homotopy_certificate(*[inclusion_bottom(two_by_two())] * 2, 3, allow_degenerate=True), 3),
+        (lambda: chain_homotopy_certificate(*point_to_edge(), 3), 3),
+        (lambda: dh_fixture_certificate(2), 3),
+    ],
+    ids=["cylinder-inclusions", "bottom-to-bottom", "point-to-edge", "dhyper-fixtures"],
+)
+def test_only_a_homotopy_that_is_not_the_identity_computes_its_induced_map(monkeypatch, certify, induced_maps):
+    calls = []
+    original = homotopy.induced_chain_map
+
+    def counting(f, source, target):
+        calls.append(f)
+        return original(f, source, target)
+
+    monkeypatch.setattr(homotopy, "induced_chain_map", counting)
+    cert = certify()
+    assert cert.ok and cert.identity_holds and cert.homology_maps_equal
+    assert len(calls) == induced_maps
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [lambda: (inclusion_bottom(two_by_two()), inclusion_top(two_by_two())), point_to_edge],
+    ids=["cylinder-inclusions", "point-to-edge"],
+)
+def test_a_wrong_homotopy_is_refused(monkeypatch, pair):
+    original = homotopy.prism
+    # twice a chain of Omega stays in Omega: only the identity dL + Ld = g* - f* can fail
+    monkeypatch.setattr(homotopy, "prism", lambda v, gammas: original(v, gammas).scale(2))
+    with pytest.raises(HomotopyIdentityFailedError, match="fails on Omega_0 generator 0"):
+        chain_homotopy_certificate(*pair(), 3)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [point_to_edge, lambda: (inclusion_bottom(two_by_two()), inclusion_top(two_by_two()))],
+    ids=["point-to-edge", "cylinder-inclusions"],
+)
+def test_certificate_work_stops_at_the_longest_path(monkeypatch, pair):
+    built = []
+    original = homotopy.build_omega
+
+    def recording(pc, max_degree):
+        built.append(max_degree)
+        return original(pc, max_degree)
+
+    monkeypatch.setattr(homotopy, "build_omega", recording)
+    f, g = pair()
+    longest = max(p.length for p in f.target.paths)  # the target holds the longest path of the three
+    assert longest + 1 < 4
+    reports = {}
+    for n in (3, 20000):
+        built.clear()
+        cert = chain_homotopy_certificate(f, g, n)
+        assert cert.degrees_checked == n + 1
+        reports[n] = (cert.ok, cert.problems, cert.identity_holds, cert.homology_maps_equal, list(built))
+    assert reports[3] == reports[20000]
+    assert reports[3][:4] == (True, [], True, True)
+    assert set(reports[3][4]) == {longest + 1}
