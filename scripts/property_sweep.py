@@ -7,8 +7,7 @@ Checks, on freshly sampled instances:
   * the chain-homotopy certificate for the cylinder inclusions holds, with
     the same report at N = 3 and at N = 40 (past the longest path), and so
     does the certificate for a homotopy that is not the identity (the bottom
-    inclusion of the regular paths to itself, through the degenerate
-    projection of the cylinder),
+    inclusion to itself, through the degenerate projection of the cylinder),
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
   * homology from the reduced chain (each boundary eliminated without the
@@ -16,32 +15,49 @@ Checks, on freshly sampled instances:
     boundaries, over Z with unit-free weights and over Q,
   * the bold functor's one forward walk equals the truncation closure of
     the decomposable paths, on a random directed hypergraph with arrow
-    sides of any size, for maxlen 0..4.
+    sides of any size, for maxlen 0..4,
+  * Omega bases and boundaries equal those built with every one-row class's
+    kernel taken from `kernel_basis` instead of its closed form, on the
+    path complex of a random digraph over Z with unit-free weights, over Q,
+    over Z/7 and over Z/2.
 
     python3 scripts/property_sweep.py --count 100 --seed 1
 """
 import argparse
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from wph.algebra import QQ, ZZ, homology_of_pair
+from wph import chain
+from wph.algebra import QQ, ZZ, Zmod, homology_of_pair
 from wph.chain import ChainVector, build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
 from wph.homotopy import chain_homotopy_certificate, verify_prism_identity
 from wph.oracle import homology_dimensions
-from wph.pathcx import PathComplex, inclusion_bottom, inclusion_top
+from wph.pathcx import inclusion_bottom, inclusion_top
 
 from helpers import (
     bold_reference,
+    one_row_kernel_by_elimination,
     random_complex,
+    random_digraph_complex,
     random_directed_hypergraph,
     random_unit_free_complex,
     random_unit_weight_complex,
 )
+
+
+# (ring, weight draw) for the one-row kernel check: Z with unit-free weights, Q, Z/7, Z/2
+ONE_ROW_SAMPLES = [
+    (ZZ, lambda rng: rng.choice([0, 2, -2, 3, 4, 6])),
+    (QQ, lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 4))),
+    (Zmod(7), lambda rng: rng.randint(0, 6)),
+    (Zmod(2), lambda rng: rng.randint(0, 1)),
+]
 
 
 def main():
@@ -50,6 +66,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     rng = random.Random(args.seed)
+    one_row_kernel = chain._one_row_kernel
 
     for i in range(args.count):
         pc = random_complex(rng, ring=ZZ)
@@ -68,9 +85,8 @@ def main():
         flags = [(r.ok, r.problems, r.identity_holds, r.homology_maps_equal) for r in reports]
         assert flags[0] == flags[1] == (True, [], True, True), (i, flags)
         assert [r.degrees_checked for r in reports] == [4, 41], i
-        # the regular paths are truncation-closed; onto them the projection F(v') = v is a morphism
-        regular = PathComplex.build(pq.vertices, [p for p in pq.paths if p.is_regular()], pq.weight_map(), QQ)
-        bottom = inclusion_bottom(regular)
+        # the projection F(v') = v merges each lift's jump, and only that repeat
+        bottom = inclusion_bottom(pq)
         cert = chain_homotopy_certificate(bottom, bottom, 3, allow_degenerate=True)
         assert cert.ok and cert.identity_holds and cert.homology_maps_equal, (i, cert.problems)
 
@@ -87,6 +103,16 @@ def main():
         g = random_directed_hypergraph(rng)
         for maxlen in range(5):
             assert bold_functor(g, maxlen) == bold_reference(g, maxlen), (i, maxlen)
+
+        for ring, weight in ONE_ROW_SAMPLES:
+            pc = random_digraph_complex(rng, weight, ring)
+            om = build_omega(pc, 4)
+            chain._one_row_kernel = one_row_kernel_by_elimination
+            try:
+                ref = build_omega(pc, 4)
+            finally:
+                chain._one_row_kernel = one_row_kernel
+            assert om.bases == ref.bases and om.boundaries == ref.boundaries, (i, ring, pc)
 
         if (i + 1) % 10 == 0:
             print(f"{i + 1}/{args.count} instances checked")

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Optional
 
 from .algebra import (
@@ -100,7 +101,10 @@ class OmegaComplex:
     is its own, and pivots ascend with the columns.  A free path (no face
     outside the complex) is a generator with one unit entry, a pruned path's
     row is empty, and the other generators live each on one class of paths
-    linked by shared outside faces (see build_omega).
+    linked by shared outside faces (see build_omega).  A class whose paths
+    share one outside face, and have no other, has a one-row constraint
+    matrix; its generators come in closed form (`_one_row_kernel`), the same
+    Hermite columns an elimination gives.
     boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
     Omega_{n-1} in those generator bases.
 
@@ -156,7 +160,11 @@ def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = 
     the weighted boundary, projected onto the regular (n-1)-paths NOT in P.
     Before any elimination, each path without outside faces becomes its own
     unit generator and pruned paths (see _linked_paths) get none; each class
-    of the rest takes its own kernel.  Classes have disjoint rows, so their
+    of the rest takes its own kernel.  When every path of a class has one
+    outside face, the class, being linked, shares that face: its constraint
+    matrix is one row, whose Hermite kernel `_one_row_kernel` writes down from
+    one extended-gcd chain (over a field, from one inverse); only the other
+    classes run `kernel_basis`.  Classes have disjoint rows, so their
     kernel columns and the unit columns, ordered by first row, are the column
     Hermite form of the whole kernel.  Over Z kernel bases are saturated, so
     boundaries re-express integrally in the next basis down.  The work runs
@@ -203,9 +211,13 @@ def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = 
         cut = [[(q, c) for q, c in terms if q.__class__ is tuple] for terms in table]
         columns = [{j: ring.one} for j, terms in enumerate(cut) if not terms]
         for members in _linked_paths(cut) if any(cut) else ():
-            row_index: dict = {}  # outside face -> its row in the class's constraint matrix
-            cols = [{row_index.setdefault(q, len(row_index)): c for q, c in cut[j]} for j in members]
-            for col in kernel_basis(Matrix.from_columns(ring, cols, len(row_index))).entries:
+            if all(len(cut[j]) == 1 for j in members):  # linked, so all share that one face: one row
+                kernel = _one_row_kernel(ring, [cut[j][0][1] for j in members])
+            else:
+                row_index: dict = {}  # outside face -> its row in the class's constraint matrix
+                cols = [{row_index.setdefault(q, len(row_index)): c for q, c in cut[j]} for j in members]
+                kernel = kernel_basis(Matrix.from_columns(ring, cols, len(row_index))).entries
+            for col in kernel:
                 columns.append({members[k]: x for k, x in col.items()})
         columns.sort(key=min)  # by pivot row, which no two generators share
         bases.append(Matrix.from_columns(ring, columns, len(table)))
@@ -217,6 +229,62 @@ def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = 
             faces[n].__getitem__, omega, n, omega, n - 1, InvariantError
         )
     return omega
+
+
+def _one_row_kernel(ring: Ring, a: list) -> list:
+    """The kernel of the one-row matrix (a_0 ... a_l), l >= 1 and every a_i nonzero, as
+    `kernel_basis` gives it: sparse columns in column Hermite form.
+
+    The kernel has rank l, and for i < l its vectors that vanish before entry i have
+    entries i..l solving a_i x_i + ... + a_l x_l = 0, so column i has its pivot in row i.
+    Over a field that column is e_i - (a_i / a_l) e_l, the reduced echelon form.  Over Z,
+    with G_i = gcd(a_i, ..., a_l), the least positive x_i of such a vector is
+    G_(i+1) / G_i: the pivot of column i.  One vector with that pivot is
+    G_(i+1)/G_i e_i - a_i/G_i (y_(i+1) e_(i+1) + ... + y_l e_l), where the Bezout
+    coefficients y give a_(i+1) y_(i+1) + ... + a_l y_l = G_(i+1) and are built from the
+    last entry upward.  Reducing it at each later pivot row j < l into [0, pivot_j) by
+    floor division, as `algebra._hermite_column_reduce` does, gives the one Hermite
+    column with that pivot.
+    """
+    last = len(a) - 1
+    if ring.is_field:
+        one, mul, u = ring.one, ring.mul, ring.neg(ring.inv(a[last]))
+        return [{i: one, last: mul(u, x)} for i, x in enumerate(a[:last])]
+    g = abs(a[last])  # G_(i+1)
+    y = {last: a[last] // g}  # the nonzero Bezout coefficients: sum of a_j y_j is G_(i+1)
+    cols: list = [None] * last
+    for i in range(last - 1, -1, -1):
+        h = gcd(a[i], g)  # G_i
+        c = -(a[i] // h)
+        col = {i: g // h}
+        col.update((j, c * x) for j, x in y.items())
+        for j in range(i + 1, last):
+            q = col.get(j, 0) // cols[j][j]
+            if q:
+                for r, z in cols[j].items():
+                    v = col.get(r, 0) - q * z
+                    if v:
+                        col[r] = v
+                    else:
+                        del col[r]
+        cols[i] = col
+        if i:
+            s, t = _bezout(a[i], g)
+            y = {j: t * x for j, x in y.items()} if t else {}
+            if s:
+                y[i] = s
+            g = h
+    return cols
+
+
+def _bezout(a: int, b: int) -> tuple:
+    """(s, t) with s a + t b = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (s0, t0) if a >= 0 else (-s0, -t0)
 
 
 def _linked_paths(cut: list) -> list:

@@ -28,8 +28,11 @@ class MorphismReport:
 def verify_path_morphism(f: PathMorphism, allow_degenerate: bool = False) -> MorphismReport:
     """Check path images land in the target; check weight preservation.
 
-    With allow_degenerate, consecutive equal vertices in an image path are
-    collapsed before the membership test.
+    With allow_degenerate, two consecutive distinct vertices of a path that f
+    sends to one vertex give it once in the image before the membership test (a
+    digraph map may send an edge to a vertex); a repeat the source path already
+    has is kept.  A weighted source and target must weigh every vertex involved
+    (MissingWeightError otherwise).
     """
     problems = []
     for v in sorted(f.source.vertices):
@@ -50,12 +53,13 @@ def verify_path_morphism(f: PathMorphism, allow_degenerate: bool = False) -> Mor
         weighted = f.source.ring == f.target.ring
         ws, wt = f.source.weight_map(), f.target.weight_map()
         for v in sorted(f.source.vertices):
-            if wt[f.vertex_map[v]] != ws[v]:
+            u = f.vertex_map[v]
+            for x, w in ((v, ws), (u, wt)):
+                if x not in w:
+                    raise MissingWeightError(f"vertex {x.render()} has no weight")
+            if wt[u] != ws[v]:
                 weighted = False
-                problems.append(
-                    f"weight of {v.render()} not preserved: "
-                    f"{ws[v]} -> {wt[f.vertex_map[v]]}"
-                )
+                problems.append(f"weight of {v.render()} not preserved: {ws[v]} -> {wt[u]}")
     return MorphismReport(ok=not problems, weighted=weighted, problems=problems)
 
 

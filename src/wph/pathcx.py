@@ -76,13 +76,6 @@ class Path(_PathFields):
         vs, up = self.vertices, self.primed().vertices
         return [Path(vs[: k + 1] + up[k:]) for k in range(len(vs))]
 
-    def collapse_repeats(self) -> "Path":
-        out = [self.vertices[0]]
-        for v in self.vertices[1:]:
-            if v != out[-1]:
-                out.append(v)
-        return Path(tuple(out))
-
     def render(self) -> str:
         return "(" + " ".join(v.render() for v in self.vertices) + ")"
 
@@ -315,8 +308,19 @@ class PathMorphism:
     vertex_map: dict
 
     def image_path(self, p: Path, collapse: bool = False) -> Path:
-        img = Path(tuple(self.vertex_map[v] for v in p.vertices))
-        return img.collapse_repeats() if collapse else img
+        """The image of p, vertex by vertex.  With collapse, two consecutive distinct
+        vertices of p that the map sends to one vertex give it once; a repeat that p
+        already has stays, as it is part of the path the map is applied to."""
+        vmap = self.vertex_map
+        if not collapse:
+            return Path(tuple(vmap[v] for v in p.vertices))
+        vs = p.vertices
+        img = [vmap[vs[0]]]
+        for u, v in zip(vs, vs[1:]):
+            w = vmap[v]
+            if u == v or w != img[-1]:
+                img.append(w)
+        return Path(tuple(img))
 
 
 def identity_morphism(pc: PathComplex) -> PathMorphism:

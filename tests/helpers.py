@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from pathlib import Path as FsPath
 
-from wph.algebra import QQ, ZZ, Matrix
+from wph.algebra import QQ, ZZ, Matrix, kernel_basis
 from wph.dhyper import Arrow, DirectedHypergraph
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
@@ -21,6 +21,11 @@ def dense_columns(m: Matrix) -> list:
 def matrix_of_columns(ring, cols, rows: int) -> Matrix:
     """The rows x len(cols) matrix with the given dense columns."""
     return Matrix(ring, rows, len(cols), list(zip(*cols)) if cols else [()] * rows)
+
+
+def one_row_kernel_by_elimination(ring, a: list) -> list:
+    """What `chain._one_row_kernel` gives, from `kernel_basis` of the 1 x len(a) matrix (a)."""
+    return list(kernel_basis(Matrix.from_columns(ring, [{0: x} for x in a], 1)).entries)
 
 
 def fixture_paths(prefix: str) -> list:
@@ -71,6 +76,15 @@ def random_unit_free_complex(rng: random.Random, max_vertices: int = 8, maxlen: 
     """A random complex over Z whose weights are 0, +-2, 3, 4 or 6: no boundary entry is a unit."""
     pc = random_complex(rng, max_vertices=max_vertices, maxlen=maxlen)
     return pc.reweighted({v: rng.choice([0, 2, -2, 3, 4, 6]) for v in sorted(pc.vertices)}, ZZ)
+
+
+def random_digraph_complex(rng: random.Random, weight, ring, max_vertices: int = 5, maxlen: int = 4) -> PathComplex:
+    """The path complex of a random digraph on 3..max_vertices vertices, each arrow present
+    with probability 0.4 and each vertex weighted by weight(rng): its squares and longer
+    detours link paths by shared outside faces."""
+    verts = [Vertex(chr(ord("a") + i)) for i in range(rng.randint(3, max_vertices))]
+    edges = [(x, y) for x in verts for y in verts if x != y and rng.random() < 0.4]
+    return paths_functor(WeightedDigraph.build(verts, edges, {v: weight(rng) for v in verts}, ring), maxlen)
 
 
 def grid_complex(rows: int, cols: int, maxlen: int) -> PathComplex:

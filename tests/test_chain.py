@@ -46,7 +46,9 @@ from helpers import (
     dense_columns,
     grid_complex,
     matrix_of_columns,
+    one_row_kernel_by_elimination,
     random_complex,
+    random_digraph_complex,
     random_unit_free_complex,
     random_unit_weight_complex,
 )
@@ -294,6 +296,27 @@ def test_block_bases_and_boundaries_equal_the_whole_matrix_kernel():
     assert sorted(col) == [3, 4]
 
 
+F0, F1, F2, F3 = (0, 1), (0, 2), (1, 2), (1, 3)  # outside faces, as path codes
+
+
+def test_linked_paths_keeps_a_face_that_a_pruned_path_shared():
+    # path 0 is the last one with F1, so it is pruned; F0 still links paths 1 and 2
+    assert wchain._linked_paths([[(F0, 1), (F1, 1)], [(F0, 1)], [(F0, 1)]]) == [(1, 2)]
+
+
+def test_linked_paths_prunes_in_a_cascade():
+    # 4 is alone on F3; then 3 is alone on F2, and 2 on F1: paths 0 and 1 still share F0
+    cut = [[(F0, 1)], [(F0, 2)], [(F0, 1), (F1, 1)], [(F1, 1), (F2, 1)], [(F2, 1), (F3, 1)]]
+    assert wchain._linked_paths(cut) == [(0, 1)]
+    assert wchain._linked_paths(cut[1:]) == []  # now path 0 (was 1) is alone on F0 as well
+
+
+def test_linked_paths_lists_ascending_classes_by_their_first_path():
+    # the class of path 0 reaches 3 before 2 and 5, through F0 and then F2
+    cut = [[(F0, 1)], [(F1, 1)], [(F2, 1)], [(F0, 1), (F2, 1)], [(F1, 1)], [(F2, 1)], []]
+    assert wchain._linked_paths(cut) == [(0, 2, 3, 5), (1, 4)]
+
+
 def test_an_image_on_a_pruned_path_raises_the_callers_error():
     # pruned rows carry no generator, so no pivot: an image on one is refused
     om = build_omega(pruned_in_three_rounds_complex(), 2)
@@ -361,10 +384,14 @@ def test_substitution_refuses_an_entry_the_pivot_does_not_divide():
 def test_grid_kernels_run_only_on_the_linked_squares(monkeypatch):
     # in the 3 x 4 grid at length 4 only the two paths round each of the 6 unit
     # squares share an outside face, their diagonal; every other path is free or pruned
-    shapes = []
+    # so each class takes its kernel in closed form, and no elimination runs
+    shapes, lengths = [], []
     monkeypatch.setattr(wchain, "kernel_basis", lambda m: shapes.append((m.rows, m.cols)) or kernel_basis(m))
+    one_row_kernel = wchain._one_row_kernel
+    monkeypatch.setattr(wchain, "_one_row_kernel", lambda ring, a: lengths.append(len(a)) or one_row_kernel(ring, a))
     om = build_omega(grid_complex(3, 4, 4), 4)
-    assert shapes == [(1, 2)] * 6
+    assert shapes == []
+    assert lengths == [2] * 6
     squares = [(n, sorted(col)) for n, basis in enumerate(om.bases) for col in basis.entries if len(col) > 1]
     assert len(squares) == 6
     for n, rows in squares:
@@ -401,8 +428,8 @@ def test_faces_with_zero_coefficient_are_not_constraints(pc, p, ranks):
 
 
 def test_boundary_refuses_outside_faces_that_do_not_cancel(monkeypatch):
-    # a wrong block kernel: each path of the linked block {(a b d), (a c d)} its own generator
-    monkeypatch.setattr(wchain, "kernel_basis", lambda m: Matrix.identity(m.ring, m.cols))
+    # a wrong class kernel: each path of the linked class {(a b d), (a c d)} its own generator
+    monkeypatch.setattr(wchain, "_one_row_kernel", lambda ring, a: [{k: ring.one} for k in range(len(a))])
     with pytest.raises(InvariantError, match=r"Omega_2 generator 0 maps onto \(a d\), off the target paths"):
         build_omega(square_complex(ZZ, 1, 1), 2)
 
@@ -424,6 +451,60 @@ def test_missing_weight_fires_only_on_a_regular_path_of_positive_degree():
             build_omega(pc, top)
 
 
+@pytest.mark.parametrize(
+    "ring, draw",
+    [
+        (ZZ, lambda rng: rng.choice([-1, 1]) * rng.randint(1, 30)),
+        (QQ, lambda rng: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))),
+        (Zmod(2), lambda rng: 1),
+        (Zmod(3), lambda rng: rng.randint(1, 2)),
+        (Zmod(7), lambda rng: rng.randint(1, 6)),
+    ],
+    ids=["Z", "Q", "Z2", "Z3", "Z7"],
+)
+def test_one_row_kernel_equals_kernel_basis(ring, draw):
+    rng = random.Random(41)
+    for _ in range(4000):
+        a = [draw(rng) for _ in range(rng.randint(2, 6))]
+        assert wchain._one_row_kernel(ring, a) == one_row_kernel_by_elimination(ring, a), a
+
+
+def assert_bases_equal_the_kernel_route(monkeypatch, complexes: list) -> int:
+    """build_omega's bases and boundaries, for each (complex, max_degree), equal those with
+    every one-row class's kernel from `kernel_basis`; returns how many classes took the
+    closed form."""
+    lengths = []
+    one_row_kernel = wchain._one_row_kernel
+    monkeypatch.setattr(wchain, "_one_row_kernel", lambda ring, a: lengths.append(len(a)) or one_row_kernel(ring, a))
+    closed = [build_omega(pc, top) for pc, top in complexes]
+    monkeypatch.setattr(wchain, "_one_row_kernel", one_row_kernel_by_elimination)
+    for (pc, top), om in zip(complexes, closed):
+        ref = build_omega(pc, top)
+        assert om.bases == ref.bases and om.boundaries == ref.boundaries, pc
+    return len(lengths)
+
+
+@pytest.mark.parametrize(
+    "ring, weight",
+    [
+        (ZZ, lambda rng: rng.choice([0, 2, -2, 3, 4, 6])),
+        (QQ, lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 4))),
+        (Zmod(7), lambda rng: rng.randint(0, 6)),
+        (Zmod(2), lambda rng: rng.randint(0, 1)),
+    ],
+    ids=["Z-unit-free", "Q", "Z7", "Z2"],
+)
+def test_closed_form_bases_equal_the_kernel_route_on_random_digraphs(monkeypatch, ring, weight):
+    rng = random.Random(43)
+    complexes = [(random_digraph_complex(rng, weight, ring), 4) for _ in range(300)]
+    assert assert_bases_equal_the_kernel_route(monkeypatch, complexes) > 150
+
+
+def test_closed_form_bases_equal_the_kernel_route_on_every_ladder_rung(monkeypatch):
+    complexes = [(paths_functor(digraph(), length), length) for _, digraph, length in ladder_rungs()]
+    assert assert_bases_equal_the_kernel_route(monkeypatch, complexes) > 0
+
+
 def test_block_kernels_factor_at_most_six_columns_on_the_5x5_grid(monkeypatch):
     widths = []
     original = algebra._echelon
@@ -436,7 +517,7 @@ def test_block_kernels_factor_at_most_six_columns_on_the_5x5_grid(monkeypatch):
     monkeypatch.setattr(algebra, "_echelon", recording)
     om = build_omega(pc, 4)
     assert [om.rank(n) for n in range(5)] == [25, 40, 16, 0, 0]
-    assert widths and max(widths) <= 6
+    assert widths == []  # every class is a linked square, whose kernel needs no elimination
 
 
 def test_omega_ranks_of_the_8x8_grid_at_length_5():

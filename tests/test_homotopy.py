@@ -53,6 +53,27 @@ def test_verify_path_morphism_strict_vs_degenerate():
     assert verify_path_morphism(collapse, allow_degenerate=True).ok
 
 
+def test_a_missing_weight_of_an_image_vertex_is_a_typed_error():
+    src = complex_from_paths([Path((a, b))], weights={a: Fraction(1), b: Fraction(1)}, ring=QQ)
+    tgt = complex_from_paths([Path((a, b))], weights={a: Fraction(1)}, ring=QQ)
+    with pytest.raises(MissingWeightError, match="vertex b has no weight"):
+        verify_path_morphism(PathMorphism(src, tgt, {a: a, b: b}))
+
+
+def test_the_bottom_inclusion_is_its_own_homotopy_with_degeneracies_on_every_criterion_5_complex():
+    # as in acceptance criterion 5; the complexes have irregular paths such as (c a a c),
+    # whose own repeat must survive the degenerate check of the identity on the bottom copy
+    rng = random.Random(17)
+    irregular = 0
+    for _ in range(20):
+        pc = random_unit_weight_complex(rng, max_vertices=5, maxlen=3)
+        f = inclusion_bottom(pc)
+        cert = chain_homotopy_certificate(f, f, 3, allow_degenerate=True)
+        assert cert.ok and cert.identity_holds and cert.homology_maps_equal, (pc, cert.problems)
+        irregular += any(not p.is_regular() for p in pc.paths)
+    assert irregular >= 5
+
+
 def test_one_step_homotopy_along_an_edge():
     f = PathMorphism(point_source(), edge_target(), {a: x})
     g = PathMorphism(point_source(), edge_target(), {a: y})

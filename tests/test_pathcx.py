@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from wph.algebra import ZZ
 from wph.errors import InvariantError
-from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
+from wph.pathcx import Path, PathComplex, PathMorphism, Vertex, complex_from_paths
 
 from helpers import random_complex
 
@@ -20,7 +20,16 @@ def test_path_truncations_and_regularity():
     assert p.drop_front() == Path((b, a))
     assert p.drop_back() == Path((a, b))
     assert not Path((a, a)).is_regular()
-    assert Path((a, a, b)).collapse_repeats() == Path((a, b))
+
+
+def test_a_collapsed_image_merges_only_the_repeats_the_map_makes():
+    pc = complex_from_paths([Path((a, a, b, c))])
+    f = PathMorphism(pc, pc, {a: a, b: a, c: c})
+    assert f.image_path(Path((a, a, b, c))) == Path((a, a, a, c))
+    # a b becomes a a and merges; the source's own a a stays
+    assert f.image_path(Path((a, a, b, c)), collapse=True) == Path((a, a, c))
+    assert f.image_path(Path((a, b, b)), collapse=True) == Path((a, a))
+    assert f.image_path(Path((b, a, b)), collapse=True) == Path((a,))
 
 
 def test_an_empty_path_is_refused():
