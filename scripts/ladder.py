@@ -7,6 +7,9 @@ k x k right/down grid digraphs (vertex (i, j) of weight 1 + (7i + j) mod 3),
 each at path length L = N.  For every rung this prints
 the best time over --repeat runs of `build_omega` and of `homology_of_omega`
 on the built Omega, and the homology groups as (free rank, torsion) pairs.
+The certificate rungs then time `chain_homotopy_certificate` for the cylinder
+inclusions of a rung's complex, with max degree N, and print its flags
+(ok, identity_holds, homology_maps_equal).
 
     python3 scripts/ladder.py --repeat 3
 """
@@ -20,7 +23,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import build_omega, homology_of_omega
 from wph.digraph import WeightedDigraph, paths_functor
-from wph.pathcx import Vertex
+from wph.homotopy import chain_homotopy_certificate
+from wph.pathcx import Vertex, inclusion_bottom, inclusion_top
 
 
 def complete(n: int, ring, weights=None) -> WeightedDigraph:
@@ -54,6 +58,11 @@ RUNGS = (  # (name, digraph builder, L = N)
     ("K6 L4 Z/11 w2-7", lambda: complete(6, Zmod(11), range(2, 8)), 4),
 )
 
+CERTIFICATE_RUNGS = (  # (name, digraph builder, L = N)
+    ("K4 L3 Q", lambda: complete(4, QQ), 3),
+    ("K5 L3 Q", lambda: complete(5, QQ), 3),
+)
+
 
 def main():
     parser = argparse.ArgumentParser()
@@ -74,6 +83,17 @@ def main():
         omega_s, homology_s = (min(column) for column in zip(*times))
         groups = [(g.free_rank, list(g.torsion)) for g in result.groups]
         print(f"{name:<15} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
+    print(f"{'certificate':<15} {'cert_s':>9}  flags (ok, identity_holds, homology_maps_equal)")
+    for name, digraph, length in CERTIFICATE_RUNGS:
+        pc = paths_functor(digraph(), length)
+        f, g = inclusion_bottom(pc), inclusion_top(pc)
+        times = []
+        for _ in range(args.repeat):
+            start = perf_counter()
+            cert = chain_homotopy_certificate(f, g, length)
+            times.append(perf_counter() - start)
+        flags = (cert.ok, cert.identity_holds, cert.homology_maps_equal)
+        print(f"{name:<15} {min(times):9.4f}  {flags}", flush=True)
 
 
 if __name__ == "__main__":

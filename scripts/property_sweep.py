@@ -8,6 +8,8 @@ Checks, on freshly sampled instances:
     the same report at N = 3 and at N = 40 (past the longest path), and so
     does the certificate for a homotopy that is not the identity (the bottom
     inclusion to itself, through the degenerate projection of the cylinder),
+  * each of those certificates' equal-homology-maps flag agrees with one
+    lattice test per degree on the induced maps (helpers.homology_maps_equal),
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
   * homology from the reduced chain (each boundary eliminated without the
@@ -42,6 +44,7 @@ from wph.pathcx import inclusion_bottom, inclusion_top
 
 from helpers import (
     bold_reference,
+    homology_maps_equal,
     one_row_kernel_by_elimination,
     random_complex,
     random_digraph_complex,
@@ -85,10 +88,12 @@ def main():
         flags = [(r.ok, r.problems, r.identity_holds, r.homology_maps_equal) for r in reports]
         assert flags[0] == flags[1] == (True, [], True, True), (i, flags)
         assert [r.degrees_checked for r in reports] == [4, 41], i
+        assert all(homology_maps_equal(f, g, n) for n in (3, 40)), i
         # the projection F(v') = v merges each lift's jump, and only that repeat
         bottom = inclusion_bottom(pq)
         cert = chain_homotopy_certificate(bottom, bottom, 3, allow_degenerate=True)
         assert cert.ok and cert.identity_holds and cert.homology_maps_equal, (i, cert.problems)
+        assert homology_maps_equal(bottom, bottom, 3), i
 
         pq2 = random_complex(rng, ring=QQ, max_vertices=6, maxlen=3)
         dims = homology_dimensions(pq2, 3)

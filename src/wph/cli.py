@@ -264,6 +264,8 @@ def _report_certificate(cert, max_dim: int) -> int:
 def cmd_homotopy_check(args) -> int:
     _require_at_least("--max-dim", args.max_dim, 0)
     _require_at_least("--maxlen", args.maxlen, 0)
+    if (args.category, args.strictness) in (("pathcx", "reflexive"), ("dhyper", "allow-degenerate")):
+        raise SchemaError(f"--strictness {args.strictness} does not apply to --category {args.category}")
     src_doc = _load(args.source)
     tgt_doc = _load(args.target)
     f_spec = _expect(_load(args.f), args.f, "morphism")
@@ -301,13 +303,12 @@ def cmd_homotopy_check(args) -> int:
     target = _expect(tgt_doc, args.target, "directed_hypergraph")
     if args.mode == "chain":
         raise SchemaError("--mode chain is only available for --category pathcx")
-    mode = "reflexive" if args.strictness == "reflexive" else "strict"
     f = _morphism(HyperMorphism, f_spec, source, target, "--f")
     g = _morphism(HyperMorphism, g_spec, source, target, "--g")
-    rep = one_step_homotopy_dhyper(f, g, mode=mode)
+    rep = one_step_homotopy_dhyper(f, g, mode=args.strictness)
     code = _report(rep.ok, "one-step homotopy", rep.problems)
     if code == EXIT_OK and args.certify:
-        cert = edge_weighted_certificate(f, g, args.max_dim, maxlen=args.maxlen, mode=mode)
+        cert = edge_weighted_certificate(f, g, args.max_dim, maxlen=args.maxlen, mode=args.strictness)
         code = _report_certificate(cert, args.max_dim)
     return code
 
@@ -393,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--certify-chain-homotopy",
         dest="certify",
         action="store_true",
-        help="also build the chain homotopy and compare induced homology maps",
+        help="also build the chain homotopy and check dL + Ld = g* - f* exactly, "
+        "which makes the induced homology maps equal",
     )
     p.add_argument("--max-dim", type=int, default=3)
     p.add_argument("--maxlen", type=int, default=4)

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import Matrix, kernel_basis
 from .chain import ChainVector, build_omega, induced_chain_map, restrict_to_omega, weighted_boundary
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
 from .digraph import paths_functor
@@ -183,9 +182,18 @@ def chain_homotopy_certificate(
     """Certify an explicit chain homotopy between f and g up to max_degree.
 
     Builds L_n = F_* (prism of -) on every Omega_n generator of the source,
-    verifies the prism lands in the cylinder's Omega, checks the identity
-    dL + Ld = g_* - f_* exactly, and compares the induced homology maps.
-    Both sides must be weighted over one ring (MissingWeightError otherwise).
+    verifies the prism lands in the cylinder's Omega, and checks the identity
+    dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).  Both
+    sides must be weighted over one ring (MissingWeightError otherwise).
+
+    Equal homology maps follow from the identity, so no further test runs.
+    Take a basis K of the cycles of Omega_n(source), n < D (D below).  Then
+    dK = 0, so (g_* - f_*) K = d(L_n K) + L_(n-1) dK = d(L_n K), and L_n K is a
+    ring combination of Omega_(n+1)(target) generators: every column of
+    (f_* - g_*) K lies in the lattice that d_(n+1) spans, over Z, Q and Z/m
+    alike, and f_* = g_* on H_n.  The identity is checked in every degree
+    below D, the same degrees the equal-maps flag covers.  The tests cross-check
+    the flag with that lattice test on Omega built afresh (tests/helpers.py).
 
     Two shortcuts give the same report, and the same errors, as the plain
     construction up to degree max_degree:
@@ -200,8 +208,8 @@ def chain_homotopy_certificate(
     * Degree cap.  A complex has no paths past its longest one, so Omega_n = 0
       there.  Omega is built only up to D = min(max_degree + 1, 1 + the longest
       path of the source, cylinder and target), and the loops run to D - 1.  In
-      every degree n >= D each boundary, induced map, L_n, identity check and
-      homology-map test has zero columns and passes vacuously.  Every path of
+      every degree n >= D each boundary, induced map, L_n and identity check
+      has zero columns and passes vacuously, and H_n(source) = 0.  Every path of
       length at most max_degree + 1 has length at most D, so Omega reads the
       same regular paths, and raises the same MissingWeightError or
       InvariantError, as when built up to max_degree + 1.
@@ -252,31 +260,12 @@ def chain_homotopy_certificate(
                         f"chain-homotopy identity fails on Omega_{n} generator {j}"
                     )
 
-    maps_equal = _induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, top - 1)
     return CertificateReport(
-        ok=maps_equal,
+        ok=True,
         degrees_checked=max_degree + 1,
         identity_holds=True,
-        homology_maps_equal=maps_equal,
+        homology_maps_equal=True,
     )
-
-
-def _induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> bool:
-    """f_* == g_* on homology: (f - g) moves every cycle into the boundaries.
-
-    One lattice test per degree: with K a basis of the source cycles, the lattice
-    spanned by [d_(n+1) | (f - g) K] contains the one spanned by d_(n+1), so the two
-    are equal exactly when their invariant factors are (equal rank, over a field).
-    """
-    for n in range(max_degree + 1):
-        moved = (f_mats[n] - g_mats[n]) @ kernel_basis(om_src.boundary(n))
-        if moved.is_zero():
-            continue
-        img = om_tgt.boundary(n + 1)
-        both = Matrix.from_columns(img.ring, img.entries + moved.entries, img.rows)
-        if both.invariant_factors != img.invariant_factors:
-            return False
-    return True
 
 
 @dataclass
@@ -372,13 +361,16 @@ def edge_weighted_certificate(
                 f"set weight {w} of {{{','.join(sorted(v.render() for v in s))}}} "
                 f"is not invertible in {ring.name}"
             )
+    return chain_homotopy_certificate(*natural_path_morphisms(f, g, maxlen), max_degree)
+
+
+def natural_path_morphisms(f: HyperMorphism, g: HyperMorphism, maxlen: int) -> tuple:
+    """f and g on the natural path complexes (paths of length <= maxlen in the source,
+    <= maxlen + 1 in the target): each sends set vertex S to set vertex f(S)."""
     src_pc = paths_functor(natural_digraph(f.source), maxlen)
     tgt_pc = paths_functor(natural_digraph(f.target), maxlen + 1)
-    # vertex maps of the induced path morphisms: set vertex S -> set vertex f(S)
-    def induced(m: HyperMorphism) -> PathMorphism:
-        vmap = {}
-        for s in f.source.origin_end_sets():
-            vmap[_set_vertex(s)] = _set_vertex(m.image_set(s))
-        return PathMorphism(src_pc, tgt_pc, vmap)
-
-    return chain_homotopy_certificate(induced(f), induced(g), max_degree)
+    sets = f.source.origin_end_sets()
+    return tuple(
+        PathMorphism(src_pc, tgt_pc, {_set_vertex(s): _set_vertex(m.image_set(s)) for s in sets})
+        for m in (f, g)
+    )

@@ -1,14 +1,18 @@
-"""Shared random-instance generators used across the test suite."""
+"""Shared random-instance generators and cross-checks used across the test suite."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from pathlib import Path as FsPath
 
+from wph import cli
+from wph import io as wio
 from wph.algebra import QQ, ZZ, Matrix, kernel_basis
-from wph.dhyper import Arrow, DirectedHypergraph
+from wph.chain import build_omega, induced_chain_map
+from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
-from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
+from wph.homotopy import natural_path_morphisms
+from wph.pathcx import Path, PathComplex, PathMorphism, Vertex, complex_from_paths
 
 FIXTURES = FsPath(__file__).resolve().parent.parent / "fixtures"
 
@@ -26,6 +30,50 @@ def matrix_of_columns(ring, cols, rows: int) -> Matrix:
 def one_row_kernel_by_elimination(ring, a: list) -> list:
     """What `chain._one_row_kernel` gives, from `kernel_basis` of the 1 x len(a) matrix (a)."""
     return list(kernel_basis(Matrix.from_columns(ring, [{0: x} for x in a], 1)).entries)
+
+
+def induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> bool:
+    """f_* == g_* on homology: (f - g) moves every cycle into the boundaries.
+
+    One lattice test per degree: with K a basis of the source cycles, the lattice
+    spanned by [d_(n+1) | (f - g) K] contains the one spanned by d_(n+1), so the two
+    are equal exactly when their invariant factors are (equal rank, over a field).
+    """
+    for n in range(max_degree + 1):
+        moved = (f_mats[n] - g_mats[n]) @ kernel_basis(om_src.boundary(n))
+        if moved.is_zero():
+            continue
+        img = om_tgt.boundary(n + 1)
+        both = Matrix.from_columns(img.ring, img.entries + moved.entries, img.rows)
+        if both.invariant_factors != img.invariant_factors:
+            return False
+    return True
+
+
+def homology_maps_equal(f: PathMorphism, g: PathMorphism, max_degree: int) -> bool:
+    """The lattice test on the maps f and g induce in degrees <= max_degree, on Omega
+    built afresh: the cross-check of a certificate's equal-homology-maps flag.
+
+    Degrees past the longest path have Omega_n = 0 and pass vacuously, so Omega
+    stops one degree above min(max_degree, longest path).
+    """
+    longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)
+    top = min(max_degree, longest) + 1
+    om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
+    f_mats, g_mats = induced_chain_map(f, om_src, om_tgt), induced_chain_map(g, om_src, om_tgt)
+    return induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, top - 1)
+
+
+def cli_homology_maps_equal(argv) -> bool:
+    """`homology_maps_equal` on the pair that `wph homotopy-check ... --certify-chain-homotopy`
+    with these arguments certifies (for --category dhyper, its natural path morphisms)."""
+    args = cli._build_parser().parse_args(list(argv))
+    src, tgt, f_doc, g_doc = (wio.parse(FsPath(p).read_bytes()).body for p in (args.source, args.target, args.f, args.g))
+    if args.category == "dhyper":
+        f, g = natural_path_morphisms(*(HyperMorphism(src, tgt, dict(m.vertex_map)) for m in (f_doc, g_doc)), args.maxlen)
+    else:
+        f, g = (PathMorphism(src, tgt, dict(m.vertex_map)) for m in (f_doc, g_doc))
+    return homology_maps_equal(f, g, args.max_dim)
 
 
 def fixture_paths(prefix: str) -> list:

@@ -31,7 +31,14 @@ from wph.homotopy import chain_homotopy_certificate, one_step_homotopy_pathcx, v
 from wph.oracle import homology_dimensions
 from wph.pathcx import Path, Vertex, complex_from_paths, inclusion_bottom, inclusion_top
 
-from helpers import FIXTURES, fixture_paths, random_complex, random_unit_weight_complex
+from helpers import (
+    FIXTURES,
+    cli_homology_maps_equal,
+    fixture_paths,
+    homology_maps_equal,
+    random_complex,
+    random_unit_weight_complex,
+)
 
 
 @pytest.fixture
@@ -117,10 +124,10 @@ def test_criterion_5_chain_homotopy_instances(announce):
         if not one_step_homotopy_pathcx(f, g).ok:
             continue  # the cylinder inclusions are always homotopic; defensive
         cert = chain_homotopy_certificate(f, g, 3)
-        if not (cert.ok and cert.identity_holds and cert.homology_maps_equal):
+        if not (cert.ok and cert.identity_holds and cert.homology_maps_equal and homology_maps_equal(f, g, 3)):
             ok = False
         pairs += 1
-    announce(5, ok, f"dL + Ld = g* - f* and equal homology maps on {pairs} verified pairs")
+    announce(5, ok, f"dL + Ld = g* - f* and equal homology maps (lattice cross-check) on {pairs} verified pairs")
 
 
 def test_criterion_6_cylinder_equals_box_product(announce):
@@ -223,23 +230,22 @@ def test_criterion_9_cli_determinism(announce, capsys, monkeypatch):
     commands.append(["functor", str(FIXTURES / "pc_edge_torsion.json"), "--functor", "cylinder"])
     commands.append(["functor", str(FIXTURES / "dg_diamond.json"), "--functor", "box:I1f"])
     commands.append(["prism-check", str(FIXTURES / "pc_diamond_q.json"), "--degree", "1", "--seed", "3"])
-    commands.append(
-        [
-            "homotopy-check",
-            str(FIXTURES / "pc_point_q.json"),
-            str(FIXTURES / "pc_edge_q.json"),
-            "--f", str(FIXTURES / "mor_a_to_x.json"),
-            "--g", str(FIXTURES / "mor_a_to_y.json"),
-            "--certify-chain-homotopy",
-        ]
-    )
+    certify = [
+        "homotopy-check",
+        str(FIXTURES / "pc_point_q.json"),
+        str(FIXTURES / "pc_edge_q.json"),
+        "--f", str(FIXTURES / "mor_a_to_x.json"),
+        "--g", str(FIXTURES / "mor_a_to_y.json"),
+        "--certify-chain-homotopy",
+    ]
+    commands.append(certify)
 
     def run(argv):
         code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    ok = True
+    ok = cli_homology_maps_equal(certify)
     for argv in commands:
         first = run(argv)
         second = run(argv)

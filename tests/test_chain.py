@@ -45,6 +45,7 @@ from helpers import (
     FIXTURES,
     dense_columns,
     grid_complex,
+    homology_maps_equal,
     matrix_of_columns,
     one_row_kernel_by_elimination,
     random_complex,
@@ -218,6 +219,7 @@ def test_each_matrix_is_factored_at_most_once(monkeypatch):
     pc = random_unit_weight_complex(random.Random(17), max_vertices=5, maxlen=3)
     cert = chain_homotopy_certificate(inclusion_bottom(pc), inclusion_top(pc), 3)
     assert cert.ok
+    assert homology_maps_equal(inclusion_bottom(pc), inclusion_top(pc), 3)
 
     assert factored
     assert repeats == []

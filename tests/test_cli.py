@@ -10,7 +10,7 @@ from wph.cli import main
 from wph.homotopy import PrismReport
 from wph.pathcx import PathComplex
 
-from helpers import FIXTURES
+from helpers import FIXTURES, cli_homology_maps_equal
 
 
 @pytest.fixture(autouse=True)
@@ -131,18 +131,11 @@ def test_functor_cylinder_writes_file(tmp_path, capsys):
 
 
 def test_homotopy_check_one_step_and_certificate(capsys):
-    code, out, _ = run(
-        capsys,
-        "homotopy-check",
-        str(FIXTURES / "pc_point_q.json"),
-        str(FIXTURES / "pc_edge_q.json"),
-        "--f", str(FIXTURES / "mor_a_to_x.json"),
-        "--g", str(FIXTURES / "mor_a_to_y.json"),
-        "--certify-chain-homotopy",
-    )
+    code, out, _ = run(capsys, *_CERT_ARGS)
     assert code == 0
     assert "one-step homotopy: PASS" in out
     assert "induced homology maps equal: yes" in out
+    assert cli_homology_maps_equal(_CERT_ARGS)
 
 
 def test_homotopy_check_fails_in_reverse(capsys):
@@ -174,18 +167,10 @@ def test_homotopy_check_chain_mode(capsys):
 
 
 def test_homotopy_check_dhyper(capsys):
-    code, out, _ = run(
-        capsys,
-        "homotopy-check",
-        str(FIXTURES / "dh_mor_source.json"),
-        str(FIXTURES / "dh_square_sets.json"),
-        "--f", str(FIXTURES / "mor_dh_f.json"),
-        "--g", str(FIXTURES / "mor_dh_g.json"),
-        "--category", "dhyper",
-        "--certify-chain-homotopy",
-    )
+    code, out, _ = run(capsys, *_DH_CERT_ARGS)
     assert code == 0
     assert "induced homology maps equal: yes" in out
+    assert cli_homology_maps_equal(_DH_CERT_ARGS)
 
 
 @pytest.mark.parametrize(
@@ -397,6 +382,22 @@ def test_certificate_far_past_the_longest_path(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-dim", "20000")
     assert (code, err) == (0, "")
     assert "identity dL + Ld = g* - f* holds in degrees <= 20000\n" in out
+    assert cli_homology_maps_equal(argv + ("--max-dim", "20000"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_CERT_ARGS[:-1] + ("--strictness", "reflexive"), "--strictness reflexive does not apply to --category pathcx"),
+        (
+            _DH_CERT_ARGS[:-1] + ("--strictness", "allow-degenerate"),
+            "--strictness allow-degenerate does not apply to --category dhyper",
+        ),
+    ],
+    ids=["pathcx-reflexive", "dhyper-allow-degenerate"],
+)
+def test_a_strictness_the_category_has_not_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_certificate_over_two_rings_exits_2(tmp_path, capsys):

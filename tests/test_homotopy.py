@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wph import homotopy
+from wph import algebra, homotopy
 from wph import io as wio
 from wph.algebra import QQ, ZZ, Matrix
 from wph.chain import ChainVector, build_omega, induced_chain_map
@@ -13,6 +13,7 @@ from wph.homotopy import (
     StepSpec,
     chain_homotopy_certificate,
     edge_weighted_certificate,
+    natural_path_morphisms,
     one_step_homotopy_dhyper,
     one_step_homotopy_pathcx,
     prism,
@@ -30,7 +31,7 @@ from wph.pathcx import (
     inclusion_top,
 )
 
-from helpers import FIXTURES, random_unit_weight_complex
+from helpers import FIXTURES, homology_maps_equal, induced_homology_maps_equal, random_unit_weight_complex
 
 a, b, c, d, x, y = (Vertex(s) for s in "abcdxy")
 
@@ -70,6 +71,7 @@ def test_the_bottom_inclusion_is_its_own_homotopy_with_degeneracies_on_every_cri
         f = inclusion_bottom(pc)
         cert = chain_homotopy_certificate(f, f, 3, allow_degenerate=True)
         assert cert.ok and cert.identity_holds and cert.homology_maps_equal, (pc, cert.problems)
+        assert homology_maps_equal(f, f, 3), pc
         irregular += any(not p.is_regular() for p in pc.paths)
     assert irregular >= 5
 
@@ -158,6 +160,7 @@ def test_cylinder_inclusions_are_chain_homotopic():
     assert cert.ok, cert.problems
     assert cert.identity_holds
     assert cert.homology_maps_equal
+    assert homology_maps_equal(f, g, 3)
 
 
 def test_certificate_for_maps_to_an_edge():
@@ -165,6 +168,7 @@ def test_certificate_for_maps_to_an_edge():
     g = PathMorphism(point_source(), edge_target(), {a: y})
     cert = chain_homotopy_certificate(f, g, 3)
     assert cert.ok and cert.identity_holds and cert.homology_maps_equal
+    assert homology_maps_equal(f, g, 3)
 
 
 def test_certificate_rejects_non_invertible_source_weights():
@@ -241,6 +245,7 @@ def test_edge_weighted_certificate_on_square():
     g = HyperMorphism(src, tgt, {a: u, b: v})
     cert = edge_weighted_certificate(f, g, 2)
     assert cert.ok and cert.homology_maps_equal
+    assert homology_maps_equal(*natural_path_morphisms(f, g, 4), 2)
 
 
 def test_edge_weighted_certificate_gates_on_set_weights():
@@ -270,13 +275,7 @@ def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
     assert f.target == pc.cylinder()
     assert chain_homotopy_certificate(f, g, 3).ok
     assert len(built) == 2
-
-
-def maps_equal(f: PathMorphism, g: PathMorphism, max_degree: int) -> bool:
-    """The certificate's homology-map check on the maps that f and g induce."""
-    om_src, om_tgt = build_omega(f.source, max_degree + 1), build_omega(f.target, max_degree + 1)
-    f_mats, g_mats = induced_chain_map(f, om_src, om_tgt), induced_chain_map(g, om_src, om_tgt)
-    return homotopy._induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree)
+    assert homology_maps_equal(f, g, 3)
 
 
 @pytest.mark.parametrize(
@@ -294,8 +293,8 @@ def test_homology_map_check_compares_point_images_in_degree_0(ring, weight, path
     src = complex_from_paths([Path((a,))], weights={a: weight}, ring=ring)
     tgt = complex_from_paths(paths, weights={x: weight, y: weight}, ring=ring)
     f, g = PathMorphism(src, tgt, {a: x}), PathMorphism(src, tgt, {a: y})
-    assert maps_equal(f, g, 0) is equal
-    assert maps_equal(f, f, 0)
+    assert homology_maps_equal(f, g, 0) is equal
+    assert homology_maps_equal(f, f, 0)
 
 
 def weighted_square(ring, corner: int, paths=None):
@@ -324,8 +323,8 @@ def test_homology_map_check_sees_a_cycle_move_off_the_boundaries(ring, corner, f
     ident = {n: Matrix.identity(ring, om.rank(n)) for n in range(2)}
     kill_1 = {0: ident[0], 1: Matrix.zeros(ring, om.rank(1), om.rank(1))}  # differs from ident by the identity on Omega_1
     assert [om.rank(n) for n in range(3)] == [4, 4, 1 if filled else 0]
-    assert homotopy._induced_homology_maps_equal(om, om, ident, kill_1, 1) is equal
-    assert homotopy._induced_homology_maps_equal(om, om, ident, ident, 1)
+    assert induced_homology_maps_equal(om, om, ident, kill_1, 1) is equal
+    assert induced_homology_maps_equal(om, om, ident, ident, 1)
 
 
 def criterion5_complexes():
@@ -346,14 +345,42 @@ def test_the_cylinder_inclusions_homotopy_induces_the_identity():
     assert max(sizes) > 11  # larger than every certify-q complex
 
 
+def test_the_certificate_eliminates_nothing_outside_its_omega_builds(monkeypatch):
+    # kernels (`_echelon`) and invariant factors (`_eliminate`) are counted apart for the
+    # calls made inside `build_omega` and the rest of the certificate
+    counts = {"omega": 0, "rest": 0}
+    inside = []
+
+    def counting(original):
+        def run(*args):
+            counts["omega" if inside else "rest"] += 1
+            return original(*args)
+
+        return run
+
+    def omega(pc, max_degree, original=homotopy.build_omega):
+        inside.append(pc)
+        try:
+            return original(pc, max_degree)
+        finally:
+            inside.pop()
+
+    for name in ("_echelon", "_eliminate"):
+        monkeypatch.setattr(algebra, name, counting(getattr(algebra, name)))
+    monkeypatch.setattr(homotopy, "build_omega", omega)
+    for pc in criterion5_complexes():
+        assert chain_homotopy_certificate(inclusion_bottom(pc), inclusion_top(pc), 3).ok
+    assert counts["omega"] > 0
+    assert counts["rest"] == 0
+
+
 def fixture_body(name: str):
     return wio.parse((FIXTURES / name).read_bytes()).body
 
 
-def dh_fixture_certificate(max_degree: int):
+def dh_fixture_morphisms() -> tuple:
     src, tgt = fixture_body("dh_mor_source.json"), fixture_body("dh_square_sets.json")
-    f, g = (HyperMorphism(src, tgt, dict(fixture_body(m).vertex_map)) for m in ("mor_dh_f.json", "mor_dh_g.json"))
-    return edge_weighted_certificate(f, g, max_degree)
+    return tuple(HyperMorphism(src, tgt, dict(fixture_body(m).vertex_map)) for m in ("mor_dh_f.json", "mor_dh_g.json"))
 
 
 def point_to_edge():
@@ -363,16 +390,28 @@ def point_to_edge():
 
 
 @pytest.mark.parametrize(
-    "certify, induced_maps",
+    "certify, pair, induced_maps",
     [
-        (lambda: chain_homotopy_certificate(inclusion_bottom(two_by_two()), inclusion_top(two_by_two()), 3), 2),
-        (lambda: chain_homotopy_certificate(*[inclusion_bottom(two_by_two())] * 2, 3, allow_degenerate=True), 3),
-        (lambda: chain_homotopy_certificate(*point_to_edge(), 3), 3),
-        (lambda: dh_fixture_certificate(2), 3),
+        (
+            lambda: chain_homotopy_certificate(inclusion_bottom(two_by_two()), inclusion_top(two_by_two()), 3),
+            lambda: (inclusion_bottom(two_by_two()), inclusion_top(two_by_two())),
+            2,
+        ),
+        (
+            lambda: chain_homotopy_certificate(*[inclusion_bottom(two_by_two())] * 2, 3, allow_degenerate=True),
+            lambda: [inclusion_bottom(two_by_two())] * 2,
+            3,
+        ),
+        (lambda: chain_homotopy_certificate(*point_to_edge(), 3), point_to_edge, 3),
+        (
+            lambda: edge_weighted_certificate(*dh_fixture_morphisms(), 2),
+            lambda: natural_path_morphisms(*dh_fixture_morphisms(), 4),
+            3,
+        ),
     ],
     ids=["cylinder-inclusions", "bottom-to-bottom", "point-to-edge", "dhyper-fixtures"],
 )
-def test_only_a_homotopy_that_is_not_the_identity_computes_its_induced_map(monkeypatch, certify, induced_maps):
+def test_only_a_homotopy_that_is_not_the_identity_computes_its_induced_map(monkeypatch, certify, pair, induced_maps):
     calls = []
     original = homotopy.induced_chain_map
 
@@ -384,6 +423,7 @@ def test_only_a_homotopy_that_is_not_the_identity_computes_its_induced_map(monke
     cert = certify()
     assert cert.ok and cert.identity_holds and cert.homology_maps_equal
     assert len(calls) == induced_maps
+    assert homology_maps_equal(*pair(), cert.degrees_checked - 1)
 
 
 @pytest.mark.parametrize(
@@ -422,6 +462,7 @@ def test_certificate_work_stops_at_the_longest_path(monkeypatch, pair):
         cert = chain_homotopy_certificate(f, g, n)
         assert cert.degrees_checked == n + 1
         reports[n] = (cert.ok, cert.problems, cert.identity_holds, cert.homology_maps_equal, list(built))
+        assert homology_maps_equal(f, g, n)
     assert reports[3] == reports[20000]
     assert reports[3][:4] == (True, [], True, True)
     assert set(reports[3][4]) == {longest + 1}

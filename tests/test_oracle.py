@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import build_omega, homology, homology_of_omega
+from wph.pathcx import Path, Vertex, complex_from_paths
 from wph.oracle import homology_dimensions, kernel_vectors, omega_dimensions, rank, row_reduce
 
 from helpers import grid_complex, random_complex
@@ -73,7 +75,8 @@ def test_unit_weights_keep_the_betti_numbers():
 
     So over Q, and over Z/p for each p dividing no weight, the Betti numbers agree;
     over Z the free ranks do.  Checked through the oracle, which shares no code with
-    the elimination engine.  (Equal p-primary torsion is not checked here.)
+    the elimination engine.  (Equal p-primary torsion over Z is checked on the
+    projective plane below: these draws have no torsion at such a prime.)
     """
     rng = random.Random(11)
     nontrivial = 0
@@ -89,3 +92,57 @@ def test_unit_weights_keep_the_betti_numbers():
         assert [g.free_rank for g in homology(weighted, 3).groups] == betti, weighted
         nontrivial += any(betti[1:])
     assert nontrivial >= 50  # the draws reach past H_0
+
+
+RP2_TRIANGLES = ("123", "134", "145", "156", "126", "235", "346", "245", "356", "246")
+
+
+def rp2_complex(weights: list):
+    """The 6-vertex, 10-triangle real projective plane as a path complex over Z: every
+    increasing vertex sequence of a triangle; vertex "k" has weight weights[k - 1]."""
+    vs = [Vertex(str(k)) for k in range(1, 7)]
+    paths = {
+        Path(tuple(vs[int(c) - 1] for c in face))
+        for t in RP2_TRIANGLES
+        for k in (1, 2, 3)
+        for face in itertools.combinations(t, k)
+    }
+    return complex_from_paths(paths, weights=dict(zip(vs, weights)), ring=ZZ)
+
+
+def primary_torsion(torsion, p: int) -> list:
+    """The p-primary part of the invariant factors: the largest power of p dividing each."""
+    parts = []
+    for t in torsion:
+        q = 1
+        while t % (q * p) == 0:
+            q *= p
+        if q > 1:
+            parts.append(q)
+    return parts
+
+
+def test_weights_prime_to_p_keep_the_p_primary_torsion():
+    """Over Z localized at a prime p that divides no weight every weight is a unit, so the
+    rescaling above is a chain isomorphism there, and each H_n keeps the p-primary
+    torsion of the all-ones complex.  The projective plane has H_1 = Z/2 unweighted.
+
+    Odd weights keep that Z/2; weights prime to 3 add no 3-primary torsion.
+    """
+    ones = homology(rp2_complex([1] * 6), 3).groups
+    assert [(g.free_rank, list(g.torsion)) for g in ones] == [(1, []), (0, [2]), (0, [])]
+    rng = random.Random(5)
+    checked = {p: 0 for p in (2, 3, 5, 7)}
+    for _ in range(200):
+        weights = [rng.choice([1, -1, 3, -3, 5, -5, 7, -7, 9, -9, 15, 25]) for _ in range(6)]
+        groups = homology(rp2_complex(weights), 3).groups
+        assert [g.free_rank for g in groups] == [1, 0, 0], weights
+        for p in checked:
+            if all(w % p for w in weights):
+                assert [primary_torsion(g.torsion, p) for g in groups] == [
+                    primary_torsion(g.torsion, p) for g in ones
+                ], (weights, p)
+                checked[p] += 1
+    assert checked[2] == 200 and min(checked.values()) >= 5, checked
+    # a weight divisible by 2 changes the 2-primary torsion
+    assert list(homology(rp2_complex([1, 1, 2, 6, 2, 4]), 3).groups[1].torsion) == [2, 2, 48]
