@@ -7,9 +7,11 @@ k x k right/down grid digraphs (vertex (i, j) of weight 1 + (7i + j) mod 3),
 each at path length L = N.  For every rung this prints
 the best time over --repeat runs of `build_omega` and of `homology_of_omega`
 on the built Omega, and the homology groups as (free rank, torsion) pairs.
-The certificate rungs then time `chain_homotopy_certificate` for the cylinder
-inclusions of a rung's complex, with max degree N, and print its flags
-(ok, identity_holds, homology_maps_equal).
+The certificate rungs then time `chain_homotopy_certificate` with max degree N,
+for the cylinder inclusions of a rung's complex and, on the "bottom" rung, for
+the bottom inclusion as its own homotopy under allow_degenerate (a homotopy that
+is not the identity of its target), and print its flags (ok, identity_holds,
+homology_maps_equal).
 
     python3 scripts/ladder.py --repeat 3
 """
@@ -58,9 +60,20 @@ RUNGS = (  # (name, digraph builder, L = N)
     ("K6 L4 Z/11 w2-7", lambda: complete(6, Zmod(11), range(2, 8)), 4),
 )
 
-CERTIFICATE_RUNGS = (  # (name, digraph builder, L = N)
-    ("K4 L3 Q", lambda: complete(4, QQ), 3),
-    ("K5 L3 Q", lambda: complete(5, QQ), 3),
+def cylinder_inclusions(pc) -> tuple:
+    return inclusion_bottom(pc), inclusion_top(pc)
+
+
+def bottom_to_bottom(pc) -> tuple:
+    """The bottom inclusion as its own homotopy: F sends both copies to the bottom,
+    so it is not the identity of its target."""
+    return inclusion_bottom(pc), inclusion_bottom(pc)
+
+
+CERTIFICATE_RUNGS = (  # (name, digraph builder, L = N, the pair f, g of its complex, allow_degenerate)
+    ("K4 L3 Q", lambda: complete(4, QQ), 3, cylinder_inclusions, False),
+    ("K5 L3 Q", lambda: complete(5, QQ), 3, cylinder_inclusions, False),
+    ("K4 L3 Q bottom", lambda: complete(4, QQ), 3, bottom_to_bottom, True),
 )
 
 
@@ -84,13 +97,12 @@ def main():
         groups = [(g.free_rank, list(g.torsion)) for g in result.groups]
         print(f"{name:<15} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
     print(f"{'certificate':<15} {'cert_s':>9}  flags (ok, identity_holds, homology_maps_equal)")
-    for name, digraph, length in CERTIFICATE_RUNGS:
-        pc = paths_functor(digraph(), length)
-        f, g = inclusion_bottom(pc), inclusion_top(pc)
+    for name, digraph, length, pair, allow_degenerate in CERTIFICATE_RUNGS:
+        f, g = pair(paths_functor(digraph(), length))
         times = []
         for _ in range(args.repeat):
             start = perf_counter()
-            cert = chain_homotopy_certificate(f, g, length)
+            cert = chain_homotopy_certificate(f, g, length, allow_degenerate=allow_degenerate)
             times.append(perf_counter() - start)
         flags = (cert.ok, cert.identity_holds, cert.homology_maps_equal)
         print(f"{name:<15} {min(times):9.4f}  {flags}", flush=True)

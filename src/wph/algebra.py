@@ -164,6 +164,8 @@ class ModularRing(Ring):
         self.one = 1
 
     def coerce(self, x):
+        if isinstance(x, Fraction):  # p/q is p * q^-1; pow raises ValueError when q is no unit
+            return x.numerator * pow(x.denominator, -1, self.m) % self.m
         return int(x) % self.m
 
     def add(self, a, b):

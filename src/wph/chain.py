@@ -345,8 +345,7 @@ def restrict_to_omega(
     A generator on one path takes that path's image as it is, unsummed, which is
     why each image must have distinct keys.  Every caller's does: the faces of a
     regular path are distinct (dropping entries s < t gives the same sequence only
-    if entries s..t are equal), a path morphism's image is one path, and a prism is
-    a chain, with one coefficient per path.
+    if entries s..t are equal), and `mapped_rows` sums the images that fall on one row.
     """
     ring = source.ring
     zero, one, add, sub, mul, quo = ring.zero, ring.one, ring.add, ring.sub, ring.mul, ring.quo
@@ -443,22 +442,29 @@ def homology_of_omega(omega: OmegaComplex) -> HomologyResult:
     return HomologyResult(omega.ring, omega.max_degree, groups)
 
 
+def mapped_rows(terms, vertex_map: dict, target: OmegaComplex) -> list:
+    """The image of the chain `terms`, (Path, coefficient) pairs, under a vertex map, as
+    (target row, coefficient) pairs: irregular images dropped and equal rows summed
+    (two paths can map onto one); an image off the target raises ImageNotInOmegaError."""
+    ring = target.ring
+    out: dict = {}
+    for p, c in terms:
+        q = Path(tuple(vertex_map[v] for v in p.vertices))
+        if not q.is_regular():
+            continue
+        row = target.row(q)
+        if row is None:
+            raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
+        out[row] = ring.add(out[row], c) if row in out else c
+    return list(out.items())
+
+
 def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComplex) -> dict:
-    """Matrices of f on Omega, degree by degree; checks boundary commutation.
+    """Matrices of f on Omega, degree by degree (images by `mapped_rows`); checks boundary commutation."""
+    one = source.ring.one
 
-    Basis paths map to their image paths with irregular images dropped.
-    """
     def images(paths: list):
-        def image(i: int) -> tuple:
-            q = f.image_path(paths[i])
-            if not q.is_regular():
-                return ()
-            row = target.row(q)
-            if row is None:
-                raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
-            return ((row, source.ring.one),)
-
-        return image
+        return lambda i: mapped_rows(((paths[i], one),), f.vertex_map, target)
 
     top = min(source.max_degree, target.max_degree)
     mats = {

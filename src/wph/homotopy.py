@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chain import ChainVector, build_omega, induced_chain_map, restrict_to_omega, weighted_boundary
+from .chain import ChainVector, build_omega, induced_chain_map, mapped_rows, restrict_to_omega, weighted_boundary
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
 from .digraph import paths_functor
 from .errors import (
@@ -181,38 +181,33 @@ def chain_homotopy_certificate(
 ) -> CertificateReport:
     """Certify an explicit chain homotopy between f and g up to max_degree.
 
-    Builds L_n = F_* (prism of -) on every Omega_n generator of the source,
-    verifies the prism lands in the cylinder's Omega, and checks the identity
+    Builds L_n : Omega_n(source) -> Omega_(n+1)(target) and checks the identity
     dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).  Both
     sides must be weighted over one ring (MissingWeightError otherwise).
+
+    L_n is F_* after the prism, F the one-step homotopy, with no Omega of the
+    cylinder: F maps the prism's one-jump lifts of each source generator path by
+    path (`mapped_rows`), and `restrict_to_omega` re-expresses the image in
+    Omega_(n+1)(target) (ImageNotInOmegaError when it leaves it).  The identity
+    is checked there, so once it holds L is a chain homotopy on Omega, whatever
+    complex the prism passes through.
 
     Equal homology maps follow from the identity, so no further test runs.
     Take a basis K of the cycles of Omega_n(source), n < D (D below).  Then
     dK = 0, so (g_* - f_*) K = d(L_n K) + L_(n-1) dK = d(L_n K), and L_n K is a
     ring combination of Omega_(n+1)(target) generators: every column of
     (f_* - g_*) K lies in the lattice that d_(n+1) spans, over Z, Q and Z/m
-    alike, and f_* = g_* on H_n.  The identity is checked in every degree
-    below D, the same degrees the equal-maps flag covers.  The tests cross-check
-    the flag with that lattice test on Omega built afresh (tests/helpers.py).
+    alike, and f_* = g_* on H_n.  The tests cross-check the flag with that
+    lattice test on Omega built afresh (tests/helpers.py).
 
-    Two shortcuts give the same report, and the same errors, as the plain
-    construction up to degree max_degree:
-
-    * Identity homotopy.  When the target is the cylinder (so one Omega serves
-      both) and F fixes every vertex, as for the cylinder inclusions, L_n is the
-      prism's matrix T_n and F_* is never computed.  The identity vertex map
-      sends each regular path of the cylinder to itself, so `restrict_to_omega`
-      gives the identity matrix in every degree: each generator's image is its
-      own column.  d I = I d, so F_*'s commutation products cannot fail, and
-      F_* T = T.  No skipped step can raise an error or change a value.
-    * Degree cap.  A complex has no paths past its longest one, so Omega_n = 0
-      there.  Omega is built only up to D = min(max_degree + 1, 1 + the longest
-      path of the source, cylinder and target), and the loops run to D - 1.  In
-      every degree n >= D each boundary, induced map, L_n and identity check
-      has zero columns and passes vacuously, and H_n(source) = 0.  Every path of
-      length at most max_degree + 1 has length at most D, so Omega reads the
-      same regular paths, and raises the same MissingWeightError or
-      InvariantError, as when built up to max_degree + 1.
+    Degree cap.  Omega is built only up to D = min(max_degree + 1, 1 + the
+    longest path of the source and the target), and the loops run to D - 1.
+    When D <= max_degree, every degree n from D to max_degree is past the
+    source's longest path, so Omega_n(source) = 0: f_*, g_*, L_n and the identity
+    have zero columns there, and H_n(source) = 0.  L_(D-1) lands in
+    Omega_D(target), which is built.  Every path of length at most
+    max_degree + 1 has length at most D, so each Omega reads the same regular
+    paths, and raises the same errors, as when built up to max_degree + 1.
     """
     hrep = one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
     if not hrep.ok:
@@ -221,32 +216,22 @@ def chain_homotopy_certificate(
     ring = f.source.ring
     if f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
-    F = hrep.homotopy
-    cyl = F.source
+    vertex_map = hrep.homotopy.vertex_map
 
-    # One Omega per distinct complex: for the cylinder inclusions the target is the cylinder.
-    complexes = dict.fromkeys((f.source, cyl, f.target))
-    longest = max((p.length for pc in complexes for p in pc.paths), default=-1)
+    longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)
     top = min(max_degree + 1, longest + 1)
-    omegas = {pc: build_omega(pc, top) for pc in complexes}
-    om_src, om_cyl, om_tgt = omegas[f.source], omegas[cyl], omegas[f.target]
+    om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
     f_mats = induced_chain_map(f, om_src, om_tgt)
     g_mats = induced_chain_map(g, om_src, om_tgt)
-    identity = om_cyl is om_tgt and all(u == v for v, u in F.vertex_map.items())
-    F_mats = None if identity else induced_chain_map(F, om_cyl, om_tgt)
 
-    # L_n = F_* after the prism, as a matrix Omega_n(src) -> Omega_{n+1}(tgt).  Every
-    # one-jump lift of a source n-path is a regular (n+1)-path of the cylinder.
+    # L_n = F after the prism, as a matrix Omega_n(src) -> Omega_{n+1}(tgt)
     def lifted(paths: list):
-        def image(i: int) -> list:
-            return [(om_cyl.row(q), c) for q, c in prism(ChainVector.basis(paths[i], ring), gammas).coeffs]
+        return lambda i: mapped_rows(prism(ChainVector.basis(paths[i], ring), gammas).coeffs, vertex_map, om_tgt)
 
-        return image
-
-    L = {}
-    for n in range(top):
-        T = restrict_to_omega(lifted(om_src.reg_paths[n]), om_src, n, om_cyl, n + 1, ImageNotInOmegaError)
-        L[n] = T if identity else F_mats[n + 1] @ T
+    L = {
+        n: restrict_to_omega(lifted(om_src.reg_paths[n]), om_src, n, om_tgt, n + 1, ImageNotInOmegaError)
+        for n in range(top)
+    }
 
     for n in range(top):
         total = om_tgt.boundary(n + 1) @ L[n]

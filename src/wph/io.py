@@ -138,12 +138,16 @@ class Document:
 
 def parse(data) -> Document:
     """Parse and fully validate a JSON document (bytes or str)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        raw = json.loads(data)
+        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"document is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError("document nests too deeply") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit, say
+        raise SchemaError(f"unreadable JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("document must be a JSON object")
     raw = dict(raw)

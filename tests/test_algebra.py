@@ -128,6 +128,14 @@ def test_composite_modulus_rejected_for_normal_forms():
         smith_normal_form(m)
 
 
+def test_z_mod_m_reads_a_fraction_as_numerator_times_inverse_denominator():
+    assert Zmod(3).coerce(Fraction(1, 2)) == 2
+    assert Zmod(7).coerce(Fraction(-3, 4)) == 1  # 4 * 2 = 1 mod 7, so -3/4 = -6 = 1
+    assert Zmod(6).coerce(Fraction(10, 1)) == 4
+    with pytest.raises(ValueError, match="not invertible"):
+        Zmod(6).coerce(Fraction(1, 3))
+
+
 def test_prime_modulus_accepted():
     ring = Zmod(5)
     m = Matrix.from_rows(ring, [[2, 1], [0, 3]])

@@ -75,6 +75,43 @@ def test_homology_composite_modulus_exits_3(capsys):
     assert "Z/6" in err
 
 
+def half_weighted_edge(tmp_path):
+    path = tmp_path / "half.json"
+    body = {"vertices": ["a", "b"], "paths": [["a"], ["b"], ["a", "b"]], "weights": {"a": "1/2", "b": "1/2"}}
+    path.write_text(json.dumps({"format_version": "1", "kind": "path_complex", "ring": "Q", "body": body}))
+    return str(path)
+
+
+def test_rational_weights_map_into_z_mod_m_through_the_inverse_denominator(tmp_path, capsys):
+    # 1/2 is 2 mod 3, a unit: the edge joins its two points, so one component and no cycle
+    code, out, err = run(capsys, "homology", half_weighted_edge(tmp_path), "--coeff", "mod:3", "--max-dim", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["H_0 = Z/3  (free_rank=1, torsion=[])", "H_1 = 0  (free_rank=0, torsion=[])"]
+
+
+def test_a_rational_weight_whose_denominator_is_no_unit_mod_m_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "homology", half_weighted_edge(tmp_path), "--coeff", "mod:2")
+    assert (code, out) == (2, "")
+    assert err == "error: weight 1/2 of a cannot be interpreted in Z/2\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe{}", "error: document is not UTF-8: invalid start byte at byte 0\n"),
+        (b"[" * 200000 + b"]" * 200000, "error: document nests too deeply\n"),
+        (b"[" + b"7" * 5000 + b"]", "error: unreadable JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    ],
+    ids=["utf16-bom", "deep-nesting", "huge-integer"],
+)
+def test_an_unreadable_document_exits_2_with_one_line(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("coeff", ["mod:0", "mod:1"])
 def test_homology_modulus_below_two_exits_2(capsys, coeff):
     code, out, err = run(capsys, "homology", str(FIXTURES / "pc_diamond_weighted.json"), "--coeff", coeff)

@@ -33,7 +33,7 @@ from wph.pathcx import (
 
 from helpers import FIXTURES, homology_maps_equal, induced_homology_maps_equal, random_unit_weight_complex
 
-a, b, c, d, x, y = (Vertex(s) for s in "abcdxy")
+a, b, c, d, x, y, z = (Vertex(s) for s in "abcdxyz")
 
 
 def edge_target():
@@ -274,8 +274,16 @@ def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
     f, g = inclusion_bottom(pc), inclusion_top(pc)
     assert f.target == pc.cylinder()
     assert chain_homotopy_certificate(f, g, 3).ok
-    assert len(built) == 2
+    assert built == [f.source, f.target]
     assert homology_maps_equal(f, g, 3)
+    # homotopies whose target is not the cylinder: still no Omega of the cylinder
+    for name in ("point-to-edge", "dhyper-fixtures"):
+        certify, pair = CERTIFICATES[name]
+        built.clear()
+        assert certify().ok
+        f, _ = pair()
+        assert built == [f.source, f.target]
+        assert f.source.cylinder() not in built
 
 
 @pytest.mark.parametrize(
@@ -389,41 +397,52 @@ def point_to_edge():
     return f, g
 
 
-@pytest.mark.parametrize(
-    "certify, pair, induced_maps",
-    [
-        (
-            lambda: chain_homotopy_certificate(inclusion_bottom(two_by_two()), inclusion_top(two_by_two()), 3),
-            lambda: (inclusion_bottom(two_by_two()), inclusion_top(two_by_two())),
-            2,
-        ),
-        (
-            lambda: chain_homotopy_certificate(*[inclusion_bottom(two_by_two())] * 2, 3, allow_degenerate=True),
-            lambda: [inclusion_bottom(two_by_two())] * 2,
-            3,
-        ),
-        (lambda: chain_homotopy_certificate(*point_to_edge(), 3), point_to_edge, 3),
-        (
-            lambda: edge_weighted_certificate(*dh_fixture_morphisms(), 2),
-            lambda: natural_path_morphisms(*dh_fixture_morphisms(), 4),
-            3,
-        ),
-    ],
-    ids=["cylinder-inclusions", "bottom-to-bottom", "point-to-edge", "dhyper-fixtures"],
-)
-def test_only_a_homotopy_that_is_not_the_identity_computes_its_induced_map(monkeypatch, certify, pair, induced_maps):
+CERTIFICATES = {  # id -> (the certificate, the pair f, g it certifies)
+    "cylinder-inclusions": (
+        lambda: chain_homotopy_certificate(inclusion_bottom(two_by_two()), inclusion_top(two_by_two()), 3),
+        lambda: (inclusion_bottom(two_by_two()), inclusion_top(two_by_two())),
+    ),
+    "bottom-to-bottom": (
+        lambda: chain_homotopy_certificate(*[inclusion_bottom(two_by_two())] * 2, 3, allow_degenerate=True),
+        lambda: [inclusion_bottom(two_by_two())] * 2,
+    ),
+    "point-to-edge": (lambda: chain_homotopy_certificate(*point_to_edge(), 3), point_to_edge),
+    "dhyper-fixtures": (
+        lambda: edge_weighted_certificate(*dh_fixture_morphisms(), 2),
+        lambda: natural_path_morphisms(*dh_fixture_morphisms(), 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("certify, pair", CERTIFICATES.values(), ids=CERTIFICATES)
+def test_every_certificate_computes_exactly_the_induced_maps_of_f_and_g(monkeypatch, certify, pair):
     calls = []
     original = homotopy.induced_chain_map
 
-    def counting(f, source, target):
-        calls.append(f)
+    def recording(f, source, target):
+        calls.append((f.source, f.target, f.vertex_map))
         return original(f, source, target)
 
-    monkeypatch.setattr(homotopy, "induced_chain_map", counting)
+    monkeypatch.setattr(homotopy, "induced_chain_map", recording)
     cert = certify()
     assert cert.ok and cert.identity_holds and cert.homology_maps_equal
-    assert len(calls) == induced_maps
+    assert calls == [(m.source, m.target, m.vertex_map) for m in pair()]
     assert homology_maps_equal(*pair(), cert.degrees_checked - 1)
+
+
+def test_lifts_that_map_onto_one_path_are_summed():
+    # F sends the lifts (a a' b') and (a b b') of the edge (a b) both onto (x y z), with
+    # opposite signs; (x y z) has the outside face (x z), so only their sum, 0, is in Omega_2
+    one = Fraction(1)
+    edge = complex_from_paths([Path((a, b))], weights={a: one, b: one}, ring=QQ)
+    line = complex_from_paths([Path((x, y, z))], weights={x: one, y: one, z: one}, ring=QQ)
+    f, g = PathMorphism(edge, line, {a: x, b: y}), PathMorphism(edge, line, {a: y, b: z})
+    F = one_step_homotopy_pathcx(f, g).homotopy
+    lifts = prism(ChainVector.basis(Path((a, b)), QQ), {a: one, b: one}).coeffs
+    assert {F.image_path(p) for p, _ in lifts} == {Path((x, y, z))}
+    cert = chain_homotopy_certificate(f, g, 3)
+    assert cert.ok and cert.identity_holds and cert.homology_maps_equal
+    assert homology_maps_equal(f, g, 3)
 
 
 @pytest.mark.parametrize(
