@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Time the workload ladder: Omega build and homology, rung by rung.
 
-The rungs are the complete digraphs K4, K5 and K6 (vertices a, b, ..., weights
-1..n, or 2..n+1 on the "w2-6" and "w2-7" rungs, or all 1 on the "w1" rung) and the
-k x k right/down grid digraphs (vertex (i, j) of weight 1 + (7i + j) mod 3),
-each at path length L = N.  For every rung this prints
+The rungs are the path complexes of the complete digraphs K4, K5 and K6
+(vertices a, b, ..., weights 1..n, or 2..n+1 on the "w2-6" and "w2-7" rungs, or
+all 1 on the "w1" rung) and of the k x k right/down grid digraphs (vertex (i, j)
+of weight 1 + (7i + j) mod 3), and the bold and connective complexes of the box
+product of fixtures/dh_merge.json with I_1, each at path length L = N.  Most
+paths of the last two are irregular: bold at L5 has 4344 paths, 608 of them
+regular, and connective at L6 has 952, 40 of them regular.  For every rung this prints
 the best time over --repeat runs of `build_omega` and of `homology_of_omega`
 on the built Omega, and the homology groups as (free rank, torsion) pairs.
 The certificate rungs then time `chain_homotopy_certificate` with max degree N,
@@ -22,9 +25,11 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from wph import io as wio
 from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import build_omega, homology_of_omega
-from wph.digraph import WeightedDigraph, paths_functor
+from wph.dhyper import bold_functor, connective_functor, hyper_box_product
+from wph.digraph import LineDigraph, WeightedDigraph, paths_functor
 from wph.homotopy import chain_homotopy_certificate
 from wph.pathcx import Vertex, inclusion_bottom, inclusion_top
 
@@ -43,21 +48,29 @@ def grid(k: int) -> WeightedDigraph:
     return WeightedDigraph.build(vs.values(), edges, {v: 1 + (7 * i + j) % 3 for (i, j), v in vs.items()}, ZZ)
 
 
-RUNGS = (  # (name, digraph builder, L = N)
-    ("K4 L3 Z", lambda: complete(4, ZZ), 3),
-    ("K4 L4 Z", lambda: complete(4, ZZ), 4),
-    ("K5 L3 Z", lambda: complete(5, ZZ), 3),
-    ("K5 L3 Q", lambda: complete(5, QQ), 3),
-    ("K5 L3 Z/7", lambda: complete(5, Zmod(7)), 3),
-    ("5x5 grid L4 Z", lambda: grid(5), 4),
-    ("8x8 grid L5 Z", lambda: grid(8), 5),
-    ("12x12 grid L6 Z", lambda: grid(12), 6),
-    ("K5 L4 Z", lambda: complete(5, ZZ), 4),
-    ("K5 L3 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 3),
-    ("K5 L4 Z w2-6", lambda: complete(5, ZZ, range(2, 7)), 4),
-    ("K5 L5 Z w1", lambda: complete(5, ZZ, [1] * 5), 5),
-    ("K5 L4 Q", lambda: complete(5, QQ), 4),
-    ("K6 L4 Z/11 w2-7", lambda: complete(6, Zmod(11), range(2, 8)), 4),
+def merge_box():
+    """fixtures/dh_merge.json, one arrow {a, b} -> {c, d} over Z, boxed with I_1."""
+    g = wio.parse((Path(__file__).resolve().parent.parent / "fixtures" / "dh_merge.json").read_bytes()).body
+    return hyper_box_product(g, LineDigraph.forward(1))
+
+
+RUNGS = (  # (name, path complex builder taking L, L = N)
+    ("K4 L3 Z", lambda n: paths_functor(complete(4, ZZ), n), 3),
+    ("K4 L4 Z", lambda n: paths_functor(complete(4, ZZ), n), 4),
+    ("K5 L3 Z", lambda n: paths_functor(complete(5, ZZ), n), 3),
+    ("K5 L3 Q", lambda n: paths_functor(complete(5, QQ), n), 3),
+    ("K5 L3 Z/7", lambda n: paths_functor(complete(5, Zmod(7)), n), 3),
+    ("5x5 grid L4 Z", lambda n: paths_functor(grid(5), n), 4),
+    ("8x8 grid L5 Z", lambda n: paths_functor(grid(8), n), 5),
+    ("12x12 grid L6 Z", lambda n: paths_functor(grid(12), n), 6),
+    ("K5 L4 Z", lambda n: paths_functor(complete(5, ZZ), n), 4),
+    ("K5 L3 Z w2-6", lambda n: paths_functor(complete(5, ZZ, range(2, 7)), n), 3),
+    ("K5 L4 Z w2-6", lambda n: paths_functor(complete(5, ZZ, range(2, 7)), n), 4),
+    ("K5 L5 Z w1", lambda n: paths_functor(complete(5, ZZ, [1] * 5), n), 5),
+    ("K5 L4 Q", lambda n: paths_functor(complete(5, QQ), n), 4),
+    ("K6 L4 Z/11 w2-7", lambda n: paths_functor(complete(6, Zmod(11), range(2, 8)), n), 4),
+    ("merge x I1 bold L5", lambda n: bold_functor(merge_box(), n), 5),
+    ("merge x I1 conn L6", lambda n: connective_functor(merge_box(), n), 6),
 )
 
 def cylinder_inclusions(pc) -> tuple:
@@ -83,9 +96,9 @@ def main():
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'rung':<15} {'omega_s':>9} {'homology_s':>10}  groups (free rank, torsion)")
-    for name, digraph, length in RUNGS:
-        pc = paths_functor(digraph(), length)
+    print(f"{'rung':<18} {'omega_s':>9} {'homology_s':>10}  groups (free rank, torsion)")
+    for name, paths, length in RUNGS:
+        pc = paths(length)
         times = []  # (omega seconds, homology seconds) per run, each on a fresh Omega
         for _ in range(args.repeat):
             start = perf_counter()
@@ -95,8 +108,8 @@ def main():
             times.append((built - start, perf_counter() - built))
         omega_s, homology_s = (min(column) for column in zip(*times))
         groups = [(g.free_rank, list(g.torsion)) for g in result.groups]
-        print(f"{name:<15} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
-    print(f"{'certificate':<15} {'cert_s':>9}  flags (ok, identity_holds, homology_maps_equal)")
+        print(f"{name:<18} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
+    print(f"{'certificate':<18} {'cert_s':>9}  flags (ok, identity_holds, homology_maps_equal)")
     for name, digraph, length, pair, allow_degenerate in CERTIFICATE_RUNGS:
         f, g = pair(paths_functor(digraph(), length))
         times = []
@@ -105,7 +118,7 @@ def main():
             cert = chain_homotopy_certificate(f, g, length, allow_degenerate=allow_degenerate)
             times.append(perf_counter() - start)
         flags = (cert.ok, cert.identity_holds, cert.homology_maps_equal)
-        print(f"{name:<15} {min(times):9.4f}  {flags}", flush=True)
+        print(f"{name:<18} {min(times):9.4f}  {flags}", flush=True)
 
 
 if __name__ == "__main__":

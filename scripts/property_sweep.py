@@ -21,7 +21,11 @@ Checks, on freshly sampled instances:
   * Omega bases and boundaries equal those built with every one-row class's
     kernel taken from `kernel_basis` instead of its closed form, on the
     path complex of a random digraph over Z with unit-free weights, over Q,
-    over Z/7 and over Z/2.
+    over Z/7 and over Z/2,
+  * Omega bases and boundaries equal those built on codes of every path,
+    irregular ones too, with each degree's face table from a comprehension
+    over `regular_faces` (helpers.omega_by_face_comprehension), on a random
+    complex over Z, Q, Z/7 and Z/2, zero weights allowed.
 
     python3 scripts/property_sweep.py --count 100 --seed 1
 """
@@ -45,6 +49,7 @@ from wph.pathcx import inclusion_bottom, inclusion_top
 from helpers import (
     bold_reference,
     homology_maps_equal,
+    omega_by_face_comprehension,
     one_row_kernel_by_elimination,
     random_complex,
     random_digraph_complex,
@@ -117,6 +122,11 @@ def main():
                 ref = build_omega(pc, 4)
             finally:
                 chain._one_row_kernel = one_row_kernel
+            assert om.bases == ref.bases and om.boundaries == ref.boundaries, (i, ring, pc)
+
+        for ring in (ZZ, QQ, Zmod(7), Zmod(2)):
+            pc = random_complex(rng, ring=ring)
+            om, ref = build_omega(pc, 4), omega_by_face_comprehension(pc, 4)
             assert om.bases == ref.bases and om.boundaries == ref.boundaries, (i, ring, pc)
 
         if (i + 1) % 10 == 0:

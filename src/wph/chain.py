@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
 from .algebra import (
@@ -158,9 +159,11 @@ def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = 
 
     Omega_n is the kernel of the composite: regular n-chains on P, mapped by
     the weighted boundary, projected onto the regular (n-1)-paths NOT in P.
-    Before any elimination, each path without outside faces becomes its own
-    unit generator and pruned paths (see _linked_paths) get none; each class
-    of the rest takes its own kernel.  When every path of a class has one
+    Each degree's face terms come from one loop over its codes (`_face_terms`),
+    which writes each path's outside faces, its column of that projection, as
+    it goes.  Before any elimination, each path without outside faces becomes
+    its own unit generator and pruned paths (see _linked_paths) get none; each
+    class of the rest takes its own kernel.  When every path of a class has one
     outside face, the class, being linked, shares that face: its constraint
     matrix is one row, whose Hermite kernel `_one_row_kernel` writes down from
     one extended-gcd chain (over a field, from one inverse); only the other
@@ -190,25 +193,14 @@ def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = 
                     raise MissingWeightError(f"vertex {vertices[k].render()} has no weight")
     rows = [{c: i for i, c in enumerate(bucket)} for bucket in codes]
 
-    # faces[n][i]: the weighted boundary of regular n-path i, zero coefficients
-    # dropped; a face in P as (its row in degree n - 1, coefficient), a face
-    # outside P as (its code, coefficient)
-    faces = [[()] * len(codes[0])]
-    for n in range(1, max_degree + 1):
-        below = rows[n - 1]
-        faces.append([
-            [
-                (below.get(face, face), signed[c[s]][s & 1])
-                for s, face in regular_faces(c)
-                if signed[c[s]][0]
-            ]
-            for c in codes[n]
-        ])
-
+    faces = []  # faces[n]: the face terms of the regular n-paths (see _face_terms)
     bases = []
-    for table in faces:
-        # each path's faces outside P: its column of the constraint matrix
-        cut = [[(q, c) for q, c in terms if q.__class__ is tuple] for terms in table]
+    for n, bucket in enumerate(codes):
+        if n:
+            table, cut = _face_terms(bucket, rows[n - 1].get, signed, n)
+        else:
+            table = cut = [()] * len(bucket)
+        faces.append(table)
         columns = [{j: ring.one} for j, terms in enumerate(cut) if not terms]
         for members in _linked_paths(cut) if any(cut) else ():
             if all(len(cut[j]) == 1 for j in members):  # linked, so all share that one face: one row
@@ -229,6 +221,39 @@ def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = 
             faces[n].__getitem__, omega, n, omega, n - 1, InvariantError
         )
     return omega
+
+
+def _face_terms(codes: list, below, signed: list, n: int) -> tuple:
+    """(table, cut) for the regular n-paths (n >= 1) with the given codes, in one loop.
+
+    table[i] is path i's weighted boundary, zero terms dropped: (its row in degree
+    n - 1, coefficient) for a face that `below`, the get of those rows, finds, else
+    (its code, coefficient), an outside face, even an end face that a complex
+    without truncation closure lacks; cut[i] lists the outside terms.  signed[k] is
+    vertex k's weight and its negative.  An end face of a regular path is regular;
+    an interior face is not when its two neighbours are equal.
+    """
+    # (s, interior, sign index, face getter) for s = 0..n
+    steps = [(0, False, 0, itemgetter(slice(1, None)))]
+    steps += [(s, True, s & 1, itemgetter(*range(s), *range(s + 1, n + 1))) for s in range(1, n)]
+    steps.append((n, False, n & 1, itemgetter(slice(n))))
+    table, cut = [], []
+    for c in codes:
+        terms, outside = [], []
+        for s, interior, odd, drop in steps:
+            if interior and c[s - 1] == c[s + 1]:
+                continue
+            w = signed[c[s]][odd]
+            if w:
+                face = drop(c)
+                q = below(face, face)  # the face itself when it has no row: outside P
+                term = (q, w)
+                terms.append(term)
+                if q is face:
+                    outside.append(term)
+        table.append(terms)
+        cut.append(outside)
+    return table, cut
 
 
 def _one_row_kernel(ring: Ring, a: list) -> list:

@@ -245,17 +245,20 @@ class PathComplex(Weighted):
         Returns (numbers, buckets).  numbers maps each vertex to its number,
         counting from 0 in sorted vertex order (also its key order), so
         comparing codes compares the paths: buckets[n] lists the regular
-        n-paths as (code, Path) pairs in canonical order.  The numbering covers
-        the declared vertices and every vertex a numbered path uses.
+        n-paths as (code, Path) pairs in canonical order.  Regularity is read
+        off the vertex tuple, so an irregular path is never numbered or coded:
+        the numbering covers the declared vertices and the vertices of the
+        regular paths kept, and a vertex that only irregular paths use has no
+        number.
         """
-        candidates = [p for p in self.paths if p.length <= max_degree]
-        vertices = sorted(self.vertices.union(*(p.vertices for p in candidates)))
-        numbers = {v: k for k, v in enumerate(vertices)}
-        buckets = [[] for _ in range(max_degree + 1)]
-        for p in candidates:
-            code = tuple(map(numbers.__getitem__, p.vertices))
-            if is_regular(code):
-                buckets[len(code) - 1].append((code, p))
+        top = max_degree + 1
+        kept = [p for p in self.paths if len(p.vertices) <= top and is_regular(p.vertices)]
+        numbers = {v: k for k, v in enumerate(sorted(self.vertices.union(*(p.vertices for p in kept))))}
+        number = numbers.__getitem__
+        buckets = [[] for _ in range(top)]
+        for p in kept:
+            vs = p.vertices
+            buckets[len(vs) - 1].append((tuple(map(number, vs)), p))
         for bucket in buckets:
             bucket.sort(key=itemgetter(0))
         return numbers, buckets

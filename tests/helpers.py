@@ -3,16 +3,25 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path as FsPath
 
-from wph import cli
+from wph import chain, cli
 from wph import io as wio
 from wph.algebra import QQ, ZZ, Matrix, kernel_basis
 from wph.chain import build_omega, induced_chain_map
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.homotopy import natural_path_morphisms
-from wph.pathcx import Path, PathComplex, PathMorphism, Vertex, complex_from_paths
+from wph.pathcx import (
+    Path,
+    PathComplex,
+    PathMorphism,
+    Vertex,
+    complex_from_paths,
+    is_regular,
+    regular_faces,
+)
 
 FIXTURES = FsPath(__file__).resolve().parent.parent / "fixtures"
 
@@ -30,6 +39,42 @@ def matrix_of_columns(ring, cols, rows: int) -> Matrix:
 def one_row_kernel_by_elimination(ring, a: list) -> list:
     """What `chain._one_row_kernel` gives, from `kernel_basis` of the 1 x len(a) matrix (a)."""
     return list(kernel_basis(Matrix.from_columns(ring, [{0: x} for x in a], 1)).entries)
+
+
+def face_terms_by_comprehension(codes: list, below, signed: list, n: int) -> tuple:
+    """What `chain._face_terms` gives, from one comprehension over each path's
+    `regular_faces` and a filter of its terms for the outside faces."""
+    table = [
+        [(below(face, face), signed[c[s]][s & 1]) for s, face in regular_faces(c) if signed[c[s]][0]]
+        for c in codes
+    ]
+    return table, [[(q, x) for q, x in terms if q.__class__ is tuple] for terms in table]
+
+
+def regular_path_codes_coding_every_path(pc: PathComplex, max_degree: int) -> tuple:
+    """What `PathComplex.regular_path_codes` gives, by numbering the vertices of every path
+    of length <= max_degree, irregular ones too, and testing regularity on the codes."""
+    candidates = [p for p in pc.paths if p.length <= max_degree]
+    numbers = {v: k for k, v in enumerate(sorted(pc.vertices.union(*(p.vertices for p in candidates))))}
+    buckets = [[] for _ in range(max_degree + 1)]
+    for p in candidates:
+        code = tuple(map(numbers.__getitem__, p.vertices))
+        if is_regular(code):
+            buckets[len(code) - 1].append((code, p))
+    for bucket in buckets:
+        bucket.sort(key=itemgetter(0))
+    return numbers, buckets
+
+
+def omega_by_face_comprehension(pc: PathComplex, max_degree: int):
+    """`build_omega` on the codes of `regular_path_codes_coding_every_path`, each degree's
+    face table from `face_terms_by_comprehension`: the reference for the one-loop build."""
+    face_terms = chain._face_terms
+    chain._face_terms = face_terms_by_comprehension
+    try:
+        return build_omega(pc, max_degree, regular_path_codes_coding_every_path(pc, max_degree))
+    finally:
+        chain._face_terms = face_terms
 
 
 def induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wph import algebra, oracle
 from wph import chain as wchain
+from wph import io as wio
 from wph.algebra import (
     QQ,
     ZZ,
@@ -28,6 +29,7 @@ from wph.chain import (
     induced_chain_map,
     weighted_boundary,
 )
+from wph.dhyper import vertex_weighted_complex
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.errors import ImageNotInOmegaError, InvariantError, MissingWeightError
 from wph.homotopy import chain_homotopy_certificate
@@ -44,9 +46,11 @@ from wph.pathcx import (
 from helpers import (
     FIXTURES,
     dense_columns,
+    fixture_paths,
     grid_complex,
     homology_maps_equal,
     matrix_of_columns,
+    omega_by_face_comprehension,
     one_row_kernel_by_elimination,
     random_complex,
     random_digraph_complex,
@@ -453,6 +457,18 @@ def test_missing_weight_fires_only_on_a_regular_path_of_positive_degree():
             build_omega(pc, top)
 
 
+def test_a_vertex_only_irregular_paths_use_has_no_number():
+    # z is neither declared nor weighted, and only the irregular (b z z) uses it
+    z = Vertex("z")
+    paths = [Path.of(a), Path.of(b), Path((a, b)), Path((b, z, z))]
+    pc = PathComplex.build([a, b], paths, {a: 2, b: 4}, ZZ)
+    numbers, buckets = pc.regular_path_codes(2)
+    assert numbers == {a: 0, b: 1} and [len(bucket) for bucket in buckets] == [2, 1, 0]
+    assert homology(pc, 3).groups == [HomologyGroup(1, [2]), HomologyGroup(0), HomologyGroup(0)]
+    om = build_omega(pc, 2)
+    assert om.row(Path((b, z, z))) is None and om.row(Path((a, b))) == 0
+
+
 @pytest.mark.parametrize(
     "ring, draw",
     [
@@ -503,8 +519,36 @@ def test_closed_form_bases_equal_the_kernel_route_on_random_digraphs(monkeypatch
 
 
 def test_closed_form_bases_equal_the_kernel_route_on_every_ladder_rung(monkeypatch):
-    complexes = [(paths_functor(digraph(), length), length) for _, digraph, length in ladder_rungs()]
+    complexes = [(paths(length), length) for _, paths, length in ladder_rungs()]
     assert assert_bases_equal_the_kernel_route(monkeypatch, complexes) > 0
+
+
+def assert_omega_equals_the_face_comprehension(pc, top: int) -> None:
+    om, ref = build_omega(pc, top), omega_by_face_comprehension(pc, top)
+    assert om.bases == ref.bases and om.boundaries == ref.boundaries, pc
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(7), Zmod(2)], ids=["Z", "Q", "Z7", "Z2"])
+def test_one_loop_face_table_equals_the_comprehension_on_random_complexes(ring):
+    # random walks repeat vertices, so irregular paths and irregular interior faces
+    # are common; every ring draws zero weights
+    rng = random.Random(47)
+    for _ in range(1000):
+        assert_omega_equals_the_face_comprehension(random_complex(rng, ring=ring), 4)
+
+
+def test_one_loop_face_table_equals_the_comprehension_on_hypergraph_and_open_complexes():
+    complexes = [not_truncation_closed_complex(), pruned_in_three_rounds_complex()]
+    irregular = 0
+    for path in fixture_paths("dh_"):
+        g = wio.parse(path.read_bytes()).body
+        for which in "cb":
+            pc = vertex_weighted_complex(g, which, 4)
+            irregular += sum(not p.is_regular() for p in pc.paths)
+            complexes.append(pc)
+    assert irregular > sum(len(pc.paths) for pc in complexes) // 2
+    for pc in complexes:
+        assert_omega_equals_the_face_comprehension(pc, 4)
 
 
 def test_block_kernels_factor_at_most_six_columns_on_the_5x5_grid(monkeypatch):
@@ -705,8 +749,8 @@ def ladder_rungs() -> tuple:
 
 @pytest.mark.parametrize("rung", ladder_rungs(), ids=lambda rung: rung[0])
 def test_reduced_chain_equals_the_pairs_on_every_ladder_rung(rung):
-    _, digraph, length = rung
-    om = build_omega(paths_functor(digraph(), length), length)
+    _, paths, length = rung
+    om = build_omega(paths(length), length)
     assert homology_of_omega(om).groups == [
         homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(length)
     ]
