@@ -10,6 +10,11 @@ Checks, on freshly sampled instances:
     inclusion to itself, through the degenerate projection of the cylinder),
   * each of those certificates' equal-homology-maps flag agrees with one
     lattice test per degree on the induced maps (helpers.homology_maps_equal),
+  * those two certificates and one on a random homotopy over Q
+    (helpers.random_q_homotopy), each also with the prism doubled, report
+    what the certificate run over Q itself reports
+    (helpers.certificate_over_the_ring): the same flags, or the same error
+    type and message,
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
   * homology from the reduced chain (each boundary eliminated without the
@@ -38,8 +43,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from wph import chain
-from wph.algebra import QQ, ZZ, Zmod, homology_of_pair
+from wph import chain, homotopy
+from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import ChainVector, build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
 from wph.homotopy import chain_homotopy_certificate, verify_prism_identity
@@ -48,12 +53,16 @@ from wph.pathcx import inclusion_bottom, inclusion_top
 
 from helpers import (
     bold_reference,
+    certificate_outcome,
+    certificate_over_the_ring,
     homology_maps_equal,
+    homology_of_pair,
     omega_by_face_comprehension,
     one_row_kernel_by_elimination,
     random_complex,
     random_digraph_complex,
     random_directed_hypergraph,
+    random_q_homotopy,
     random_unit_free_complex,
     random_unit_weight_complex,
 )
@@ -75,6 +84,7 @@ def main():
     args = parser.parse_args()
     rng = random.Random(args.seed)
     one_row_kernel = chain._one_row_kernel
+    prism = homotopy.prism
 
     for i in range(args.count):
         pc = random_complex(rng, ring=ZZ)
@@ -99,6 +109,16 @@ def main():
         cert = chain_homotopy_certificate(bottom, bottom, 3, allow_degenerate=True)
         assert cert.ok and cert.identity_holds and cert.homology_maps_equal, (i, cert.problems)
         assert homology_maps_equal(bottom, bottom, 3), i
+        # over Q the certificate runs on the support complexes over Z; the reference runs over Q
+        cases = [(f, g, 3, False), (bottom, bottom, 3, True), (*random_q_homotopy(rng), rng.randint(0, 4), bool(i % 2))]
+        for doubled in (False, True):
+            homotopy.prism = (lambda v, gammas: prism(v, gammas).scale(2)) if doubled else prism
+            try:
+                for case in cases:
+                    got = certificate_outcome(chain_homotopy_certificate, *case)
+                    assert got == certificate_outcome(certificate_over_the_ring, *case), (i, doubled, case)
+            finally:
+                homotopy.prism = prism
 
         pq2 = random_complex(rng, ring=QQ, max_vertices=6, maxlen=3)
         dims = homology_dimensions(pq2, 3)

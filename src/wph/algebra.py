@@ -800,16 +800,6 @@ class HomologyGroup:
         return self.free_rank == 0 and not self.torsion
 
 
-def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup:
-    """ker(boundary_out) / im(boundary_in), both expressed in the same basis.
-
-    boundary_out maps the degree under inspection outward (to degree n-1),
-    boundary_in maps into it (from degree n+1); see `homology_group`.
-    """
-    require_pid(boundary_out.ring)
-    return homology_group(boundary_out, boundary_in, boundary_out.invariant_factors, boundary_in.invariant_factors)
-
-
 def homology_group(boundary_out: Matrix, boundary_in: Matrix, d_out: tuple, d_in: tuple) -> HomologyGroup:
     """ker(boundary_out) / im(boundary_in), from the invariant factors d_out and d_in
     of the two boundaries, once they are checked to compose to zero.  With C_n the

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .algebra import QQ, ZZ
 from .chain import ChainVector, build_omega, induced_chain_map, mapped_rows, restrict_to_omega, weighted_boundary
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
 from .digraph import paths_functor
@@ -192,6 +193,29 @@ def chain_homotopy_certificate(
     is checked there, so once it holds L is a chain homotopy on Omega, whatever
     complex the prism passes through.
 
+    Over Q the certificate runs on the support complexes over Z.  The one-step
+    check (weight preservation included), the source's unit weights and the
+    same-ring check run first, on the Q complexes; then f and g are re-pointed
+    at source.support() and target.support() (weight 1 where the weight is
+    nonzero, 0 where it is 0), the ring becomes Z and every inverse weight 1.
+    With w(p) the product of the nonzero weights on p, phi(e_p) = w(p)^-1 e_p
+    is a chain isomorphism from the support complex onto the weighted one, as
+    every nonzero weight is a unit of Q.  It commutes with f_*, g_* and L,
+    because F preserves weights: the lift of p at k weighs w(p) delta(p_k), and
+    the prism scales it by delta(p_k)^-1.  So dL + Ld = g_* - f_* holds for
+    delta exactly when it holds on the support complex.  phi is diagonal, so
+    generators keep their pivot rows, and Omega over Z has the same ranks as
+    over Q.  Q is flat over Z and Omega over Z is saturated, so an integer
+    image that lies in Omega (x) Q lies in the Z lattice: ImageNotInOmegaError
+    fires on the same inputs.  Errors name a source generator by its index.
+    When every pivot of the Hermite basis over Z is 1, that basis is the
+    reduced echelon basis over Q, which phi carries onto the weighted one up to
+    column scaling, so a failure is reported at the same index.  Where a pivot
+    is not 1 the bases differ and the index could too; the tests compare every
+    outcome with the run over Q itself and have not met such a case.  Over Z
+    and Z/m the complexes keep their ring: a non-unit weight over Z is outside
+    the argument, and Z/m is not flat over Z.
+
     Equal homology maps follow from the identity, so no further test runs.
     Take a basis K of the cycles of Omega_n(source), n < D (D below).  Then
     dK = 0, so (g_* - f_*) K = d(L_n K) + L_(n-1) dK = d(L_n K), and L_n K is a
@@ -216,6 +240,10 @@ def chain_homotopy_certificate(
     ring = f.source.ring
     if f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
+    if ring == QQ:  # the same outcome on the support complexes (see above)
+        source, target = f.source.support(), f.target.support()
+        f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
+        ring, gammas = ZZ, dict.fromkeys(gammas, ZZ.one)
     vertex_map = hrep.homotopy.vertex_map
 
     longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)

@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 from operator import itemgetter, ne
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import Ring
-from .errors import InvariantError
+from .algebra import ZZ, Ring
+from .errors import InvariantError, MissingWeightError
 
 
 class Vertex(NamedTuple):
@@ -270,6 +270,14 @@ class PathComplex(Weighted):
 
     def reweighted(self, weights: Optional[Mapping[Vertex, object]], ring: Optional[Ring]) -> "PathComplex":
         return PathComplex.build(self.vertices, self.paths, weights, ring)
+
+    def support(self) -> "PathComplex":
+        """The support complex over Z of a weighted complex: the same vertices and
+        paths, weight 1 where this complex's weight is nonzero and 0 where it is 0."""
+        if self.weights is None:
+            raise MissingWeightError("an unweighted complex has no support complex")
+        weights = tuple((v, int(w != 0)) for v, w in self.weights)  # still sorted by vertex
+        return PathComplex(self.vertices, self.paths, weights, ZZ)
 
     def cylinder(self) -> "PathComplex":
         """The cylinder on V + V' with paths P, P' and the one-jump lifts P#."""

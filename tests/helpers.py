@@ -6,12 +6,13 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path as FsPath
 
-from wph import chain, cli
+from wph import chain, cli, homotopy
 from wph import io as wio
-from wph.algebra import QQ, ZZ, Matrix, kernel_basis
-from wph.chain import build_omega, induced_chain_map
+from wph.algebra import QQ, ZZ, HomologyGroup, Matrix, homology_group, kernel_basis, require_pid
+from wph.chain import ChainVector, build_omega, induced_chain_map, mapped_rows, restrict_to_omega
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
+from wph.errors import HomotopyIdentityFailedError, ImageNotInOmegaError, MissingWeightError, WphError
 from wph.homotopy import natural_path_morphisms
 from wph.pathcx import (
     Path,
@@ -34,6 +35,16 @@ def dense_columns(m: Matrix) -> list:
 def matrix_of_columns(ring, cols, rows: int) -> Matrix:
     """The rows x len(cols) matrix with the given dense columns."""
     return Matrix(ring, rows, len(cols), list(zip(*cols)) if cols else [()] * rows)
+
+
+def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup:
+    """ker(boundary_out) / im(boundary_in), both expressed in the same basis.
+
+    boundary_out maps the degree under inspection outward (to degree n-1),
+    boundary_in maps into it (from degree n+1); see `algebra.homology_group`.
+    """
+    require_pid(boundary_out.ring)
+    return homology_group(boundary_out, boundary_in, boundary_out.invariant_factors, boundary_in.invariant_factors)
 
 
 def one_row_kernel_by_elimination(ring, a: list) -> list:
@@ -107,6 +118,82 @@ def homology_maps_equal(f: PathMorphism, g: PathMorphism, max_degree: int) -> bo
     om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
     f_mats, g_mats = induced_chain_map(f, om_src, om_tgt), induced_chain_map(g, om_src, om_tgt)
     return induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, top - 1)
+
+
+def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int, allow_degenerate: bool = False):
+    """`homotopy.chain_homotopy_certificate` run on the complexes as given, over their own
+    ring, Q included: the reference for the certificate's route over Q on the support
+    complexes over Z.  It calls `homotopy.prism`, `homotopy.build_omega` and
+    `homotopy.induced_chain_map` by name, so a test that patches one patches both routes."""
+    hrep = homotopy.one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
+    if not hrep.ok:
+        return homotopy.CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
+    gammas = homotopy._require_invertible_weights(f.source)
+    ring = f.source.ring
+    if f.target.ring != ring:
+        raise MissingWeightError("the certificate needs both sides weighted over one ring")
+    vertex_map = hrep.homotopy.vertex_map
+
+    longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)
+    top = min(max_degree + 1, longest + 1)
+    om_src, om_tgt = homotopy.build_omega(f.source, top), homotopy.build_omega(f.target, top)
+    f_mats = homotopy.induced_chain_map(f, om_src, om_tgt)
+    g_mats = homotopy.induced_chain_map(g, om_src, om_tgt)
+
+    def lifted(paths: list):
+        return lambda i: mapped_rows(homotopy.prism(ChainVector.basis(paths[i], ring), gammas).coeffs, vertex_map, om_tgt)
+
+    L = {
+        n: restrict_to_omega(lifted(om_src.reg_paths[n]), om_src, n, om_tgt, n + 1, ImageNotInOmegaError)
+        for n in range(top)
+    }
+    for n in range(top):
+        total = om_tgt.boundary(n + 1) @ L[n]
+        if n >= 1:
+            total = total + L[n - 1] @ om_src.boundary(n)
+        want = g_mats[n] - f_mats[n]
+        if total != want:
+            for j in range(total.cols):
+                if total.entries[j] != want.entries[j]:
+                    raise HomotopyIdentityFailedError(f"chain-homotopy identity fails on Omega_{n} generator {j}")
+    return homotopy.CertificateReport(ok=True, degrees_checked=max_degree + 1, identity_holds=True, homology_maps_equal=True)
+
+
+def certificate_outcome(certify, f: PathMorphism, g: PathMorphism, max_degree: int, allow_degenerate: bool = False):
+    """What a certificate reports, or the type and message of the error it raises."""
+    try:
+        rep = certify(f, g, max_degree, allow_degenerate=allow_degenerate)
+    except WphError as exc:
+        return type(exc).__name__, str(exc)
+    return rep.ok, rep.problems, rep.degrees_checked, rep.identity_holds, rep.homology_maps_equal
+
+
+def random_q_homotopy(rng: random.Random) -> tuple:
+    """A random pair f, g over Q from a complex of regular random walks into the path
+    complex of a complete digraph, whose vertices weigh 1/2, 3 or (less often) 0.  Each
+    source vertex v weighs what f(v) weighs, and g(v) is mostly a target vertex of that
+    weight, so f preserves weights and g mostly does; f may hit a zero weight (the
+    certificate then refuses the source), and a target vertex off the images may weigh 0."""
+    maxlen = rng.randint(1, 2)
+    tverts = [Vertex(f"t{i}") for i in range(rng.randint(2, 4))]
+    tweights = {v: rng.choice([Fraction(1, 2), Fraction(3)] * 2 + [Fraction(0)]) for v in tverts}
+    edges = [(u, v) for u in tverts for v in tverts if u != v]
+    target = paths_functor(WeightedDigraph.build(tverts, edges, tweights, QQ), maxlen + 1)
+    verts = [Vertex(chr(ord("a") + i)) for i in range(rng.randint(2, 4))]
+    walks = []
+    for _ in range(rng.randint(1, 4)):
+        walk = [rng.choice(verts)]
+        for _ in range(rng.randint(1, maxlen)):
+            walk.append(rng.choice([v for v in verts if v != walk[-1]]))
+        walks.append(Path(tuple(walk)))
+    source = complex_from_paths(walks)
+    fmap = {v: rng.choice(tverts) for v in sorted(source.vertices)}
+    gmap = {
+        v: rng.choice(tverts if rng.random() < 0.1 else [t for t in tverts if tweights[t] == tweights[u]])
+        for v, u in fmap.items()
+    }
+    source = source.reweighted({v: tweights[u] for v, u in fmap.items()}, QQ)
+    return PathMorphism(source, target, fmap), PathMorphism(source, target, gmap)
 
 
 def cli_homology_maps_equal(argv) -> bool:

@@ -12,14 +12,13 @@ from wph.algebra import (
     ZZ,
     Matrix,
     Zmod,
-    homology_of_pair,
     kernel_basis,
     smith_normal_form,
     solve_in_lattice,
 )
 from wph.errors import CompositionNotZeroError, UnsupportedRingError
 
-from helpers import dense_columns, matrix_of_columns
+from helpers import dense_columns, homology_of_pair, matrix_of_columns
 
 
 def apply(m: Matrix, vec) -> tuple:

@@ -16,7 +16,6 @@ from wph.algebra import (
     HomologyGroup,
     Matrix,
     Zmod,
-    homology_of_pair,
     kernel_basis,
     smith_normal_form,
     solve_in_lattice,
@@ -49,6 +48,7 @@ from helpers import (
     fixture_paths,
     grid_complex,
     homology_maps_equal,
+    homology_of_pair,
     matrix_of_columns,
     omega_by_face_comprehension,
     one_row_kernel_by_elimination,

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,15 @@ from wph.pathcx import (
     inclusion_top,
 )
 
-from helpers import FIXTURES, homology_maps_equal, induced_homology_maps_equal, random_unit_weight_complex
+from helpers import (
+    FIXTURES,
+    certificate_outcome,
+    certificate_over_the_ring,
+    homology_maps_equal,
+    induced_homology_maps_equal,
+    random_q_homotopy,
+    random_unit_weight_complex,
+)
 
 a, b, c, d, x, y, z = (Vertex(s) for s in "abcdxyz")
 
@@ -261,6 +270,11 @@ def test_edge_weighted_certificate_gates_on_set_weights():
         edge_weighted_certificate(f, g, 2)
 
 
+def run_on(pc):
+    """The complex a certificate builds Omega on: over Q the support complex over Z."""
+    return pc.support() if pc.ring == QQ else pc
+
+
 def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
     built = []
     original = homotopy.build_omega
@@ -274,7 +288,7 @@ def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
     f, g = inclusion_bottom(pc), inclusion_top(pc)
     assert f.target == pc.cylinder()
     assert chain_homotopy_certificate(f, g, 3).ok
-    assert built == [f.source, f.target]
+    assert built == [f.source.support(), f.target.support()]
     assert homology_maps_equal(f, g, 3)
     # homotopies whose target is not the cylinder: still no Omega of the cylinder
     for name in ("point-to-edge", "dhyper-fixtures"):
@@ -282,8 +296,14 @@ def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
         built.clear()
         assert certify().ok
         f, _ = pair()
-        assert built == [f.source, f.target]
-        assert f.source.cylinder() not in built
+        assert built == [run_on(f.source), run_on(f.target)]
+        assert f.source.cylinder() not in built and f.source.cylinder().support() not in built
+    # over Z a target weight that is no unit is outside the support argument: Omega on the complexes as given
+    src = complex_from_paths([Path((a,))], weights={a: 1}, ring=ZZ)
+    tgt = complex_from_paths([Path((x, y)), Path((z,))], weights={x: 1, y: 1, z: 2}, ring=ZZ)
+    built.clear()
+    assert chain_homotopy_certificate(PathMorphism(src, tgt, {a: x}), PathMorphism(src, tgt, {a: y}), 3).ok
+    assert built == [src, tgt]
 
 
 @pytest.mark.parametrize(
@@ -339,6 +359,40 @@ def criterion5_complexes():
     """The 20 complexes whose cylinder inclusions acceptance criterion 5 certifies."""
     rng = random.Random(17)
     return [random_unit_weight_complex(rng, max_vertices=5, maxlen=3) for _ in range(20)]
+
+
+def support_route_cases() -> list:
+    """(f, g, N, allow_degenerate) for the support-route equivalence test: the 20 criterion-5
+    cylinder inclusions, and each bottom inclusion to itself under allow_degenerate, at
+    N = 0..5; then 600 random homotopies over Q (`random_q_homotopy`), half of them under
+    allow_degenerate."""
+    cases = [
+        (f, g, n, degenerate)
+        for pc in criterion5_complexes()
+        for f, g, degenerate in (
+            (inclusion_bottom(pc), inclusion_top(pc), False),
+            (inclusion_bottom(pc), inclusion_bottom(pc), True),
+        )
+        for n in range(6)
+    ]
+    rng = random.Random(5)
+    cases += [(*random_q_homotopy(rng), rng.randint(0, 4), k % 2 == 1) for k in range(600)]
+    return cases
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["prism", "doubled-prism"])
+def test_certificates_over_q_on_the_support_complexes_give_the_outcomes_over_q(monkeypatch, doubled):
+    # the outcome, flags or error type and message, equals the reference's run over Q itself
+    if doubled:  # twice the prism on both routes: the identity fails wherever g* - f* is not 0
+        original = homotopy.prism
+        monkeypatch.setattr(homotopy, "prism", lambda v, gammas: original(v, gammas).scale(2))
+    outcomes = Counter()
+    for f, g, n, degenerate in support_route_cases():
+        got = certificate_outcome(chain_homotopy_certificate, f, g, n, degenerate)
+        assert got == certificate_outcome(certificate_over_the_ring, f, g, n, degenerate), (f, g, n, degenerate)
+        outcomes[got[0]] += 1
+    assert outcomes[True] >= 100 and outcomes[False] >= 100 and outcomes["NonInvertibleWeightError"] >= 50
+    assert (outcomes["HomotopyIdentityFailedError"] >= 100) is doubled
 
 
 def test_the_cylinder_inclusions_homotopy_induces_the_identity():
@@ -426,7 +480,7 @@ def test_every_certificate_computes_exactly_the_induced_maps_of_f_and_g(monkeypa
     monkeypatch.setattr(homotopy, "induced_chain_map", recording)
     cert = certify()
     assert cert.ok and cert.identity_holds and cert.homology_maps_equal
-    assert calls == [(m.source, m.target, m.vertex_map) for m in pair()]
+    assert calls == [(run_on(m.source), run_on(m.target), m.vertex_map) for m in pair()]
     assert homology_maps_equal(*pair(), cert.degrees_checked - 1)
 
 

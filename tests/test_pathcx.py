@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wph.algebra import ZZ
-from wph.errors import InvariantError
+from wph.algebra import QQ, ZZ
+from wph.errors import InvariantError, MissingWeightError
 from wph.pathcx import Path, PathComplex, PathMorphism, Vertex, complex_from_paths
 
 from helpers import random_complex
@@ -108,6 +109,16 @@ def test_cylinder_refuses_a_vertex_next_to_its_primed_copy():
     pc = complex_from_paths([Path((a, ap, b))], weights={a: 1, ap: 2, b: 3}, ring=ZZ)
     with pytest.raises(InvariantError, match="vertex a' collides with the primed copy of a"):
         pc.cylinder()
+
+
+def test_the_support_complex_weighs_1_where_the_weight_is_nonzero_and_0_where_it_is_0():
+    pc = complex_from_paths([Path((a, b, c)), Path((d,))], weights={a: Fraction(-1, 2), b: Fraction(0), c: 3, d: 7}, ring=QQ)
+    sup = pc.support()
+    assert sup.vertices is pc.vertices and sup.paths is pc.paths
+    assert sup.ring == ZZ and sup.weights == ((a, 1), (b, 0), (c, 1), (d, 1))
+    assert sup == pc.reweighted({a: 1, b: 0, c: 1, d: 1}, ZZ)
+    with pytest.raises(MissingWeightError):
+        complex_from_paths([Path((a, b))]).support()
 
 
 def test_truncate_drops_long_paths_only():
