@@ -20,6 +20,11 @@ Checks, on freshly sampled instances:
   * homology from the reduced chain (each boundary eliminated without the
     rows the one before settles) equals homology from each pair of full
     boundaries, over Z with unit-free weights and over Q,
+  * the one-queue elimination gives what the two-queue reference gives
+    (helpers.eliminate_with_two_queues), the same invariant factors and
+    settled unit columns, on the boundaries of those complexes and of a
+    random complex over Z, and on a random sparse matrix with a random set
+    of rows left out (helpers.random_sparse_matrix),
   * the bold functor's one forward walk equals the truncation closure of
     the decomposable paths, on a random directed hypergraph with arrow
     sides of any size, for maxlen 0..4,
@@ -43,7 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from wph import chain, homotopy
+from wph import algebra, chain, homotopy
 from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import ChainVector, build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
@@ -55,6 +60,8 @@ from helpers import (
     bold_reference,
     certificate_outcome,
     certificate_over_the_ring,
+    chain_eliminations,
+    eliminate_with_two_queues,
     homology_maps_equal,
     homology_of_pair,
     omega_by_face_comprehension,
@@ -63,6 +70,7 @@ from helpers import (
     random_digraph_complex,
     random_directed_hypergraph,
     random_q_homotopy,
+    random_sparse_matrix,
     random_unit_free_complex,
     random_unit_weight_complex,
 )
@@ -75,6 +83,12 @@ ONE_ROW_SAMPLES = [
     (Zmod(7), lambda rng: rng.randint(0, 6)),
     (Zmod(2), lambda rng: rng.randint(0, 1)),
 ]
+
+
+def assert_eliminations_agree(om, i) -> None:
+    boundaries = [om.boundary(n) for n in range(om.max_degree + 1)]
+    got = chain_eliminations(algebra._eliminate, boundaries)
+    assert got == chain_eliminations(eliminate_with_two_queues, boundaries), i
 
 
 def main():
@@ -91,6 +105,9 @@ def main():
         om = build_omega(pc, 4)
         for n in range(1, 4):
             assert om.boundary(n).matmul(om.boundary(n + 1)).is_zero(), (i, n)
+        assert_eliminations_agree(om, i)
+        m, skip = random_sparse_matrix(rng)
+        assert algebra._eliminate(m, skip) == eliminate_with_two_queues(m, skip), (i, m, skip)
 
         pq = random_unit_weight_complex(rng)
         for n in range(4):
@@ -129,6 +146,7 @@ def main():
             om = build_omega(sample, 5)
             pairs = [homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(5)]
             assert homology_of_omega(om).groups == pairs, (i, sample)
+            assert_eliminations_agree(om, i)
 
         g = random_directed_hypergraph(rng)
         for maxlen in range(5):

@@ -7,14 +7,14 @@ nonzero entries keyed by row, and zeros are never stored, so equal matrices
 have equal storage.  Products, sums and comparisons work on those entries.
 
 Kernels and lattice solves read one column reduction of the sparse columns
-stacked over the identity (`Matrix.echelon`), computed at most once, on first
-use, and kept with the matrix.  Homology reads only invariant factors
-(`Matrix.invariant_factors`), from one sparse elimination: unit pivots first,
-then Euclid steps over Z when no unit is left.  Along a chain complex
-(`chain_invariant_factors`) each boundary is eliminated without the rows that
-the unit pivots of the boundary before it settle.  `smith_normal_form` gives the
-Smith form with its transforms, by a dense loop; it is the reference the
-elimination is tested against, and no production path calls it.
+stacked over the identity (`_echelon`).  Homology reads only invariant factors
+(`Matrix.invariant_factors`), from one sparse elimination with one pivot
+queue: unit pivots first, then Euclid steps over Z when no unit is left.  Along
+a chain complex (`chain_invariant_factors`) each boundary is eliminated without
+the rows that the unit pivots of the boundary before it settle.
+`smith_normal_form` gives the Smith form with its transforms, by a dense loop;
+it is the reference the elimination is tested against, and no production path
+calls it.
 `solve_in_lattice` is a reference too: chains are re-expressed in the Omega
 bases by pivot-row substitution (`chain.restrict_to_omega`), so only the
 tests' reference constructions call it, and the benchmark's tracer wraps it
@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
+import operator
 from typing import Any, Sequence
 
 from .errors import CompositionNotZeroError, UnsupportedRingError
@@ -34,21 +35,37 @@ from .errors import CompositionNotZeroError, UnsupportedRingError
 Scalar = Any  # int | Fraction, depending on the ring
 
 
+# Miller-Rabin to the prime bases 2..41 decides primality exactly below psi_13, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
+MODULUS_BOUND = 3317044064679887385961981
+
+
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    """Whether m < MODULUS_BOUND is prime, by Miller-Rabin to the bases 2..41."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if m < 2 or any(m % a == 0 for a in bases):
+        return m in bases
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, m)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == m - 1:
+                break
+            x = x * x % m
+        else:
             return False
-        d += 1
     return True
 
 
 class Ring:
     """A coefficient ring: Z, Q, or Z/m.  Values are plain Python scalars.
 
-    The plain operators serve Z and Q; Z/m overrides them to reduce mod m.
+    The plain operators serve Z and Q, bound as they are; Z/m overrides them to
+    reduce mod m.
     """
 
     name: str
@@ -59,17 +76,10 @@ class Ring:
     def coerce(self, x) -> Scalar:
         raise NotImplementedError
 
-    def add(self, a, b) -> Scalar:
-        return a + b
-
-    def sub(self, a, b) -> Scalar:
-        return a - b
-
-    def mul(self, a, b) -> Scalar:
-        return a * b
-
-    def neg(self, a) -> Scalar:
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -152,11 +162,14 @@ class RationalRing(Ring):
 
 
 class ModularRing(Ring):
-    """Z/m with canonical representatives in [0, m).  A field iff m is prime."""
+    """Z/m with canonical representatives in [0, m), for 2 <= m < MODULUS_BOUND.  A field
+    iff m is prime."""
 
     def __init__(self, m: int):
         if m < 2:
             raise ValueError("modulus must be >= 2")
+        if m >= MODULUS_BOUND:
+            raise ValueError(f"modulus must be below {MODULUS_BOUND}")
         self.m = m
         self.name = f"Z/{m}"
         self.is_field = _is_prime(m)
@@ -328,11 +341,6 @@ class Matrix:
         return self._entrywise(other, self.ring.sub)
 
     @cached_property
-    def echelon(self) -> "Echelon":
-        """The column reduction of this matrix over the identity, computed on first use and kept with it."""
-        return _echelon(self)
-
-    @cached_property
     def invariant_factors(self) -> tuple:
         """The nonzero Smith diagonal (all ones over a field), whose length is the rank; by one
         sparse elimination without transforms."""
@@ -440,8 +448,8 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
 
 def _eliminate(m: Matrix, skip=()) -> tuple:
     """The invariant factors of m without its rows in `skip`, by sparse elimination
-    without transforms; and m's columns that the unit phase pivoted on before the
-    first Euclid step (every pivot column, over a field).
+    without transforms; and m's columns that unit pivots took before the first
+    Euclid step (every pivot column, over a field).
 
     m and its transpose have the same invariant factors, so this eliminates
     whichever has fewer rows: the transpose's rows are m's stored columns, m's own
@@ -452,27 +460,31 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
     cylinders (timings in BENCH_10.json).  `rows` maps a row to its
     {column: nonzero entry} dict, `cols` a column to the rows with an entry there.
 
-    Unit phase.  A unit u at (i, j) clears its column by row operations, then its
-    row by column operations.  That leaves u beside the Schur complement: the rest
-    minus (column j) u^-1 (row i), so it adds one unit factor.  The pivot is the
-    unit entry of least (row nnz - 1) * (column nnz - 1), which bounds its fill;
-    ties go to the lowest row, then the lowest column.  Over a field every nonzero
-    is a unit, so this phase eliminates everything.
+    One queue of (size, cost, row, column) keys gives every pivot, its least
+    current key.  The size is 1 for a unit and |p| for another entry p; the cost,
+    (row nnz - 1) * (column nnz - 1), bounds the pivot's fill; ties go to the
+    lowest row, then the lowest column.  Other entries are keyed only once the
+    queue runs dry with rows left, which happens only over Z: the Euclid phase
+    begins.  The loop ends with the last row.
 
-    Euclid phase, over Z when no unit is left.  The pivot is an entry p of least
-    |p|, ties going by the same cost, then row and column.  Row operations reduce
-    the other entries of its column to remainders of at most |p| / 2.  When none
-    is left, column operations reduce the entries of its row the same way, which
+    A unit u at (i, j) clears its column by row operations, then its row by
+    column operations.  That leaves u beside the Schur complement: the rest minus
+    (column j) u^-1 (row i), so it adds one unit factor.  Over a field every
+    nonzero is a unit, so unit pivots eliminate everything.
+
+    A Euclid pivot p, taken when no unit is left, reduces the other entries of
+    its column by row operations to remainders of at most |p| / 2.  When none is
+    left, column operations reduce the entries of its row the same way, which
     changes that row only; if they all vanish, p is a diagonal pivot and leaves
     with its row and column.  Otherwise a remainder smaller than |p| is left, so
-    the least entry shrinks, and a unit remainder goes back to the unit phase.
+    the least entry shrinks, and a unit remainder is the next pivot.
 
     What is left is diagonal: the units and the non-unit pivots, which gcd/lcm
     steps (diag(a, b) ~ diag(gcd, lcm)) put into the divisibility chain.  This is
     the elimination of Dumas, Saunders and Villard (JSC 2001).
 
-    Unit columns.  Say the unit phase pivots on rows I and columns J of m before
-    any Euclid step.  Each pivot is a unit of the Schur complement left by the
+    Unit columns.  Say the unit pivots before any Euclid step are on rows I and
+    columns J of m.  Each pivot is a unit of the Schur complement left by the
     ones before it, so det m[I, J] is +- their product and m[I, J] is invertible.
     On which side the engine works does not matter: a Schur complement is the same
     whether rows or columns clear it.  A Euclid step changes m's row and column
@@ -508,35 +520,29 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
                     else:
                         cols[j] = {i}
 
-    # (cost, row, column) keys of unit entries.  Every change to a unit entry's cost
-    # pushes its new key, so the least key that is still current is the pivot; keys
-    # gone out of date are dropped when popped.  Over a field every nonzero is a unit;
-    # the one other ring is Z, with units 1 and -1.
+    # Units are every nonzero over a field, and 1 and -1 over Z, the one other ring.
+    # Every change to a keyed entry's value or cost pushes its new key; keys gone out
+    # of date are dropped when popped.
     heap: list = []
-    # Euclid phase: (|entry|, cost, row, column) keys of the other entries, from its
-    # first step on, kept current the same way.
-    sizes = None
+    settled = None  # the unit count when the Euclid phase began
 
     def push(ks, cs) -> None:
         """Keys for the entries of rows ks and of columns cs, whose values or counts changed;
         ks is a set when cs is not empty."""
+        euclid = settled is not None
         for k in ks:
             entries = rows[k]
             fill = len(entries) - 1
             for c, x in entries.items():
-                if field or x == 1 or x == -1:
-                    heappush(heap, (fill * (len(cols[c]) - 1), k, c))
-                elif sizes is not None:
-                    heappush(sizes, (abs(x), fill * (len(cols[c]) - 1), k, c))
+                if field or euclid or x == 1 or x == -1:
+                    heappush(heap, (1 if field else abs(x), fill * (len(cols[c]) - 1), k, c))
         for c in cs:
             fill = len(cols[c]) - 1
             for k in cols[c]:
                 if k not in ks:
                     x = rows[k][c]
-                    if field or x == 1 or x == -1:
-                        heappush(heap, ((len(rows[k]) - 1) * fill, k, c))
-                    elif sizes is not None:
-                        heappush(sizes, (abs(x), (len(rows[k]) - 1) * fill, k, c))
+                    if field or euclid or x == 1 or x == -1:
+                        heappush(heap, (1 if field else abs(x), (len(rows[k]) - 1) * fill, k, c))
 
     def row_sub(k, q, pivot) -> None:  # row k -= q * pivot, a row's entries; cols kept in step
         entries, nq = rows[k], neg(q)
@@ -563,47 +569,35 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
 
     push(rows, ())
     units, pivots = [], []  # m's columns of the unit pivots; the non-unit diagonal pivots
-    settled = None  # the unit count at the first Euclid step
     while rows:
-        while heap:
-            cost, i, j = heappop(heap)
-            pivot = rows.get(i)
-            if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
-                continue
-            u = pivot[j]
-            if not (field or u == 1 or u == -1):
-                continue
+        if not heap:  # no unit is left, so the ring is Z: the Euclid phase begins
+            settled = len(units)
+            heap = [
+                (abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
+                for k, entries in rows.items()
+                for c, x in entries.items()
+            ]
+            heapify(heap)
+        size, cost, i, j = heappop(heap)
+        pivot = rows.get(i)
+        if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
+            continue
+        p = pivot[j]
+        if not field and abs(p) != size:
+            continue
+        if size == 1:
             del rows[i]
             for c in pivot:
                 cols[c].discard(i)
             del pivot[j]
-            inv = ring.inv(u) if field else u  # over Z, u is 1 or -1
+            inv = ring.inv(p) if field else p  # over Z, p is 1 or -1
             touched = cols.pop(j)
             for k in touched:
                 row_sub(k, mul(rows[k].pop(j), inv), pivot)  # clears its entry in column j
             # new keys: the touched rows changed their counts, the pivot's columns theirs
             push({k for k in touched if k in rows}, drop_empty(pivot))
             units.append(i if transposed else j)
-        if field or not rows:
-            break
-        if sizes is None:
-            settled = len(units)
-            sizes = [
-                (abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
-                for k, entries in rows.items()
-                for c, x in entries.items()
-            ]
-            heapify(sizes)
-        while True:
-            size, cost, i, j = heappop(sizes)
-            pivot = rows.get(i)
-            if (
-                pivot is not None
-                and abs(pivot.get(j, 0)) == size
-                and cost == (len(pivot) - 1) * (len(cols[j]) - 1)
-            ):
-                break
-        p = pivot[j]
+            continue
         ks = [k for k in cols[j] if k != i]
         cs = list(pivot)  # the columns whose counts the row operations change
         for k in ks:
@@ -663,11 +657,10 @@ def _nearest_quotient(x: int, p: int) -> int:
     return q + 1 if 2 * abs(r) > abs(p) else q
 
 
-@dataclass(frozen=True)
-class Echelon:
+def _echelon(m: Matrix) -> tuple:
     """The columns of m stacked over the identity and column-reduced: [m; I] u == [e; u]
     for an invertible u, with e = m u in column Hermite form (reduced column echelon
-    form over a field).
+    form over a field).  Returns (pivots, columns).
 
     columns[j] holds the nonzero entries of column j of [e; u], keyed by row (rows
     from m.rows on are u's).  The first rank columns of e are its nonzero ones;
@@ -675,17 +668,11 @@ class Echelon:
     rows ascend.  The u parts of the later columns, themselves in column Hermite
     form, are the canonical basis of ker m.
     """
-
-    pivots: tuple
-    columns: tuple
-
-
-def _echelon(m: Matrix) -> Echelon:
     require_pid(m.ring)
     one, top = m.ring.one, m.rows
     stacked = [{**col, top + j: one} for j, col in enumerate(m.entries)]
     pivots = _hermite_column_reduce(stacked, m.ring)
-    return Echelon(tuple(p for p in pivots if p < top), tuple(stacked))
+    return [p for p in pivots if p < top], stacked
 
 
 def _hermite_column_reduce(cols: list, ring: Ring) -> list:
@@ -750,11 +737,9 @@ def kernel_basis(m: Matrix) -> Matrix:
     Over Z the columns span the full (saturated) kernel lattice: every integer
     kernel vector is an integer combination of the columns.
     """
-    require_pid(m.ring)
-    if m.rows == 0:
-        return Matrix.identity(m.ring, m.cols)  # already in Hermite form
-    ech, top = m.echelon, m.rows
-    kernel = [{h - top: x for h, x in col.items()} for col in ech.columns[len(ech.pivots):]]
+    pivots, columns = _echelon(m)
+    top = m.rows
+    kernel = [{h - top: x for h, x in col.items()} for col in columns[len(pivots):]]
     return Matrix.from_columns(m.ring, kernel, m.cols)
 
 
@@ -772,9 +757,10 @@ def solve_in_lattice(basis: Matrix, target: Sequence):
     if len(target) != basis.rows:
         raise ValueError("target length mismatch")
     rest = {i: x for i, x in enumerate(map(ring.coerce, target)) if x}
-    ech, top = basis.echelon, basis.rows
+    pivots, columns = _echelon(basis)
+    top = basis.rows
     coeffs = [zero] * basis.cols
-    for col, p in zip(ech.columns, ech.pivots):
+    for col, p in zip(columns, pivots):
         x = rest.get(p)
         if not x:
             continue

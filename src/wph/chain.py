@@ -154,7 +154,7 @@ class OmegaComplex:
         return chain_invariant_factors([self.boundary(n) for n in range(self.max_degree + 1)])
 
 
-def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = None) -> OmegaComplex:
+def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     """Compute Omega_n for n <= max_degree and the boundary matrices.
 
     Omega_n is the kernel of the composite: regular n-chains on P, mapped by
@@ -171,16 +171,14 @@ def build_omega(pc: PathComplex, max_degree: int, path_codes: Optional[tuple] = 
     kernel columns and the unit columns, ordered by first row, are the column
     Hermite form of the whole kernel.  Over Z kernel bases are saturated, so
     boundaries re-express integrally in the next basis down.  The work runs
-    on integer path codes (see OmegaComplex).  `path_codes` is
-    pc.regular_path_codes(d) for some d >= max_degree when the caller has it
-    already; its buckets past max_degree are left out.
+    on integer path codes (see OmegaComplex) from
+    `pc.regular_path_codes(max_degree)`.
     """
     if not pc.is_weighted:
         raise MissingWeightError("Omega construction needs a weighted complex")
     ring = pc.ring
     require_pid(ring)
-    numbers, buckets = path_codes or pc.regular_path_codes(max_degree)
-    buckets = buckets[:max_degree + 1]
+    numbers, buckets = pc.regular_path_codes(max_degree)
     codes = [[c for c, _ in bucket] for bucket in buckets]
     weights = pc.weight_map()
     # each vertex number's weight and its negative, None for an unweighted vertex
@@ -439,13 +437,12 @@ class HomologyResult:
 def homology(pc: PathComplex, max_degree: int) -> HomologyResult:
     """Weighted path homology in degrees 0..max_degree-1.
 
-    Omega is built only up to degree l + 1, with l the length of the longest
-    regular path: Omega_n is 0 for n > l, so every group from degree l + 1 on is 0.
+    Omega is built only up to degree l + 1, with l the length of the longest path:
+    Omega_n is 0 for n > l, so every group from degree l + 1 on is 0.
     """
-    path_codes = pc.regular_path_codes(max_degree)
-    longest = max((n for n, bucket in enumerate(path_codes[1]) if bucket), default=-1)
+    longest = max((p.length for p in pc.paths), default=-1)
     top = min(max_degree, longest + 1)
-    groups = homology_of_omega(build_omega(pc, top, path_codes)).groups
+    groups = homology_of_omega(build_omega(pc, top)).groups
     groups += [HomologyGroup(0) for _ in range(top, max_degree)]
     return HomologyResult(pc.ring, max_degree, groups)
 

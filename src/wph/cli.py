@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import io as wio
-from .algebra import QQ, ZZ, ModularRing, Zmod
+from .algebra import MODULUS_BOUND, QQ, ZZ, ModularRing, Zmod
 from .chain import ChainVector, HomologyResult, homology
 from .dhyper import (
     DirectedHypergraph,
@@ -80,6 +80,8 @@ def _parse_coeff(text: str):
             raise SchemaError(f"bad modulus in --coeff {text!r}") from None
         if m < 2:
             raise SchemaError(f"--coeff modulus must be >= 2, got {text!r}")
+        if m >= MODULUS_BOUND:
+            raise SchemaError(f"--coeff modulus must be below {MODULUS_BOUND}, got {text!r}")
         return Zmod(m)
     raise SchemaError(f"--coeff must be z, q or mod:p, got {text!r}")
 
@@ -220,8 +222,11 @@ def cmd_functor(args) -> int:
         description = f"functor={args.functor}"
     blob = wio.emit(out, description=description)
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(blob.decode("utf-8"))
     return EXIT_OK

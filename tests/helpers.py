@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import itemgetter
 from pathlib import Path as FsPath
 
-from wph import chain, cli, homotopy
+from wph import algebra, chain, cli, homotopy
 from wph import io as wio
-from wph.algebra import QQ, ZZ, HomologyGroup, Matrix, homology_group, kernel_basis, require_pid
+from wph.algebra import QQ, ZZ, HomologyGroup, Matrix, Zmod, homology_group, kernel_basis, require_pid
 from wph.chain import ChainVector, build_omega, induced_chain_map, mapped_rows, restrict_to_omega
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
@@ -47,6 +49,194 @@ def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup
     return homology_group(boundary_out, boundary_in, boundary_out.invariant_factors, boundary_in.invariant_factors)
 
 
+def eliminate_with_two_queues(m: Matrix, skip=()) -> tuple:
+    """What `algebra._eliminate` gives, from a unit queue and a separate Euclid queue,
+    the second built when the first runs dry; the unit loop pops every key left in its
+    queue, stale ones too.  The reference for the one-queue engine: the same pivots,
+    pushes and (factors, settled); pops are counted by patching `heappop` here."""
+    require_pid(m.ring)
+    ring = m.ring
+    add, mul, neg, field = ring.add, ring.mul, ring.neg, ring.is_field
+    entries = m.entries
+    if skip:
+        skip = set(skip)
+        entries = [{i: x for i, x in col.items() if i not in skip} for col in entries]
+    transposed = m.rows >= m.cols  # the side rule looks at m, whatever skip leaves out
+    rows: dict = {}
+    cols: dict = {}
+    if not transposed:
+        for j, col in enumerate(entries):
+            if col:
+                cols[j] = set(col)
+                for i, x in col.items():
+                    if i in rows:
+                        rows[i][j] = x
+                    else:
+                        rows[i] = {j: x}
+    else:
+        for i, col in enumerate(entries):
+            if col:
+                rows[i] = dict(col)
+                for j in col:
+                    if j in cols:
+                        cols[j].add(i)
+                    else:
+                        cols[j] = {i}
+
+    # (cost, row, column) keys of unit entries.  Every change to a unit entry's cost
+    # pushes its new key, so the least key that is still current is the pivot; keys
+    # gone out of date are dropped when popped.  Over a field every nonzero is a unit;
+    # the one other ring is Z, with units 1 and -1.
+    heap: list = []
+    # Euclid phase: (|entry|, cost, row, column) keys of the other entries, from its
+    # first step on, kept current the same way.
+    sizes = None
+
+    def push(ks, cs) -> None:
+        """Keys for the entries of rows ks and of columns cs, whose values or counts changed;
+        ks is a set when cs is not empty."""
+        for k in ks:
+            entries = rows[k]
+            fill = len(entries) - 1
+            for c, x in entries.items():
+                if field or x == 1 or x == -1:
+                    heappush(heap, (fill * (len(cols[c]) - 1), k, c))
+                elif sizes is not None:
+                    heappush(sizes, (abs(x), fill * (len(cols[c]) - 1), k, c))
+        for c in cs:
+            fill = len(cols[c]) - 1
+            for k in cols[c]:
+                if k not in ks:
+                    x = rows[k][c]
+                    if field or x == 1 or x == -1:
+                        heappush(heap, ((len(rows[k]) - 1) * fill, k, c))
+                    elif sizes is not None:
+                        heappush(sizes, (abs(x), (len(rows[k]) - 1) * fill, k, c))
+
+    def row_sub(k, q, pivot) -> None:  # row k -= q * pivot, a row's entries; cols kept in step
+        entries, nq = rows[k], neg(q)
+        for c, x in pivot.items():
+            if c in entries:
+                v = add(entries[c], mul(nq, x))
+                if v:
+                    entries[c] = v
+                else:
+                    del entries[c]
+                    cols[c].discard(k)
+            else:  # nq * x is nonzero: a PID has no zero divisors
+                entries[c] = mul(nq, x)
+                cols[c].add(k)
+        if not entries:
+            del rows[k]
+
+    def drop_empty(cs) -> list:
+        """Drop the columns of cs left empty; the others of cs."""
+        for c in cs:
+            if not cols[c]:
+                del cols[c]
+        return [c for c in cs if c in cols]
+
+    push(rows, ())
+    units, pivots = [], []  # m's columns of the unit pivots; the non-unit diagonal pivots
+    settled = None  # the unit count at the first Euclid step
+    while rows:
+        while heap:
+            cost, i, j = heappop(heap)
+            pivot = rows.get(i)
+            if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
+                continue
+            u = pivot[j]
+            if not (field or u == 1 or u == -1):
+                continue
+            del rows[i]
+            for c in pivot:
+                cols[c].discard(i)
+            del pivot[j]
+            inv = ring.inv(u) if field else u  # over Z, u is 1 or -1
+            touched = cols.pop(j)
+            for k in touched:
+                row_sub(k, mul(rows[k].pop(j), inv), pivot)  # clears its entry in column j
+            # new keys: the touched rows changed their counts, the pivot's columns theirs
+            push({k for k in touched if k in rows}, drop_empty(pivot))
+            units.append(i if transposed else j)
+        if field or not rows:
+            break
+        if sizes is None:
+            settled = len(units)
+            sizes = [
+                (abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
+                for k, entries in rows.items()
+                for c, x in entries.items()
+            ]
+            heapify(sizes)
+        while True:
+            size, cost, i, j = heappop(sizes)
+            pivot = rows.get(i)
+            if (
+                pivot is not None
+                and abs(pivot.get(j, 0)) == size
+                and cost == (len(pivot) - 1) * (len(cols[j]) - 1)
+            ):
+                break
+        p = pivot[j]
+        ks = [k for k in cols[j] if k != i]
+        cs = list(pivot)  # the columns whose counts the row operations change
+        for k in ks:
+            q = algebra._nearest_quotient(rows[k][j], p)
+            if q:
+                row_sub(k, q, pivot)
+        if len(cols[j]) == 1:  # column j is p alone: column operations change row i only
+            for c in cs:
+                if c != j:
+                    v = pivot[c] - algebra._nearest_quotient(pivot[c], p) * p
+                    if v:
+                        pivot[c] = v
+                    else:
+                        del pivot[c]
+                        cols[c].discard(i)
+            if len(pivot) == 1:
+                pivots.append(abs(p))
+                del rows[i], cols[j]
+        # every entry that changed is in rows ks and i, and every count that changed
+        push({k for k in ks + [i] if k in rows}, drop_empty([c for c in cs if c in cols]))
+    for a in range(len(pivots)):
+        for b in range(a + 1, len(pivots)):
+            g = gcd(pivots[a], pivots[b])
+            pivots[a], pivots[b] = g, pivots[a] // g * pivots[b]
+    return (ring.one,) * len(units) + tuple(pivots), units if settled is None else units[:settled]
+
+
+def chain_eliminations(eliminate, boundaries) -> list:
+    """(factors, settled) of each boundary by `eliminate`, each without the rows that the
+    unit pivots of the one before settle, as `algebra.chain_invariant_factors` runs it."""
+    out, settled = [], ()
+    for m in boundaries:
+        out.append(eliminate(m, settled))
+        settled = out[-1][1]
+    return out
+
+
+# (ring, entries) for random sparse matrices: Z with units, Z without, Q, Z/7 and Z/2
+SPARSE_SAMPLES = [
+    (ZZ, [1, -1, 2, -3, 6]),
+    (ZZ, [2, -2, 3, -3, 4, 6]),
+    (QQ, [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3), Fraction(2, 3)]),
+    (Zmod(7), [1, 2, 3, 6]),
+    (Zmod(2), [1]),
+]
+
+
+def random_sparse_matrix(rng: random.Random, max_dim: int = 8) -> tuple:
+    """A random mostly zero matrix over one of SPARSE_SAMPLES' rings, any shape down to
+    0 x 0, and a random set of its rows to skip."""
+    ring, entries = rng.choice(SPARSE_SAMPLES)
+    rows, cols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+    density = rng.random()
+    data = [[rng.choice(entries) if rng.random() < density else ring.zero for _ in range(cols)] for _ in range(rows)]
+    skip = {i for i in range(rows) if rng.random() < 0.2}
+    return Matrix(ring, rows, cols, data), skip
+
+
 def one_row_kernel_by_elimination(ring, a: list) -> list:
     """What `chain._one_row_kernel` gives, from `kernel_basis` of the 1 x len(a) matrix (a)."""
     return list(kernel_basis(Matrix.from_columns(ring, [{0: x} for x in a], 1)).entries)
@@ -80,12 +270,14 @@ def regular_path_codes_coding_every_path(pc: PathComplex, max_degree: int) -> tu
 def omega_by_face_comprehension(pc: PathComplex, max_degree: int):
     """`build_omega` on the codes of `regular_path_codes_coding_every_path`, each degree's
     face table from `face_terms_by_comprehension`: the reference for the one-loop build."""
-    face_terms = chain._face_terms
+    face_terms, path_codes = chain._face_terms, PathComplex.regular_path_codes
     chain._face_terms = face_terms_by_comprehension
+    PathComplex.regular_path_codes = regular_path_codes_coding_every_path
     try:
-        return build_omega(pc, max_degree, regular_path_codes_coding_every_path(pc, max_degree))
+        return build_omega(pc, max_degree)
     finally:
         chain._face_terms = face_terms
+        PathComplex.regular_path_codes = path_codes
 
 
 def induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> bool:

@@ -1,3 +1,5 @@
+import heapq
+import importlib.util
 import operator
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from wph import algebra
 from wph.algebra import (
+    MODULUS_BOUND,
     QQ,
     ZZ,
     Matrix,
@@ -16,9 +19,21 @@ from wph.algebra import (
     smith_normal_form,
     solve_in_lattice,
 )
+from wph.chain import build_omega
+from wph.digraph import WeightedDigraph, paths_functor
 from wph.errors import CompositionNotZeroError, UnsupportedRingError
+from wph.pathcx import Vertex
 
-from helpers import dense_columns, homology_of_pair, matrix_of_columns
+import helpers
+from helpers import (
+    FIXTURES,
+    chain_eliminations,
+    dense_columns,
+    eliminate_with_two_queues,
+    homology_of_pair,
+    matrix_of_columns,
+    random_sparse_matrix,
+)
 
 
 def apply(m: Matrix, vec) -> tuple:
@@ -140,6 +155,35 @@ def test_prime_modulus_accepted():
     m = Matrix.from_rows(ring, [[2, 1], [0, 3]])
     snf = smith_normal_form(m)
     assert snf.rank == 2
+
+
+def test_primality_agrees_with_trial_division_below_ten_to_the_five():
+    sieve = [False, False] + [True] * (10**5 - 2)
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [m for m in range(10**5) if algebra._is_prime(m)] == [m for m in range(10**5) if sieve[m]]
+
+
+@pytest.mark.parametrize(
+    "m, prime",
+    [
+        (561, False),  # a Carmichael number
+        (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (318665857834031151167461, False),  # psi_12: a strong pseudoprime to the bases 2..37
+        (2**53 - 111, True),
+        (2**61 - 1, True),
+        (MODULUS_BOUND - 1, False),  # even
+    ],
+)
+def test_primality_on_large_moduli(m, prime):
+    assert algebra._is_prime(m) is prime
+    assert Zmod(m).is_field is prime
+
+
+def test_a_modulus_at_the_primality_bound_is_refused():
+    with pytest.raises(ValueError, match="below"):
+        Zmod(MODULUS_BOUND)
 
 
 def test_homology_of_pair_circle():
@@ -389,3 +433,53 @@ def test_the_rows_that_unit_pivots_settle_leave_the_invariant_factors_as_they_ar
     factors, settled = algebra._eliminate(a)
     assert factors == a.invariant_factors and len(settled) <= len(factors)
     assert algebra._eliminate(b, settled)[0] == b.invariant_factors == smith_normal_form(b).d
+
+
+def test_one_queue_elimination_equals_the_two_queue_reference_on_random_matrices():
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(1000):
+            m, skip = random_sparse_matrix(rng)
+            assert algebra._eliminate(m, skip) == eliminate_with_two_queues(m, skip), (seed, m, skip)
+
+
+def counting_heap_calls(monkeypatch, module) -> dict:
+    """Count the heappush and heappop calls that `module` makes, from now on."""
+    counts = {"push": 0, "pop": 0}
+
+    def push(heap, key):
+        counts["push"] += 1
+        heapq.heappush(heap, key)
+
+    def pop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(module, "heappush", push)
+    monkeypatch.setattr(module, "heappop", pop)
+    return counts
+
+
+def test_one_queue_elimination_pushes_what_the_reference_pushes_on_every_ladder_rung(monkeypatch):
+    spec = importlib.util.spec_from_file_location("ladder", FIXTURES.parent / "scripts" / "ladder.py")
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    ours, reference = counting_heap_calls(monkeypatch, algebra), counting_heap_calls(monkeypatch, helpers)
+    for name, paths, length in ladder.RUNGS:
+        om = build_omega(paths(length), length)
+        boundaries = [om.boundary(n) for n in range(length + 1)]
+        for counts in (ours, reference):
+            counts.update(push=0, pop=0)
+        got = chain_eliminations(algebra._eliminate, boundaries)
+        assert got == chain_eliminations(eliminate_with_two_queues, boundaries), name
+        assert ours["push"] == reference["push"] and ours["pop"] <= reference["pop"], (name, ours, reference)
+
+
+def test_the_elimination_stops_with_its_last_row(monkeypatch):
+    # K4 L3 Z has no Euclid step; a queue drained of its stale keys pops all 201 it pushes
+    vs = [Vertex(s) for s in "abcd"]
+    k4 = WeightedDigraph.build(vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, [1, 2, 3, 4])), ZZ)
+    om = build_omega(paths_functor(k4, 3), 3)
+    counts = counting_heap_calls(monkeypatch, algebra)
+    assert [len(d) for d in om.invariant_factors] == [0, 3, 9, 27]
+    assert counts["pop"] < counts["push"] == 201

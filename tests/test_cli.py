@@ -1,10 +1,12 @@
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from wph import cli
 from wph import io as wio
+from wph.algebra import MODULUS_BOUND
 from wph.chain import build_omega, homology, homology_of_omega
 from wph.cli import main
 from wph.homotopy import PrismReport
@@ -165,6 +167,32 @@ def test_functor_cylinder_writes_file(tmp_path, capsys):
     doc = wio.parse(out_file.read_bytes())
     assert doc.kind == "path_complex"
     assert any(v.endswith("'") for v in [x.render() for x in doc.body.vertices])
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-directory", "a-directory"])
+def test_functor_output_that_cannot_be_written_exits_2_with_one_line(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "functor", str(FIXTURES / "pc_edge_torsion.json"), "--functor", "cylinder", "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_a_large_prime_modulus_validates_promptly(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "pc_edge_torsion.json").read_text())
+    doc["ring"] = {"Zmod": 2**53 - 111}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (0, f"OK kind=path_complex ring={{'Zmod': {2**53 - 111}}}\n", "")
+    assert time.perf_counter() - start < 2  # trial division took seconds
+
+
+def test_homology_modulus_at_the_primality_bound_exits_2(capsys):
+    coeff = f"mod:{MODULUS_BOUND}"
+    code, out, err = run(capsys, "homology", str(FIXTURES / "pc_diamond_weighted.json"), "--coeff", coeff)
+    assert (code, out) == (2, "")
+    assert err == f"error: --coeff modulus must be below {MODULUS_BOUND}, got {coeff!r}\n"
 
 
 def test_homotopy_check_one_step_and_certificate(capsys):

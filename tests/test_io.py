@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wph import io as wio
-from wph.algebra import QQ, ZZ, Zmod
+from wph.algebra import MODULUS_BOUND, QQ, ZZ, Zmod
 from wph.chain import homology
 from wph.errors import InvariantError, SchemaError
 
@@ -56,6 +56,12 @@ def test_parse_ring_variants():
         wio.parse_ring("R")
     with pytest.raises(SchemaError):
         wio.parse_ring({"Zmod": 1})
+
+
+def test_a_modulus_past_the_primality_bound_is_a_schema_error():
+    assert wio.parse_ring({"Zmod": MODULUS_BOUND - 1}).m == MODULUS_BOUND - 1
+    with pytest.raises(SchemaError, match=f"Zmod modulus must be below {MODULUS_BOUND}"):
+        wio.parse_ring({"Zmod": MODULUS_BOUND})
 
 
 def test_rational_weights_as_strings():
