@@ -11,10 +11,14 @@ Checks, on freshly sampled instances:
   * each of those certificates' equal-homology-maps flag agrees with one
     lattice test per degree on the induced maps (helpers.homology_maps_equal),
   * those two certificates and one on a random homotopy over Q
-    (helpers.random_q_homotopy), each also with the prism doubled, report
+    (helpers.random_q_homotopy), each also with the lifts doubled, report
     what the certificate run over Q itself reports
     (helpers.certificate_over_the_ring): the same flags, or the same error
     type and message,
+  * f_*, g_* and L on path codes equal those from `mapped_rows` and the
+    prism on Path objects (helpers.routes_compared), as those certificates
+    build them, and between random vertex maps over Z and Z/7, errors
+    included (helpers.route_outcomes),
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
   * homology from the reduced chain (each boundary eliminated without the
@@ -42,13 +46,14 @@ Checks, on freshly sampled instances:
 import argparse
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from wph import algebra, chain, homotopy
+from wph import algebra, chain
 from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import ChainVector, build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
@@ -61,6 +66,7 @@ from helpers import (
     certificate_outcome,
     certificate_over_the_ring,
     chain_eliminations,
+    doubled_lifts,
     eliminate_with_two_queues,
     homology_maps_equal,
     homology_of_pair,
@@ -69,10 +75,13 @@ from helpers import (
     random_complex,
     random_digraph_complex,
     random_directed_hypergraph,
+    random_pair,
     random_q_homotopy,
     random_sparse_matrix,
     random_unit_free_complex,
     random_unit_weight_complex,
+    route_outcomes,
+    routes_compared,
 )
 
 
@@ -98,7 +107,6 @@ def main():
     args = parser.parse_args()
     rng = random.Random(args.seed)
     one_row_kernel = chain._one_row_kernel
-    prism = homotopy.prism
 
     for i in range(args.count):
         pc = random_complex(rng, ring=ZZ)
@@ -129,13 +137,21 @@ def main():
         # over Q the certificate runs on the support complexes over Z; the reference runs over Q
         cases = [(f, g, 3, False), (bottom, bottom, 3, True), (*random_q_homotopy(rng), rng.randint(0, 4), bool(i % 2))]
         for doubled in (False, True):
-            homotopy.prism = (lambda v, gammas: prism(v, gammas).scale(2)) if doubled else prism
-            try:
+            with doubled_lifts() if doubled else nullcontext():
                 for case in cases:
                     got = certificate_outcome(chain_homotopy_certificate, *case)
                     assert got == certificate_outcome(certificate_over_the_ring, *case), (i, doubled, case)
-            finally:
-                homotopy.prism = prism
+        # f_*, g_* and L on path codes equal mapped_rows and the prism on Paths: as the
+        # certificates build them, and between random vertex maps over Z and Z/7
+        with routes_compared() as pairs:
+            for case in cases:
+                certificate_outcome(chain_homotopy_certificate, *case)
+        assert all(got == want for got, want in pairs), i
+        for ring in (ZZ, Zmod(7)):
+            f2, g2, gammas = random_pair(rng, ring)
+            top = min(3, 1 + max(p.length for pc in (f2.source, f2.target) for p in pc.paths))
+            code, reference = route_outcomes(f2, g2, gammas, build_omega(f2.source, top), build_omega(f2.target, top))
+            assert code == reference, (i, ring, f2, g2, gammas)
 
         pq2 = random_complex(rng, ring=QQ, max_vertices=6, maxlen=3)
         dims = homology_dimensions(pq2, 3)

@@ -18,7 +18,7 @@ from .algebra import (
     require_pid,
 )
 from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError
-from .pathcx import Path, PathComplex, PathMorphism, regular_faces
+from .pathcx import Path, PathComplex, PathMorphism, is_regular, regular_faces
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ def restrict_to_omega(
     A generator on one path takes that path's image as it is, unsummed, which is
     why each image must have distinct keys.  Every caller's does: the faces of a
     regular path are distinct (dropping entries s < t gives the same sequence only
-    if entries s..t are equal), and `mapped_rows` sums the images that fall on one row.
+    if entries s..t are equal), and `code_images` sums the images that fall on one row.
     """
     ring = source.ring
     zero, one, add, sub, mul, quo = ring.zero, ring.one, ring.add, ring.sub, ring.mul, ring.quo
@@ -464,33 +464,80 @@ def homology_of_omega(omega: OmegaComplex) -> HomologyResult:
     return HomologyResult(omega.ring, omega.max_degree, groups)
 
 
-def mapped_rows(terms, vertex_map: dict, target: OmegaComplex) -> list:
-    """The image of the chain `terms`, (Path, coefficient) pairs, under a vertex map, as
-    (target row, coefficient) pairs: irregular images dropped and equal rows summed
-    (two paths can map onto one); an image off the target raises ImageNotInOmegaError."""
+def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, coefficients: Optional[list] = None):
+    """Images of source paths under vertex maps, on path codes: images(n) is the `image`
+    that `restrict_to_omega` takes for source Omega_n.
+
+    Each vertex map becomes a table from source vertex numbers to target numbers.  A
+    vertex the target does not number gets a number past the target's, one per vertex
+    and shared by the tables, so an image code is regular exactly when the image path
+    is, and has a row only when that path is a regular target path.
+
+    With one map, image(i) is the image of the source path in row i, coefficient 1, in
+    target degree n (f_*).  With two, bottom and top, it is the image of the path's
+    n + 1 one-jump lifts into the cylinder, in target degree n + 1 (L, see
+    `homotopy.chain_homotopy`): lift k of the code c_0..c_n maps c_0..c_k by bottom and
+    c_k..c_n by top, with coefficient coefficients[c_k][k % 2], which is (-1)^k gamma(v_k)
+    when coefficients[x] is the pair (gamma, -gamma) of vertex x.  Irregular images are
+    dropped and images on one row summed.  A regular image that is no target path raises
+    ImageNotInOmegaError naming it; of the lifts, it names the first such image in the
+    order of the lifts as cylinder paths, as the prism's chain lists them.
+    """
+    numbers = dict(target.numbers)
+    tables = [[numbers.setdefault(m[v], len(numbers)) for v in source.numbers] for m in vertex_maps]
+    vertices = list(numbers)
     ring = target.ring
-    out: dict = {}
-    for p, c in terms:
-        q = Path(tuple(vertex_map[v] for v in p.vertices))
-        if not q.is_regular():
-            continue
-        row = target.row(q)
-        if row is None:
-            raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
-        out[row] = ring.add(out[row], c) if row in out else c
-    return list(out.items())
+    add, one = ring.add, ring.one
+
+    def images(n: int):
+        codes = list(source.rows[n])
+        if coefficients is None:
+            (table,) = tables
+            rows = target.rows[n]
+
+            def terms(c: tuple) -> list:
+                return [(tuple([table[x] for x in c]), one)]
+        else:
+            bottom, top = tables
+            rows = target.rows[n + 1]
+
+            def terms(c: tuple) -> list:
+                low, high = [bottom[x] for x in c], [top[x] for x in c]
+                return [(tuple(low[: k + 1] + high[k:]), coefficients[x][k & 1]) for k, x in enumerate(c)]
+
+        def image(i: int):
+            out: dict = {}
+            for code, c in terms(codes[i]):
+                row = rows.get(code)
+                if row is not None:
+                    out[row] = add(out[row], c) if row in out else c
+                elif is_regular(code):
+                    raise ImageNotInOmegaError(f"image path {off_target(i)} is not in the target complex")
+            return out.items()
+
+        def off_target(i: int) -> str:
+            found = terms(codes[i])
+            if coefficients is not None:
+                lifts = source.reg_paths[n][i].lifts()
+                found = [found[k] for k in sorted(range(len(lifts)), key=lifts.__getitem__)]
+            code = next(code for code, _ in found if code not in rows and is_regular(code))
+            return Path(tuple(vertices[x] for x in code)).render()
+
+        return image
+
+    return images
 
 
 def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComplex) -> dict:
-    """Matrices of f on Omega, degree by degree (images by `mapped_rows`); checks boundary commutation."""
-    one = source.ring.one
+    """Matrices of f on Omega, degree by degree; checks boundary commutation.
 
-    def images(paths: list):
-        return lambda i: mapped_rows(((paths[i], one),), f.vertex_map, target)
-
+    The images are taken on path codes (`code_images`): irregular images are
+    dropped, and an image path outside the target raises ImageNotInOmegaError.
+    """
+    images = code_images(source, target, (f.vertex_map,))
     top = min(source.max_degree, target.max_degree)
     mats = {
-        n: restrict_to_omega(images(source.reg_paths[n]), source, n, target, n, ImageNotInOmegaError)
+        n: restrict_to_omega(images(n), source, n, target, n, ImageNotInOmegaError)
         for n in range(top + 1)
     }
     for n in range(1, top + 1):

@@ -160,7 +160,7 @@ def _print_homology_table(result: HomologyResult, header: str) -> None:
 
 def cmd_validate(args) -> int:
     doc = _load(args.file)
-    ring = wio.emit_ring(doc.ring) if doc.ring is not None else "none"
+    ring = doc.ring.name if doc.ring is not None else "none"
     print(f"OK kind={doc.kind} ring={ring}")
     return EXIT_OK
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import QQ, ZZ
-from .chain import ChainVector, build_omega, induced_chain_map, mapped_rows, restrict_to_omega, weighted_boundary
+from .chain import ChainVector, OmegaComplex, build_omega, code_images, induced_chain_map, restrict_to_omega, weighted_boundary
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
 from .digraph import paths_functor
 from .errors import (
@@ -42,12 +42,15 @@ def verify_path_morphism(f: PathMorphism, allow_degenerate: bool = False) -> Mor
             problems.append(f"image of {v.render()} is not a target vertex")
     if problems:
         return MorphismReport(False, None, problems)
-    for p in f.source.sorted_paths():
+    # a Path is the 1-tuple (vertices,), so (image vertices,) tests membership as the Path would
+    paths, vmap = f.target.paths, f.vertex_map
+    if allow_degenerate:
+        failing = [p for p in f.source.paths if (f.image_path(p, collapse=True).vertices,) not in paths]
+    else:
+        failing = [p for p in f.source.paths if (tuple([vmap[v] for v in p.vertices]),) not in paths]
+    for p in sorted(failing, key=lambda p: (p.length, p.vertices)):
         img = f.image_path(p, collapse=allow_degenerate)
-        if img not in f.target.paths:
-            problems.append(
-                f"image {img.render()} of {p.render()} is not a target path"
-            )
+        problems.append(f"image {img.render()} of {p.render()} is not a target path")
     weighted = None
     if f.source.is_weighted and f.target.is_weighted:
         weighted = f.source.ring == f.target.ring
@@ -77,7 +80,10 @@ def one_step_homotopy_pathcx(
     """Verify the unique candidate homotopy F on the cylinder of the source.
 
     F(v) = f(v) on the bottom copy and F(v') = g(v) on the top copy; f and g
-    are one-step homotopic iff F is a morphism into the shared target.
+    are one-step homotopic iff F is a morphism into the shared target.  F is
+    defined where f and g are, so a vertex either leaves unmapped is reported
+    as unmapped in F (v for f, v' for g).  The cylinder is the source's own
+    (`PathComplex.cylinder`), built once per complex.
     """
     problems = []
     if f.source.paths != g.source.paths or f.source.vertices != g.source.vertices:
@@ -87,8 +93,8 @@ def one_step_homotopy_pathcx(
     if problems:
         return HomotopyReport(False, None, problems)
     cyl = f.source.cylinder()
-    vmap = {v: f.vertex_map[v] for v in f.source.vertices}
-    vmap.update({v.primed(): g.vertex_map[v] for v in f.source.vertices})
+    vmap = {v: f.vertex_map[v] for v in f.source.vertices if v in f.vertex_map}
+    vmap.update({v.primed(): g.vertex_map[v] for v in f.source.vertices if v in g.vertex_map})
     F = PathMorphism(cyl, f.target, vmap)
     rep = verify_path_morphism(F, allow_degenerate=allow_degenerate)
     return HomotopyReport(rep.ok, rep.weighted, rep.problems, F if rep.ok else None)
@@ -165,6 +171,26 @@ def verify_prism_identity(v: ChainVector, pc: PathComplex) -> PrismReport:
     return PrismReport(ok=diff.is_zero(), difference=None if diff.is_zero() else diff)
 
 
+def chain_homotopy(f: PathMorphism, g: PathMorphism, gammas: dict, source: OmegaComplex, target: OmegaComplex) -> dict:
+    """L_n : Omega_n(source) -> Omega_(n+1)(target) for n < source.max_degree: F_* after the prism.
+
+    F is the one-step homotopy of f and g (F(v) = f(v), F(v') = g(v)) and gammas
+    the inverse source weights.  F maps the prism's one-jump lifts of each
+    regular source path, on codes (`chain.code_images`): lift k, v_0..v_k v_k'..v_n',
+    goes to f(v_0)..f(v_k) g(v_k)..g(v_n) with coefficient (-1)^k gammas[v_k],
+    irregular images dropped and equal ones summed.  `restrict_to_omega`
+    re-expresses each generator's image in Omega_(n+1)(target)
+    (ImageNotInOmegaError when it leaves it), with no Omega of the cylinder.
+    """
+    neg = target.ring.neg
+    signs = [(w, neg(w)) for w in map(gammas.__getitem__, source.numbers)]
+    lifts = code_images(source, target, (f.vertex_map, g.vertex_map), signs)
+    return {
+        n: restrict_to_omega(lifts(n), source, n, target, n + 1, ImageNotInOmegaError)
+        for n in range(source.max_degree)
+    }
+
+
 @dataclass
 class CertificateReport:
     ok: bool
@@ -187,11 +213,14 @@ def chain_homotopy_certificate(
     sides must be weighted over one ring (MissingWeightError otherwise).
 
     L_n is F_* after the prism, F the one-step homotopy, with no Omega of the
-    cylinder: F maps the prism's one-jump lifts of each source generator path by
-    path (`mapped_rows`), and `restrict_to_omega` re-expresses the image in
-    Omega_(n+1)(target) (ImageNotInOmegaError when it leaves it).  The identity
-    is checked there, so once it holds L is a chain homotopy on Omega, whatever
-    complex the prism passes through.
+    cylinder (`chain_homotopy`): F maps the prism's one-jump lifts of each
+    source path on integer path codes, and `restrict_to_omega` re-expresses the
+    image in Omega_(n+1)(target) (ImageNotInOmegaError when it leaves it).
+    f_* and g_* (`induced_chain_map`) take their images on the same codes.  The
+    identity is checked there, so once it holds L is a chain homotopy on Omega,
+    whatever complex the prism passes through.  The one-step check reads the
+    source's cylinder, built once per complex (`PathComplex.cylinder`), so the
+    cylinder inclusions' own cylinder is not built again.
 
     Over Q the certificate runs on the support complexes over Z.  The one-step
     check (weight preservation included), the source's unit weights and the
@@ -243,23 +272,14 @@ def chain_homotopy_certificate(
     if ring == QQ:  # the same outcome on the support complexes (see above)
         source, target = f.source.support(), f.target.support()
         f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
-        ring, gammas = ZZ, dict.fromkeys(gammas, ZZ.one)
-    vertex_map = hrep.homotopy.vertex_map
+        gammas = dict.fromkeys(gammas, ZZ.one)
 
     longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)
     top = min(max_degree + 1, longest + 1)
     om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
     f_mats = induced_chain_map(f, om_src, om_tgt)
     g_mats = induced_chain_map(g, om_src, om_tgt)
-
-    # L_n = F after the prism, as a matrix Omega_n(src) -> Omega_{n+1}(tgt)
-    def lifted(paths: list):
-        return lambda i: mapped_rows(prism(ChainVector.basis(paths[i], ring), gammas).coeffs, vertex_map, om_tgt)
-
-    L = {
-        n: restrict_to_omega(lifted(om_src.reg_paths[n]), om_src, n, om_tgt, n + 1, ImageNotInOmegaError)
-        for n in range(top)
-    }
+    L = chain_homotopy(f, g, gammas, om_src, om_tgt)
 
     for n in range(top):
         total = om_tgt.boundary(n + 1) @ L[n]

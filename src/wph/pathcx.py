@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter, ne
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -280,7 +281,16 @@ class PathComplex(Weighted):
         return PathComplex(self.vertices, self.paths, weights, ZZ)
 
     def cylinder(self) -> "PathComplex":
-        """The cylinder on V + V' with paths P, P' and the one-jump lifts P#."""
+        """The cylinder on V + V' with paths P, P' and the one-jump lifts P#.
+
+        It is built on the first call and kept with the complex, so both
+        cylinder inclusions, the one-step homotopy check and every step of a
+        homotopy chain on this complex share one cylinder.
+        """
+        return self._cylinder
+
+    @cached_property
+    def _cylinder(self) -> "PathComplex":
         vertices = level_copies(self.vertices, (0, 1))
         paths = set(self.paths)
         paths.update(p.primed() for p in self.paths)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -11,7 +12,7 @@ from pathlib import Path as FsPath
 from wph import algebra, chain, cli, homotopy
 from wph import io as wio
 from wph.algebra import QQ, ZZ, HomologyGroup, Matrix, Zmod, homology_group, kernel_basis, require_pid
-from wph.chain import ChainVector, build_omega, induced_chain_map, mapped_rows, restrict_to_omega
+from wph.chain import ChainVector, build_omega, induced_chain_map, restrict_to_omega
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.errors import HomotopyIdentityFailedError, ImageNotInOmegaError, MissingWeightError, WphError
@@ -312,11 +313,160 @@ def homology_maps_equal(f: PathMorphism, g: PathMorphism, max_degree: int) -> bo
     return induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, top - 1)
 
 
+def mapped_rows(terms, vertex_map: dict, target) -> list:
+    """The image of the chain `terms`, (Path, coefficient) pairs, under a vertex map, as
+    (target row, coefficient) pairs: irregular images dropped and equal rows summed
+    (two paths can map onto one); an image off the target raises ImageNotInOmegaError.
+    The reference for `chain.code_images`, which does the same on path codes."""
+    ring = target.ring
+    out: dict = {}
+    for p, c in terms:
+        q = Path(tuple(vertex_map[v] for v in p.vertices))
+        if not q.is_regular():
+            continue
+        row = target.row(q)
+        if row is None:
+            raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
+        out[row] = ring.add(out[row], c) if row in out else c
+    return list(out.items())
+
+
+def induced_chain_map_by_paths(f: PathMorphism, source, target) -> dict:
+    """What `chain.induced_chain_map` gives, each image from `mapped_rows` on Path objects."""
+    one = source.ring.one
+
+    def images(paths: list):
+        return lambda i: mapped_rows(((paths[i], one),), f.vertex_map, target)
+
+    top = min(source.max_degree, target.max_degree)
+    mats = {
+        n: restrict_to_omega(images(source.reg_paths[n]), source, n, target, n, ImageNotInOmegaError)
+        for n in range(top + 1)
+    }
+    for n in range(1, top + 1):
+        if target.boundary(n) @ mats[n] != mats[n - 1] @ source.boundary(n):
+            raise ImageNotInOmegaError(f"induced map does not commute with the boundary in degree {n}")
+    return mats
+
+
+def chain_homotopy_by_prism(f: PathMorphism, g: PathMorphism, gammas: dict, source, target) -> dict:
+    """What `homotopy.chain_homotopy` gives, each image the `mapped_rows`, under the
+    one-step homotopy F of f and g, of `homotopy.prism` of the source path, Path by Path."""
+    ring = source.ring
+    vertex_map = {v: f.vertex_map[v] for v in f.source.vertices}
+    vertex_map.update({v.primed(): g.vertex_map[v] for v in f.source.vertices})
+
+    def lifted(paths: list):
+        return lambda i: mapped_rows(homotopy.prism(ChainVector.basis(paths[i], ring), gammas).coeffs, vertex_map, target)
+
+    return {
+        n: restrict_to_omega(lifted(source.reg_paths[n]), source, n, target, n + 1, ImageNotInOmegaError)
+        for n in range(source.max_degree)
+    }
+
+
+def outcome(run, *args):
+    """run(*args), or the type and message of the WphError it raises."""
+    try:
+        return run(*args)
+    except WphError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def route_outcomes(f: PathMorphism, g: PathMorphism, gammas: dict, source, target) -> tuple:
+    """(code route, reference route) of f_*, g_* and L between the given Omega complexes:
+    `induced_chain_map` and `homotopy.chain_homotopy` against `induced_chain_map_by_paths`
+    and `chain_homotopy_by_prism`, each as its matrices or its error's type and message."""
+    code = [outcome(induced_chain_map, m, source, target) for m in (f, g)]
+    code.append(outcome(homotopy.chain_homotopy, f, g, gammas, source, target))
+    reference = [outcome(induced_chain_map_by_paths, m, source, target) for m in (f, g)]
+    reference.append(outcome(chain_homotopy_by_prism, f, g, gammas, source, target))
+    return code, reference
+
+
+@contextmanager
+def routes_compared():
+    """While open, each f_*, g_* and L that `homotopy.chain_homotopy_certificate` builds is
+    also taken on the reference route (`induced_chain_map_by_paths`,
+    `chain_homotopy_by_prism`); yields the list of (code route, reference) outcomes, one
+    per build, each its matrices or its error's type and message."""
+    pairs = []
+    induced, lifted = homotopy.induced_chain_map, homotopy.chain_homotopy
+
+    def both(code, reference):
+        def run(*args):
+            want = outcome(reference, *args)
+            try:
+                got = code(*args)
+            except WphError as exc:
+                pairs.append(((type(exc).__name__, str(exc)), want))
+                raise
+            pairs.append((got, want))
+            return got
+
+        return run
+
+    homotopy.induced_chain_map = both(induced, induced_chain_map_by_paths)
+    homotopy.chain_homotopy = both(lifted, chain_homotopy_by_prism)
+    try:
+        yield pairs
+    finally:
+        homotopy.induced_chain_map, homotopy.chain_homotopy = induced, lifted
+
+
+def random_pair(rng: random.Random, ring) -> tuple:
+    """(f, g, gammas) for a random pair of vertex maps over ring (Z or a Z/p), not checked
+    to be morphisms: from a complex of regular random walks into the path complex of a
+    random digraph, whose images and lifts' images may leave the target.  gammas is any
+    nonzero draw per source vertex, for L."""
+    draw = (lambda: rng.choice([1, -1, 2, 3, -6])) if ring == ZZ else (lambda: rng.randint(1, ring.m - 1))
+    maxlen = rng.randint(1, 3)
+    tverts = [Vertex(f"t{i}") for i in range(rng.randint(2, 4))]
+    density = rng.uniform(0.5, 1)
+    edges = [(u, v) for u in tverts for v in tverts if u != v and rng.random() < density]
+    target = paths_functor(WeightedDigraph.build(tverts, edges, {v: draw() for v in tverts}, ring), maxlen + 1)
+    verts = [Vertex(chr(ord("a") + i)) for i in range(rng.randint(2, 4))]
+    walks = []
+    for _ in range(rng.randint(1, 4)):
+        walk = [rng.choice(verts)]
+        for _ in range(rng.randint(1, maxlen)):
+            walk.append(rng.choice([v for v in verts if v != walk[-1]]))
+        walks.append(Path(tuple(walk)))
+    source = complex_from_paths(walks)
+    verts = sorted(source.vertices)
+    source = source.reweighted({v: draw() for v in verts}, ring)
+    f, g = (PathMorphism(source, target, {v: rng.choice(tverts) for v in verts}) for _ in "fg")
+    return f, g, {v: draw() for v in verts}
+
+
+@contextmanager
+def doubled_lifts():
+    """Twice every lift, on both routes to L: `homotopy.prism`, which the reference
+    (`certificate_over_the_ring`) lifts with, and `homotopy.code_images`, with which
+    `homotopy.chain_homotopy` maps the lifts on codes; f_* and g_* stay as they are.
+    Twice a chain of Omega stays in Omega, so only the identity dL + Ld = g_* - f_* can
+    fail."""
+    prism, code_images = homotopy.prism, homotopy.code_images
+
+    def doubled_images(source, target, vertex_maps, coefficients=None):
+        images, add = code_images(source, target, vertex_maps, coefficients), target.ring.add
+        return lambda n: (lambda image: lambda i: [(q, add(c, c)) for q, c in image(i)])(images(n))
+
+    homotopy.prism = lambda v, gammas: prism(v, gammas).scale(2)
+    homotopy.code_images = doubled_images
+    try:
+        yield
+    finally:
+        homotopy.prism, homotopy.code_images = prism, code_images
+
+
 def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int, allow_degenerate: bool = False):
     """`homotopy.chain_homotopy_certificate` run on the complexes as given, over their own
     ring, Q included: the reference for the certificate's route over Q on the support
-    complexes over Z.  It calls `homotopy.prism`, `homotopy.build_omega` and
-    `homotopy.induced_chain_map` by name, so a test that patches one patches both routes."""
+    complexes over Z.  It lifts by the prism on Path objects (`chain_homotopy_by_prism`).
+    It calls `homotopy.build_omega` and `homotopy.induced_chain_map` by name, as the
+    certificate does, so a test that patches one patches both routes; `doubled_lifts`
+    patches the lifts of both."""
     hrep = homotopy.one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
     if not hrep.ok:
         return homotopy.CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
@@ -324,21 +474,13 @@ def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int,
     ring = f.source.ring
     if f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
-    vertex_map = hrep.homotopy.vertex_map
 
     longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)
     top = min(max_degree + 1, longest + 1)
     om_src, om_tgt = homotopy.build_omega(f.source, top), homotopy.build_omega(f.target, top)
     f_mats = homotopy.induced_chain_map(f, om_src, om_tgt)
     g_mats = homotopy.induced_chain_map(g, om_src, om_tgt)
-
-    def lifted(paths: list):
-        return lambda i: mapped_rows(homotopy.prism(ChainVector.basis(paths[i], ring), gammas).coeffs, vertex_map, om_tgt)
-
-    L = {
-        n: restrict_to_omega(lifted(om_src.reg_paths[n]), om_src, n, om_tgt, n + 1, ImageNotInOmegaError)
-        for n in range(top)
-    }
+    L = chain_homotopy_by_prism(f, g, gammas, om_src, om_tgt)
     for n in range(top):
         total = om_tgt.boundary(n + 1) @ L[n]
         if n >= 1:

@@ -1,12 +1,14 @@
 import random
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from wph import algebra, homotopy
 from wph import io as wio
-from wph.algebra import QQ, ZZ, Matrix
+from wph.algebra import QQ, ZZ, Matrix, Zmod
 from wph.chain import ChainVector, build_omega, induced_chain_map
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.errors import HomotopyIdentityFailedError, MissingWeightError, NonInvertibleWeightError
@@ -24,6 +26,7 @@ from wph.homotopy import (
 )
 from wph.pathcx import (
     Path,
+    PathComplex,
     PathMorphism,
     Vertex,
     complex_from_paths,
@@ -36,10 +39,14 @@ from helpers import (
     FIXTURES,
     certificate_outcome,
     certificate_over_the_ring,
+    doubled_lifts,
     homology_maps_equal,
     induced_homology_maps_equal,
+    random_pair,
     random_q_homotopy,
     random_unit_weight_complex,
+    route_outcomes,
+    routes_compared,
 )
 
 a, b, c, d, x, y, z = (Vertex(s) for s in "abcdxyz")
@@ -110,6 +117,78 @@ def test_homotopy_chain_of_two_steps():
     assert rep.ok
     rep = verify_homotopy_chain([StepSpec(g), StepSpec(f)])
     assert not rep.ok
+
+
+def test_verify_path_morphism_lists_failing_paths_by_length_then_vertices():
+    # failures on paths of lengths 1, 2 and 3, in the text and order of a sorted walk of the source
+    e = Vertex("e")
+    src = complex_from_paths([Path((a, b, c)), Path((b, d)), Path((e, a, b, d))])
+    tgt = complex_from_paths([Path((x, y)), Path((y, z)), Path((z, x))])
+    rep = verify_path_morphism(PathMorphism(src, tgt, {a: x, b: y, c: x, d: x, e: z}))
+    assert (rep.ok, rep.weighted) == (False, None)
+    assert rep.problems == [
+        "image (y x) of (b c) is not a target path",
+        "image (y x) of (b d) is not a target path",
+        "image (x y x) of (a b c) is not a target path",
+        "image (x y x) of (a b d) is not a target path",
+        "image (z x y) of (e a b) is not a target path",
+        "image (z x y x) of (e a b d) is not a target path",
+    ]
+    rep = verify_path_morphism(PathMorphism(src, tgt, {a: x, b: y, c: y, d: x, e: z}), allow_degenerate=True)
+    assert rep.problems == [
+        "image (y x) of (b d) is not a target path",
+        "image (x y x) of (a b d) is not a target path",
+        "image (z x y) of (e a b) is not a target path",
+        "image (z x y x) of (e a b d) is not a target path",
+    ]
+
+
+@pytest.mark.parametrize("partial", ["f", "g"])
+def test_a_partial_vertex_map_is_reported_unmapped(partial):
+    src = complex_from_paths([Path((a, b))], weights={a: Fraction(1), b: Fraction(1)}, ring=QQ)
+    tgt = complex_from_paths([Path((x, y))], weights={x: Fraction(1), y: Fraction(1)}, ring=QQ)
+    maps = {"f": {a: x, b: x}, "g": {a: x, b: y}}
+    del maps[partial][b]
+    f, g = (PathMorphism(src, tgt, maps[k]) for k in "fg")
+    unmapped = "vertex b is unmapped" if partial == "f" else "vertex b' is unmapped"
+    rep = one_step_homotopy_pathcx(f, g)
+    assert (rep.ok, rep.problems, rep.homotopy) == (False, [unmapped], None)
+    cert = chain_homotopy_certificate(f, g, 2)
+    assert (cert.ok, cert.problems) == (False, ["not one-step homotopic: ", unmapped])
+
+
+def count_cylinder_builds(monkeypatch) -> list:
+    """The complexes whose cylinder is built from here on, one entry per build."""
+    built = []
+    build = PathComplex._cylinder.func
+
+    def counting(pc):
+        built.append(pc)
+        return build(pc)
+
+    memo = cached_property(counting)
+    memo.__set_name__(PathComplex, "_cylinder")
+    monkeypatch.setattr(PathComplex, "_cylinder", memo)
+    return built
+
+
+def test_the_certificate_on_the_cylinder_inclusions_builds_no_cylinder(monkeypatch):
+    built = count_cylinder_builds(monkeypatch)
+    for pc in criterion5_complexes()[:5]:
+        f, g = inclusion_bottom(pc), inclusion_top(pc)
+        assert f.target is g.target
+        assert chain_homotopy_certificate(f, g, 3).ok
+        assert one_step_homotopy_pathcx(f, g).ok
+    assert len(built) == 5  # one per complex, by the first inclusion
+
+
+def test_a_homotopy_chain_builds_one_cylinder(monkeypatch):
+    built = count_cylinder_builds(monkeypatch)
+    w = Vertex("w")
+    src, tgt = point_source(), complex_from_paths([Path((x, y, z, w))], weights=dict.fromkeys([x, y, z, w], 1), ring=QQ)
+    steps = [StepSpec(PathMorphism(src, tgt, {a: t})) for t in (x, y, z, w)]
+    assert verify_homotopy_chain(steps).ok
+    assert built == [src]
 
 
 def test_prism_of_an_edge_uses_inverse_weights():
@@ -381,16 +460,15 @@ def support_route_cases() -> list:
 
 
 @pytest.mark.parametrize("doubled", [False, True], ids=["prism", "doubled-prism"])
-def test_certificates_over_q_on_the_support_complexes_give_the_outcomes_over_q(monkeypatch, doubled):
+def test_certificates_over_q_on_the_support_complexes_give_the_outcomes_over_q(doubled):
     # the outcome, flags or error type and message, equals the reference's run over Q itself
-    if doubled:  # twice the prism on both routes: the identity fails wherever g* - f* is not 0
-        original = homotopy.prism
-        monkeypatch.setattr(homotopy, "prism", lambda v, gammas: original(v, gammas).scale(2))
     outcomes = Counter()
-    for f, g, n, degenerate in support_route_cases():
-        got = certificate_outcome(chain_homotopy_certificate, f, g, n, degenerate)
-        assert got == certificate_outcome(certificate_over_the_ring, f, g, n, degenerate), (f, g, n, degenerate)
-        outcomes[got[0]] += 1
+    # twice the lifts on both routes: the identity fails wherever g* - f* is not 0
+    with doubled_lifts() if doubled else nullcontext():
+        for f, g, n, degenerate in support_route_cases():
+            got = certificate_outcome(chain_homotopy_certificate, f, g, n, degenerate)
+            assert got == certificate_outcome(certificate_over_the_ring, f, g, n, degenerate), (f, g, n, degenerate)
+            outcomes[got[0]] += 1
     assert outcomes[True] >= 100 and outcomes[False] >= 100 and outcomes["NonInvertibleWeightError"] >= 50
     assert (outcomes["HomotopyIdentityFailedError"] >= 100) is doubled
 
@@ -504,11 +582,9 @@ def test_lifts_that_map_onto_one_path_are_summed():
     [lambda: (inclusion_bottom(two_by_two()), inclusion_top(two_by_two())), point_to_edge],
     ids=["cylinder-inclusions", "point-to-edge"],
 )
-def test_a_wrong_homotopy_is_refused(monkeypatch, pair):
-    original = homotopy.prism
+def test_a_wrong_homotopy_is_refused(pair):
     # twice a chain of Omega stays in Omega: only the identity dL + Ld = g* - f* can fail
-    monkeypatch.setattr(homotopy, "prism", lambda v, gammas: original(v, gammas).scale(2))
-    with pytest.raises(HomotopyIdentityFailedError, match="fails on Omega_0 generator 0"):
+    with doubled_lifts(), pytest.raises(HomotopyIdentityFailedError, match="fails on Omega_0 generator 0"):
         chain_homotopy_certificate(*pair(), 3)
 
 
@@ -539,3 +615,58 @@ def test_certificate_work_stops_at_the_longest_path(monkeypatch, pair):
     assert reports[3] == reports[20000]
     assert reports[3][:4] == (True, [], True, True)
     assert set(reports[3][4]) == {longest + 1}
+
+
+def test_the_code_route_builds_the_reference_matrices_on_the_support_route_cases():
+    # f_*, g_* and L as the certificate builds them, against mapped_rows and the prism on Paths
+    outcomes = Counter()
+    with routes_compared() as pairs:
+        for f, g, n, degenerate in support_route_cases():
+            outcomes[certificate_outcome(chain_homotopy_certificate, f, g, n, degenerate)[0]] += 1
+    assert all(got == want for got, want in pairs)
+    assert len(pairs) == 3 * (outcomes[True] + outcomes["HomotopyIdentityFailedError"]) and outcomes[True] >= 100
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(7), Zmod(2)], ids=["Z", "Z/7", "Z/2"])
+def test_the_code_route_gives_the_reference_matrices_and_errors_on_random_pairs(ring):
+    # vertex maps that need not be morphisms: images and lifts off the target raise, naming the same path
+    rng = random.Random(23)
+    kinds = Counter()
+    for _ in range(300):
+        f, g, gammas = random_pair(rng, ring)
+        longest = max(p.length for pc in (f.source, f.target) for p in pc.paths)
+        top = min(3, longest + 1)
+        om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
+        code, reference = route_outcomes(f, g, gammas, om_src, om_tgt)
+        assert code == reference, (f, g, gammas)
+        kinds.update("error" if isinstance(got, tuple) else "matrices" for got in code)
+    assert kinds["error"] >= 100 and kinds["matrices"] >= 100
+
+
+def test_the_first_lift_off_the_target_in_the_prism_order_is_named():
+    # both lifts of (b a) leave the target: (a) sorts before (b), so the prism lists
+    # lift 1, (b a a'), before lift 0, (b b' a'), and names F's image of lift 1
+    w = Vertex("w")
+    src = complex_from_paths([Path((b, a))], weights={a: 1, b: 1}, ring=ZZ)
+    tgt = complex_from_paths([Path((x, z)), Path((y, w))], weights=dict.fromkeys([w, x, y, z], 1), ring=ZZ)
+    f, g = PathMorphism(src, tgt, {b: x, a: y}), PathMorphism(src, tgt, {b: z, a: w})
+    om_src, om_tgt = build_omega(src, 2), build_omega(tgt, 2)
+    code, reference = route_outcomes(f, g, {a: 1, b: 1}, om_src, om_tgt)
+    assert code == reference
+    assert code[2] == ("ImageNotInOmegaError", "image path (x y w) is not in the target complex")
+
+
+def test_images_off_the_target_vertices_are_named():
+    # u and t are no target vertices; each gets a number of its own, shared by f's and g's tables
+    u, t = Vertex("u"), Vertex("t")
+    src = complex_from_paths([Path((a, b))], weights={a: 1, b: 1}, ring=ZZ)
+    tgt = complex_from_paths([Path((x, y))], weights={x: 1, y: 1}, ring=ZZ)
+    om_src, om_tgt = build_omega(src, 2), build_omega(tgt, 2)
+    for fmap, gmap, named in [
+        ({a: u, b: x}, {a: t, b: y}, ["(u)", "(t)", "(u t)"]),  # the lift of (a) is (u t), not (u u)
+        ({a: x, b: u}, {a: y, b: u}, ["(u)", "(u)", "(x y u)"]),  # the lift (u u) of (b) is irregular
+    ]:
+        f, g = PathMorphism(src, tgt, fmap), PathMorphism(src, tgt, gmap)
+        code, reference = route_outcomes(f, g, {a: 1, b: 1}, om_src, om_tgt)
+        assert code == reference
+        assert code == [("ImageNotInOmegaError", f"image path {p} is not in the target complex") for p in named]

@@ -104,6 +104,12 @@ def test_cylinder_contains_all_one_jump_lifts():
         assert lift in cyl.paths
 
 
+def test_a_complex_has_one_cylinder():
+    pc = complex_from_paths([Path((a, b))], weights={a: 1, b: 2}, ring=ZZ)
+    assert pc.cylinder() is pc.cylinder()
+    assert pc.reweighted(pc.weight_map(), ZZ).cylinder() == pc.cylinder()  # an equal complex builds its own
+
+
 def test_cylinder_refuses_a_vertex_next_to_its_primed_copy():
     ap = a.primed()
     pc = complex_from_paths([Path((a, ap, b))], weights={a: 1, ap: 2, b: 3}, ring=ZZ)
