@@ -1,4 +1,10 @@
-"""The weighted regular chain complex Omega and weighted path homology."""
+"""The weighted regular chain complex Omega and weighted path homology.
+
+Chains are taken on integer path codes (see OmegaComplex), with one walker per
+operator: `_face_terms` writes weighted boundaries and `prism` the one-jump lifts
+of the prism operator.  Omega, the induced maps, the chain homotopy and the prism
+check (`homotopy.verify_prism_identity`) all run on these two.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -18,78 +24,7 @@ from .algebra import (
     require_pid,
 )
 from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError
-from .pathcx import Path, PathComplex, PathMorphism, is_regular, regular_faces
-
-
-@dataclass(frozen=True)
-class ChainVector:
-    """A chain supported on regular paths; coefficients keyed by path."""
-
-    degree: int
-    coeffs: tuple  # sorted tuple of (Path, scalar), zero coefficients omitted
-    ring: Ring
-
-    @classmethod
-    def from_dict(cls, degree: int, coeffs: dict, ring: Ring) -> "ChainVector":
-        items = tuple(
-            sorted((p, c) for p, c in coeffs.items() if c != ring.zero)
-        )
-        return cls(degree, items, ring)
-
-    @classmethod
-    def zero(cls, degree: int, ring: Ring) -> "ChainVector":
-        return cls(degree, (), ring)
-
-    @classmethod
-    def basis(cls, p: Path, ring: Ring) -> "ChainVector":
-        return cls(p.length, ((p, ring.one),), ring)
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def add(self, other: "ChainVector") -> "ChainVector":
-        out = self.as_dict()
-        for p, c in other.coeffs:
-            out[p] = self.ring.add(out.get(p, self.ring.zero), c)
-        return ChainVector.from_dict(self.degree, out, self.ring)
-
-    def sub(self, other: "ChainVector") -> "ChainVector":
-        return self.add(other.scale(self.ring.neg(self.ring.one)))
-
-    def scale(self, k) -> "ChainVector":
-        return ChainVector.from_dict(
-            self.degree, {p: self.ring.mul(k, c) for p, c in self.coeffs}, self.ring
-        )
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{p.render()}" for p, c in self.coeffs)
-
-
-def weighted_boundary(v: ChainVector, weights: dict) -> ChainVector:
-    """The weighted boundary, with irregular resulting paths dropped.
-
-    The degree-0 boundary is zero by convention.
-    """
-    ring = v.ring
-    if v.degree <= 0:
-        return ChainVector.zero(v.degree - 1, ring)
-    out: dict = {}
-    for p, c in v.coeffs:
-        for vert in p.vertices:
-            if vert not in weights:
-                raise MissingWeightError(f"vertex {vert.render()} has no weight")
-        for s, face in regular_faces(p.vertices):
-            term = ring.mul(c, weights[p.vertices[s]])
-            if s % 2:
-                term = ring.neg(term)
-            face = Path(face)
-            out[face] = ring.add(out.get(face, ring.zero), term)
-    return ChainVector.from_dict(v.degree - 1, out, ring)
+from .pathcx import Path, PathComplex, PathMorphism, is_regular
 
 
 @dataclass
@@ -135,12 +70,6 @@ class OmegaComplex:
         if n == 0:
             return Matrix.zeros(self.ring, 0, self.rank(0))
         return Matrix.zeros(self.ring, self.rank(n - 1), 0)
-
-    def row(self, p: Path) -> Optional[int]:
-        """The row of p among the regular paths of its length, or None when it is not one."""
-        if p.length > self.max_degree:
-            return None
-        return self.rows[p.length].get(tuple(map(self.numbers.get, p.vertices)))
 
     def path(self, code: tuple) -> Path:
         """The path with the given code."""
@@ -464,6 +393,16 @@ def homology_of_omega(omega: OmegaComplex) -> HomologyResult:
     return HomologyResult(omega.ring, omega.max_degree, groups)
 
 
+def prism(code: tuple, bottom, top, coefficients) -> list:
+    """The prism's n + 1 one-jump lifts of the path code c_0..c_n as (code, coefficient)
+    terms: lift k maps c_0..c_k by the vertex table bottom and c_k..c_n by top, with
+    coefficient coefficients[c_k][k % 2], (-1)^k gamma(v_k) when coefficients[x] is the
+    pair (gamma, -gamma) of vertex x.  Tables onto the cylinder's V and V' give the
+    lifts themselves; f's and g's tables give the one-step homotopy's images of them."""
+    low, high = [bottom[x] for x in code], [top[x] for x in code]
+    return [(tuple(low[: k + 1] + high[k:]), coefficients[x][k & 1]) for k, x in enumerate(code)]
+
+
 def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, coefficients: Optional[list] = None):
     """Images of source paths under vertex maps, on path codes: images(n) is the `image`
     that `restrict_to_omega` takes for source Omega_n.
@@ -474,14 +413,11 @@ def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, 
     is, and has a row only when that path is a regular target path.
 
     With one map, image(i) is the image of the source path in row i, coefficient 1, in
-    target degree n (f_*).  With two, bottom and top, it is the image of the path's
-    n + 1 one-jump lifts into the cylinder, in target degree n + 1 (L, see
-    `homotopy.chain_homotopy`): lift k of the code c_0..c_n maps c_0..c_k by bottom and
-    c_k..c_n by top, with coefficient coefficients[c_k][k % 2], which is (-1)^k gamma(v_k)
-    when coefficients[x] is the pair (gamma, -gamma) of vertex x.  Irregular images are
-    dropped and images on one row summed.  A regular image that is no target path raises
-    ImageNotInOmegaError naming it; of the lifts, it names the first such image in the
-    order of the lifts as cylinder paths, as the prism's chain lists them.
+    target degree n (f_*).  With two, bottom and top, it is `prism` of the path's code
+    under their tables, in target degree n + 1 (L, see `homotopy.chain_homotopy`).
+    Irregular images are dropped and images on one row summed.  A regular image that is
+    no target path raises ImageNotInOmegaError naming it; of the lifts, it names the
+    first such image in the order of the lifts as cylinder paths.
     """
     numbers = dict(target.numbers)
     tables = [[numbers.setdefault(m[v], len(numbers)) for v in source.numbers] for m in vertex_maps]
@@ -502,8 +438,7 @@ def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, 
             rows = target.rows[n + 1]
 
             def terms(c: tuple) -> list:
-                low, high = [bottom[x] for x in c], [top[x] for x in c]
-                return [(tuple(low[: k + 1] + high[k:]), coefficients[x][k & 1]) for k, x in enumerate(c)]
+                return prism(c, bottom, top, coefficients)
 
         def image(i: int):
             out: dict = {}

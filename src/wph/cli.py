@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import io as wio
 from .algebra import MODULUS_BOUND, QQ, ZZ, ModularRing, Zmod
-from .chain import ChainVector, HomologyResult, homology
+from .chain import HomologyResult, homology
 from .dhyper import (
     DirectedHypergraph,
     HyperMorphism,
@@ -329,18 +329,15 @@ def cmd_prism_check(args) -> int:
         raise SchemaError(f"--degree {args.degree}: the complex has no regular paths of that length")
     rng = random.Random(args.seed)
     sample = paths if len(paths) <= args.samples else sorted(rng.sample(paths, args.samples))
-    failures = []
-    for p in sample:
-        rep = verify_prism_identity(ChainVector.basis(p, pc.ring), pc)
-        if not rep.ok:
-            failures.append((p, rep))
+    failures = [(p, rep) for p, rep in zip(sample, verify_prism_identity(pc, sample)) if not rep.ok]
     print(
         f"# prism-check input={os.path.basename(args.file)} degree={args.degree} "
         f"samples={args.samples} seed={args.seed}"
     )
     if failures:
         for p, rep in failures:
-            _diag(f"FAIL on {p.render()}: difference {rep.difference.render()}")
+            difference = " + ".join(f"{c}*{q.render()}" for q, c in rep.difference)
+            _diag(f"FAIL on {p.render()}: difference {difference}")
         print(f"FAIL: {len(failures)} of {len(sample)} checked paths violate the prism identity")
         return EXIT_VERIFY
     print(f"PASS: prism identity holds on {len(sample)} regular paths of length {args.degree}")

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import QQ, ZZ
-from .chain import ChainVector, OmegaComplex, build_omega, code_images, induced_chain_map, restrict_to_omega, weighted_boundary
+from .chain import OmegaComplex, _face_terms, build_omega, code_images, induced_chain_map, prism, restrict_to_omega
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
 from .digraph import paths_functor
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     NonInvertibleWeightError,
     NotAMorphismError,
 )
-from .pathcx import PathComplex, PathMorphism, level_copies
+from .pathcx import Path, PathComplex, PathMorphism, level_copies
 
 
 @dataclass
@@ -135,40 +135,53 @@ def _require_invertible_weights(pc: PathComplex) -> dict:
     return gammas
 
 
-def prism(v: ChainVector, gammas: dict) -> ChainVector:
-    """The prism operator: one-jump lifts scaled by the inverse weights `gammas`."""
-    ring = v.ring
-    out: dict = {}
-    for p, c in v.coeffs:
-        for k, (vert, lifted) in enumerate(zip(p.vertices, p.lifts())):
-            term = ring.mul(c, gammas[vert])
-            if k % 2:
-                term = ring.neg(term)
-            out[lifted] = ring.add(out.get(lifted, ring.zero), term)
-    return ChainVector.from_dict(v.degree + 1, out, ring)
-
-
 @dataclass
 class PrismReport:
     ok: bool
-    difference: Optional[ChainVector] = None
+    difference: Optional[tuple] = None  # sorted (Path, coefficient) terms, when not 0
 
 
-def verify_prism_identity(v: ChainVector, pc: PathComplex) -> PrismReport:
-    """Check d(prism v) + prism(d v) == v' - v on the cylinder chain modules."""
+def verify_prism_identity(pc: PathComplex, paths: list) -> list:
+    """One PrismReport per regular path p of pc: does d(P e_p) + P(d e_p) == e_p' - e_p
+    hold on the cylinder chains, P the prism over the inverse weights?
+
+    The paths' vertices and their copies are numbered once, and both sides are summed
+    on path codes: P is `chain.prism` on the tables v -> v and v -> v', and d is
+    `chain._face_terms`, keying every face by its code.  Only a nonzero difference
+    (left side minus right) becomes Paths.  Weights must be units
+    (NonInvertibleWeightError) on every path vertex (MissingWeightError), and a
+    complex with no cylinder is refused (`level_copies`).
+    """
     gammas = _require_invertible_weights(pc)
-    ring = v.ring
     level_copies(pc.vertices, (0, 1))  # refuses a complex that has no cylinder
-    weights = pc.level_weights((0, 1))
-    lhs = weighted_boundary(prism(v, gammas), weights).add(
-        prism(weighted_boundary(v, weights), gammas)
-    )
-    primed = ChainVector.from_dict(
-        v.degree, {p.primed(): c for p, c in v.coeffs}, ring
-    )
-    rhs = primed.sub(v)
-    diff = lhs.sub(rhs)
-    return PrismReport(ok=diff.is_zero(), difference=None if diff.is_zero() else diff)
+    used = sorted(set().union(*(p.vertices for p in paths)))
+    for v in used:
+        if v not in gammas:
+            raise MissingWeightError(f"vertex {v.render()} has no weight")
+    ring = pc.ring
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    vertices = sorted({u for v in used for u in (v, v.primed())})
+    numbers = {u: k for k, u in enumerate(vertices)}
+    level = pc.level_weights((0, 1))
+    signed = [(level[u], neg(level[u])) for u in vertices]
+    bottom, top = {numbers[v]: numbers[v] for v in used}, {numbers[v]: numbers[v.primed()] for v in used}
+    coefficients = {numbers[v]: (gammas[v], neg(gammas[v])) for v in used}
+
+    reports = []
+    for p in paths:
+        code = tuple(map(numbers.__getitem__, p.vertices))
+        n = len(code) - 1
+        lifts = prism(code, bottom, top, coefficients)
+        table = _face_terms([q for q, _ in lifts], {}.get, signed, n + 1)[0]
+        terms = [(q, mul(x, y)) for (_, x), faces in zip(lifts, table) for q, y in faces]
+        for r, y in _face_terms([code], {}.get, signed, n)[0][0] if n else ():
+            terms += [(q, mul(y, x)) for q, x in prism(r, bottom, top, coefficients)]
+        total = {tuple(map(top.__getitem__, code)): neg(ring.one), code: ring.one}
+        for q, x in terms:
+            total[q] = add(total[q], x) if q in total else x
+        difference = tuple(sorted((Path(tuple(vertices[k] for k in q)), x) for q, x in total.items() if x))
+        reports.append(PrismReport(not difference, difference or None))
+    return reports
 
 
 def chain_homotopy(f: PathMorphism, g: PathMorphism, gammas: dict, source: OmegaComplex, target: OmegaComplex) -> dict:
@@ -176,9 +189,10 @@ def chain_homotopy(f: PathMorphism, g: PathMorphism, gammas: dict, source: Omega
 
     F is the one-step homotopy of f and g (F(v) = f(v), F(v') = g(v)) and gammas
     the inverse source weights.  F maps the prism's one-jump lifts of each
-    regular source path, on codes (`chain.code_images`): lift k, v_0..v_k v_k'..v_n',
-    goes to f(v_0)..f(v_k) g(v_k)..g(v_n) with coefficient (-1)^k gammas[v_k],
-    irregular images dropped and equal ones summed.  `restrict_to_omega`
+    regular source path, on codes: `chain.code_images` runs `chain.prism`, the prism
+    check's lift walker, with f's and g's vertex tables, so lift k,
+    v_0..v_k v_k'..v_n', goes to f(v_0)..f(v_k) g(v_k)..g(v_n) with coefficient
+    (-1)^k gammas[v_k], irregular images dropped and equal ones summed.  `restrict_to_omega`
     re-expresses each generator's image in Omega_(n+1)(target)
     (ImageNotInOmegaError when it leaves it), with no Omega of the cylinder.
     """
@@ -214,7 +228,8 @@ def chain_homotopy_certificate(
 
     L_n is F_* after the prism, F the one-step homotopy, with no Omega of the
     cylinder (`chain_homotopy`): F maps the prism's one-jump lifts of each
-    source path on integer path codes, and `restrict_to_omega` re-expresses the
+    source path on integer path codes, by the lift walker the prism check uses
+    (`chain.prism`), and `restrict_to_omega` re-expresses the
     image in Omega_(n+1)(target) (ImageNotInOmegaError when it leaves it).
     f_* and g_* (`induced_chain_map`) take their images on the same codes.  The
     identity is checked there, so once it holds L is a chain homotopy on Omega,
@@ -379,12 +394,14 @@ def edge_weighted_certificate(
 ) -> CertificateReport:
     """Certify equal induced maps on edge-weighted homology (natural pipeline).
 
-    Refuses with NonInvertibleWeight when some origin/end set weight |A| of
-    the source is not a unit of the ring.
+    Refuses with NonInvertibleWeight when the source is unweighted or some
+    origin/end set weight |A| of the source is not a unit of the ring.
     """
     hrep = one_step_homotopy_dhyper(f, g, mode=mode)
     if not hrep.ok:
         return CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
+    if not f.source.is_weighted:
+        raise NonInvertibleWeightError("an unweighted hypergraph has no invertible set weights")
     ring = f.source.ring
     wmap = f.source.weight_map()
     for s in f.source.origin_end_sets():

@@ -89,20 +89,6 @@ def is_regular(seq: Sequence) -> bool:
     return all(map(ne, seq, seq[1:]))
 
 
-def regular_faces(seq: Sequence) -> list:
-    """(s, seq with entry s dropped) for every s whose face of the regular sequence is regular.
-
-    Dropping an end keeps a regular sequence regular; dropping an interior
-    entry makes it irregular exactly when the entry's two neighbours are equal.
-    """
-    last = len(seq) - 1
-    return [
-        (s, seq[:s] + seq[s + 1 :])
-        for s in range(last + 1)
-        if s == 0 or s == last or seq[s - 1] != seq[s + 1]
-    ]
-
-
 def canonical_weights(
     weights: Optional[Mapping[Vertex, object]], ring: Optional[Ring]
 ) -> Optional[tuple]:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -12,7 +12,7 @@ from pathlib import Path as FsPath
 from wph import algebra, chain, cli, homotopy
 from wph import io as wio
 from wph.algebra import QQ, ZZ, HomologyGroup, Matrix, Zmod, homology_group, kernel_basis, require_pid
-from wph.chain import ChainVector, build_omega, induced_chain_map, restrict_to_omega
+from wph.chain import build_omega, induced_chain_map, restrict_to_omega
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.errors import HomotopyIdentityFailedError, ImageNotInOmegaError, MissingWeightError, WphError
@@ -24,7 +24,7 @@ from wph.pathcx import (
     Vertex,
     complex_from_paths,
     is_regular,
-    regular_faces,
+    level_copies,
 )
 
 FIXTURES = FsPath(__file__).resolve().parent.parent / "fixtures"
@@ -243,6 +243,58 @@ def one_row_kernel_by_elimination(ring, a: list) -> list:
     return list(kernel_basis(Matrix.from_columns(ring, [{0: x} for x in a], 1)).entries)
 
 
+def regular_faces(seq) -> list:
+    """(s, seq with entry s dropped) for each s whose face of the regular sequence is
+    regular: an end, or an interior entry whose two neighbours differ."""
+    last = len(seq) - 1
+    return [(s, seq[:s] + seq[s + 1 :]) for s in range(last + 1) if s in (0, last) or seq[s - 1] != seq[s + 1]]
+
+
+def prism_by_paths(p: Path, gammas: dict, ring) -> list:
+    """The prism of e_p as (lift, coefficient) terms on Path objects: lift k of `p.lifts()`
+    with (-1)^k gammas[v_k].  The reference for `chain.prism`."""
+    return [(q, ring.neg(gammas[v]) if k % 2 else gammas[v]) for k, (v, q) in enumerate(zip(p.vertices, p.lifts()))]
+
+
+def boundary_by_paths(p: Path, signed: dict) -> list:
+    """d e_p as (face, coefficient) terms on Path objects, signed[v] the weight of v and
+    its negative: `face_terms_by_comprehension` on the vertex tuple, and 0 for a vertex."""
+    table = face_terms_by_comprehension([p.vertices], {}.get, signed, p.length)[0] if p.length else [[]]
+    return [(Path(face), x) for face, x in table[0]]
+
+
+def prism_differences_by_paths(pc: PathComplex, paths: list) -> list:
+    """What `homotopy.verify_prism_identity` reports as each path's difference, from
+    `prism_by_paths` and `boundary_by_paths`: the reference for the check on codes.  Both
+    routes subtract e_p' - e_p, so equal differences are equal left sides."""
+    gammas = homotopy._require_invertible_weights(pc)
+    level_copies(pc.vertices, (0, 1))
+    ring = pc.ring
+    signed = {v: (w, ring.neg(w)) for v, w in pc.level_weights((0, 1)).items()}
+    out = []
+    for p in paths:
+        terms = [(r, ring.mul(x, y)) for q, x in prism_by_paths(p, gammas, ring) for r, y in boundary_by_paths(q, signed)]
+        terms += [(r, ring.mul(y, x)) for q, y in boundary_by_paths(p, signed) for r, x in prism_by_paths(q, gammas, ring)]
+        total = {p.primed(): ring.neg(ring.one), p: ring.one}
+        for q, x in terms:
+            total[q] = ring.add(total.get(q, ring.zero), x)
+        out.append(tuple(sorted((q, x) for q, x in total.items() if x)) or None)
+    return out
+
+
+def assert_prism_routes_agree(pc: PathComplex, paths: list) -> None:
+    """`homotopy.verify_prism_identity` reports each path's difference as
+    `prism_differences_by_paths` does: 0 with the prism, and e_p' - e_p with every lift
+    doubled on both routes (`doubled_lifts`)."""
+    ring = pc.ring
+    for doubled in (False, True):
+        with doubled_lifts() if doubled else nullcontext():
+            got = [rep.difference for rep in homotopy.verify_prism_identity(pc, paths)]
+            assert got == prism_differences_by_paths(pc, paths), pc
+        moved = [((p, ring.neg(ring.one)), (p.primed(), ring.one)) for p in paths]
+        assert got == (moved if doubled else [None] * len(paths)), pc
+
+
 def face_terms_by_comprehension(codes: list, below, signed: list, n: int) -> tuple:
     """What `chain._face_terms` gives, from one comprehension over each path's
     `regular_faces` and a filter of its terms for the outside faces."""
@@ -324,7 +376,7 @@ def mapped_rows(terms, vertex_map: dict, target) -> list:
         q = Path(tuple(vertex_map[v] for v in p.vertices))
         if not q.is_regular():
             continue
-        row = target.row(q)
+        row = target.rows[q.length].get(tuple(map(target.numbers.get, q.vertices))) if q.length <= target.max_degree else None
         if row is None:
             raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
         out[row] = ring.add(out[row], c) if row in out else c
@@ -351,13 +403,14 @@ def induced_chain_map_by_paths(f: PathMorphism, source, target) -> dict:
 
 def chain_homotopy_by_prism(f: PathMorphism, g: PathMorphism, gammas: dict, source, target) -> dict:
     """What `homotopy.chain_homotopy` gives, each image the `mapped_rows`, under the
-    one-step homotopy F of f and g, of `homotopy.prism` of the source path, Path by Path."""
+    one-step homotopy F of f and g, of `prism_by_paths` of the source path, Path by Path,
+    its lifts sorted as cylinder paths (the order in which an error names them)."""
     ring = source.ring
     vertex_map = {v: f.vertex_map[v] for v in f.source.vertices}
     vertex_map.update({v.primed(): g.vertex_map[v] for v in f.source.vertices})
 
     def lifted(paths: list):
-        return lambda i: mapped_rows(homotopy.prism(ChainVector.basis(paths[i], ring), gammas).coeffs, vertex_map, target)
+        return lambda i: mapped_rows(sorted(prism_by_paths(paths[i], gammas, ring)), vertex_map, target)
 
     return {
         n: restrict_to_omega(lifted(source.reg_paths[n]), source, n, target, n + 1, ImageNotInOmegaError)
@@ -441,23 +494,21 @@ def random_pair(rng: random.Random, ring) -> tuple:
 
 @contextmanager
 def doubled_lifts():
-    """Twice every lift, on both routes to L: `homotopy.prism`, which the reference
-    (`certificate_over_the_ring`) lifts with, and `homotopy.code_images`, with which
-    `homotopy.chain_homotopy` maps the lifts on codes; f_* and g_* stay as they are.
-    Twice a chain of Omega stays in Omega, so only the identity dL + Ld = g_* - f_* can
-    fail."""
-    prism, code_images = homotopy.prism, homotopy.code_images
-
-    def doubled_images(source, target, vertex_maps, coefficients=None):
-        images, add = code_images(source, target, vertex_maps, coefficients), target.ring.add
-        return lambda n: (lambda image: lambda i: [(q, add(c, c)) for q, c in image(i)])(images(n))
-
-    homotopy.prism = lambda v, gammas: prism(v, gammas).scale(2)
-    homotopy.code_images = doubled_images
+    """Twice every lift, on every route: the one lift walker `chain.prism` (which
+    `homotopy` imports as `prism`), with which L and the prism check lift on codes, and
+    the reference `prism_by_paths`, with which `certificate_over_the_ring` and
+    `prism_differences_by_paths` lift on Paths; f_* and g_* stay as they are.  Twice a
+    chain of Omega stays in Omega, so only the identity dL + Ld = g_* - f_* can fail,
+    and the prism identity fails on every path with the difference e_p' - e_p."""
+    global prism_by_paths
+    walker, reference = chain.prism, prism_by_paths
+    chain.prism = homotopy.prism = lambda *args: walker(*args) * 2
+    prism_by_paths = lambda *args: reference(*args) * 2
     try:
         yield
     finally:
-        homotopy.prism, homotopy.code_images = prism, code_images
+        chain.prism = homotopy.prism = walker
+        prism_by_paths = reference
 
 
 def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int, allow_degenerate: bool = False):
@@ -584,6 +635,19 @@ def random_complex(
 def random_unit_weight_complex(rng: random.Random, max_vertices: int = 6, maxlen: int = 3) -> PathComplex:
     """A random complex over Q whose weights are all nonzero (hence units)."""
     return random_complex(rng, ring=QQ, max_vertices=max_vertices, maxlen=maxlen, nonzero=True)
+
+
+def random_units_complex(rng: random.Random, k: int) -> PathComplex:
+    """A small random complex with unit weights: over Q, over Z (weights +-1), over Z/7 or
+    over Z/2, as k % 4 is 0, 1, 2 or 3."""
+    ring, draw = [
+        (QQ, lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))),
+        (ZZ, lambda: rng.choice([1, -1])),
+        (Zmod(7), lambda: rng.randint(1, 6)),
+        (Zmod(2), lambda: 1),
+    ][k % 4]
+    pc = random_complex(rng, ring=ring, max_vertices=6, maxlen=3)
+    return pc.reweighted({v: draw() for v in sorted(pc.vertices)}, ring)
 
 
 def random_unit_free_complex(rng: random.Random, max_vertices: int = 8, maxlen: int = 4) -> PathComplex:

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -9,10 +10,9 @@ from wph import io as wio
 from wph.algebra import MODULUS_BOUND
 from wph.chain import build_omega, homology, homology_of_omega
 from wph.cli import main
-from wph.homotopy import PrismReport
 from wph.pathcx import PathComplex
 
-from helpers import FIXTURES, cli_homology_maps_equal
+from helpers import FIXTURES, cli_homology_maps_equal, doubled_lifts
 
 
 @pytest.fixture(autouse=True)
@@ -269,15 +269,15 @@ def test_prism_check_pass_and_gate(capsys):
     assert code == 3
 
 
-def test_prism_check_failure_exits_4(capsys, monkeypatch):
-    def failing(v, pc):
-        return PrismReport(ok=False, difference=v)
-
-    monkeypatch.setattr("wph.cli.verify_prism_identity", failing)
-    code, out, err = run(capsys, "prism-check", str(FIXTURES / "pc_diamond_q.json"), "--degree", "1")
+def test_prism_check_failure_exits_4(capsys):
+    # twice every lift: the left side is 2(e_p' - e_p), so each difference is e_p' - e_p
+    with doubled_lifts():
+        code, out, err = run(capsys, "prism-check", _DIAMOND_Q, "--degree", "1")
     assert code == 4
-    assert out.splitlines()[-1].startswith("FAIL: ")
-    assert "difference" in err
+    assert out.splitlines()[-1] == "FAIL: 4 of 4 checked paths violate the prism identity"
+    assert err.splitlines() == [
+        f"FAIL on ({u} {v}): difference -1*({u} {v}) + 1*({u}' {v}')" for u, v in ("ab", "ac", "bd", "cd")
+    ]
 
 
 def test_prism_check_refuses_a_huge_degree_without_allocating_for_it(capsys):
@@ -440,6 +440,20 @@ _DH_CERT_ARGS = (
     "--f", str(FIXTURES / "mor_dh_f.json"), "--g", str(FIXTURES / "mor_dh_g.json"),
     "--category", "dhyper", "--certify-chain-homotopy",
 )
+
+
+@pytest.mark.parametrize("target_weighted", [True, False], ids=["weighted-target", "unweighted-target"])
+def test_edge_weighted_certificate_on_an_unweighted_source_exits_3(tmp_path, capsys, target_weighted):
+    # as the path-complex certificate on an unweighted source: no invertible weights
+    argv = list(_DH_CERT_ARGS)
+    for k in (1,) if target_weighted else (1, 2):
+        doc = json.loads(FsPath(argv[k]).read_text())
+        del doc["body"]["weights"]
+        argv[k] = str(tmp_path / f"{k}.json")
+        FsPath(argv[k]).write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "error: an unweighted hypergraph has no invertible set weights\n")
+    assert out.startswith("one-step homotopy")
 
 
 @pytest.mark.parametrize("argv", [_CERT_ARGS, _DH_CERT_ARGS], ids=["pathcx", "dhyper"])

@@ -9,7 +9,7 @@ import pytest
 from wph import algebra, homotopy
 from wph import io as wio
 from wph.algebra import QQ, ZZ, Matrix, Zmod
-from wph.chain import ChainVector, build_omega, induced_chain_map
+from wph.chain import build_omega, induced_chain_map
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.errors import HomotopyIdentityFailedError, MissingWeightError, NonInvertibleWeightError
 from wph.homotopy import (
@@ -37,14 +37,17 @@ from wph.pathcx import (
 
 from helpers import (
     FIXTURES,
+    assert_prism_routes_agree,
     certificate_outcome,
     certificate_over_the_ring,
     doubled_lifts,
     homology_maps_equal,
     induced_homology_maps_equal,
+    prism_by_paths,
     random_pair,
     random_q_homotopy,
     random_unit_weight_complex,
+    random_units_complex,
     route_outcomes,
     routes_compared,
 )
@@ -192,17 +195,12 @@ def test_a_homotopy_chain_builds_one_cylinder(monkeypatch):
 
 
 def test_prism_of_an_edge_uses_inverse_weights():
-    pc = complex_from_paths(
-        [Path((a, b))], weights={a: Fraction(2), b: Fraction(4)}, ring=QQ
-    )
-    gammas = {v: Fraction(1, w) for v, w in pc.weights}
-    gammas.update({v.primed(): g for v, g in gammas.items()})
-    tau = prism(ChainVector.basis(Path((a, b)), QQ), gammas)
-    ap, bp = a.primed(), b.primed()
-    assert tau.as_dict() == {
-        Path((a, ap, bp)): Fraction(1, 2),
-        Path((a, b, bp)): Fraction(-1, 4),
-    }
+    # the edge (a b) weighs 2, 4; a, a', b, b' have the numbers 0..3 in the cylinder
+    gammas = [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(1, 4), Fraction(-1, 4))]
+    assert prism((0, 1), [0, 2], [1, 3], gammas) == [
+        ((0, 1, 3), Fraction(1, 2)),  # (a a' b')
+        ((0, 2, 3), Fraction(-1, 4)),  # (a b b')
+    ]
 
 
 def test_prism_identity_on_fixed_complex():
@@ -211,26 +209,35 @@ def test_prism_identity_on_fixed_complex():
         weights={a: Fraction(1), b: Fraction(1, 2), c: Fraction(3)},
         ring=QQ,
     )
-    for n in range(3):
-        for p in pc.regular_paths(n):
-            rep = verify_prism_identity(ChainVector.basis(p, QQ), pc)
-            assert rep.ok, (p.render(), rep.problems)
+    paths = [p for n in range(3) for p in pc.regular_paths(n)]
+    assert [(rep.ok, rep.difference) for rep in verify_prism_identity(pc, paths)] == [(True, None)] * 6
 
 
 def test_prism_identity_on_random_complexes():
-    rng = random.Random(11)
-    for _ in range(10):
-        pc = random_unit_weight_complex(rng)
-        for n in range(4):
-            for p in pc.regular_paths(n):
-                rep = verify_prism_identity(ChainVector.basis(p, QQ), pc)
-                assert rep.ok, (p.render(), rep.problems)
+    # 400 complexes over Q, Z (weights +-1), Z/7 and Z/2, every regular path checked on
+    # codes and on Paths, with the prism and with every lift doubled
+    rng = random.Random(5)
+    paths_checked = 0
+    for k in range(400):
+        pc = random_units_complex(rng, k)
+        paths = [p for n in range(4) for p in pc.regular_paths(n)]
+        assert_prism_routes_agree(pc, paths)
+        paths_checked += len(paths)
+    assert paths_checked >= 4000
 
 
 def test_prism_requires_invertible_weights():
     pc = complex_from_paths([Path((a, b))], weights={a: 2, b: 4}, ring=ZZ)
     with pytest.raises(NonInvertibleWeightError):
-        verify_prism_identity(ChainVector.basis(Path((a, b)), ZZ), pc)
+        verify_prism_identity(pc, [Path((a, b))])
+
+
+def test_prism_identity_needs_a_weight_on_every_path_vertex():
+    # c has no weight: the check refuses it as the certificate does, and takes (a b)
+    pc = complex_from_paths([Path((a, b)), Path((b, c))], weights={a: 1, b: 2}, ring=QQ)
+    with pytest.raises(MissingWeightError, match="vertex c has no weight"):
+        verify_prism_identity(pc, [Path((b, c))])
+    assert [rep.ok for rep in verify_prism_identity(pc, [Path((a, b))])] == [True]
 
 
 def two_by_two():
@@ -570,7 +577,7 @@ def test_lifts_that_map_onto_one_path_are_summed():
     line = complex_from_paths([Path((x, y, z))], weights={x: one, y: one, z: one}, ring=QQ)
     f, g = PathMorphism(edge, line, {a: x, b: y}), PathMorphism(edge, line, {a: y, b: z})
     F = one_step_homotopy_pathcx(f, g).homotopy
-    lifts = prism(ChainVector.basis(Path((a, b)), QQ), {a: one, b: one}).coeffs
+    lifts = prism_by_paths(Path((a, b)), {a: one, b: one}, QQ)
     assert {F.image_path(p) for p, _ in lifts} == {Path((x, y, z))}
     cert = chain_homotopy_certificate(f, g, 3)
     assert cert.ok and cert.identity_holds and cert.homology_maps_equal
@@ -644,8 +651,8 @@ def test_the_code_route_gives_the_reference_matrices_and_errors_on_random_pairs(
 
 
 def test_the_first_lift_off_the_target_in_the_prism_order_is_named():
-    # both lifts of (b a) leave the target: (a) sorts before (b), so the prism lists
-    # lift 1, (b a a'), before lift 0, (b b' a'), and names F's image of lift 1
+    # both lifts of (b a) leave the target: (a) sorts before (b), so the lifts sorted as
+    # cylinder paths list lift 1, (b a a'), before lift 0, (b b' a'): F's image of lift 1 is named
     w = Vertex("w")
     src = complex_from_paths([Path((b, a))], weights={a: 1, b: 1}, ring=ZZ)
     tgt = complex_from_paths([Path((x, z)), Path((y, w))], weights=dict.fromkeys([w, x, y, z], 1), ring=ZZ)
