@@ -46,14 +46,12 @@ class OmegaComplex:
 
     A path's code is the tuple of its vertices' numbers, and numbers follow the
     sorted vertex order, so codes sort as the paths do.  rows[n] maps the code
-    of each regular n-path to its row, its index in reg_paths[n].
+    of each regular n-path to its row, its index in canonical order.
     """
 
-    pc: PathComplex
     max_degree: int
     ring: Ring
-    reg_paths: list  # reg_paths[n]: canonical list of regular n-paths in P
-    bases: list  # bases[n]: Matrix (len(reg_paths[n]) x rank)
+    bases: list  # bases[n]: Matrix (len(rows[n]) x rank)
     boundaries: dict  # n -> Matrix (rank_{n-1} x rank_n)
     numbers: dict  # vertex -> its number; vertices in sorted order, numbered from 0
     rows: list  # rows[n]: code of a regular n-path -> its row
@@ -107,8 +105,7 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         raise MissingWeightError("Omega construction needs a weighted complex")
     ring = pc.ring
     require_pid(ring)
-    numbers, buckets = pc.regular_path_codes(max_degree)
-    codes = [[c for c, _ in bucket] for bucket in buckets]
+    numbers, codes = pc.regular_path_codes(max_degree)
     weights = pc.weight_map()
     # each vertex number's weight and its negative, None for an unweighted vertex
     signed = [(weights[v], ring.neg(weights[v])) if v in weights else None for v in numbers]
@@ -141,8 +138,7 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         columns.sort(key=min)  # by pivot row, which no two generators share
         bases.append(Matrix.from_columns(ring, columns, len(table)))
 
-    reg_paths = [[p for _, p in bucket] for bucket in buckets]
-    omega = OmegaComplex(pc, max_degree, ring, reg_paths, bases, {}, numbers, rows)
+    omega = OmegaComplex(max_degree, ring, bases, {}, numbers, rows)
     for n in range(1, max_degree + 1):
         omega.boundaries[n] = restrict_to_omega(
             faces[n].__getitem__, omega, n, omega, n - 1, InvariantError
@@ -280,7 +276,7 @@ def restrict_to_omega(
     """The matrix, source Omega_n -> target Omega_m, of a linear map given on elementary paths.
 
     `image(i)` yields the (key, coefficient) terms of the image of the regular
-    n-path source.reg_paths[n][i], one per key, for every path a generator uses
+    n-path in row i of source.rows[n], one per key, for every path a generator uses
     (every row of source.bases[n] it has an entry in).  The key is
     the term's row among the target's regular m-paths, or, for a path outside
     them, its code in the target's numbering.  Outside terms must cancel in each
@@ -358,9 +354,6 @@ class HomologyResult:
     ring: Ring
     max_degree: int  # the Omega truncation degree N; homology reported below it
     groups: list = field(default_factory=list)  # HomologyGroup per degree
-
-    def group(self, n: int) -> HomologyGroup:
-        return self.groups[n]
 
 
 def homology(pc: PathComplex, max_degree: int) -> HomologyResult:
@@ -453,7 +446,7 @@ def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, 
         def off_target(i: int) -> str:
             found = terms(codes[i])
             if coefficients is not None:
-                lifts = source.reg_paths[n][i].lifts()
+                lifts = source.path(codes[i]).lifts()
                 found = [found[k] for k in sorted(range(len(lifts)), key=lifts.__getitem__)]
             code = next(code for code, _ in found if code not in rows and is_regular(code))
             return Path(tuple(vertices[x] for x in code)).render()

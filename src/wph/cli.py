@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import io as wio
-from .algebra import MODULUS_BOUND, QQ, ZZ, ModularRing, Zmod
+from .algebra import QQ, ZZ, ModularRing, Zmod
 from .chain import HomologyResult, homology
 from .dhyper import (
     DirectedHypergraph,
@@ -78,11 +78,10 @@ def _parse_coeff(text: str):
             m = int(text[4:])
         except ValueError:
             raise SchemaError(f"bad modulus in --coeff {text!r}") from None
-        if m < 2:
-            raise SchemaError(f"--coeff modulus must be >= 2, got {text!r}")
-        if m >= MODULUS_BOUND:
-            raise SchemaError(f"--coeff modulus must be below {MODULUS_BOUND}, got {text!r}")
-        return Zmod(m)
+        try:
+            return Zmod(m)
+        except ValueError as exc:
+            raise SchemaError(f"--coeff {exc}, got {text!r}") from None
     raise SchemaError(f"--coeff must be z, q or mod:p, got {text!r}")
 
 
@@ -271,6 +270,8 @@ def cmd_homotopy_check(args) -> int:
     _require_at_least("--maxlen", args.maxlen, 0)
     if (args.category, args.strictness) in (("pathcx", "reflexive"), ("dhyper", "allow-degenerate")):
         raise SchemaError(f"--strictness {args.strictness} does not apply to --category {args.category}")
+    if args.chain is not None and args.mode != "chain":
+        raise SchemaError(f"--chain does not apply to --mode {args.mode}")
     src_doc = _load(args.source)
     tgt_doc = _load(args.target)
     f_spec = _expect(_load(args.f), args.f, "morphism")

@@ -174,14 +174,12 @@ def _set_vertex(xs: frozenset) -> Vertex:
 
 
 def natural_digraph(g: DirectedHypergraph) -> WeightedDigraph:
-    """The digraph on P01(G) with one edge per arrow; set weights as vertex weights."""
-    if not g.is_weighted:
-        raise MissingWeightError("the natural digraph carries set weights")
-    wmap, ring = g.weight_map(), g.ring
+    """The digraph on P01(G) with one edge per arrow; set weights as vertex weights if G has weights."""
     vertex_of = {s: _set_vertex(s) for s in g.origin_end_sets()}
     edges = {(vertex_of[a.origin], vertex_of[a.end]) for a in g.arrows}
-    weights = {vertex_of[s]: set_weight(s, wmap, ring) for s in vertex_of}
-    return WeightedDigraph.build(vertex_of.values(), edges, weights, ring)
+    wmap = g.weight_map()
+    weights = {vertex_of[s]: set_weight(s, wmap, g.ring) for s in vertex_of} if g.is_weighted else None
+    return WeightedDigraph.build(vertex_of.values(), edges, weights, g.ring)
 
 
 def edge_weighted_homology(g: DirectedHypergraph, max_degree: int, maxlen: int = 4) -> HomologyResult:

@@ -282,7 +282,7 @@ def chain_homotopy_certificate(
         return CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
     gammas = _require_invertible_weights(f.source)
     ring = f.source.ring
-    if f.target.ring != ring:
+    if not f.target.is_weighted or f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
     if ring == QQ:  # the same outcome on the support complexes (see above)
         source, target = f.source.support(), f.target.support()

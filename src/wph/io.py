@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import MODULUS_BOUND, QQ, ZZ, Ring, Zmod
+from .algebra import QQ, ZZ, Ring, Zmod
 from .chain import HomologyResult
 from .dhyper import Arrow, DirectedHypergraph, Hypergraph
 from .digraph import WeightedDigraph
@@ -48,11 +48,12 @@ def parse_ring(spec) -> Ring:
         return QQ
     if isinstance(spec, dict) and set(spec) == {"Zmod"}:
         m = spec["Zmod"]
-        if not isinstance(m, int) or m < 2:
+        if not isinstance(m, int):
             raise SchemaError(f"Zmod modulus must be an integer >= 2, got {m!r}")
-        if m >= MODULUS_BOUND:
-            raise SchemaError(f"Zmod modulus must be below {MODULUS_BOUND}, got {m}")
-        return Zmod(m)
+        try:
+            return Zmod(m)
+        except ValueError as exc:
+            raise SchemaError(f"Zmod {exc}, got {m}") from None
     raise SchemaError(f"unknown ring {spec!r} (expected 'Z', 'Q' or {{'Zmod': m}})")
 
 

@@ -1,8 +1,9 @@
 """Independent homology oracle via plain Gaussian elimination over a field.
 
-Deliberately shares no code with the Smith-normal-form pipeline: ranks and
-kernels here come from textbook row reduction, over Q (`Fraction`) or over
-Z/p for a prime p (ints mod p), so the two routes cross-check each other.
+Deliberately shares no code with the engine (`chain`, `algebra`): regular paths
+come from the plain filter `PathComplex.regular_paths`, not the engine's path
+codes, and ranks and kernels from textbook row reduction, over Q (`Fraction`) or
+over Z/p for a prime p (ints mod p), so the two routes cross-check each other.
 Every function takes `p`: None for Q, else the prime p.
 """
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _omega(pc: PathComplex, max_degree: int, p) -> tuple:
     field = _Field(p)
     zero = field(0)
     weights = {v: field(w) for v, w in pc.weight_map().items()}
-    reg = [[path for _, path in bucket] for bucket in pc.regular_path_codes(max_degree)[1]]
+    reg = [pc.regular_paths(n) for n in range(max_degree + 1)]
 
     def boundary_rows(n):
         """Rows: coefficient vector of d(e_p) over regular (n-1)-paths on V."""

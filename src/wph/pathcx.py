@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter, ne
+from operator import ne
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import ZZ, Ring
@@ -217,37 +217,30 @@ class PathComplex(Weighted):
         return ValidationReport(ok=not problems, problems=problems)
 
     def regular_paths(self, n: int) -> list:
-        """All regular n-paths of the complex, in canonical lexicographic order.
-
-        This order is the basis order of the regular chain modules everywhere
-        downstream.
-        """
-        if not 0 <= n <= max((p.length for p in self.paths), default=-1):
-            return []  # no n-paths, and no n + 1 buckets built to find that out
-        return [p for _, p in self.regular_path_codes(n)[1][n]]
+        """All regular n-paths of the complex, sorted: the order of the codes in
+        `regular_path_codes`, the basis order of the regular chain modules."""
+        return sorted(p for p in self.paths if p.length == n and p.is_regular())
 
     def regular_path_codes(self, max_degree: int) -> tuple:
         """The regular paths of length <= max_degree as integer codes, bucketed by length.
 
         Returns (numbers, buckets).  numbers maps each vertex to its number,
         counting from 0 in sorted vertex order (also its key order), so
-        comparing codes compares the paths: buckets[n] lists the regular
-        n-paths as (code, Path) pairs in canonical order.  Regularity is read
-        off the vertex tuple, so an irregular path is never numbered or coded:
-        the numbering covers the declared vertices and the vertices of the
-        regular paths kept, and a vertex that only irregular paths use has no
-        number.
+        comparing codes compares the paths: buckets[n] lists the codes of the
+        regular n-paths in canonical order.  Regularity is read off the vertex
+        tuple, so an irregular path is never numbered or coded: the numbering
+        covers the declared vertices and the vertices of the regular paths
+        kept, and a vertex that only irregular paths use has no number.
         """
         top = max_degree + 1
-        kept = [p for p in self.paths if len(p.vertices) <= top and is_regular(p.vertices)]
-        numbers = {v: k for k, v in enumerate(sorted(self.vertices.union(*(p.vertices for p in kept))))}
+        kept = [p.vertices for p in self.paths if len(p.vertices) <= top and is_regular(p.vertices)]
+        numbers = {v: k for k, v in enumerate(sorted(self.vertices.union(*kept)))}
         number = numbers.__getitem__
         buckets = [[] for _ in range(top)]
-        for p in kept:
-            vs = p.vertices
-            buckets[len(vs) - 1].append((tuple(map(number, vs)), p))
+        for vs in kept:
+            buckets[len(vs) - 1].append(tuple(map(number, vs)))
         for bucket in buckets:
-            bucket.sort(key=itemgetter(0))
+            bucket.sort()
         return numbers, buckets
 
     def truncate(self, maxlen: int) -> "PathComplex":

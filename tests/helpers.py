@@ -6,7 +6,6 @@ from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import itemgetter
 from pathlib import Path as FsPath
 
 from wph import algebra, chain, cli, homotopy
@@ -314,9 +313,9 @@ def regular_path_codes_coding_every_path(pc: PathComplex, max_degree: int) -> tu
     for p in candidates:
         code = tuple(map(numbers.__getitem__, p.vertices))
         if is_regular(code):
-            buckets[len(code) - 1].append((code, p))
+            buckets[len(code) - 1].append(code)
     for bucket in buckets:
-        bucket.sort(key=itemgetter(0))
+        bucket.sort()
     return numbers, buckets
 
 
@@ -392,7 +391,7 @@ def induced_chain_map_by_paths(f: PathMorphism, source, target) -> dict:
 
     top = min(source.max_degree, target.max_degree)
     mats = {
-        n: restrict_to_omega(images(source.reg_paths[n]), source, n, target, n, ImageNotInOmegaError)
+        n: restrict_to_omega(images(list(map(source.path, source.rows[n]))), source, n, target, n, ImageNotInOmegaError)
         for n in range(top + 1)
     }
     for n in range(1, top + 1):
@@ -413,7 +412,7 @@ def chain_homotopy_by_prism(f: PathMorphism, g: PathMorphism, gammas: dict, sour
         return lambda i: mapped_rows(sorted(prism_by_paths(paths[i], gammas, ring)), vertex_map, target)
 
     return {
-        n: restrict_to_omega(lifted(source.reg_paths[n]), source, n, target, n + 1, ImageNotInOmegaError)
+        n: restrict_to_omega(lifted(list(map(source.path, source.rows[n]))), source, n, target, n + 1, ImageNotInOmegaError)
         for n in range(source.max_degree)
     }
 
@@ -523,7 +522,7 @@ def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int,
         return homotopy.CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
     gammas = homotopy._require_invertible_weights(f.source)
     ring = f.source.ring
-    if f.target.ring != ring:
+    if not f.target.is_weighted or f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
 
     longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)

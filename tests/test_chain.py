@@ -407,7 +407,7 @@ def test_grid_kernels_run_only_on_the_linked_squares(monkeypatch):
     assert len(squares) == 6
     for n, rows in squares:
         assert n == 2 and len(rows) == 2
-        p, q = (om.reg_paths[2][j].vertices for j in rows)
+        p, q = (om.path(code).vertices for code, j in om.rows[2].items() if j in rows)
         assert p[0] == q[0] and p[2] == q[2] and p[1] != q[1]
 
 
@@ -737,9 +737,10 @@ def test_reduced_chain_equals_the_pairs_on_the_full_boundaries(draw):
     rng = random.Random(29)
     groups = []
     for _ in range(120):
-        om = build_omega(draw(rng), 5)
+        pc = draw(rng)
+        om = build_omega(pc, 5)
         got = homology_of_omega(om).groups
-        assert got == [homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(5)], om.pc
+        assert got == [homology_of_pair(om.boundary(n), om.boundary(n + 1)) for n in range(5)], pc
         groups += got
     assert any(g.free_rank for g in groups)
     assert any(g.torsion for g in groups) == (om.ring == ZZ)

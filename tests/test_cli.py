@@ -456,6 +456,36 @@ def test_edge_weighted_certificate_on_an_unweighted_source_exits_3(tmp_path, cap
     assert out.startswith("one-step homotopy")
 
 
+def _without_weights(tmp_path, name: str) -> str:
+    doc = json.loads((FIXTURES / name).read_text())
+    del doc["body"]["weights"]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_natural_functor_of_an_unweighted_hypergraph_is_the_unweighted_digraph(tmp_path, capsys):
+    code, out, err = run(capsys, "functor", _without_weights(tmp_path, "dh_square_sets.json"), "--functor", "natural")
+    assert (code, err) == (0, "")
+    weighted = run(capsys, "functor", str(FIXTURES / "dh_square_sets.json"), "--functor", "natural")[1]
+    body, weighted_body = json.loads(out)["body"], json.loads(weighted)["body"]
+    assert "weights" not in body and "weights" in weighted_body
+    assert body == {k: v for k, v in weighted_body.items() if k != "weights"}
+
+
+def test_edge_weighted_certificate_on_an_unweighted_target_exits_2(tmp_path, capsys):
+    argv = list(_DH_CERT_ARGS)
+    argv[2] = _without_weights(tmp_path, "dh_square_sets.json")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "one-step homotopy: PASS\n")
+    assert err == "error: the certificate needs both sides weighted over one ring\n"
+
+
+def test_chain_without_chain_mode_exits_2(capsys):
+    argv = _CERT_ARGS[:-1] + ("--chain", "/nonexistent.json")
+    assert run(capsys, *argv) == (2, "", "error: --chain does not apply to --mode one-step\n")
+
+
 @pytest.mark.parametrize("argv", [_CERT_ARGS, _DH_CERT_ARGS], ids=["pathcx", "dhyper"])
 def test_certificate_far_past_the_longest_path(capsys, argv):
     code, out, err = run(capsys, *argv, "--max-dim", "20000")
