@@ -8,8 +8,11 @@ of weight 1 + (7i + j) mod 3), and the bold and connective complexes of the box
 product of fixtures/dh_merge.json with I_1, each at path length L = N.  Most
 paths of the last two are irregular: bold at L5 has 4344 paths, 608 of them
 regular, and connective at L6 has 952, 40 of them regular.  For every rung this prints
-the best time over --repeat runs of `build_omega` and of `homology_of_omega`
-on the built Omega, and the homology groups as (free rank, torsion) pairs.
+the best time over --repeat runs of building the rung's complex (functor_s: the
+functor, which walks on vertex numbers and stores the paths as code buckets), of
+`build_omega` on that fresh complex (its regular filter of the codes included) and of
+`homology_of_omega` on the built Omega, and the homology groups as (free rank,
+torsion) pairs.
 The certificate rungs then time `chain_homotopy_certificate` with max degree N,
 for the cylinder inclusions of a rung's complex and, on the "bottom" rung, for
 the bottom inclusion as its own homotopy under allow_degenerate (a homotopy that
@@ -96,19 +99,20 @@ def main():
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    print(f"{'rung':<18} {'omega_s':>9} {'homology_s':>10}  groups (free rank, torsion)")
+    print(f"{'rung':<18} {'functor_s':>9} {'omega_s':>9} {'homology_s':>10}  groups (free rank, torsion)")
     for name, paths, length in RUNGS:
-        pc = paths(length)
-        times = []  # (omega seconds, homology seconds) per run, each on a fresh Omega
+        times = []  # (functor, omega, homology seconds) per run, each on a fresh complex
         for _ in range(args.repeat):
             start = perf_counter()
+            pc = paths(length)
+            walked = perf_counter()
             om = build_omega(pc, length)
             built = perf_counter()
             result = homology_of_omega(om)
-            times.append((built - start, perf_counter() - built))
-        omega_s, homology_s = (min(column) for column in zip(*times))
+            times.append((walked - start, built - walked, perf_counter() - built))
+        functor_s, omega_s, homology_s = (min(column) for column in zip(*times))
         groups = [(g.free_rank, list(g.torsion)) for g in result.groups]
-        print(f"{name:<18} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
+        print(f"{name:<18} {functor_s:9.4f} {omega_s:9.4f} {homology_s:10.4f}  {groups}", flush=True)
     print(f"{'certificate':<18} {'cert_s':>9}  flags (ok, identity_holds, homology_maps_equal)")
     for name, digraph, length, pair, allow_degenerate in CERTIFICATE_RUNGS:
         f, g = pair(paths_functor(digraph(), length))

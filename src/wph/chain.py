@@ -24,7 +24,7 @@ from .algebra import (
     require_pid,
 )
 from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError
-from .pathcx import Path, PathComplex, PathMorphism, is_regular
+from .pathcx import Path, PathComplex, PathMorphism, is_regular, lifts
 
 
 @dataclass
@@ -34,19 +34,11 @@ class OmegaComplex:
     bases[n] has one row per regular n-path of the complex (canonical order)
     and one column per Omega_n generator, in column Hermite form (reduced
     echelon form over a field): each generator's first nonzero row, its pivot,
-    is its own, and pivots ascend with the columns.  A free path (no face
-    outside the complex) is a generator with one unit entry, a pruned path's
-    row is empty, and the other generators live each on one class of paths
-    linked by shared outside faces (see build_omega).  A class whose paths
-    share one outside face, and have no other, has a one-row constraint
-    matrix; its generators come in closed form (`_one_row_kernel`), the same
-    Hermite columns an elimination gives.
+    is its own, and pivots ascend with the columns (see build_omega).
     boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
-    Omega_{n-1} in those generator bases.
-
-    A path's code is the tuple of its vertices' numbers, and numbers follow the
-    sorted vertex order, so codes sort as the paths do.  rows[n] maps the code
-    of each regular n-path to its row, its index in canonical order.
+    Omega_{n-1} in those generator bases.  Paths are the integer codes of the
+    complex's store (`pathcx.PathStore`), which sort as the paths do, and
+    rows[n] maps the code of each regular n-path to its row.
     """
 
     max_degree: int
@@ -98,8 +90,9 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     kernel columns and the unit columns, ordered by first row, are the column
     Hermite form of the whole kernel.  Over Z kernel bases are saturated, so
     boundaries re-express integrally in the next basis down.  The work runs
-    on integer path codes (see OmegaComplex) from
-    `pc.regular_path_codes(max_degree)`.
+    on integer path codes (see OmegaComplex): `pc.regular_path_codes(max_degree)`
+    reads them off the complex's store, where the functors left them, so no
+    path is coded here.
     """
     if not pc.is_weighted:
         raise MissingWeightError("Omega construction needs a weighted complex")
@@ -362,8 +355,7 @@ def homology(pc: PathComplex, max_degree: int) -> HomologyResult:
     Omega is built only up to degree l + 1, with l the length of the longest path:
     Omega_n is 0 for n > l, so every group from degree l + 1 on is 0.
     """
-    longest = max((p.length for p in pc.paths), default=-1)
-    top = min(max_degree, longest + 1)
+    top = min(max_degree, len(pc.store.buckets))  # 1 + the longest path
     groups = homology_of_omega(build_omega(pc, top)).groups
     groups += [HomologyGroup(0) for _ in range(top, max_degree)]
     return HomologyResult(pc.ring, max_degree, groups)
@@ -388,12 +380,11 @@ def homology_of_omega(omega: OmegaComplex) -> HomologyResult:
 
 def prism(code: tuple, bottom, top, coefficients) -> list:
     """The prism's n + 1 one-jump lifts of the path code c_0..c_n as (code, coefficient)
-    terms: lift k maps c_0..c_k by the vertex table bottom and c_k..c_n by top, with
-    coefficient coefficients[c_k][k % 2], (-1)^k gamma(v_k) when coefficients[x] is the
+    terms: lift k (`pathcx.lifts`) maps c_0..c_k by the vertex table bottom and c_k..c_n
+    by top, with coefficient coefficients[c_k][k % 2], (-1)^k gamma(v_k) when coefficients[x] is the
     pair (gamma, -gamma) of vertex x.  Tables onto the cylinder's V and V' give the
     lifts themselves; f's and g's tables give the one-step homotopy's images of them."""
-    low, high = [bottom[x] for x in code], [top[x] for x in code]
-    return [(tuple(low[: k + 1] + high[k:]), coefficients[x][k & 1]) for k, x in enumerate(code)]
+    return list(zip(lifts(code, bottom, top), [coefficients[x][k & 1] for k, x in enumerate(code)]))
 
 
 def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, coefficients: Optional[list] = None):
@@ -445,9 +436,10 @@ def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, 
 
         def off_target(i: int) -> str:
             found = terms(codes[i])
-            if coefficients is not None:
-                lifts = source.path(codes[i]).lifts()
-                found = [found[k] for k in sorted(range(len(lifts)), key=lifts.__getitem__)]
+            if coefficients is not None:  # in cylinder order: x and x' number 2x and 2x + 1
+                size = 2 * len(source.numbers)
+                cyl = lifts(codes[i], range(0, size, 2), range(1, size, 2))
+                found = [found[k] for k in sorted(range(len(cyl)), key=cyl.__getitem__)]
             code = next(code for code, _ in found if code not in rows and is_regular(code))
             return Path(tuple(vertices[x] for x in code)).render()
 

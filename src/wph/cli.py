@@ -39,6 +39,7 @@ from .errors import (
 from .homotopy import (
     StepSpec,
     chain_homotopy_certificate,
+    chain_step_pairs,
     edge_weighted_certificate,
     one_step_homotopy_dhyper,
     one_step_homotopy_pathcx,
@@ -301,7 +302,14 @@ def cmd_homotopy_check(args) -> int:
             rep = one_step_homotopy_pathcx(f, g, allow_degenerate=allow_deg)
             code = _report(rep.ok, "one-step homotopy", rep.problems)
         if code == EXIT_OK and args.certify:
-            cert = chain_homotopy_certificate(f, g, args.max_dim, allow_degenerate=allow_deg)
+            # one certificate per step, whose one-step check passed above, so each holds or
+            # raises; their L_k, signed by direction, sum to L with dL + Ld = g_* - f_*
+            for k, (a, b) in enumerate(chain_step_pairs(steps) if args.mode == "chain" else [(f, g)]):
+                try:
+                    cert = chain_homotopy_certificate(a, b, args.max_dim, allow_degenerate=allow_deg)
+                except WphError as exc:
+                    step = f"step {k} -> {k + 1}: " if args.mode == "chain" else ""
+                    raise type(exc)(step + str(exc)) from None
             code = _report_certificate(cert, args.max_dim)
         return code
 

@@ -8,7 +8,7 @@ from .algebra import Ring
 from .chain import HomologyResult, homology
 from .digraph import LineDigraph, WeightedDigraph, paths_functor
 from .errors import InvariantError, MissingWeightError, NotAMorphismError
-from .pathcx import Path, PathComplex, Vertex, Weighted, canonical_weights, level_copies, walk_paths
+from .pathcx import PathComplex, PathStore, Vertex, Weighted, canonical_weights, level_copies, walk_paths
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,7 @@ class Arrow:
             raise InvariantError("origin and end must be disjoint")
 
     def render(self) -> str:
-        o = ",".join(sorted(v.render() for v in self.origin))
-        e = ",".join(sorted(v.render() for v in self.end))
-        return f"{{{o}}} -> {{{e}}}"
+        return f"{render_set(self.origin)} -> {render_set(self.end)}"
 
     def sort_key(self):
         return (sorted(self.origin), sorted(self.end))
@@ -158,6 +156,11 @@ def classify_morphism(f: HyperMorphism) -> WeightClassification:
     return WeightClassification(vertex, edge, vertex and edge)
 
 
+def render_set(xs: Iterable[Vertex]) -> str:
+    """A vertex set as {a,b'}: its members' renderings, sorted."""
+    return "{" + ",".join(sorted(v.render() for v in xs)) + "}"
+
+
 def _set_vertex(xs: frozenset) -> Vertex:
     """Canonical vertex for a set of vertices, e.g. {a,b}.
 
@@ -165,12 +168,8 @@ def _set_vertex(xs: frozenset) -> Vertex:
     vertex, so box-product level sets line up with cylinder priming.
     """
     primes = {v.prime for v in xs}
-    if len(primes) == 1:
-        level = primes.pop()
-        label = "{" + ",".join(sorted(v.label for v in xs)) + "}"
-        return Vertex(label, level)
-    label = "{" + ",".join(sorted(v.render() for v in xs)) + "}"
-    return Vertex(label, 0)
+    level = primes.pop() if len(primes) == 1 else 0
+    return Vertex(render_set(v.primed(-level) for v in xs), level)
 
 
 def natural_digraph(g: DirectedHypergraph) -> WeightedDigraph:
@@ -194,8 +193,7 @@ def connective_functor(g: DirectedHypergraph, maxlen: int) -> PathComplex:
         for v in a.origin:
             succ[v].update(a.end)
     # Every successor is a vertex, so the walks already form a path complex (see walk_paths).
-    paths = walk_paths(succ, maxlen)
-    return PathComplex.build(g.vertices, paths, g.weight_map() if g.is_weighted else None, g.ring)
+    return PathComplex(g.vertices, walk_paths(succ, maxlen), g.weights, g.ring)
 
 
 def underlying_hypergraph(g: DirectedHypergraph) -> Hypergraph:
@@ -215,7 +213,7 @@ def density_two_functor(h: Hypergraph, maxlen: int) -> PathComplex:
         for v in e:
             neigh[v].update(e)  # includes v itself: the pair (v, v) lies in e
     # Every neighbour is a vertex, so the walks already form a path complex (see walk_paths).
-    return PathComplex.build(h.vertices, walk_paths(neigh, maxlen))
+    return PathComplex(h.vertices, walk_paths(neigh, maxlen))
 
 
 def density_two_of(g: DirectedHypergraph, maxlen: int) -> PathComplex:
@@ -243,54 +241,51 @@ def bold_functor(g: DirectedHypergraph, maxlen: int) -> PathComplex:
     extends to a decomposable path of length <= maxlen + 1, and there is no
     acceptance test, no longer pass and no closure pass.  A path determines
     the state set its runs reach, so the walk extends paths group by group,
-    with the moves of each distinct state set computed once per call.
+    with the moves of each distinct state set computed once per call.  It walks
+    on vertex numbers and sorts each bucket of codes into the complex's store.
     """
+    vertices = tuple(sorted(g.vertices))
+    number = {v: k for k, v in enumerate(vertices)}.__getitem__
     arrows = g.sorted_arrows()
-    start: dict = {v: set() for v in g.vertices}
-    for i, a in enumerate(arrows):
-        for v in a.origin:
-            start[v].add(("pre", i))
-        for v in a.end:
+    origins = [set(map(number, a.origin)) for a in arrows]
+    ends = [set(map(number, a.end)) for a in arrows]
+    start = [{("pre", i) for i, origin in enumerate(origins) if v in origin} for v in range(len(vertices))]
+    for i, end in enumerate(ends):
+        for v in end:
             start[v].add(("post", i))
 
-    def arrival_states(w: Vertex, crossed: int) -> list:
-        return [("post", crossed)] + [("mid", crossed, j) for j, b in enumerate(arrows) if w in b.origin]
+    def arrival_states(w: int, crossed: int) -> list:
+        return [("post", crossed)] + [("mid", crossed, j) for j, origin in enumerate(origins) if w in origin]
 
     def steps_from(states: frozenset) -> list:
         moves: dict = {}
         for s in states:
-            if s[0] == "pre":
-                i = s[1]
-                for u in arrows[i].origin:
-                    moves.setdefault(u, set()).add(s)
-                for u in arrows[i].end:
-                    moves.setdefault(u, set()).update(arrival_states(u, i))
-            elif s[0] == "mid":
-                _, e, f = s
-                for u in arrows[e].end & arrows[f].origin:
-                    moves.setdefault(u, set()).add(s)
-                for u in arrows[f].end:
-                    moves.setdefault(u, set()).update(arrival_states(u, f))
-            else:  # post
-                for u in arrows[s[1]].end:
-                    moves.setdefault(u, set()).add(s)
+            if s[0] == "post":
+                stay, crossing = ends[s[1]], None
+            else:  # pre(i) stays in A_i and crosses i; mid(e, f) stays in B_e & A_f and crosses f
+                crossing = s[-1]
+                stay = origins[crossing] if s[0] == "pre" else ends[s[1]] & origins[crossing]
+            for u in stay:
+                moves.setdefault(u, set()).add(s)
+            for u in ends[crossing] if crossing is not None else ():
+                moves.setdefault(u, set()).update(arrival_states(u, crossing))
         return [(u, frozenset(moves[u])) for u in sorted(moves)]
 
     steps: dict = {}  # state set -> sorted (next vertex, next state set) pairs
-    frontier: dict = {}  # state set -> the vertex tuples whose run ends in it
-    for v, states in sorted(start.items()):
+    frontier: dict = {}  # state set -> the codes whose run ends in it
+    for v, states in enumerate(start):
         frontier.setdefault(frozenset(states), []).append((v,))
-    walks = [vs for group in frontier.values() for vs in group]
+    buckets = [tuple((v,) for v in range(len(vertices)))]
     for _ in range(maxlen):
         nxt: dict = {}
         for states, group in frontier.items():
             if states not in steps:
                 steps[states] = steps_from(states)
             for u, after in steps[states]:
-                nxt.setdefault(after, []).extend([vs + (u,) for vs in group])
+                nxt.setdefault(after, []).extend([c + (u,) for c in group])
         frontier = nxt
-        walks.extend(vs for group in frontier.values() for vs in group)
-    return PathComplex.build(g.vertices, map(Path, walks), g.weight_map() if g.is_weighted else None, g.ring)
+        buckets.append(tuple(sorted(c for group in frontier.values() for c in group)))
+    return PathComplex(g.vertices, PathStore(vertices, tuple(buckets)), g.weights, g.ring)
 
 
 def hyper_box_product(g: DirectedHypergraph, line: LineDigraph) -> DirectedHypergraph:

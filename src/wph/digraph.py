@@ -78,8 +78,7 @@ def paths_functor(g: WeightedDigraph, maxlen: int) -> PathComplex:
     for x, y in g.edges:
         successors[x].append(y)
     # Every successor is a vertex, so the walks already form a path complex (see walk_paths).
-    paths = walk_paths(successors, maxlen)
-    return PathComplex.build(g.vertices, paths, g.weight_map() if g.is_weighted else None, g.ring)
+    return PathComplex(g.vertices, walk_paths(successors, maxlen), g.weights, g.ring)
 
 
 def box_product(g: WeightedDigraph, line: LineDigraph) -> WeightedDigraph:

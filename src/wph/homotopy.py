@@ -6,7 +6,7 @@ from typing import Optional
 
 from .algebra import QQ, ZZ
 from .chain import OmegaComplex, _face_terms, build_omega, code_images, induced_chain_map, prism, restrict_to_omega
-from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, set_weight
+from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, render_set, set_weight
 from .digraph import paths_functor
 from .errors import (
     HomotopyIdentityFailedError,
@@ -86,9 +86,9 @@ def one_step_homotopy_pathcx(
     (`PathComplex.cylinder`), built once per complex.
     """
     problems = []
-    if f.source.paths != g.source.paths or f.source.vertices != g.source.vertices:
+    if f.source.store != g.source.store or f.source.vertices != g.source.vertices:
         problems.append("f and g have different sources")
-    if f.target.paths != g.target.paths or f.target.vertices != g.target.vertices:
+    if f.target.store != g.target.store or f.target.vertices != g.target.vertices:
         problems.append("f and g have different targets")
     if problems:
         return HomotopyReport(False, None, problems)
@@ -108,13 +108,17 @@ class StepSpec:
     direction: str = "forward"  # forward: previous -> this; backward: swapped
 
 
+def chain_step_pairs(steps: list) -> list:
+    """(a, b) for each step k -> k + 1 of a chain: a one-step homotopy from a = f_k to
+    b = f_(k+1), or from f_(k+1) to f_k for a backward step."""
+    pairs = [(s.morphism, t.morphism) for s, t in zip(steps, steps[1:])]
+    return [(b, a) if t.direction == "backward" else (a, b) for (a, b), t in zip(pairs, steps[1:])]
+
+
 def verify_homotopy_chain(steps: list, allow_degenerate: bool = False) -> HomotopyReport:
     """Verify a user-supplied chain f = f0, ..., fn = g of one-step homotopies."""
     problems = []
-    for k in range(len(steps) - 1):
-        a, b = steps[k].morphism, steps[k + 1].morphism
-        if steps[k + 1].direction == "backward":
-            a, b = b, a
+    for k, (a, b) in enumerate(chain_step_pairs(steps)):
         rep = one_step_homotopy_pathcx(a, b, allow_degenerate=allow_degenerate)
         if not rep.ok:
             problems.append(f"step {k} -> {k + 1} fails: " + "; ".join(rep.problems))
@@ -226,16 +230,10 @@ def chain_homotopy_certificate(
     dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).  Both
     sides must be weighted over one ring (MissingWeightError otherwise).
 
-    L_n is F_* after the prism, F the one-step homotopy, with no Omega of the
-    cylinder (`chain_homotopy`): F maps the prism's one-jump lifts of each
-    source path on integer path codes, by the lift walker the prism check uses
-    (`chain.prism`), and `restrict_to_omega` re-expresses the
-    image in Omega_(n+1)(target) (ImageNotInOmegaError when it leaves it).
-    f_* and g_* (`induced_chain_map`) take their images on the same codes.  The
-    identity is checked there, so once it holds L is a chain homotopy on Omega,
-    whatever complex the prism passes through.  The one-step check reads the
-    source's cylinder, built once per complex (`PathComplex.cylinder`), so the
-    cylinder inclusions' own cylinder is not built again.
+    L_n is F_* after the prism on path codes, F the one-step homotopy, with no
+    Omega of the cylinder (`chain_homotopy`); f_* and g_* (`induced_chain_map`)
+    take their images on the same codes.  Once the identity holds there, L is a
+    chain homotopy on Omega, whatever complex the prism passes through.
 
     Over Q the certificate runs on the support complexes over Z.  The one-step
     check (weight preservation included), the source's unit weights and the
@@ -279,7 +277,7 @@ def chain_homotopy_certificate(
     """
     hrep = one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
     if not hrep.ok:
-        return CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
+        return CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
     gammas = _require_invertible_weights(f.source)
     ring = f.source.ring
     if not f.target.is_weighted or f.target.ring != ring:
@@ -289,8 +287,7 @@ def chain_homotopy_certificate(
         f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
         gammas = dict.fromkeys(gammas, ZZ.one)
 
-    longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)
-    top = min(max_degree + 1, longest + 1)
+    top = min(max_degree + 1, max(len(f.source.store.buckets), len(f.target.store.buckets)))
     om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
     f_mats = induced_chain_map(f, om_src, om_tgt)
     g_mats = induced_chain_map(g, om_src, om_tgt)
@@ -357,31 +354,18 @@ def one_step_homotopy_dhyper(
         if fo == go:
             if mode == "strict":
                 problems.append(
-                    f"strict mode: the crossing arrow for set "
-                    f"{{{','.join(sorted(v.render() for v in s))}}} would need equal "
-                    f"origin and end {{{','.join(sorted(v.render() for v in fo))}}}, "
-                    "which arrow disjointness forbids"
+                    f"strict mode: the crossing arrow for set {render_set(s)} would need equal "
+                    f"origin and end {render_set(fo)}, which arrow disjointness forbids"
                 )
             continue
         if fo & go:
-            problems.append(
-                f"images of set {{{','.join(sorted(v.render() for v in s))}}} "
-                "overlap; no arrow can join them"
-            )
+            problems.append(f"images of set {render_set(s)} overlap; no arrow can join them")
         elif (fo, go) not in target_pairs:
-            problems.append(
-                f"target lacks the crossing arrow "
-                f"{{{','.join(sorted(v.render() for v in fo))}}} -> "
-                f"{{{','.join(sorted(v.render() for v in go))}}}"
-            )
-    flags = dict(vertex_weighted=False, edge_weighted=False, strong_weighted=False)
+            problems.append(f"target lacks the crossing arrow {render_set(fo)} -> {render_set(go)}")
+    flags = dict.fromkeys(("vertex_weighted", "edge_weighted", "strong_weighted"), False)
     if f.source.is_weighted and f.target.is_weighted:
         cf, cg = classify_morphism(f), classify_morphism(g)
-        flags = dict(
-            vertex_weighted=cf.vertex_weighted and cg.vertex_weighted,
-            edge_weighted=cf.edge_weighted and cg.edge_weighted,
-            strong_weighted=cf.strong_weighted and cg.strong_weighted,
-        )
+        flags = {k: getattr(cf, k) and getattr(cg, k) for k in flags}
     return HyperHomotopyReport(ok=not problems, problems=problems, **flags)
 
 
@@ -399,7 +383,7 @@ def edge_weighted_certificate(
     """
     hrep = one_step_homotopy_dhyper(f, g, mode=mode)
     if not hrep.ok:
-        return CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
+        return CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
     if not f.source.is_weighted:
         raise NonInvertibleWeightError("an unweighted hypergraph has no invertible set weights")
     ring = f.source.ring
@@ -407,10 +391,7 @@ def edge_weighted_certificate(
     for s in f.source.origin_end_sets():
         w = set_weight(s, wmap, ring)
         if not ring.is_unit(w):
-            raise NonInvertibleWeightError(
-                f"set weight {w} of {{{','.join(sorted(v.render() for v in s))}}} "
-                f"is not invertible in {ring.name}"
-            )
+            raise NonInvertibleWeightError(f"set weight {w} of {render_set(s)} is not invertible in {ring.name}")
     return chain_homotopy_certificate(*natural_path_morphisms(f, g, maxlen), max_degree)
 
 

@@ -331,9 +331,10 @@ def _emit_weights(body: dict, obj: Weighted) -> None:
 
 
 def emit_path_complex(pc: PathComplex, description: Optional[str] = None) -> bytes:
+    names = [v.render() for v in pc.store.vertices]  # the paths in store order, rendered from their codes
     body = {
         "vertices": [v.render() for v in pc.sorted_vertices()],
-        "paths": [[v.render() for v in p.vertices] for p in pc.sorted_paths()],
+        "paths": [[names[k] for k in c] for bucket in pc.store.buckets for c in bucket],
     }
     _emit_weights(body, pc)
     return _dump(_envelope("path_complex", pc.ring, body, description))

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import ne
+from operator import eq
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import ZZ, Ring
@@ -72,11 +72,6 @@ class Path(_PathFields):
     def primed(self) -> "Path":
         return Path(tuple(v.primed() for v in self.vertices))
 
-    def lifts(self) -> list:
-        """The one-jump lifts into the cylinder: the k-th runs v0..vk, then vk'..vn'."""
-        vs, up = self.vertices, self.primed().vertices
-        return [Path(vs[: k + 1] + up[k:]) for k in range(len(vs))]
-
     def render(self) -> str:
         return "(" + " ".join(v.render() for v in self.vertices) + ")"
 
@@ -86,7 +81,7 @@ class Path(_PathFields):
 
 def is_regular(seq: Sequence) -> bool:
     """No two consecutive entries are equal: regularity of a vertex tuple or an integer path code."""
-    return all(map(ne, seq, seq[1:]))
+    return not any(map(eq, seq, seq[1:]))
 
 
 def canonical_weights(
@@ -139,19 +134,55 @@ def level_copies(vertices: Iterable[Vertex], levels: Iterable[int]) -> set:
     return set(copies)
 
 
-def walk_paths(successors: Mapping[Vertex, Iterable[Vertex]], maxlen: int) -> list:
-    """Every walk of at most maxlen steps from any key of `successors` along its values.
+def lifts(code: tuple, bottom, top) -> list:
+    """The n + 1 one-jump lifts of the path code c_0..c_n: lift k maps c_0..c_k by the
+    vertex table bottom and c_k..c_n by top.  The one lift walker, of the cylinder and
+    of the prism operator (`chain.prism`)."""
+    low, high = [bottom[x] for x in code], [top[x] for x in code]
+    return [tuple(low[: k + 1] + high[k:]) for k in range(len(code))]
 
-    When every successor is itself a key, the walks hold every singleton and
-    are closed under truncation: they form a path complex on the keys as they
-    stand, with no closure pass.
-    """
-    paths = [Path.of(v) for v in sorted(successors)]
-    frontier = list(paths)
+
+@dataclass(frozen=True)
+class PathStore:
+    """The paths of a complex as integer codes.  vertices lists the declared vertices
+    and every path vertex in sorted order, and a code is the tuple of its vertices'
+    indices there, so codes sort as the paths do.  buckets[n] holds the sorted codes
+    of all n-paths, irregular ones too, up to the last bucket that is not empty.
+    Complexes on one path set share one store, with its regular filter and `paths` view."""
+
+    vertices: tuple
+    buckets: tuple  # tuples of codes
+
+    def __post_init__(self):
+        while self.buckets and not self.buckets[-1]:
+            object.__setattr__(self, "buckets", self.buckets[:-1])
+
+    @cached_property
+    def regular_codes(self) -> tuple:
+        """(numbers, buckets): each vertex's number, and the codes of the regular paths."""
+        numbers = {v: k for k, v in enumerate(self.vertices)}
+        return numbers, tuple(tuple(filter(is_regular, bucket)) for bucket in self.buckets)
+
+    @cached_property
+    def paths(self) -> frozenset:
+        vs = self.vertices.__getitem__
+        return frozenset(Path(tuple(map(vs, c))) for bucket in self.buckets for c in bucket)
+
+
+def walk_paths(successors: Mapping[Vertex, Iterable[Vertex]], maxlen: int) -> PathStore:
+    """Every walk of at most maxlen steps from any key of `successors` along its values,
+    as a store.  Every successor must itself be a key: then the walks form a path
+    complex on the keys as they stand, with no closure pass.  The walk runs on the
+    keys' numbers, with sorted successor lists, so each step emits a sorted bucket."""
+    vertices = tuple(sorted(successors))
+    number = {v: k for k, v in enumerate(vertices)}.__getitem__
+    nexts = [sorted(map(number, successors[v])) for v in vertices]
+    frontier = [(k,) for k in range(len(vertices))]
+    buckets = [tuple(frontier)]
     for _ in range(maxlen):
-        frontier = [Path(p.vertices + (y,)) for p in frontier for y in successors[p.vertices[-1]]]
-        paths.extend(frontier)
-    return paths
+        frontier = [c + (y,) for c in frontier for y in nexts[c[-1]]]
+        buckets.append(tuple(frontier))
+    return PathStore(vertices, tuple(buckets))
 
 
 @dataclass
@@ -164,14 +195,15 @@ class ValidationReport:
 class PathComplex(Weighted):
     """A vertex set plus a truncation-closed set of elementary paths.
 
-    `weights` maps every vertex to an element of `ring` when present.
-    Instances are immutable; construct with `PathComplex.build` (which checks
-    nothing) and use `validate` for axiom checking, or `complex_from_paths`
-    for automatic closure.
+    The paths are stored as integer code buckets (`PathStore`); `paths` is
+    their view as Path objects.  `weights` maps every vertex to an element of
+    `ring` when present.  Instances are immutable; construct with
+    `PathComplex.build` (which checks nothing) and use `validate` for axiom
+    checking, or `complex_from_paths` for automatic closure.
     """
 
     vertices: frozenset
-    paths: frozenset
+    store: PathStore
     weights: Optional[tuple] = None  # sorted tuple of (Vertex, scalar)
     ring: Optional[Ring] = None
 
@@ -183,37 +215,38 @@ class PathComplex(Weighted):
         weights: Optional[Mapping[Vertex, object]] = None,
         ring: Optional[Ring] = None,
     ) -> "PathComplex":
-        return cls(frozenset(vertices), frozenset(paths), canonical_weights(weights, ring), ring)
+        """The complex on the given Path objects, coded once into its store."""
+        vertices, paths = frozenset(vertices), frozenset(paths)
+        order = tuple(sorted(vertices.union(*(p.vertices for p in paths))))
+        number = {v: k for k, v in enumerate(order)}.__getitem__
+        buckets = [[] for _ in range(max((p.length for p in paths), default=-1) + 1)]
+        for p in paths:
+            buckets[p.length].append(tuple(map(number, p.vertices)))
+        store = PathStore(order, tuple(tuple(sorted(bucket)) for bucket in buckets))
+        return cls(vertices, store, canonical_weights(weights, ring), ring)
+
+    @property
+    def paths(self) -> frozenset:
+        """Every path as a Path: the store's view, decoded on first read and kept with it."""
+        return self.store.paths
 
     def sorted_vertices(self) -> list:
         return sorted(self.vertices)
 
-    def sorted_paths(self) -> list:
-        return sorted(self.paths, key=lambda p: (p.length, p.vertices))
-
     def validate(self) -> ValidationReport:
-        problems = []
+        paths, known, problems = self.paths, self.vertices, []
         for v in self.sorted_vertices():
-            if Path.of(v) not in self.paths:
+            if Path.of(v) not in paths:
                 problems.append(f"missing singleton path for vertex {v.render()}")
-        for p in self.sorted_paths():
-            for v in p.vertices:
-                if v not in self.vertices:
-                    problems.append(f"path {p.render()} uses unknown vertex {v.render()}")
-            if p.length >= 1:
-                for trunc in (p.drop_back(), p.drop_front()):
-                    if trunc not in self.paths:
-                        problems.append(
-                            f"path {p.render()} lacks truncation {trunc.render()}"
-                        )
+        for p in sorted(paths, key=lambda p: (p.length, p.vertices)):
+            problems += [f"path {p.render()} uses unknown vertex {v.render()}" for v in p.vertices if v not in known]
+            truncations = (p.drop_back(), p.drop_front()) if p.length else ()
+            problems += [f"path {p.render()} lacks truncation {t.render()}" for t in truncations if t not in paths]
         if self.is_weighted:
             wmap = self.weight_map()
-            for v in self.sorted_vertices():
-                if v not in wmap:
-                    problems.append(f"vertex {v.render()} has no weight")
-            for v, _ in self.weights:
-                if v not in self.vertices:
-                    problems.append(f"weighted vertex {v.render()} is not a declared vertex")
+            problems += [f"vertex {v.render()} has no weight" for v in self.sorted_vertices() if v not in wmap]
+            extra = [v for v, _ in self.weights if v not in known]
+            problems += [f"weighted vertex {v.render()} is not a declared vertex" for v in extra]
         return ValidationReport(ok=not problems, problems=problems)
 
     def regular_paths(self, n: int) -> list:
@@ -222,34 +255,19 @@ class PathComplex(Weighted):
         return sorted(p for p in self.paths if p.length == n and p.is_regular())
 
     def regular_path_codes(self, max_degree: int) -> tuple:
-        """The regular paths of length <= max_degree as integer codes, bucketed by length.
-
-        Returns (numbers, buckets).  numbers maps each vertex to its number,
-        counting from 0 in sorted vertex order (also its key order), so
-        comparing codes compares the paths: buckets[n] lists the codes of the
-        regular n-paths in canonical order.  Regularity is read off the vertex
-        tuple, so an irregular path is never numbered or coded: the numbering
-        covers the declared vertices and the vertices of the regular paths
-        kept, and a vertex that only irregular paths use has no number.
-        """
-        top = max_degree + 1
-        kept = [p.vertices for p in self.paths if len(p.vertices) <= top and is_regular(p.vertices)]
-        numbers = {v: k for k, v in enumerate(sorted(self.vertices.union(*kept)))}
-        number = numbers.__getitem__
-        buckets = [[] for _ in range(top)]
-        for vs in kept:
-            buckets[len(vs) - 1].append(tuple(map(number, vs)))
-        for bucket in buckets:
-            bucket.sort()
-        return numbers, buckets
+        """(numbers, buckets), read off the store: each vertex's number, and for n <=
+        max_degree the codes of the regular n-paths in canonical order."""
+        numbers, regular = self.store.regular_codes
+        return numbers, [regular[n] if n < len(regular) else () for n in range(max_degree + 1)]
 
     def truncate(self, maxlen: int) -> "PathComplex":
-        """Drop paths longer than maxlen (truncation closure is preserved)."""
-        paths = frozenset(p for p in self.paths if p.length <= maxlen)
-        return PathComplex(self.vertices, paths, self.weights, self.ring)
+        """Drop paths longer than maxlen (truncation closure is preserved): the store's
+        numbering and a prefix of its buckets."""
+        store = PathStore(self.store.vertices, self.store.buckets[: maxlen + 1])
+        return PathComplex(self.vertices, store, self.weights, self.ring)
 
     def reweighted(self, weights: Optional[Mapping[Vertex, object]], ring: Optional[Ring]) -> "PathComplex":
-        return PathComplex.build(self.vertices, self.paths, weights, ring)
+        return PathComplex(self.vertices, self.store, canonical_weights(weights, ring), ring)
 
     def support(self) -> "PathComplex":
         """The support complex over Z of a weighted complex: the same vertices and
@@ -257,25 +275,30 @@ class PathComplex(Weighted):
         if self.weights is None:
             raise MissingWeightError("an unweighted complex has no support complex")
         weights = tuple((v, int(w != 0)) for v, w in self.weights)  # still sorted by vertex
-        return PathComplex(self.vertices, self.paths, weights, ZZ)
+        return PathComplex(self.vertices, self.store, weights, ZZ)
 
     def cylinder(self) -> "PathComplex":
         """The cylinder on V + V' with paths P, P' and the one-jump lifts P#.
 
         It is built on the first call and kept with the complex, so both
         cylinder inclusions, the one-step homotopy check and every step of a
-        homotopy chain on this complex share one cylinder.
+        homotopy chain on this complex share one cylinder.  It is built on codes.
         """
         return self._cylinder
 
     @cached_property
     def _cylinder(self) -> "PathComplex":
-        vertices = level_copies(self.vertices, (0, 1))
-        paths = set(self.paths)
-        paths.update(p.primed() for p in self.paths)
-        for p in self.paths:
-            paths.update(p.lifts())
-        return PathComplex.build(vertices, paths, self.level_weights((0, 1)), self.ring)
+        store = self.store
+        numbered = tuple(sorted(level_copies(store.vertices, (0, 1))))  # v_k and v_k' at 2k and 2k + 1
+        even, odd = range(0, len(numbered), 2), range(1, len(numbered), 2)
+        buckets = [[] for _ in range(len(store.buckets) + 1)]
+        for n, bucket in enumerate(store.buckets):
+            for c in bucket:
+                buckets[n] += (tuple([even[x] for x in c]), tuple([odd[x] for x in c]))
+                buckets[n + 1] += lifts(c, even, odd)
+        cyl = PathStore(numbered, tuple(tuple(sorted(bucket)) for bucket in buckets))
+        vertices = frozenset(level_copies(self.vertices, (0, 1)))
+        return PathComplex(vertices, cyl, canonical_weights(self.level_weights((0, 1)), self.ring), self.ring)
 
 
 def complex_from_paths(

@@ -249,10 +249,40 @@ def regular_faces(seq) -> list:
     return [(s, seq[:s] + seq[s + 1 :]) for s in range(last + 1) if s in (0, last) or seq[s - 1] != seq[s + 1]]
 
 
+def lifts_by_paths(p: Path) -> list:
+    """The one-jump lifts of p into the cylinder on Path objects: the k-th runs v0..vk,
+    then vk'..vn'.  The reference for `pathcx.lifts`."""
+    vs, up = p.vertices, p.primed().vertices
+    return [Path(vs[: k + 1] + up[k:]) for k in range(len(vs))]
+
+
+def walk_paths_by_paths(successors: dict, maxlen: int) -> list:
+    """Every walk of at most maxlen steps from any key of `successors` along its values,
+    as Path objects: the reference for `pathcx.walk_paths`, which walks on vertex numbers
+    straight into sorted code buckets."""
+    paths = [Path.of(v) for v in sorted(successors)]
+    frontier = list(paths)
+    for _ in range(maxlen):
+        frontier = [Path(p.vertices + (y,)) for p in frontier for y in successors[p.vertices[-1]]]
+        paths.extend(frontier)
+    return paths
+
+
+def cylinder_by_paths(pc: PathComplex) -> PathComplex:
+    """The cylinder of pc built on Path objects, P, P' and the one-jump lifts, and coded
+    once by `PathComplex.build`: the reference for `PathComplex.cylinder`, which is built
+    on codes."""
+    paths = set(pc.paths)
+    paths.update(p.primed() for p in pc.paths)
+    for p in pc.paths:
+        paths.update(lifts_by_paths(p))
+    return PathComplex.build(level_copies(pc.vertices, (0, 1)), paths, pc.level_weights((0, 1)), pc.ring)
+
+
 def prism_by_paths(p: Path, gammas: dict, ring) -> list:
-    """The prism of e_p as (lift, coefficient) terms on Path objects: lift k of `p.lifts()`
-    with (-1)^k gammas[v_k].  The reference for `chain.prism`."""
-    return [(q, ring.neg(gammas[v]) if k % 2 else gammas[v]) for k, (v, q) in enumerate(zip(p.vertices, p.lifts()))]
+    """The prism of e_p as (lift, coefficient) terms on Path objects: lift k of
+    `lifts_by_paths(p)` with (-1)^k gammas[v_k].  The reference for `chain.prism`."""
+    return [(q, ring.neg(gammas[v]) if k % 2 else gammas[v]) for k, (v, q) in enumerate(zip(p.vertices, lifts_by_paths(p)))]
 
 
 def boundary_by_paths(p: Path, signed: dict) -> list:
@@ -305,10 +335,11 @@ def face_terms_by_comprehension(codes: list, below, signed: list, n: int) -> tup
 
 
 def regular_path_codes_coding_every_path(pc: PathComplex, max_degree: int) -> tuple:
-    """What `PathComplex.regular_path_codes` gives, by numbering the vertices of every path
-    of length <= max_degree, irregular ones too, and testing regularity on the codes."""
+    """What `PathComplex.regular_path_codes` gives, from the `paths` view: by numbering
+    the declared vertices and those of every path, irregular ones too, coding the paths
+    of length <= max_degree and testing regularity on the codes."""
     candidates = [p for p in pc.paths if p.length <= max_degree]
-    numbers = {v: k for k, v in enumerate(sorted(pc.vertices.union(*(p.vertices for p in candidates))))}
+    numbers = {v: k for k, v in enumerate(sorted(pc.vertices.union(*(p.vertices for p in pc.paths))))}
     buckets = [[] for _ in range(max_degree + 1)]
     for p in candidates:
         code = tuple(map(numbers.__getitem__, p.vertices))
@@ -519,7 +550,7 @@ def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int,
     patches the lifts of both."""
     hrep = homotopy.one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
     if not hrep.ok:
-        return homotopy.CertificateReport(False, ["not one-step homotopic: "] + hrep.problems)
+        return homotopy.CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
     gammas = homotopy._require_invertible_weights(f.source)
     ring = f.source.ring
     if not f.target.is_weighted or f.target.ring != ring:

@@ -29,7 +29,7 @@ from wph.digraph import (
 )
 from wph.homotopy import chain_homotopy_certificate, one_step_homotopy_pathcx, verify_prism_identity
 from wph.oracle import homology_dimensions
-from wph.pathcx import Path, Vertex, complex_from_paths, inclusion_bottom, inclusion_top
+from wph.pathcx import inclusion_bottom, inclusion_top
 
 from helpers import (
     FIXTURES,

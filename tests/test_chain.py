@@ -462,16 +462,17 @@ def test_missing_weight_fires_only_on_a_regular_path_of_positive_degree():
             build_omega(pc, top)
 
 
-def test_a_vertex_only_irregular_paths_use_has_no_number():
-    # z is neither declared nor weighted, and only the irregular (b z z) uses it
+def test_a_vertex_only_irregular_paths_use_has_no_row():
+    # z is neither declared nor weighted, and only the irregular (b z z) uses it: the
+    # store numbers it, but no regular code holds it, so its missing weight is never read
     z = Vertex("z")
     paths = [Path.of(a), Path.of(b), Path((a, b)), Path((b, z, z))]
     pc = PathComplex.build([a, b], paths, {a: 2, b: 4}, ZZ)
     numbers, buckets = pc.regular_path_codes(2)
-    assert numbers == {a: 0, b: 1} and [len(bucket) for bucket in buckets] == [2, 1, 0]
+    assert numbers == {a: 0, b: 1, z: 2} and [len(bucket) for bucket in buckets] == [2, 1, 0]
     assert homology(pc, 3).groups == [HomologyGroup(1, [2]), HomologyGroup(0), HomologyGroup(0)]
     om = build_omega(pc, 2)
-    assert om.numbers == {a: 0, b: 1} and om.rows[1:] == [{(0, 1): 0}, {}]
+    assert om.numbers == {a: 0, b: 1, z: 2} and om.rows[1:] == [{(0, 1): 0}, {}]
 
 
 @pytest.mark.parametrize(

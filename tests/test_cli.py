@@ -231,6 +231,57 @@ def test_homotopy_check_chain_mode(capsys):
     assert "homotopy chain: PASS" in out
 
 
+def point_into_a_path_args(tmp_path, steps: list, g: str) -> list:
+    """homotopy-check, with every certificate, of the point a into x -> y -> z over Q
+    along the chain of `steps`, (image of a, direction) pairs; f sends a to x."""
+    docs = {
+        "xyz.json": {"kind": "path_complex", "ring": "Q", "body": {
+            "vertices": ["x", "y", "z"],
+            "paths": [["x"], ["y"], ["z"], ["x", "y"], ["y", "z"], ["x", "y", "z"]],
+            "weights": {"x": "1/1", "y": "1/1", "z": "1/1"},
+        }},
+        "g.json": {"kind": "morphism", "body": {"vertex_map": {"a": g}}},
+        "chain.json": {"kind": "homotopy_chain", "body": {
+            "steps": [{"vertex_map": {"a": v}, "direction": d} for v, d in steps],
+        }},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps({"format_version": "1", **doc}))
+    return [
+        "homotopy-check", str(FIXTURES / "pc_point_q.json"), str(tmp_path / "xyz.json"),
+        "--f", str(FIXTURES / "mor_a_to_x.json"), "--g", str(tmp_path / "g.json"),
+        "--mode", "chain", "--chain", str(tmp_path / "chain.json"), "--certify-chain-homotopy",
+    ]
+
+
+@pytest.mark.parametrize(
+    "steps, g",
+    [
+        ([("x", "forward"), ("y", "forward"), ("z", "forward")], "z"),
+        ([("x", "forward"), ("y", "forward"), ("x", "backward"), ("y", "forward")], "y"),
+    ],
+    ids=["forward", "back-and-forth"],
+)
+def test_a_homotopy_chain_is_certified_step_by_step(tmp_path, capsys, steps, g):
+    # f and g are not one step apart, so each step has its own certificate
+    code, out, err = run(capsys, *point_into_a_path_args(tmp_path, steps, g))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "homotopy chain: PASS",
+        "chain-homotopy certificate: PASS",
+        "identity dL + Ld = g* - f* holds in degrees <= 3",
+        "induced homology maps equal: yes",
+    ]
+
+
+def test_a_chain_step_whose_certificate_fails_is_named(tmp_path, capsys):
+    # twice every lift breaks the identity of every step; the first is named
+    with doubled_lifts():
+        code, out, err = run(capsys, *point_into_a_path_args(tmp_path, [("x", "forward"), ("y", "forward")], "y"))
+    assert (code, out) == (4, "homotopy chain: PASS\n")
+    assert err == "error: step 0 -> 1: chain-homotopy identity fails on Omega_0 generator 0\n"
+
+
 def test_homotopy_check_dhyper(capsys):
     code, out, _ = run(capsys, *_DH_CERT_ARGS)
     assert code == 0

@@ -157,7 +157,7 @@ def test_a_partial_vertex_map_is_reported_unmapped(partial):
     rep = one_step_homotopy_pathcx(f, g)
     assert (rep.ok, rep.problems, rep.homotopy) == (False, [unmapped], None)
     cert = chain_homotopy_certificate(f, g, 2)
-    assert (cert.ok, cert.problems) == (False, ["not one-step homotopic: ", unmapped])
+    assert (cert.ok, cert.problems) == (False, [f"not one-step homotopic: {unmapped}"])
 
 
 def count_cylinder_builds(monkeypatch) -> list:
