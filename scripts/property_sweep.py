@@ -12,6 +12,13 @@ Checks, on freshly sampled instances:
     inclusion to itself, through the degenerate projection of the cylinder),
   * each of those certificates' equal-homology-maps flag agrees with one
     lattice test per degree on the induced maps (helpers.homology_maps_equal),
+  * on one random homotopy chain of 2 to 4 steps per instance, from a point or
+    an edge into a random digraph's path complex, over Q and Z/5 in turn
+    (helpers.random_homotopy_chain), `wph homotopy-check --mode chain
+    --certify-chain-homotopy` passes exactly when every step is a one-step
+    homotopy on Path objects, and then says the end maps are equal on
+    homology, as the lattice test does
+    (helpers.assert_chain_verdict_matches_lattice),
   * those two certificates and one on a random homotopy over Q
     (helpers.random_q_homotopy), each also with the lifts doubled, report
     what the certificate run over Q itself reports
@@ -48,6 +55,7 @@ Checks, on freshly sampled instances:
 import argparse
 import random
 import sys
+import tempfile
 from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
@@ -64,6 +72,7 @@ from wph.oracle import homology_dimensions
 from wph.pathcx import inclusion_bottom, inclusion_top
 
 from helpers import (
+    assert_chain_verdict_matches_lattice,
     assert_prism_routes_agree,
     bold_reference,
     certificate_outcome,
@@ -150,6 +159,8 @@ def main():
             for case in cases:
                 certificate_outcome(chain_homotopy_certificate, *case)
         assert all(got == want for got, want in pairs), i
+        with tempfile.TemporaryDirectory() as directory:
+            assert_chain_verdict_matches_lattice(rng, QQ if i % 2 else Zmod(5), directory)
         for ring in (ZZ, Zmod(7)):
             f2, g2, gammas = random_pair(rng, ring)
             top = min(3, 1 + max(p.length for pc in (f2.source, f2.target) for p in pc.paths))

@@ -18,7 +18,6 @@ from . import io as wio
 from .algebra import QQ, ZZ, ModularRing, Zmod
 from .chain import HomologyResult, homology
 from .dhyper import (
-    DirectedHypergraph,
     HyperMorphism,
     edge_weighted_homology,
     hyper_box_product,
@@ -46,7 +45,7 @@ from .homotopy import (
     verify_homotopy_chain,
     verify_prism_identity,
 )
-from .pathcx import PathComplex, PathMorphism
+from .pathcx import PathMorphism
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -118,22 +117,13 @@ def _convert_weights(pairs, ring) -> dict:
     return out
 
 
-def _reweight_complex(pc: PathComplex, ring, unweighted: bool) -> PathComplex:
+def _reweight(obj, ring, unweighted: bool, noun: str):
+    """obj, a complex or hypergraph, with its weights taken into ring (all 1 when unweighted)."""
     if unweighted:
-        return pc.reweighted({v: ring.one for v in pc.vertices}, ring)
-    if not pc.is_weighted:
-        raise MissingWeightError("input complex has no weights (use --unweighted)")
-    return pc.reweighted(_convert_weights(pc.weights, ring), ring)
-
-
-def _reweight_hypergraph(g: DirectedHypergraph, ring, unweighted: bool) -> DirectedHypergraph:
-    if unweighted:
-        weights = {v: ring.one for v in g.vertices}
-    elif not g.is_weighted:
-        raise MissingWeightError("input hypergraph has no weights (use --unweighted)")
-    else:
-        weights = _convert_weights(g.weights, ring)
-    return DirectedHypergraph.build(list(g.arrows), weights, ring)
+        return obj.reweighted({v: ring.one for v in obj.vertices}, ring)
+    if not obj.is_weighted:
+        raise MissingWeightError(f"input {noun} has no weights (use --unweighted)")
+    return obj.reweighted(_convert_weights(obj.weights, ring), ring)
 
 
 def _render_group(ring, group) -> str:
@@ -177,10 +167,10 @@ def cmd_homology(args) -> int:
     )
     if args.pipeline == "direct":
         pc = _expect(doc, args.file, "path_complex")
-        result = homology(_reweight_complex(pc, ring, args.unweighted), args.max_dim)
+        result = homology(_reweight(pc, ring, args.unweighted, "complex"), args.max_dim)
     else:
         g = _expect(doc, args.file, "directed_hypergraph")
-        g = _reweight_hypergraph(g, ring, args.unweighted)
+        g = _reweight(g, ring, args.unweighted, "hypergraph")
         if args.pipeline == "natural":
             result = edge_weighted_homology(g, args.max_dim, maxlen=args.maxlen)
         else:
@@ -333,11 +323,13 @@ def cmd_prism_check(args) -> int:
     pc = _expect(doc, args.file, "path_complex")
     if not pc.is_weighted:
         raise NonInvertibleWeightError("prism-check needs a weighted complex")
-    paths = pc.regular_paths(args.degree)
-    if not paths:
+    regular = pc.store.regular_codes[1]
+    codes = regular[args.degree] if 0 <= args.degree < len(regular) else ()
+    if not codes:
         raise SchemaError(f"--degree {args.degree}: the complex has no regular paths of that length")
     rng = random.Random(args.seed)
-    sample = paths if len(paths) <= args.samples else sorted(rng.sample(paths, args.samples))
+    picked = codes if len(codes) <= args.samples else sorted(rng.sample(codes, args.samples))
+    sample = [pc.store.path(c) for c in picked]  # codes sort as the paths do
     failures = [(p, rep) for p, rep in zip(sample, verify_prism_identity(pc, sample)) if not rep.ok]
     print(
         f"# prism-check input={os.path.basename(args.file)} degree={args.degree} "

@@ -28,11 +28,13 @@ class MorphismReport:
 def verify_path_morphism(f: PathMorphism, allow_degenerate: bool = False) -> MorphismReport:
     """Check path images land in the target; check weight preservation.
 
-    With allow_degenerate, two consecutive distinct vertices of a path that f
-    sends to one vertex give it once in the image before the membership test (a
-    digraph map may send an edge to a vertex); a repeat the source path already
-    has is kept.  A weighted source and target must weigh every vertex involved
-    (MissingWeightError otherwise).
+    Images are taken on the stores' codes, through one table from source to target
+    vertex numbers; failures come in bucket order, and only they are decoded.  With
+    allow_degenerate, two consecutive distinct vertices that f sends to one vertex give
+    it once (a digraph map may send an edge to a vertex), and a repeat the source path
+    has stays: entry i stays when i = 0, c[i-1] = c[i], or it differs from entry i - 1,
+    which always equals the last entry kept.  A weighted source and target must weigh
+    every vertex involved (MissingWeightError otherwise).
     """
     problems = []
     for v in sorted(f.source.vertices):
@@ -42,15 +44,14 @@ def verify_path_morphism(f: PathMorphism, allow_degenerate: bool = False) -> Mor
             problems.append(f"image of {v.render()} is not a target vertex")
     if problems:
         return MorphismReport(False, None, problems)
-    # a Path is the 1-tuple (vertices,), so (image vertices,) tests membership as the Path would
-    paths, vmap = f.target.paths, f.vertex_map
-    if allow_degenerate:
-        failing = [p for p in f.source.paths if (f.image_path(p, collapse=True).vertices,) not in paths]
-    else:
-        failing = [p for p in f.source.paths if (tuple([vmap[v] for v in p.vertices]),) not in paths]
-    for p in sorted(failing, key=lambda p: (p.length, p.vertices)):
-        img = f.image_path(p, collapse=allow_degenerate)
-        problems.append(f"image {img.render()} of {p.render()} is not a target path")
+    source, target = f.source.store, f.target.store
+    table = [target.numbers[f.vertex_map[v]] for v in source.vertices]
+    for c in (c for bucket in source.buckets for c in bucket):
+        y = tuple([table[x] for x in c])
+        if allow_degenerate:
+            y = y[:1] + tuple(z for u, v, w, z in zip(c, c[1:], y, y[1:]) if u == v or w != z)
+        if y not in target.codes:
+            problems.append(f"image {target.path(y).render()} of {source.path(c).render()} is not a target path")
     weighted = None
     if f.source.is_weighted and f.target.is_weighted:
         weighted = f.source.ring == f.target.ring
@@ -392,7 +393,10 @@ def edge_weighted_certificate(
         w = set_weight(s, wmap, ring)
         if not ring.is_unit(w):
             raise NonInvertibleWeightError(f"set weight {w} of {render_set(s)} is not invertible in {ring.name}")
-    return chain_homotopy_certificate(*natural_path_morphisms(f, g, maxlen), max_degree)
+    # in reflexive mode an exempted crossing f(A) = g(A) maps its edge to one vertex
+    return chain_homotopy_certificate(
+        *natural_path_morphisms(f, g, maxlen), max_degree, allow_degenerate=(mode == "reflexive")
+    )
 
 
 def natural_path_morphisms(f: HyperMorphism, g: HyperMorphism, maxlen: int) -> tuple:

@@ -1,7 +1,7 @@
 """Path complexes with weights, validation, regular paths and the cylinder."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import eq
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -60,12 +60,6 @@ class Path(_PathFields):
     def is_regular(self) -> bool:
         return is_regular(self.vertices)
 
-    def drop_front(self) -> "Path":
-        return Path(self.vertices[1:])
-
-    def drop_back(self) -> "Path":
-        return Path(self.vertices[:-1])
-
     def drop(self, s: int) -> "Path":
         return Path(self.vertices[:s] + self.vertices[s + 1 :])
 
@@ -114,6 +108,10 @@ class Weighted:
             return None
         return {v.primed(i): w for v, w in self.weights for i in levels}
 
+    def reweighted(self, weights: Optional[Mapping[Vertex, object]], ring: Optional[Ring]):
+        """The same object with the given weights over ring in place of its own."""
+        return replace(self, weights=canonical_weights(weights, ring), ring=ring)
+
 
 def level_copies(vertices: Iterable[Vertex], levels: Iterable[int]) -> set:
     """Every vertex copied to each of the given prime levels above it.
@@ -158,15 +156,24 @@ class PathStore:
             object.__setattr__(self, "buckets", self.buckets[:-1])
 
     @cached_property
+    def numbers(self) -> dict:
+        return {v: k for k, v in enumerate(self.vertices)}
+
+    @cached_property
+    def codes(self) -> frozenset:  # every code, for membership tests
+        return frozenset(c for bucket in self.buckets for c in bucket)
+
+    @cached_property
     def regular_codes(self) -> tuple:
         """(numbers, buckets): each vertex's number, and the codes of the regular paths."""
-        numbers = {v: k for k, v in enumerate(self.vertices)}
-        return numbers, tuple(tuple(filter(is_regular, bucket)) for bucket in self.buckets)
+        return self.numbers, tuple(tuple(filter(is_regular, bucket)) for bucket in self.buckets)
 
     @cached_property
     def paths(self) -> frozenset:
-        vs = self.vertices.__getitem__
-        return frozenset(Path(tuple(map(vs, c))) for bucket in self.buckets for c in bucket)
+        return frozenset(map(self.path, self.codes))
+
+    def path(self, code: tuple) -> Path:
+        return Path(tuple(map(self.vertices.__getitem__, code)))
 
 
 def walk_paths(successors: Mapping[Vertex, Iterable[Vertex]], maxlen: int) -> PathStore:
@@ -234,14 +241,19 @@ class PathComplex(Weighted):
         return sorted(self.vertices)
 
     def validate(self) -> ValidationReport:
-        paths, known, problems = self.paths, self.vertices, []
-        for v in self.sorted_vertices():
-            if Path.of(v) not in paths:
-                problems.append(f"missing singleton path for vertex {v.render()}")
-        for p in sorted(paths, key=lambda p: (p.length, p.vertices)):
-            problems += [f"path {p.render()} uses unknown vertex {v.render()}" for v in p.vertices if v not in known]
-            truncations = (p.drop_back(), p.drop_front()) if p.length else ()
-            problems += [f"path {p.render()} lacks truncation {t.render()}" for t in truncations if t not in paths]
+        """Check the axioms on the store's codes: a singleton (k,) for every declared vertex
+        k, then, in bucket order, each path's undeclared vertices and its truncations c[:-1]
+        and c[1:] missing from the bucket below.  Only a path with a problem is decoded."""
+        store, known, problems = self.store, self.vertices, []
+        codes, numbers = store.codes, store.numbers
+        singles = [v for v in self.sorted_vertices() if (numbers[v],) not in codes]
+        problems += [f"missing singleton path for vertex {v.render()}" for v in singles]
+        unknown = {numbers[v] for v in store.vertices if v not in known}
+        for c in (c for bucket in store.buckets for c in bucket):
+            bad = [f"uses unknown vertex {store.vertices[k].render()}" for k in c if k in unknown]
+            truncations = (c[:-1], c[1:]) if len(c) > 1 else ()
+            bad += [f"lacks truncation {store.path(t).render()}" for t in truncations if t not in codes]
+            problems += [f"path {store.path(c).render()} {b}" for b in bad]
         if self.is_weighted:
             wmap = self.weight_map()
             problems += [f"vertex {v.render()} has no weight" for v in self.sorted_vertices() if v not in wmap]
@@ -265,9 +277,6 @@ class PathComplex(Weighted):
         numbering and a prefix of its buckets."""
         store = PathStore(self.store.vertices, self.store.buckets[: maxlen + 1])
         return PathComplex(self.vertices, store, self.weights, self.ring)
-
-    def reweighted(self, weights: Optional[Mapping[Vertex, object]], ring: Optional[Ring]) -> "PathComplex":
-        return PathComplex(self.vertices, self.store, canonical_weights(weights, ring), ring)
 
     def support(self) -> "PathComplex":
         """The support complex over Z of a weighted complex: the same vertices and
@@ -306,20 +315,10 @@ def complex_from_paths(
     weights: Optional[Mapping[Vertex, object]] = None,
     ring: Optional[Ring] = None,
 ) -> PathComplex:
-    """Close the given paths under truncation and singletons and build a complex."""
-    closed = set()
-    stack = list(paths)
-    while stack:
-        p = stack.pop()
-        if p in closed:
-            continue
-        closed.add(p)
-        if p.length >= 1:
-            stack.append(p.drop_front())
-            stack.append(p.drop_back())
-    vertices = {v for p in closed for v in p.vertices}
-    closed.update(Path.of(v) for v in vertices)
-    return PathComplex.build(vertices, closed, weights, ring)
+    """The complex on the truncation closure of the given paths: every contiguous piece
+    of each path, its singletons among them, on the vertices of those pieces."""
+    closed = {Path(vs[i:j]) for vs in (p.vertices for p in paths) for j in range(len(vs) + 1) for i in range(j)}
+    return PathComplex.build((p.vertices[0] for p in closed if not p.length), closed, weights, ring)
 
 
 @dataclass
@@ -329,21 +328,6 @@ class PathMorphism:
     source: PathComplex
     target: PathComplex
     vertex_map: dict
-
-    def image_path(self, p: Path, collapse: bool = False) -> Path:
-        """The image of p, vertex by vertex.  With collapse, two consecutive distinct
-        vertices of p that the map sends to one vertex give it once; a repeat that p
-        already has stays, as it is part of the path the map is applied to."""
-        vmap = self.vertex_map
-        if not collapse:
-            return Path(tuple(vmap[v] for v in p.vertices))
-        vs = p.vertices
-        img = [vmap[vs[0]]]
-        for u, v in zip(vs, vs[1:]):
-            w = vmap[v]
-            if u == v or w != img[-1]:
-                img.append(w)
-        return Path(tuple(img))
 
 
 def identity_morphism(pc: PathComplex) -> PathMorphism:

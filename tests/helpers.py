@@ -1,8 +1,11 @@
 """Shared random-instance generators and cross-checks used across the test suite."""
 from __future__ import annotations
 
+import io
+import itertools
+import json
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -621,6 +624,119 @@ def cli_homology_maps_equal(argv) -> bool:
     else:
         f, g = (PathMorphism(src, tgt, dict(m.vertex_map)) for m in (f_doc, g_doc))
     return homology_maps_equal(f, g, args.max_dim)
+
+
+def morphism_problems_by_paths(f: PathMorphism, allow_degenerate: bool = False) -> tuple:
+    """(ok, weighted, problems) as `homotopy.verify_path_morphism` reports them, recomputed on
+    Path objects: each source path, in (length, vertices) order, mapped vertex by vertex (under
+    allow_degenerate, with a jump the map sends onto the last vertex kept merged into it) and
+    looked up in the target's `paths` view.  The reference for the check on codes."""
+    vmap, problems = f.vertex_map, []
+    for v in sorted(f.source.vertices):
+        if v not in vmap:
+            problems.append(f"vertex {v.render()} is unmapped")
+        elif vmap[v] not in f.target.vertices:
+            problems.append(f"image of {v.render()} is not a target vertex")
+    if problems:
+        return False, None, problems
+    for p in sorted(f.source.paths, key=lambda p: (p.length, p.vertices)):
+        vs = p.vertices
+        image = [vmap[vs[0]]]
+        for u, v in zip(vs, vs[1:]):
+            if not allow_degenerate or u == v or vmap[v] != image[-1]:
+                image.append(vmap[v])
+        if Path(tuple(image)) not in f.target.paths:
+            problems.append(f"image {Path(tuple(image)).render()} of {p.render()} is not a target path")
+    weighted = None
+    if f.source.is_weighted and f.target.is_weighted:
+        weighted = f.source.ring == f.target.ring
+        ws, wt = f.source.weight_map(), f.target.weight_map()
+        for v in sorted(f.source.vertices):
+            if wt[vmap[v]] != ws[v]:
+                weighted = False
+                problems.append(f"weight of {v.render()} not preserved: {ws[v]} -> {wt[vmap[v]]}")
+    return not problems, weighted, problems
+
+
+def one_step_by_paths(f: PathMorphism, g: PathMorphism, allow_degenerate: bool = False) -> bool:
+    """Whether f and g are one-step homotopic, on Path objects: F (f on V, g on V') checked by
+    `morphism_problems_by_paths` on `cylinder_by_paths` of the source."""
+    vmap = {**f.vertex_map, **{v.primed(): u for v, u in g.vertex_map.items()}}
+    return morphism_problems_by_paths(PathMorphism(cylinder_by_paths(f.source), f.target, vmap), allow_degenerate)[0]
+
+
+def random_homotopy_chain(rng: random.Random, ring) -> tuple:
+    """(maps, directions, allow_degenerate): a random chain f_0, ..., f_n, n = 2..4, of vertex
+    maps from a point or an edge into the path complex of a random digraph over ring whose
+    vertices weigh 1 or 2.  Every map preserves weights.  Step k -> k + 1 goes the way
+    directions[k] says (forward: a one-step homotopy from f_k to f_(k+1); backward: from
+    f_(k+1) to f_k), to a map that makes it one when some map does (`one_step_by_paths`);
+    otherwise, and one time in eight, to any map, which may break the chain there."""
+    tverts = [Vertex(f"t{i}") for i in range(rng.randint(3, 6))]
+    edges = [(u, v) for u in tverts for v in tverts if u != v and rng.random() < 0.35]
+    weight = {v: ring.coerce(rng.choice([1, 2])) for v in tverts}
+    target = paths_functor(WeightedDigraph.build(tverts, edges, weight, ring), 3)
+    images = rng.choice(edges) if edges and rng.random() < 0.6 else rng.sample(tverts, 1)  # an edge's or a point's
+    first = dict(zip((Vertex("a"), Vertex("b")), images))
+    source = complex_from_paths([Path(tuple(first))], {v: weight[u] for v, u in first.items()}, ring)
+    candidates = [
+        PathMorphism(source, target, dict(zip(first, images)))
+        for images in itertools.product(tverts, repeat=len(first))
+        if all(weight[u] == weight[w] for u, w in zip(first.values(), images))
+    ]
+    allow_degenerate = rng.random() < 0.5
+    maps, directions = [PathMorphism(source, target, first)], []
+    for _ in range(rng.randint(2, 4)):
+        directions.append(rng.choice(["forward", "backward"]))
+        pair = (lambda m: (m, maps[-1])) if directions[-1] == "backward" else (lambda m: (maps[-1], m))
+        joined = [m for m in candidates if one_step_by_paths(*pair(m), allow_degenerate)]
+        maps.append(rng.choice(joined if joined and rng.random() < 7 / 8 else candidates))
+    return maps, directions, allow_degenerate
+
+
+def assert_chain_verdict_matches_lattice(rng: random.Random, ring, directory) -> tuple:
+    """Run `wph homotopy-check --mode chain --certify-chain-homotopy` on a `random_homotopy_chain`
+    over ring, from documents written to directory, and check its verdict.  It passes exactly
+    when every step is a one-step homotopy on Path objects (`one_step_by_paths`); then it says
+    the maps f_0 and f_n induce on homology are equal, and so must the lattice test
+    (`homology_maps_equal`).  Returns (passed, equal by the lattice test, or None when f_0 or
+    f_n is no chain map)."""
+    maps, directions, allow_degenerate = random_homotopy_chain(rng, ring)
+    max_dim = rng.randint(1, 3)
+    source, target = maps[0].source, maps[0].target
+    bodies = [{"vertex_map": {v.render(): u.render() for v, u in m.vertex_map.items()}} for m in maps]
+    steps = bodies[:1] + [dict(body, direction=d) for body, d in zip(bodies[1:], directions)]
+    docs = {"source": wio.emit(source), "target": wio.emit(target)}
+    docs.update(f={"kind": "morphism", "body": bodies[0]}, g={"kind": "morphism", "body": bodies[-1]})
+    docs["chain"] = {"kind": "homotopy_chain", "body": {"steps": steps}}
+    files = {name: FsPath(directory) / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        files[name].write_bytes(doc if isinstance(doc, bytes) else json.dumps({"format_version": "1", **doc}).encode())
+    argv = ["homotopy-check", *map(str, (files["source"], files["target"], "--f", files["f"], "--g", files["g"]))]
+    argv += ["--mode", "chain", "--chain", str(files["chain"]), "--certify-chain-homotopy", "--max-dim", str(max_dim)]
+    argv += ["--strictness", "allow-degenerate" if allow_degenerate else "strict"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    pairs = [(b, a) if d == "backward" else (a, b) for a, b, d in zip(maps, maps[1:], directions)]
+    passed = all(one_step_by_paths(a, b, allow_degenerate) for a, b in pairs)
+    try:
+        equal = homology_maps_equal(maps[0], maps[-1], max_dim)
+    except ImageNotInOmegaError:  # a broken chain may end in a map that sends an edge off the target
+        equal = None
+    where = (argv, out.getvalue(), err.getvalue())
+    if passed:
+        assert (code, err.getvalue()) == (0, ""), where
+        assert out.getvalue().splitlines() == [
+            "homotopy chain: PASS",
+            "chain-homotopy certificate: PASS",
+            f"identity dL + Ld = g* - f* holds in degrees <= {max_dim}",
+            "induced homology maps equal: yes",
+        ], where
+        assert equal, where
+    else:
+        assert (code, out.getvalue()) == (4, "homotopy chain: FAIL\n"), where
+    return passed, equal
 
 
 def fixture_paths(prefix: str) -> list:

@@ -197,7 +197,7 @@ def test_induced_chain_map_refuses_a_chain_outside_the_target_omega():
         [Path((x, y, z)), Path((x, u, z))], weights={x: 1, y: 1, z: 1, u: 2}, ring=ZZ
     )
     f = PathMorphism(src, tgt, {a: x, b: y, c: z, d: u})
-    assert all(f.image_path(p) in tgt.paths for p in src.paths)
+    assert all(Path(tuple(f.vertex_map[v] for v in p.vertices)) in tgt.paths for p in src.paths)
     with pytest.raises(ImageNotInOmegaError, match="generator 0 is not in the target Omega"):
         induced_chain_map(f, build_omega(src, 2), build_omega(tgt, 2))
 

@@ -1,6 +1,8 @@
+import itertools
 import json
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path as FsPath
 
 import pytest
@@ -10,7 +12,7 @@ from wph import io as wio
 from wph.algebra import MODULUS_BOUND
 from wph.chain import build_omega, homology, homology_of_omega
 from wph.cli import main
-from wph.pathcx import PathComplex
+from wph.pathcx import PathComplex, PathStore
 
 from helpers import FIXTURES, cli_homology_maps_equal, doubled_lifts
 
@@ -613,3 +615,86 @@ def test_weights_on_undeclared_vertices_exit_2(tmp_path, capsys, kind, body, fun
         assert code == 2
         assert out == ""
         assert err == "error: weighted vertex z is not a declared vertex\n"
+
+
+def test_a_reflexive_certificate_of_a_map_with_itself_passes(capsys):
+    # every crossing is exempt, f(A) = g(A), so the one-step homotopy collapses each to a vertex
+    argv = _DH_CERT_ARGS[:3] + ("--f", str(FIXTURES / "mor_dh_g.json"), "--g", str(FIXTURES / "mor_dh_g.json"))
+    argv += ("--category", "dhyper", "--strictness", "reflexive", "--certify-chain-homotopy")
+    argv += ("--max-dim", "2", "--maxlen", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "one-step homotopy: PASS",
+        "chain-homotopy certificate: PASS",
+        "identity dL + Ld = g* - f* holds in degrees <= 2",
+        "induced homology maps equal: yes",
+    ]
+    assert cli_homology_maps_equal(argv)
+
+
+@pytest.mark.parametrize("ring", ["z", "q"])
+def test_a_weight_that_is_no_unit_is_why_the_certificate_refuses(capsys, ring):
+    # the point a (weight 2) into the edge x -> y (weights 2, 2): f(a) = x and g(a) = y are one
+    # step apart with weights kept, yet over Z, H_0 of the edge is Z + Z/2 and H(f) != H(g)
+    point, edge = (str(FIXTURES / f"pc_{name}_w2_{ring}.json") for name in ("point", "edge"))
+    argv = ("homotopy-check", point, edge, "--f", str(FIXTURES / "mor_a_to_x.json"),
+            "--g", str(FIXTURES / "mor_a_to_y.json"), "--certify-chain-homotopy")
+    code, out, err = run(capsys, *argv)
+    h0 = run(capsys, "homology", edge, "--coeff", ring, "--max-dim", "1")[1].splitlines()[1]
+    if ring == "z":
+        assert (code, out) == (3, "one-step homotopy: PASS\n")
+        assert err == "error: weight 2 of vertex a is not invertible in Z\n"
+        assert h0.startswith("H_0 = Z + Z/2 ")
+        assert not cli_homology_maps_equal(argv)
+    else:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "induced homology maps equal: yes"
+        assert h0.startswith("H_0 = Q ")
+        assert cli_homology_maps_equal(argv)
+
+
+def fixture_commands() -> list:
+    """Every subcommand on every fixture it takes: validate; homology under each --coeff and
+    pipeline; functor; prism-check at degrees 0..3; homotopy-check in both categories, one-step
+    and chain mode, with and without certificates, f and g either way round."""
+    fx = {path.stem: str(path) for path in sorted(FIXTURES.glob("*.json"))}
+
+    def of(prefix: str) -> list:
+        return [path for name, path in fx.items() if name.startswith(prefix)]
+
+    commands = [["validate", path] for path in fx.values()]
+    for path in of("pc_"):
+        commands += [["homology", path, "--coeff", coeff] for coeff in ("z", "q", "mod:2", "mod:3", "mod:6")]
+        commands += [["homology", path, "--unweighted"], ["functor", path, "--functor", "cylinder"]]
+        commands += [["prism-check", path, "--degree", str(n), "--samples", "2"] for n in range(4)]
+    for path in of("dh_"):
+        for pipeline in ("natural", "connective", "bold", "density2"):
+            for coeff in ("z", "q", "mod:3"):
+                commands.append(["homology", path, "--pipeline", pipeline, "--coeff", coeff, "--maxlen", "2"])
+        functors = ("natural", "connective", "bold", "underlying", "density2", "box:I1f", "box:I1b")
+        commands += [["functor", path, "--functor", name, "--maxlen", "2"] for name in functors]
+    commands += [["functor", path, "--functor", "box:I1f"] for path in of("dg_")]
+    pairs = [("pc_point_q", "pc_edge_q"), ("pc_point_w2_q", "pc_edge_w2_q"), ("pc_point_w2_z", "pc_edge_w2_z")]
+    ends = [("mor_a_to_x", "mor_a_to_y"), ("mor_a_to_y", "mor_a_to_x")]
+    certificates = ([], ["--certify-chain-homotopy"])
+    for (source, target), (f, g) in itertools.product(pairs, ends):
+        for strictness, certify in itertools.product(("strict", "allow-degenerate"), certificates):
+            argv = ["homotopy-check", fx[source], fx[target], "--f", fx[f], "--g", fx[g], "--strictness", strictness]
+            commands += [argv + certify, argv + ["--mode", "chain", "--chain", fx["chain_a_xy"]] + certify]
+    for f, g in itertools.product(("mor_dh_f", "mor_dh_g"), repeat=2):
+        for strictness, certify in itertools.product(("strict", "reflexive"), certificates):
+            commands.append(["homotopy-check", fx["dh_mor_source"], fx["dh_square_sets"], "--f", fx[f], "--g", fx[g],
+                             "--category", "dhyper", "--strictness", strictness, "--maxlen", "2"] + certify)
+    return commands
+
+
+def test_no_subcommand_reads_the_paths_view(monkeypatch, capsys):
+    def refuse(store):
+        raise AssertionError("the paths view was read")
+
+    monkeypatch.setattr(PathStore, "paths", property(refuse))
+    with pytest.raises(AssertionError, match="paths view"):
+        wio.parse((FIXTURES / "pc_edge_q.json").read_bytes()).body.paths
+    codes = Counter(run(capsys, *argv)[0] for argv in fixture_commands())
+    assert set(codes) == {0, 2, 3, 4} and codes[0] >= 300, codes

@@ -37,13 +37,16 @@ from wph.pathcx import (
 
 from helpers import (
     FIXTURES,
+    assert_chain_verdict_matches_lattice,
     assert_prism_routes_agree,
     certificate_outcome,
     certificate_over_the_ring,
     doubled_lifts,
     homology_maps_equal,
     induced_homology_maps_equal,
+    morphism_problems_by_paths,
     prism_by_paths,
+    random_complex,
     random_pair,
     random_q_homotopy,
     random_unit_weight_complex,
@@ -144,6 +147,55 @@ def test_verify_path_morphism_lists_failing_paths_by_length_then_vertices():
         "image (z x y) of (e a b) is not a target path",
         "image (z x y x) of (e a b d) is not a target path",
     ]
+
+
+def random_vertex_map(rng: random.Random, source: PathComplex) -> tuple:
+    """(target, vertex map) for a random map of source: into a random complex, mostly off its
+    paths, or into the complex of the source paths' images under the map with some of them
+    dropped, mostly on them; a vertex is now and then left unmapped or sent off the target."""
+    tverts = [Vertex(f"t{i}") for i in range(rng.randint(1, 5))]
+    vmap = {v: rng.choice(tverts) for v in sorted(source.vertices)}
+    if rng.random() < 0.5:
+        target = random_complex(rng, ring=rng.choice([ZZ, QQ]), max_vertices=6, maxlen=3)
+        vmap = {v: rng.choice(sorted(target.vertices)) for v in vmap}
+    else:
+        images = [Path(tuple(vmap[v] for v in p.vertices)) for p in source.paths if rng.random() < 0.9]
+        images += [Path.of(u) for u in tverts]  # every map lands on a target vertex
+        draws = {u: rng.choice([w for v, w in source.weights if vmap[v] == u] or [1]) for u in tverts}
+        target = complex_from_paths(images, draws if rng.random() < 0.8 else None, source.ring)
+    v = rng.choice(sorted(vmap))
+    if rng.random() < 0.05:
+        del vmap[v]
+    elif rng.random() < 0.05:
+        vmap[v] = Vertex("off")
+    return target, vmap
+
+
+def test_the_morphism_check_on_codes_reports_what_the_check_on_paths_reports():
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(300):
+        source = random_complex(rng, ring=rng.choice([ZZ, QQ]), max_vertices=5, maxlen=3)
+        target, vmap = random_vertex_map(rng, source)
+        f = PathMorphism(source, target, vmap)
+        for allow_degenerate in (False, True):
+            rep = verify_path_morphism(f, allow_degenerate)
+            want = morphism_problems_by_paths(f, allow_degenerate)
+            assert (rep.ok, rep.weighted, rep.problems) == want, (f, allow_degenerate)
+            seen["passed" if rep.ok else rep.problems[0].split()[0]] += 1  # by the first problem's kind
+        seen["irregular"] += any(not p.is_regular() for p in source.paths)
+    assert seen["irregular"] >= 100 and seen["passed"] >= 50, seen
+    assert seen["image"] >= 100 and seen["weight"] >= 50 and seen["vertex"] >= 10, seen
+
+
+@pytest.mark.parametrize("ring, seed", [(QQ, 31), (Zmod(5), 32)], ids=["Q", "Z/5"])
+def test_chain_certificates_agree_with_the_lattice_test_on_random_chains(tmp_path, ring, seed):
+    # a chain that passes says the maps are equal on homology, and the lattice test agrees;
+    # a chain whose ends the lattice test tells apart is refused
+    rng = random.Random(seed)
+    seen = Counter(assert_chain_verdict_matches_lattice(rng, ring, tmp_path) for _ in range(60))
+    assert seen[True, True] >= 20 and seen[False, False] >= 1 and seen[False, True] >= 10, seen
+    assert set(seen) <= {(True, True), (False, True), (False, False), (False, None)}, seen
 
 
 @pytest.mark.parametrize("partial", ["f", "g"])
@@ -578,7 +630,7 @@ def test_lifts_that_map_onto_one_path_are_summed():
     f, g = PathMorphism(edge, line, {a: x, b: y}), PathMorphism(edge, line, {a: y, b: z})
     F = one_step_homotopy_pathcx(f, g).homotopy
     lifts = prism_by_paths(Path((a, b)), {a: one, b: one}, QQ)
-    assert {F.image_path(p) for p, _ in lifts} == {Path((x, y, z))}
+    assert {Path(tuple(F.vertex_map[v] for v in p.vertices)) for p, _ in lifts} == {Path((x, y, z))}
     cert = chain_homotopy_certificate(f, g, 3)
     assert cert.ok and cert.identity_holds and cert.homology_maps_equal
     assert homology_maps_equal(f, g, 3)
