@@ -12,7 +12,6 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import itemgetter
-from typing import Optional
 
 from .algebra import (
     HomologyGroup,
@@ -23,8 +22,8 @@ from .algebra import (
     kernel_basis,
     require_pid,
 )
-from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError
-from .pathcx import Path, PathComplex, PathMorphism, is_regular, lifts
+from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError, NotAMorphismError
+from .pathcx import Path, PathComplex, PathMorphism, PathStore, cylinder_tables, is_regular, lifts
 
 
 @dataclass
@@ -37,15 +36,15 @@ class OmegaComplex:
     is its own, and pivots ascend with the columns (see build_omega).
     boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
     Omega_{n-1} in those generator bases.  Paths are the integer codes of the
-    complex's store (`pathcx.PathStore`), which sort as the paths do, and
-    rows[n] maps the code of each regular n-path to its row.
+    complex's store, which sort as the paths do, and rows[n] maps the code of
+    each regular n-path to its row.
     """
 
     max_degree: int
     ring: Ring
     bases: list  # bases[n]: Matrix (len(rows[n]) x rank)
     boundaries: dict  # n -> Matrix (rank_{n-1} x rank_n)
-    numbers: dict  # vertex -> its number; vertices in sorted order, numbered from 0
+    store: PathStore  # the complex's, which numbers its vertices
     rows: list  # rows[n]: code of a regular n-path -> its row
 
     def rank(self, n: int) -> int:
@@ -60,11 +59,6 @@ class OmegaComplex:
         if n == 0:
             return Matrix.zeros(self.ring, 0, self.rank(0))
         return Matrix.zeros(self.ring, self.rank(n - 1), 0)
-
-    def path(self, code: tuple) -> Path:
-        """The path with the given code."""
-        vertices = list(self.numbers)
-        return Path(tuple(vertices[k] for k in code))
 
     @cached_property
     def invariant_factors(self) -> list:
@@ -98,12 +92,11 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         raise MissingWeightError("Omega construction needs a weighted complex")
     ring = pc.ring
     require_pid(ring)
-    numbers, codes = pc.regular_path_codes(max_degree)
+    codes, vertices = pc.regular_path_codes(max_degree), pc.store.vertices
     weights = pc.weight_map()
     # each vertex number's weight and its negative, None for an unweighted vertex
-    signed = [(weights[v], ring.neg(weights[v])) if v in weights else None for v in numbers]
+    signed = [(weights[v], ring.neg(weights[v])) if v in weights else None for v in vertices]
     if None in signed:
-        vertices = list(numbers)
         for c in (c for bucket in codes[1:] for c in bucket):
             for k in c:
                 if signed[k] is None:
@@ -131,7 +124,7 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         columns.sort(key=min)  # by pivot row, which no two generators share
         bases.append(Matrix.from_columns(ring, columns, len(table)))
 
-    omega = OmegaComplex(max_degree, ring, bases, {}, numbers, rows)
+    omega = OmegaComplex(max_degree, ring, bases, {}, pc.store, rows)
     for n in range(1, max_degree + 1):
         omega.boundaries[n] = restrict_to_omega(
             faces[n].__getitem__, omega, n, omega, n - 1, InvariantError
@@ -309,7 +302,7 @@ def restrict_to_omega(
             if not c:
                 continue
             if q.__class__ is not int:
-                raise error(f"Omega_{n} generator {j} maps onto {target.path(q).render()}, off the target paths")
+                raise error(f"Omega_{n} generator {j} maps onto {target.store.path(q).render()}, off the target paths")
             g = lead.get(q)
             if g is not None and len(basis[g]) == 1:  # a free path's unit column
                 col[g] = c
@@ -382,66 +375,47 @@ def prism(code: tuple, bottom, top, coefficients) -> list:
     """The prism's n + 1 one-jump lifts of the path code c_0..c_n as (code, coefficient)
     terms: lift k (`pathcx.lifts`) maps c_0..c_k by the vertex table bottom and c_k..c_n
     by top, with coefficient coefficients[c_k][k % 2], (-1)^k gamma(v_k) when coefficients[x] is the
-    pair (gamma, -gamma) of vertex x.  Tables onto the cylinder's V and V' give the
-    lifts themselves; f's and g's tables give the one-step homotopy's images of them."""
+    pair (gamma, -gamma) of vertex x.  On the tables of `pathcx.cylinder_tables` the
+    lifts are cylinder codes, which the prism check sums and `code_images` maps on."""
     return list(zip(lifts(code, bottom, top), [coefficients[x][k & 1] for k, x in enumerate(code)]))
 
 
-def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, coefficients: Optional[list] = None):
-    """Images of source paths under vertex maps, on path codes: images(n) is the `image`
-    that `restrict_to_omega` takes for source Omega_n.
+def code_images(source: OmegaComplex, target: OmegaComplex, bottom_map: dict, top_map: dict, chain):
+    """Images of cylinder chains under the map F on the source's cylinder that sends v_k
+    to bottom_map[v_k] and v_k' to top_map[v_k]: images(n, m)(i) is F's image of chain(c),
+    c the code in row i of source.rows[n], as the `image` that `restrict_to_omega` takes
+    into target degree m.  chain(c) lists (cylinder code, coefficient) terms, numbered as
+    `pathcx.cylinder_tables` numbers them.
 
-    Each vertex map becomes a table from source vertex numbers to target numbers.  A
-    vertex the target does not number gets a number past the target's, one per vertex
-    and shared by the tables, so an image code is regular exactly when the image path
-    is, and has a row only when that path is a regular target path.
-
-    With one map, image(i) is the image of the source path in row i, coefficient 1, in
-    target degree n (f_*).  With two, bottom and top, it is `prism` of the path's code
-    under their tables, in target degree n + 1 (L, see `homotopy.chain_homotopy`).
-    Irregular images are dropped and images on one row summed.  A regular image that is
-    no target path raises ImageNotInOmegaError naming it; of the lifts, it names the
-    first such image in the order of the lifts as cylinder paths.
+    F is one table from cylinder numbers to target numbers (NotAMorphismError for a vertex
+    a map leaves out).  A vertex the target does not number gets a number of its own past
+    the target's, so an image code is regular exactly when the image path is.  Irregular
+    images are dropped and images on one row summed; a regular image off the target raises
+    ImageNotInOmegaError naming the image of the least such cylinder code.
     """
-    numbers = dict(target.numbers)
-    tables = [[numbers.setdefault(m[v], len(numbers)) for v in source.numbers] for m in vertex_maps]
-    vertices = list(numbers)
-    ring = target.ring
-    add, one = ring.add, ring.one
+    vertices, numbers = source.store.vertices, dict(target.store.numbers)
+    unmapped = [v for v in vertices if v not in bottom_map or v not in top_map]
+    if unmapped:
+        raise NotAMorphismError(f"vertex {unmapped[0].render()} is unmapped")
+    table = [numbers.setdefault(m[v], len(numbers)) for v in vertices for m in (bottom_map, top_map)]
+    add = target.ring.add
 
-    def images(n: int):
-        codes = list(source.rows[n])
-        if coefficients is None:
-            (table,) = tables
-            rows = target.rows[n]
-
-            def terms(c: tuple) -> list:
-                return [(tuple([table[x] for x in c]), one)]
-        else:
-            bottom, top = tables
-            rows = target.rows[n + 1]
-
-            def terms(c: tuple) -> list:
-                return prism(c, bottom, top, coefficients)
+    def images(n: int, m: int):
+        codes, rows = list(source.rows[n]), target.rows[m]
 
         def image(i: int):
-            out: dict = {}
-            for code, c in terms(codes[i]):
-                row = rows.get(code)
+            out, off = {}, []
+            for code, c in chain(codes[i]):
+                y = tuple([table[x] for x in code])
+                row = rows.get(y)
                 if row is not None:
                     out[row] = add(out[row], c) if row in out else c
-                elif is_regular(code):
-                    raise ImageNotInOmegaError(f"image path {off_target(i)} is not in the target complex")
+                elif is_regular(y):
+                    off.append((code, y))
+            if off:
+                path = Path(tuple(map(list(numbers).__getitem__, min(off)[1])))
+                raise ImageNotInOmegaError(f"image path {path.render()} is not in the target complex")
             return out.items()
-
-        def off_target(i: int) -> str:
-            found = terms(codes[i])
-            if coefficients is not None:  # in cylinder order: x and x' number 2x and 2x + 1
-                size = 2 * len(source.numbers)
-                cyl = lifts(codes[i], range(0, size, 2), range(1, size, 2))
-                found = [found[k] for k in sorted(range(len(cyl)), key=cyl.__getitem__)]
-            code = next(code for code, _ in found if code not in rows and is_regular(code))
-            return Path(tuple(vertices[x] for x in code)).render()
 
         return image
 
@@ -451,13 +425,15 @@ def code_images(source: OmegaComplex, target: OmegaComplex, vertex_maps: tuple, 
 def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComplex) -> dict:
     """Matrices of f on Omega, degree by degree; checks boundary commutation.
 
-    The images are taken on path codes (`code_images`): irregular images are
-    dropped, and an image path outside the target raises ImageNotInOmegaError.
+    The images are f's of the cylinder's bottom copy, on path codes (`code_images`):
+    irregular images are dropped, and an image path outside the target raises
+    ImageNotInOmegaError.
     """
-    images = code_images(source, target, (f.vertex_map,))
+    bottom, one = cylinder_tables(len(source.store.vertices))[0], target.ring.one
+    images = code_images(source, target, f.vertex_map, f.vertex_map, lambda c: [(tuple([bottom[x] for x in c]), one)])
     top = min(source.max_degree, target.max_degree)
     mats = {
-        n: restrict_to_omega(images(n), source, n, target, n, ImageNotInOmegaError)
+        n: restrict_to_omega(images(n, n), source, n, target, n, ImageNotInOmegaError)
         for n in range(top + 1)
     }
     for n in range(1, top + 1):

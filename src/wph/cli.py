@@ -36,13 +36,11 @@ from .errors import (
     WphError,
 )
 from .homotopy import (
-    StepSpec,
-    chain_homotopy_certificate,
+    certify_one_step,
     chain_step_pairs,
     edge_weighted_certificate,
     one_step_homotopy_dhyper,
     one_step_homotopy_pathcx,
-    verify_homotopy_chain,
     verify_prism_identity,
 )
 from .pathcx import PathMorphism
@@ -274,32 +272,34 @@ def cmd_homotopy_check(args) -> int:
         target = _expect(tgt_doc, args.target, "path_complex")
         f = _morphism(PathMorphism, f_spec, source, target, "--f")
         g = _morphism(PathMorphism, g_spec, source, target, "--g")
-        if args.mode == "chain":
+        chained = args.mode == "chain"
+        if chained:
             if not args.chain:
                 raise SchemaError("--mode chain needs --chain with a homotopy_chain document")
             chain_spec = _expect(_load(args.chain), args.chain, "homotopy_chain")
             steps = [
-                StepSpec(_morphism(PathMorphism, m, source, target, f"chain step {i}"), direction)
+                (_morphism(PathMorphism, m, source, target, f"chain step {i}"), direction)
                 for i, (m, direction) in enumerate(chain_spec.steps)
             ]
-            if steps[0].morphism.vertex_map != f.vertex_map:
+            if steps[0][0].vertex_map != f.vertex_map:
                 raise SchemaError("first chain step differs from --f")
-            if steps[-1].morphism.vertex_map != g.vertex_map:
+            if steps[-1][0].vertex_map != g.vertex_map:
                 raise SchemaError("last chain step differs from --g")
-            rep = verify_homotopy_chain(steps, allow_degenerate=allow_deg)
-            code = _report(rep.ok, "homotopy chain", rep.problems)
-        else:
-            rep = one_step_homotopy_pathcx(f, g, allow_degenerate=allow_deg)
-            code = _report(rep.ok, "one-step homotopy", rep.problems)
+        pairs = chain_step_pairs(steps) if chained else [(f, g)]
+        problems = []
+        for k, (a, b) in enumerate(pairs):
+            rep = one_step_homotopy_pathcx(a, b, allow_degenerate=allow_deg)
+            if not rep.ok:
+                problems += [f"step {k} -> {k + 1} fails: " + "; ".join(rep.problems)] if chained else rep.problems
+        code = _report(not problems, "homotopy chain" if chained else "one-step homotopy", problems)
         if code == EXIT_OK and args.certify:
             # one certificate per step, whose one-step check passed above, so each holds or
             # raises; their L_k, signed by direction, sum to L with dL + Ld = g_* - f_*
-            for k, (a, b) in enumerate(chain_step_pairs(steps) if args.mode == "chain" else [(f, g)]):
+            for k, (a, b) in enumerate(pairs):
                 try:
-                    cert = chain_homotopy_certificate(a, b, args.max_dim, allow_degenerate=allow_deg)
+                    cert = certify_one_step(a, b, args.max_dim)
                 except WphError as exc:
-                    step = f"step {k} -> {k + 1}: " if args.mode == "chain" else ""
-                    raise type(exc)(step + str(exc)) from None
+                    raise type(exc)((f"step {k} -> {k + 1}: " if chained else "") + str(exc)) from None
             code = _report_certificate(cert, args.max_dim)
         return code
 
@@ -323,22 +323,21 @@ def cmd_prism_check(args) -> int:
     pc = _expect(doc, args.file, "path_complex")
     if not pc.is_weighted:
         raise NonInvertibleWeightError("prism-check needs a weighted complex")
-    regular = pc.store.regular_codes[1]
+    regular = pc.store.regular_codes
     codes = regular[args.degree] if 0 <= args.degree < len(regular) else ()
     if not codes:
         raise SchemaError(f"--degree {args.degree}: the complex has no regular paths of that length")
     rng = random.Random(args.seed)
-    picked = codes if len(codes) <= args.samples else sorted(rng.sample(codes, args.samples))
-    sample = [pc.store.path(c) for c in picked]  # codes sort as the paths do
-    failures = [(p, rep) for p, rep in zip(sample, verify_prism_identity(pc, sample)) if not rep.ok]
+    sample = codes if len(codes) <= args.samples else sorted(rng.sample(codes, args.samples))
+    failures = [(c, rep) for c, rep in zip(sample, verify_prism_identity(pc, sample)) if not rep.ok]
     print(
         f"# prism-check input={os.path.basename(args.file)} degree={args.degree} "
         f"samples={args.samples} seed={args.seed}"
     )
     if failures:
-        for p, rep in failures:
+        for code, rep in failures:
             difference = " + ".join(f"{c}*{q.render()}" for q, c in rep.difference)
-            _diag(f"FAIL on {p.render()}: difference {difference}")
+            _diag(f"FAIL on {pc.store.path(code).render()}: difference {difference}")
         print(f"FAIL: {len(failures)} of {len(sample)} checked paths violate the prism identity")
         return EXIT_VERIFY
     print(f"PASS: prism identity holds on {len(sample)} regular paths of length {args.degree}")

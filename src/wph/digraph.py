@@ -55,7 +55,7 @@ class WeightedDigraph(Weighted):
     ) -> "WeightedDigraph":
         vertices = frozenset(vertices)
         edges = frozenset(edges)
-        for x, y in edges:
+        for x, y in sorted(edges):  # the least bad edge is named, whatever the hash seed
             if x == y:
                 raise InvariantError(f"loop at vertex {x.render()}")
             if x not in vertices or y not in vertices:

@@ -15,7 +15,7 @@ from .errors import (
     NonInvertibleWeightError,
     NotAMorphismError,
 )
-from .pathcx import Path, PathComplex, PathMorphism, level_copies
+from .pathcx import Path, PathComplex, PathMorphism, cylinder_tables, level_copies
 
 
 @dataclass
@@ -37,7 +37,7 @@ def verify_path_morphism(f: PathMorphism, allow_degenerate: bool = False) -> Mor
     every vertex involved (MissingWeightError otherwise).
     """
     problems = []
-    for v in sorted(f.source.vertices):
+    for v in f.source.store.vertices:
         if v not in f.vertex_map:
             problems.append(f"vertex {v.render()} is unmapped")
         elif f.vertex_map[v] not in f.target.vertices:
@@ -101,29 +101,10 @@ def one_step_homotopy_pathcx(
     return HomotopyReport(rep.ok, rep.weighted, rep.problems, F if rep.ok else None)
 
 
-@dataclass
-class StepSpec:
-    """One link of a multi-step homotopy chain."""
-
-    morphism: PathMorphism
-    direction: str = "forward"  # forward: previous -> this; backward: swapped
-
-
 def chain_step_pairs(steps: list) -> list:
-    """(a, b) for each step k -> k + 1 of a chain: a one-step homotopy from a = f_k to
-    b = f_(k+1), or from f_(k+1) to f_k for a backward step."""
-    pairs = [(s.morphism, t.morphism) for s, t in zip(steps, steps[1:])]
-    return [(b, a) if t.direction == "backward" else (a, b) for (a, b), t in zip(pairs, steps[1:])]
-
-
-def verify_homotopy_chain(steps: list, allow_degenerate: bool = False) -> HomotopyReport:
-    """Verify a user-supplied chain f = f0, ..., fn = g of one-step homotopies."""
-    problems = []
-    for k, (a, b) in enumerate(chain_step_pairs(steps)):
-        rep = one_step_homotopy_pathcx(a, b, allow_degenerate=allow_degenerate)
-        if not rep.ok:
-            problems.append(f"step {k} -> {k + 1} fails: " + "; ".join(rep.problems))
-    return HomotopyReport(ok=not problems, weighted=None, problems=problems)
+    """(a, b) for each step k -> k + 1 of a chain of (morphism, direction) pairs: a one-step
+    homotopy from a = f_k to b = f_(k+1), or from f_(k+1) to f_k for a backward step."""
+    return [(b, a) if d == "backward" else (a, b) for (a, _), (b, d) in zip(steps, steps[1:])]
 
 
 def _require_invertible_weights(pc: PathComplex) -> dict:
@@ -146,45 +127,42 @@ class PrismReport:
     difference: Optional[tuple] = None  # sorted (Path, coefficient) terms, when not 0
 
 
-def verify_prism_identity(pc: PathComplex, paths: list) -> list:
-    """One PrismReport per regular path p of pc: does d(P e_p) + P(d e_p) == e_p' - e_p
-    hold on the cylinder chains, P the prism over the inverse weights?
+def verify_prism_identity(pc: PathComplex, codes: list) -> list:
+    """One PrismReport per code of a regular path p in pc.store: does d(P e_p) + P(d e_p)
+    == e_p' - e_p hold on the cylinder chains, P the prism over the inverse weights?
 
-    The paths' vertices and their copies are numbered once, and both sides are summed
-    on path codes: P is `chain.prism` on the tables v -> v and v -> v', and d is
-    `chain._face_terms`, keying every face by its code.  Only a nonzero difference
-    (left side minus right) becomes Paths.  Weights must be units
+    Both sides are summed on cylinder codes (`pathcx.cylinder_tables`): P is `chain.prism`
+    and d is `chain._face_terms`, which weighs p's vertices by store number and its
+    lifts' by cylinder number.  Only a nonzero difference (left side minus right)
+    becomes Paths.  Weights must be units
     (NonInvertibleWeightError) on every path vertex (MissingWeightError), and a
     complex with no cylinder is refused (`level_copies`).
     """
     gammas = _require_invertible_weights(pc)
-    level_copies(pc.vertices, (0, 1))  # refuses a complex that has no cylinder
-    used = sorted(set().union(*(p.vertices for p in paths)))
-    for v in used:
-        if v not in gammas:
-            raise MissingWeightError(f"vertex {v.render()} has no weight")
+    store = pc.store
+    cylinder = sorted(level_copies(store.vertices, (0, 1)))  # refuses a complex that has no cylinder
+    for k in sorted(set().union(*codes)):
+        if store.vertices[k] not in gammas:
+            raise MissingWeightError(f"vertex {store.vertices[k].render()} has no weight")
     ring = pc.ring
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    vertices = sorted({u for v in used for u in (v, v.primed())})
-    numbers = {u: k for k, u in enumerate(vertices)}
-    level = pc.level_weights((0, 1))
-    signed = [(level[u], neg(level[u])) for u in vertices]
-    bottom, top = {numbers[v]: numbers[v] for v in used}, {numbers[v]: numbers[v.primed()] for v in used}
-    coefficients = {numbers[v]: (gammas[v], neg(gammas[v])) for v in used}
+    add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
+    signed = {u: (w, neg(w)) for u, w in pc.level_weights((0, 1)).items()}
+    by_store, by_cylinder = [signed.get(v) for v in store.vertices], [signed.get(u) for u in cylinder]
+    coefficients = [(w, neg(w)) if w is not None else None for w in map(gammas.get, store.vertices)]
+    bottom, top = cylinder_tables(len(store.vertices))
 
     reports = []
-    for p in paths:
-        code = tuple(map(numbers.__getitem__, p.vertices))
+    for code in codes:
         n = len(code) - 1
         lifts = prism(code, bottom, top, coefficients)
-        table = _face_terms([q for q, _ in lifts], {}.get, signed, n + 1)[0]
+        table = _face_terms([q for q, _ in lifts], {}.get, by_cylinder, n + 1)[0]
         terms = [(q, mul(x, y)) for (_, x), faces in zip(lifts, table) for q, y in faces]
-        for r, y in _face_terms([code], {}.get, signed, n)[0][0] if n else ():
+        for r, y in _face_terms([code], {}.get, by_store, n)[0][0] if n else ():
             terms += [(q, mul(y, x)) for q, x in prism(r, bottom, top, coefficients)]
-        total = {tuple(map(top.__getitem__, code)): neg(ring.one), code: ring.one}
+        total = {tuple([top[x] for x in code]): neg(one), tuple([bottom[x] for x in code]): one}
         for q, x in terms:
             total[q] = add(total[q], x) if q in total else x
-        difference = tuple(sorted((Path(tuple(vertices[k] for k in q)), x) for q, x in total.items() if x))
+        difference = tuple((Path(tuple(cylinder[k] for k in q)), x) for q, x in sorted(total.items()) if x)
         reports.append(PrismReport(not difference, difference or None))
     return reports
 
@@ -193,19 +171,18 @@ def chain_homotopy(f: PathMorphism, g: PathMorphism, gammas: dict, source: Omega
     """L_n : Omega_n(source) -> Omega_(n+1)(target) for n < source.max_degree: F_* after the prism.
 
     F is the one-step homotopy of f and g (F(v) = f(v), F(v') = g(v)) and gammas
-    the inverse source weights.  F maps the prism's one-jump lifts of each
-    regular source path, on codes: `chain.code_images` runs `chain.prism`, the prism
-    check's lift walker, with f's and g's vertex tables, so lift k,
-    v_0..v_k v_k'..v_n', goes to f(v_0)..f(v_k) g(v_k)..g(v_n) with coefficient
-    (-1)^k gammas[v_k], irregular images dropped and equal ones summed.  `restrict_to_omega`
-    re-expresses each generator's image in Omega_(n+1)(target)
+    the inverse source weights.  `chain.code_images` maps the prism's cylinder codes
+    (`chain.prism`, the prism check's lift walker) by F: lift k, v_0..v_k v_k'..v_n',
+    goes to f(v_0)..f(v_k) g(v_k)..g(v_n) with coefficient (-1)^k gammas[v_k].
+    `restrict_to_omega` re-expresses each generator's image in Omega_(n+1)(target)
     (ImageNotInOmegaError when it leaves it), with no Omega of the cylinder.
     """
     neg = target.ring.neg
-    signs = [(w, neg(w)) for w in map(gammas.__getitem__, source.numbers)]
-    lifts = code_images(source, target, (f.vertex_map, g.vertex_map), signs)
+    signs = [(w, neg(w)) for w in map(gammas.__getitem__, source.store.vertices)]
+    bottom, top = cylinder_tables(len(signs))
+    lifts = code_images(source, target, f.vertex_map, g.vertex_map, lambda c: prism(c, bottom, top, signs))
     return {
-        n: restrict_to_omega(lifts(n), source, n, target, n + 1, ImageNotInOmegaError)
+        n: restrict_to_omega(lifts(n, n + 1), source, n, target, n + 1, ImageNotInOmegaError)
         for n in range(source.max_degree)
     }
 
@@ -225,7 +202,16 @@ def chain_homotopy_certificate(
     max_degree: int,
     allow_degenerate: bool = False,
 ) -> CertificateReport:
-    """Certify an explicit chain homotopy between f and g up to max_degree.
+    """Certify an explicit chain homotopy between f and g up to max_degree: the one-step
+    check of f and g, then `certify_one_step` once it passes."""
+    hrep = one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
+    if not hrep.ok:
+        return CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
+    return certify_one_step(f, g, max_degree)
+
+
+def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> CertificateReport:
+    """The certificate of f and g, whose one-step check has passed, up to max_degree.
 
     Builds L_n : Omega_n(source) -> Omega_(n+1)(target) and checks the identity
     dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).  Both
@@ -238,7 +224,7 @@ def chain_homotopy_certificate(
 
     Over Q the certificate runs on the support complexes over Z.  The one-step
     check (weight preservation included), the source's unit weights and the
-    same-ring check run first, on the Q complexes; then f and g are re-pointed
+    same-ring check come first, on the Q complexes; then f and g are re-pointed
     at source.support() and target.support() (weight 1 where the weight is
     nonzero, 0 where it is 0), the ring becomes Z and every inverse weight 1.
     With w(p) the product of the nonzero weights on p, phi(e_p) = w(p)^-1 e_p
@@ -276,9 +262,6 @@ def chain_homotopy_certificate(
     max_degree + 1 has length at most D, so each Omega reads the same regular
     paths, and raises the same errors, as when built up to max_degree + 1.
     """
-    hrep = one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
-    if not hrep.ok:
-        return CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
     gammas = _require_invertible_weights(f.source)
     ring = f.source.ring
     if not f.target.is_weighted or f.target.ring != ring:
@@ -299,12 +282,11 @@ def chain_homotopy_certificate(
         if n >= 1:
             total = total + L[n - 1] @ om_src.boundary(n)
         want = g_mats[n] - f_mats[n]
-        if total != want:
-            for j in range(total.cols):
-                if total.entries[j] != want.entries[j]:
-                    raise HomotopyIdentityFailedError(
-                        f"chain-homotopy identity fails on Omega_{n} generator {j}"
-                    )
+        for j in range(total.cols):
+            if total.entries[j] != want.entries[j]:
+                raise HomotopyIdentityFailedError(
+                    f"chain-homotopy identity fails on Omega_{n} generator {j}"
+                )
 
     return CertificateReport(
         ok=True,

@@ -132,6 +132,12 @@ def level_copies(vertices: Iterable[Vertex], levels: Iterable[int]) -> set:
     return set(copies)
 
 
+def cylinder_tables(count: int) -> tuple:
+    """(bottom, top): v_k and v_k' at 2k and 2k + 1 in the cylinder of count vertices, as
+    sorted copies interleave where `level_copies` allows it; so codes sort as paths."""
+    return range(0, 2 * count, 2), range(1, 2 * count, 2)
+
+
 def lifts(code: tuple, bottom, top) -> list:
     """The n + 1 one-jump lifts of the path code c_0..c_n: lift k maps c_0..c_k by the
     vertex table bottom and c_k..c_n by top.  The one lift walker, of the cylinder and
@@ -165,8 +171,8 @@ class PathStore:
 
     @cached_property
     def regular_codes(self) -> tuple:
-        """(numbers, buckets): each vertex's number, and the codes of the regular paths."""
-        return self.numbers, tuple(tuple(filter(is_regular, bucket)) for bucket in self.buckets)
+        """The codes of the regular paths, bucket by bucket."""
+        return tuple(tuple(filter(is_regular, bucket)) for bucket in self.buckets)
 
     @cached_property
     def paths(self) -> frozenset:
@@ -266,11 +272,10 @@ class PathComplex(Weighted):
         `regular_path_codes`, the basis order of the regular chain modules."""
         return sorted(p for p in self.paths if p.length == n and p.is_regular())
 
-    def regular_path_codes(self, max_degree: int) -> tuple:
-        """(numbers, buckets), read off the store: each vertex's number, and for n <=
-        max_degree the codes of the regular n-paths in canonical order."""
-        numbers, regular = self.store.regular_codes
-        return numbers, [regular[n] if n < len(regular) else () for n in range(max_degree + 1)]
+    def regular_path_codes(self, max_degree: int) -> list:
+        """For n <= max_degree the store's codes of the regular n-paths, in canonical order."""
+        regular = self.store.regular_codes
+        return [regular[n] if n < len(regular) else () for n in range(max_degree + 1)]
 
     def truncate(self, maxlen: int) -> "PathComplex":
         """Drop paths longer than maxlen (truncation closure is preserved): the store's
@@ -298,8 +303,8 @@ class PathComplex(Weighted):
     @cached_property
     def _cylinder(self) -> "PathComplex":
         store = self.store
-        numbered = tuple(sorted(level_copies(store.vertices, (0, 1))))  # v_k and v_k' at 2k and 2k + 1
-        even, odd = range(0, len(numbered), 2), range(1, len(numbered), 2)
+        numbered = tuple(sorted(level_copies(store.vertices, (0, 1))))
+        even, odd = cylinder_tables(len(store.vertices))
         buckets = [[] for _ in range(len(store.buckets) + 1)]
         for n, bucket in enumerate(store.buckets):
             for c in bucket:

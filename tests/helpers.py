@@ -295,6 +295,11 @@ def boundary_by_paths(p: Path, signed: dict) -> list:
     return [(Path(face), x) for face, x in table[0]]
 
 
+def codes_of(pc: PathComplex, paths: list) -> list:
+    """The codes of the given paths in pc's store."""
+    return [tuple(map(pc.store.numbers.__getitem__, p.vertices)) for p in paths]
+
+
 def prism_differences_by_paths(pc: PathComplex, paths: list) -> list:
     """What `homotopy.verify_prism_identity` reports as each path's difference, from
     `prism_by_paths` and `boundary_by_paths`: the reference for the check on codes.  Both
@@ -321,7 +326,7 @@ def assert_prism_routes_agree(pc: PathComplex, paths: list) -> None:
     ring = pc.ring
     for doubled in (False, True):
         with doubled_lifts() if doubled else nullcontext():
-            got = [rep.difference for rep in homotopy.verify_prism_identity(pc, paths)]
+            got = [rep.difference for rep in homotopy.verify_prism_identity(pc, codes_of(pc, paths))]
             assert got == prism_differences_by_paths(pc, paths), pc
         moved = [((p, ring.neg(ring.one)), (p.primed(), ring.one)) for p in paths]
         assert got == (moved if doubled else [None] * len(paths)), pc
@@ -337,7 +342,7 @@ def face_terms_by_comprehension(codes: list, below, signed: list, n: int) -> tup
     return table, [[(q, x) for q, x in terms if q.__class__ is tuple] for terms in table]
 
 
-def regular_path_codes_coding_every_path(pc: PathComplex, max_degree: int) -> tuple:
+def regular_path_codes_coding_every_path(pc: PathComplex, max_degree: int) -> list:
     """What `PathComplex.regular_path_codes` gives, from the `paths` view: by numbering
     the declared vertices and those of every path, irregular ones too, coding the paths
     of length <= max_degree and testing regularity on the codes."""
@@ -350,7 +355,7 @@ def regular_path_codes_coding_every_path(pc: PathComplex, max_degree: int) -> tu
             buckets[len(code) - 1].append(code)
     for bucket in buckets:
         bucket.sort()
-    return numbers, buckets
+    return buckets
 
 
 def omega_by_face_comprehension(pc: PathComplex, max_degree: int):
@@ -409,7 +414,7 @@ def mapped_rows(terms, vertex_map: dict, target) -> list:
         q = Path(tuple(vertex_map[v] for v in p.vertices))
         if not q.is_regular():
             continue
-        row = target.rows[q.length].get(tuple(map(target.numbers.get, q.vertices))) if q.length <= target.max_degree else None
+        row = target.rows[q.length].get(tuple(map(target.store.numbers.get, q.vertices))) if q.length <= target.max_degree else None
         if row is None:
             raise ImageNotInOmegaError(f"image path {q.render()} is not in the target complex")
         out[row] = ring.add(out[row], c) if row in out else c
@@ -425,7 +430,7 @@ def induced_chain_map_by_paths(f: PathMorphism, source, target) -> dict:
 
     top = min(source.max_degree, target.max_degree)
     mats = {
-        n: restrict_to_omega(images(list(map(source.path, source.rows[n]))), source, n, target, n, ImageNotInOmegaError)
+        n: restrict_to_omega(images(list(map(source.store.path, source.rows[n]))), source, n, target, n, ImageNotInOmegaError)
         for n in range(top + 1)
     }
     for n in range(1, top + 1):
@@ -446,7 +451,7 @@ def chain_homotopy_by_prism(f: PathMorphism, g: PathMorphism, gammas: dict, sour
         return lambda i: mapped_rows(sorted(prism_by_paths(paths[i], gammas, ring)), vertex_map, target)
 
     return {
-        n: restrict_to_omega(lifted(list(map(source.path, source.rows[n]))), source, n, target, n + 1, ImageNotInOmegaError)
+        n: restrict_to_omega(lifted(list(map(source.store.path, source.rows[n]))), source, n, target, n + 1, ImageNotInOmegaError)
         for n in range(source.max_degree)
     }
 

@@ -104,9 +104,9 @@ def test_criterion_4_prism_identity(announce):
     ok = True
     for _ in range(50):
         pc = random_unit_weight_complex(rng, max_vertices=6, maxlen=4)
-        paths = [p for n in range(5) for p in pc.regular_paths(n)]
-        ok = ok and all(rep.ok for rep in verify_prism_identity(pc, paths))
-        paths_total += len(paths)
+        codes = [c for bucket in pc.regular_path_codes(4) for c in bucket]
+        ok = ok and all(rep.ok for rep in verify_prism_identity(pc, codes))
+        paths_total += len(codes)
         complexes += 1
     announce(4, ok, f"prism identity exact on {paths_total} paths over {complexes} complexes")
 

@@ -91,7 +91,7 @@ def test_boundary_of_vertices_is_zero():
     # P e_v = w(v)^-1 e_vv' is e_v' - e_v by itself
     pc = complex_from_paths([Path((a, b))], weights={a: -1, b: 1}, ring=ZZ)
     assert build_omega(pc, 1).boundary(0).rows == 0
-    assert [rep.ok for rep in verify_prism_identity(pc, pc.regular_paths(0))] == [True, True]
+    assert [rep.ok for rep in verify_prism_identity(pc, pc.regular_path_codes(0)[0])] == [True, True]
 
 
 def test_omega_ranks_of_diamond():
@@ -407,7 +407,7 @@ def test_grid_kernels_run_only_on_the_linked_squares(monkeypatch):
     assert len(squares) == 6
     for n, rows in squares:
         assert n == 2 and len(rows) == 2
-        p, q = (om.path(code).vertices for code, j in om.rows[2].items() if j in rows)
+        p, q = (om.store.path(code).vertices for code, j in om.rows[2].items() if j in rows)
         assert p[0] == q[0] and p[2] == q[2] and p[1] != q[1]
 
 
@@ -468,11 +468,11 @@ def test_a_vertex_only_irregular_paths_use_has_no_row():
     z = Vertex("z")
     paths = [Path.of(a), Path.of(b), Path((a, b)), Path((b, z, z))]
     pc = PathComplex.build([a, b], paths, {a: 2, b: 4}, ZZ)
-    numbers, buckets = pc.regular_path_codes(2)
-    assert numbers == {a: 0, b: 1, z: 2} and [len(bucket) for bucket in buckets] == [2, 1, 0]
+    buckets = pc.regular_path_codes(2)
+    assert pc.store.numbers == {a: 0, b: 1, z: 2} and [len(bucket) for bucket in buckets] == [2, 1, 0]
     assert homology(pc, 3).groups == [HomologyGroup(1, [2]), HomologyGroup(0), HomologyGroup(0)]
     om = build_omega(pc, 2)
-    assert om.numbers == {a: 0, b: 1, z: 2} and om.rows[1:] == [{(0, 1): 0}, {}]
+    assert om.store is pc.store and om.rows[1:] == [{(0, 1): 0}, {}]
 
 
 @pytest.mark.parametrize(

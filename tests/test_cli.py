@@ -7,7 +7,7 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from wph import cli
+from wph import cli, homotopy
 from wph import io as wio
 from wph.algebra import MODULUS_BOUND
 from wph.chain import build_omega, homology, homology_of_omega
@@ -486,6 +486,23 @@ _CERT_ARGS = (
 )
 _DIAMOND_Z = str(FIXTURES / "pc_diamond_weighted.json")
 _DIAMOND_Q = str(FIXTURES / "pc_diamond_q.json")
+
+
+@pytest.mark.parametrize("chain", [(), ("--mode", "chain", "--chain", str(FIXTURES / "chain_a_xy.json"))],
+                         ids=["one-step", "chain"])
+def test_a_certified_homotopy_checks_each_step_once(monkeypatch, capsys, chain):
+    # each step's certificate starts from the step's passing one-step check
+    checked = []
+    original = homotopy.verify_path_morphism
+
+    def recording(f, allow_degenerate=False):
+        checked.append(f)
+        return original(f, allow_degenerate)
+
+    monkeypatch.setattr(homotopy, "verify_path_morphism", recording)
+    code, out, _ = run(capsys, *_CERT_ARGS, *chain)
+    assert code == 0 and "chain-homotopy certificate: PASS" in out
+    assert len(checked) == 1  # one step either way: chain_a_xy is a -> x, a -> y
 
 
 _DH_CERT_ARGS = (

@@ -8,8 +8,13 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from collections import Counter
+from pathlib import Path as FsPath
 
 import pytest
 
@@ -19,6 +24,7 @@ from helpers import FIXTURES
 
 SEED = 19
 RUNS = 300
+TESTS = FsPath(__file__).resolve().parent
 SCALARS = [None, True, False, 0, 1, -1, 2, 7, 10 ** 30, 2.5, "", "a", "a'", "x''", "{a,b}", "1/0", "1/2", "Z", "Q", [], {}]
 FUNCTORS = ["natural", "connective", "bold", "underlying", "density2", "cylinder", "box:I1f", "box:I1b"]
 
@@ -109,29 +115,69 @@ def argv_for(rng: random.Random, write) -> list:
     return argv + ["--certify-chain-homotopy"] * rng.randint(0, 1)
 
 
-def test_mutated_documents_end_in_a_documented_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setenv("WPH_COLOR", "never")
+def fuzz_outcomes(runs: int, directory) -> list:
+    """(argv, exit code, stdout, stderr) of the first `runs` runs at SEED, with the documents
+    written to directory; a run that raises, or that argparse gives up on, has the
+    exception's type and message for its exit code."""
     rng = random.Random(SEED)
     written = []
 
     def write(document) -> str:
-        path = tmp_path / f"doc{len(written)}.json"
+        path = FsPath(directory) / f"doc{len(written)}.json"
         path.write_text(json.dumps(document))
         written.append(path)
         return str(path)
 
-    codes = {}
-    start = time.perf_counter()
-    for run in range(RUNS):
+    outcomes = []
+    for _ in range(runs):
         argv = argv_for(rng, write)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except BaseException as exc:  # a traceback, or argparse giving up
-                pytest.fail(f"run {run}: {argv} raised {type(exc).__name__}: {exc}")
-        assert code in (0, 2, 3, 4), (run, argv, code)
-        codes[code] = codes.get(code, 0) + 1
+            except (Exception, SystemExit) as exc:  # a traceback, or argparse giving up
+                code = f"{type(exc).__name__}: {exc}"
+        outcomes.append((argv, code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+def test_mutated_documents_end_in_a_documented_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setenv("WPH_COLOR", "never")
+    start = time.perf_counter()
+    outcomes = fuzz_outcomes(RUNS, tmp_path)
     elapsed = time.perf_counter() - start
+    for run, (argv, code, _, _) in enumerate(outcomes):
+        assert code in (0, 2, 3, 4), (run, argv, code)
+    codes = Counter(code for _, code, _, _ in outcomes)
     assert set(codes) >= {0, 2}, codes  # the fuzz reaches both the engine and the refusals
     assert elapsed < 3, f"{RUNS} runs took {elapsed:.1f} s"
+
+
+def test_fuzzed_runs_print_the_same_under_two_hash_seeds(tmp_path):
+    # criterion 9: stdout, stderr and exit codes may not depend on the order of sets of strings
+    runs = 2000
+    seen = {}
+    for seed in ("0", "1"):
+        directory = tmp_path / seed
+        directory.mkdir()
+        env = dict(
+            os.environ, PYTHONHASHSEED=seed, WPH_COLOR="never", PYTHONDONTWRITEBYTECODE="1",
+            PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]),
+        )
+        proc = subprocess.run(
+            [sys.executable, __file__, str(directory), str(runs)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen[seed] = json.loads(proc.stdout)
+    assert len(seen["0"]) == len(seen["1"]) == runs
+    for run, (a, b) in enumerate(zip(seen["0"], seen["1"])):
+        assert a == b, run
+
+
+if __name__ == "__main__":  # print the fuzz outcomes as JSON, the documents' directory written <dir>
+    directory = sys.argv[1]
+    print(json.dumps([
+        [text.replace(directory, "<dir>") if isinstance(text, str) else text for text in (" ".join(argv), *rest)]
+        for argv, *rest in fuzz_outcomes(int(sys.argv[2]), directory)
+    ]))

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
+
 import pytest
 
 from wph import io as wio
@@ -29,6 +35,18 @@ def test_build_rejects_loops_and_unknown_endpoints():
         WeightedDigraph.build([a], [(a, a)])
     with pytest.raises(InvariantError):
         WeightedDigraph.build([a], [(a, b)])
+
+
+def test_an_edge_error_names_the_least_bad_edge_under_every_hash_seed(tmp_path):
+    doc = tmp_path / "bad.json"
+    edges = [["a", "b"], ["a'", "d"], ["a", "c"], ["b", "e"], ["c", "a"]]
+    doc.write_text(json.dumps({"format_version": "1", "kind": "digraph", "body": {"vertices": ["a", "b"], "edges": edges}}))
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), WPH_COLOR="never", PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=str(FsPath(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-m", "wph.cli", "validate", str(doc)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: edge (a -> c) uses unknown vertex\n"), seed
 
 
 def test_paths_functor_counts_edge_paths():

@@ -11,16 +11,15 @@ from wph import io as wio
 from wph.algebra import QQ, ZZ, Matrix, Zmod
 from wph.chain import build_omega, induced_chain_map
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
-from wph.errors import HomotopyIdentityFailedError, MissingWeightError, NonInvertibleWeightError
+from wph.errors import HomotopyIdentityFailedError, MissingWeightError, NonInvertibleWeightError, NotAMorphismError
 from wph.homotopy import (
-    StepSpec,
     chain_homotopy_certificate,
+    chain_step_pairs,
     edge_weighted_certificate,
     natural_path_morphisms,
     one_step_homotopy_dhyper,
     one_step_homotopy_pathcx,
     prism,
-    verify_homotopy_chain,
     verify_path_morphism,
     verify_prism_identity,
 )
@@ -41,6 +40,7 @@ from helpers import (
     assert_prism_routes_agree,
     certificate_outcome,
     certificate_over_the_ring,
+    codes_of,
     doubled_lifts,
     homology_maps_equal,
     induced_homology_maps_equal,
@@ -114,15 +114,27 @@ def test_identity_is_strictly_homotopic_to_itself_only_with_degeneracies():
     assert one_step_homotopy_pathcx(ident, ident, allow_degenerate=True).ok
 
 
+def chain_holds(steps: list) -> bool:
+    """Whether every step of a chain of (morphism, direction) pairs is a one-step homotopy."""
+    return all(one_step_homotopy_pathcx(a, b).ok for a, b in chain_step_pairs(steps))
+
+
 def test_homotopy_chain_of_two_steps():
     f = PathMorphism(point_source(), edge_target(), {a: x})
     g = PathMorphism(point_source(), edge_target(), {a: y})
-    rep = verify_homotopy_chain([StepSpec(f), StepSpec(g)])
-    assert rep.ok
-    rep = verify_homotopy_chain([StepSpec(g), StepSpec(f, direction="backward")])
-    assert rep.ok
-    rep = verify_homotopy_chain([StepSpec(g), StepSpec(f)])
-    assert not rep.ok
+    assert chain_holds([(f, "forward"), (g, "forward")])
+    assert chain_holds([(g, "forward"), (f, "backward")])
+    assert not chain_holds([(g, "forward"), (f, "forward")])
+
+
+def test_an_undeclared_path_vertex_left_unmapped_is_named():
+    # b is on a path but not declared: the morphism check and f_* name it, with no KeyError
+    src = PathComplex.build([a], [Path((a,)), Path((a, b))], {a: 1, b: 1}, ZZ)
+    tgt = complex_from_paths([Path((x,))], weights={x: 1}, ring=ZZ)
+    f = PathMorphism(src, tgt, {a: x})
+    assert verify_path_morphism(f).problems == ["vertex b is unmapped"]
+    with pytest.raises(NotAMorphismError, match="^vertex b is unmapped$"):
+        induced_chain_map(f, build_omega(src, 1), build_omega(tgt, 1))
 
 
 def test_verify_path_morphism_lists_failing_paths_by_length_then_vertices():
@@ -241,8 +253,8 @@ def test_a_homotopy_chain_builds_one_cylinder(monkeypatch):
     built = count_cylinder_builds(monkeypatch)
     w = Vertex("w")
     src, tgt = point_source(), complex_from_paths([Path((x, y, z, w))], weights=dict.fromkeys([x, y, z, w], 1), ring=QQ)
-    steps = [StepSpec(PathMorphism(src, tgt, {a: t})) for t in (x, y, z, w)]
-    assert verify_homotopy_chain(steps).ok
+    steps = [(PathMorphism(src, tgt, {a: t}), "forward") for t in (x, y, z, w)]
+    assert chain_holds(steps)
     assert built == [src]
 
 
@@ -261,8 +273,8 @@ def test_prism_identity_on_fixed_complex():
         weights={a: Fraction(1), b: Fraction(1, 2), c: Fraction(3)},
         ring=QQ,
     )
-    paths = [p for n in range(3) for p in pc.regular_paths(n)]
-    assert [(rep.ok, rep.difference) for rep in verify_prism_identity(pc, paths)] == [(True, None)] * 6
+    codes = [c for bucket in pc.regular_path_codes(2) for c in bucket]
+    assert [(rep.ok, rep.difference) for rep in verify_prism_identity(pc, codes)] == [(True, None)] * 6
 
 
 def test_prism_identity_on_random_complexes():
@@ -281,15 +293,15 @@ def test_prism_identity_on_random_complexes():
 def test_prism_requires_invertible_weights():
     pc = complex_from_paths([Path((a, b))], weights={a: 2, b: 4}, ring=ZZ)
     with pytest.raises(NonInvertibleWeightError):
-        verify_prism_identity(pc, [Path((a, b))])
+        verify_prism_identity(pc, codes_of(pc, [Path((a, b))]))
 
 
 def test_prism_identity_needs_a_weight_on_every_path_vertex():
     # c has no weight: the check refuses it as the certificate does, and takes (a b)
     pc = complex_from_paths([Path((a, b)), Path((b, c))], weights={a: 1, b: 2}, ring=QQ)
     with pytest.raises(MissingWeightError, match="vertex c has no weight"):
-        verify_prism_identity(pc, [Path((b, c))])
-    assert [rep.ok for rep in verify_prism_identity(pc, [Path((a, b))])] == [True]
+        verify_prism_identity(pc, codes_of(pc, [Path((b, c))]))
+    assert [rep.ok for rep in verify_prism_identity(pc, codes_of(pc, [Path((a, b))]))] == [True]
 
 
 def two_by_two():

@@ -91,8 +91,7 @@ def test_regular_paths_order_is_deterministic():
 @given(st.integers(0, 10 ** 6))
 def test_regular_paths_are_the_sorted_regular_paths_of_each_length(seed):
     pc = random_complex(random.Random(seed), max_vertices=5, maxlen=3).cylinder()
-    numbers, buckets = pc.regular_path_codes(4)
-    vertices = list(numbers)
+    buckets, vertices = pc.regular_path_codes(4), pc.store.vertices
     for n in range(5):
         assert pc.regular_paths(n) == sorted(p for p in pc.paths if p.length == n and p.is_regular())
         assert [Path(tuple(vertices[k] for k in code)) for code in buckets[n]] == pc.regular_paths(n)
