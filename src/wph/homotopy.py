@@ -134,9 +134,8 @@ def verify_prism_identity(pc: PathComplex, codes: list) -> list:
     Both sides are summed on cylinder codes (`pathcx.cylinder_tables`): P is `chain.prism`
     and d is `chain._face_terms`, which weighs p's vertices by store number and its
     lifts' by cylinder number.  Only a nonzero difference (left side minus right)
-    becomes Paths.  Weights must be units
-    (NonInvertibleWeightError) on every path vertex (MissingWeightError), and a
-    complex with no cylinder is refused (`level_copies`).
+    becomes Paths.  Weights must be units (NonInvertibleWeightError) on every path
+    vertex (MissingWeightError), and a complex with no cylinder is refused (`level_copies`).
     """
     gammas = _require_invertible_weights(pc)
     store = pc.store

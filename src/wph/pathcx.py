@@ -133,8 +133,9 @@ def level_copies(vertices: Iterable[Vertex], levels: Iterable[int]) -> set:
 
 
 def cylinder_tables(count: int) -> tuple:
-    """(bottom, top): v_k and v_k' at 2k and 2k + 1 in the cylinder of count vertices, as
-    sorted copies interleave where `level_copies` allows it; so codes sort as paths."""
+    """(bottom, top), the cylinder numbers of v_k and v_k' for the k-th of count sorted
+    vertices: 2k and 2k + 1, the places of the sorted copies wherever `level_copies`
+    allows a cylinder, so cylinder codes sort as cylinder paths."""
     return range(0, 2 * count, 2), range(1, 2 * count, 2)
 
 
