@@ -37,7 +37,10 @@ Checks, on freshly sampled instances:
     (helpers.eliminate_with_two_queues), the same invariant factors and
     settled unit columns, on the boundaries of those complexes and of a
     random complex over Z, and on a random sparse matrix with a random set
-    of rows left out (helpers.random_sparse_matrix),
+    of rows left out (helpers.random_sparse_matrix); both key an entry when
+    it is made or changes value, the reference by comparing the rows a
+    pivot touches before and after it, and push a key popped with an
+    out-of-date cost again with the current one,
   * the bold functor's one forward walk equals the truncation closure of
     the decomposable paths, on a random directed hypergraph with arrow
     sides of any size, for maxlen 0..4,

@@ -9,9 +9,11 @@ have equal storage.  Products, sums and comparisons work on those entries.
 Kernels and lattice solves read one column reduction of the sparse columns
 stacked over the identity (`_echelon`).  Homology reads only invariant factors
 (`Matrix.invariant_factors`), from one sparse elimination with one pivot
-queue: unit pivots first, then Euclid steps over Z when no unit is left.  Along
-a chain complex (`chain_invariant_factors`) each boundary is eliminated without
-the rows that the unit pivots of the boundary before it settle.
+queue: unit pivots first, then Euclid steps over Z when no unit is left.  An
+entry is keyed when it is made or changes value, and a key popped with an
+out-of-date cost is pushed again with the current one.  Along a chain complex
+(`chain_invariant_factors`) each boundary is eliminated without the rows that
+the unit pivots of the boundary before it settle.
 `smith_normal_form` gives the Smith form with its transforms, by a dense loop;
 it is the reference the elimination is tested against, and no production path
 calls it.
@@ -460,12 +462,17 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
     cylinders (timings in BENCH_10.json).  `rows` maps a row to its
     {column: nonzero entry} dict, `cols` a column to the rows with an entry there.
 
-    One queue of (size, cost, row, column) keys gives every pivot, its least
-    current key.  The size is 1 for a unit and |p| for another entry p; the cost,
+    One queue of (size, cost, row, column) keys gives every pivot.  The size is 1
+    for a unit and |p| for another entry p; the cost,
     (row nnz - 1) * (column nnz - 1), bounds the pivot's fill; ties go to the
-    lowest row, then the lowest column.  Other entries are keyed only once the
-    queue runs dry with rows left, which happens only over Z: the Euclid phase
-    begins.  The loop ends with the last row.
+    lowest row, then the lowest column.  An entry gets a key when it is made or
+    changes value: after a pivot, those are the entries of the rows it touched in
+    its columns, and of a Euclid pivot's own row.  A count that changes pushes
+    nothing; a popped key whose cost is out of date is pushed again with the
+    current cost, so the pivot is the first popped key whose value and cost are
+    both current.  Other entries than units are keyed only once the queue runs
+    dry with rows left, which happens only over Z: the Euclid phase begins.  The
+    loop ends with the last row.
 
     A unit u at (i, j) clears its column by row operations, then its row by
     column operations.  That leaves u beside the Schur complement: the rest minus
@@ -521,28 +528,34 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
                         cols[j] = {i}
 
     # Units are every nonzero over a field, and 1 and -1 over Z, the one other ring.
-    # Every change to a keyed entry's value or cost pushes its new key; keys gone out
-    # of date are dropped when popped.
-    heap: list = []
+    # An entry gets a key when it is made or changes value.  A popped key whose entry
+    # is gone or changed value is dropped (the new value has its own key); one whose
+    # cost went out of date is pushed again with the current cost.
     settled = None  # the unit count when the Euclid phase began
 
+    def queue(every) -> list:
+        """A heap of keys for every entry, or (every false) for the units."""
+        heap = [
+            (1 if field else abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
+            for k, entries in rows.items()
+            for c, x in entries.items()
+            if every or x == 1 or x == -1
+        ]
+        heapify(heap)
+        return heap
+
     def push(ks, cs) -> None:
-        """Keys for the entries of rows ks and of columns cs, whose values or counts changed;
-        ks is a set when cs is not empty."""
-        euclid = settled is not None
+        """Keys for the entries of rows ks in columns cs, which a pivot made or changed."""
+        every = field or settled is not None
         for k in ks:
-            entries = rows[k]
+            entries = rows.get(k)
+            if entries is None:
+                continue
             fill = len(entries) - 1
-            for c, x in entries.items():
-                if field or euclid or x == 1 or x == -1:
+            for c in cs:
+                x = entries.get(c)
+                if x and (every or x == 1 or x == -1):
                     heappush(heap, (1 if field else abs(x), fill * (len(cols[c]) - 1), k, c))
-        for c in cs:
-            fill = len(cols[c]) - 1
-            for k in cols[c]:
-                if k not in ks:
-                    x = rows[k][c]
-                    if field or euclid or x == 1 or x == -1:
-                        heappush(heap, (1 if field else abs(x), (len(rows[k]) - 1) * fill, k, c))
 
     def row_sub(k, q, pivot) -> None:  # row k -= q * pivot, a row's entries; cols kept in step
         entries, nq = rows[k], neg(q)
@@ -560,30 +573,26 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
         if not entries:
             del rows[k]
 
-    def drop_empty(cs) -> list:
-        """Drop the columns of cs left empty; the others of cs."""
+    def drop_empty(cs) -> None:
+        """Drop the columns of cs left empty."""
         for c in cs:
-            if not cols[c]:
+            if c in cols and not cols[c]:
                 del cols[c]
-        return [c for c in cs if c in cols]
 
-    push(rows, ())
+    heap = queue(field)
     units, pivots = [], []  # m's columns of the unit pivots; the non-unit diagonal pivots
     while rows:
         if not heap:  # no unit is left, so the ring is Z: the Euclid phase begins
             settled = len(units)
-            heap = [
-                (abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
-                for k, entries in rows.items()
-                for c, x in entries.items()
-            ]
-            heapify(heap)
+            heap = queue(True)
         size, cost, i, j = heappop(heap)
         pivot = rows.get(i)
-        if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
+        p = pivot.get(j) if pivot is not None else None
+        if p is None or not field and abs(p) != size:
             continue
-        p = pivot[j]
-        if not field and abs(p) != size:
+        now = (len(pivot) - 1) * (len(cols[j]) - 1)
+        if cost != now:
+            heappush(heap, (size, now, i, j))
             continue
         if size == 1:
             del rows[i]
@@ -594,16 +603,17 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
             touched = cols.pop(j)
             for k in touched:
                 row_sub(k, mul(rows[k].pop(j), inv), pivot)  # clears its entry in column j
-            # new keys: the touched rows changed their counts, the pivot's columns theirs
-            push({k for k in touched if k in rows}, drop_empty(pivot))
+            drop_empty(pivot)
+            push(touched, pivot)  # the entries the row operations made or changed
             units.append(i if transposed else j)
             continue
         ks = [k for k in cols[j] if k != i]
-        cs = list(pivot)  # the columns whose counts the row operations change
+        cs = list(pivot)  # the columns in which the row operations change rows ks
         for k in ks:
             q = _nearest_quotient(rows[k][j], p)
             if q:
                 row_sub(k, q, pivot)
+        changed = (j,)  # p keeps its value, but its key was popped
         if len(cols[j]) == 1:  # column j is p alone: column operations change row i only
             for c in cs:
                 if c != j:
@@ -616,8 +626,10 @@ def _eliminate(m: Matrix, skip=()) -> tuple:
             if len(pivot) == 1:
                 pivots.append(abs(p))
                 del rows[i], cols[j]
-        # every entry that changed is in rows ks and i, and every count that changed
-        push({k for k in ks + [i] if k in rows}, drop_empty([c for c in cs if c in cols]))
+            changed = cs  # p is the least entry, so every other entry of row i changed
+        drop_empty(cs)
+        push(ks, cs)
+        push((i,), changed)
     for a in range(len(pivots)):
         for b in range(a + 1, len(pivots)):
             g = gcd(pivots[a], pivots[b])

@@ -94,8 +94,9 @@ def one_step_homotopy_pathcx(
     if problems:
         return HomotopyReport(False, None, problems)
     cyl = f.source.cylinder()
-    vmap = {v: f.vertex_map[v] for v in f.source.vertices if v in f.vertex_map}
-    vmap.update({v.primed(): g.vertex_map[v] for v in f.source.vertices if v in g.vertex_map})
+    vertices = f.source.store.vertices  # the declared ones and those only on paths
+    vmap = {v: f.vertex_map[v] for v in vertices if v in f.vertex_map}
+    vmap.update({v.primed(): g.vertex_map[v] for v in vertices if v in g.vertex_map})
     F = PathMorphism(cyl, f.target, vmap)
     rep = verify_path_morphism(F, allow_degenerate=allow_degenerate)
     return HomotopyReport(rep.ok, rep.weighted, rep.problems, F if rep.ok else None)

@@ -55,8 +55,10 @@ def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup
 def eliminate_with_two_queues(m: Matrix, skip=()) -> tuple:
     """What `algebra._eliminate` gives, from a unit queue and a separate Euclid queue,
     the second built when the first runs dry; the unit loop pops every key left in its
-    queue, stale ones too.  The reference for the one-queue engine: the same pivots,
-    pushes and (factors, settled); pops are counted by patching `heappop` here."""
+    queue, stale ones too.  An entry is keyed when a pivot makes it or changes its
+    value, found by comparing the rows the pivot touches before and after it.  The
+    reference for the one-queue engine: the same pivots, pushes, heapified keys and
+    (factors, settled); pops are counted by patching `heappop` here."""
     require_pid(m.ring)
     ring = m.ring
     add, mul, neg, field = ring.add, ring.mul, ring.neg, ring.is_field
@@ -86,35 +88,35 @@ def eliminate_with_two_queues(m: Matrix, skip=()) -> tuple:
                     else:
                         cols[j] = {i}
 
-    # (cost, row, column) keys of unit entries.  Every change to a unit entry's cost
-    # pushes its new key, so the least key that is still current is the pivot; keys
-    # gone out of date are dropped when popped.  Over a field every nonzero is a unit;
-    # the one other ring is Z, with units 1 and -1.
-    heap: list = []
+    def cost(k, c) -> int:
+        return (len(rows[k]) - 1) * (len(cols[c]) - 1)
+
+    def is_unit(x) -> bool:  # over a field every nonzero; the one other ring is Z
+        return field or x == 1 or x == -1
+
+    # (cost, row, column) keys of unit entries.  An entry gets a key when it is made or
+    # changes value; a popped key of an entry that is gone or no unit is dropped, and
+    # one whose cost went out of date is pushed again with the current cost.
+    heap = [(cost(k, c), k, c) for k in rows for c, x in rows[k].items() if is_unit(x)]
+    heapify(heap)
     # Euclid phase: (|entry|, cost, row, column) keys of the other entries, from its
-    # first step on, kept current the same way.
+    # first step on, kept the same way.
     sizes = None
 
-    def push(ks, cs) -> None:
-        """Keys for the entries of rows ks and of columns cs, whose values or counts changed;
-        ks is a set when cs is not empty."""
-        for k in ks:
-            entries = rows[k]
-            fill = len(entries) - 1
-            for c, x in entries.items():
-                if field or x == 1 or x == -1:
-                    heappush(heap, (fill * (len(cols[c]) - 1), k, c))
+    def copies(ks) -> dict:
+        return {k: dict(rows[k]) for k in ks}
+
+    def push_changed(before: dict, popped=None) -> None:
+        """Keys for the entries of the rows in `before` that are new or changed since that
+        copy was taken, and for the entry `popped` whose key a pivot took."""
+        for k, old in before.items():
+            for c, x in rows.get(k, {}).items():
+                if old.get(c) == x and (k, c) != popped:
+                    continue
+                if is_unit(x):
+                    heappush(heap, (cost(k, c), k, c))
                 elif sizes is not None:
-                    heappush(sizes, (abs(x), fill * (len(cols[c]) - 1), k, c))
-        for c in cs:
-            fill = len(cols[c]) - 1
-            for k in cols[c]:
-                if k not in ks:
-                    x = rows[k][c]
-                    if field or x == 1 or x == -1:
-                        heappush(heap, ((len(rows[k]) - 1) * fill, k, c))
-                    elif sizes is not None:
-                        heappush(sizes, (abs(x), (len(rows[k]) - 1) * fill, k, c))
+                    heappush(sizes, (abs(x), cost(k, c), k, c))
 
     def row_sub(k, q, pivot) -> None:  # row k -= q * pivot, a row's entries; cols kept in step
         entries, nq = rows[k], neg(q)
@@ -132,58 +134,53 @@ def eliminate_with_two_queues(m: Matrix, skip=()) -> tuple:
         if not entries:
             del rows[k]
 
-    def drop_empty(cs) -> list:
-        """Drop the columns of cs left empty; the others of cs."""
+    def drop_empty(cs) -> None:
+        """Drop the columns of cs left empty."""
         for c in cs:
-            if not cols[c]:
+            if c in cols and not cols[c]:
                 del cols[c]
-        return [c for c in cs if c in cols]
 
-    push(rows, ())
     units, pivots = [], []  # m's columns of the unit pivots; the non-unit diagonal pivots
     settled = None  # the unit count at the first Euclid step
     while rows:
         while heap:
-            cost, i, j = heappop(heap)
-            pivot = rows.get(i)
-            if pivot is None or j not in pivot or cost != (len(pivot) - 1) * (len(cols[j]) - 1):
+            key, i, j = heappop(heap)
+            u = rows[i].get(j) if i in rows else None
+            if u is None or not is_unit(u):
                 continue
-            u = pivot[j]
-            if not (field or u == 1 or u == -1):
+            if key != cost(i, j):
+                heappush(heap, (cost(i, j), i, j))
                 continue
-            del rows[i]
+            pivot = rows.pop(i)
             for c in pivot:
                 cols[c].discard(i)
             del pivot[j]
             inv = ring.inv(u) if field else u  # over Z, u is 1 or -1
             touched = cols.pop(j)
+            before = copies(touched)
             for k in touched:
                 row_sub(k, mul(rows[k].pop(j), inv), pivot)  # clears its entry in column j
-            # new keys: the touched rows changed their counts, the pivot's columns theirs
-            push({k for k in touched if k in rows}, drop_empty(pivot))
+            drop_empty(pivot)
+            push_changed(before)
             units.append(i if transposed else j)
         if field or not rows:
             break
         if sizes is None:
             settled = len(units)
-            sizes = [
-                (abs(x), (len(entries) - 1) * (len(cols[c]) - 1), k, c)
-                for k, entries in rows.items()
-                for c, x in entries.items()
-            ]
+            sizes = [(abs(x), cost(k, c), k, c) for k in rows for c, x in rows[k].items()]
             heapify(sizes)
         while True:
-            size, cost, i, j = heappop(sizes)
-            pivot = rows.get(i)
-            if (
-                pivot is not None
-                and abs(pivot.get(j, 0)) == size
-                and cost == (len(pivot) - 1) * (len(cols[j]) - 1)
-            ):
+            size, key, i, j = heappop(sizes)
+            if i not in rows or abs(rows[i].get(j, 0)) != size:
+                continue
+            if key == cost(i, j):
                 break
+            heappush(sizes, (size, cost(i, j), i, j))
+        pivot = rows[i]
         p = pivot[j]
+        before = copies(cols[j])
         ks = [k for k in cols[j] if k != i]
-        cs = list(pivot)  # the columns whose counts the row operations change
+        cs = list(pivot)  # the columns in which the row operations change rows ks
         for k in ks:
             q = algebra._nearest_quotient(rows[k][j], p)
             if q:
@@ -200,8 +197,8 @@ def eliminate_with_two_queues(m: Matrix, skip=()) -> tuple:
             if len(pivot) == 1:
                 pivots.append(abs(p))
                 del rows[i], cols[j]
-        # every entry that changed is in rows ks and i, and every count that changed
-        push({k for k in ks + [i] if k in rows}, drop_empty([c for c in cs if c in cols]))
+        drop_empty(cs)
+        push_changed(before, (i, j))
     for a in range(len(pivots)):
         for b in range(a + 1, len(pivots)):
             g = gcd(pivots[a], pivots[b])

@@ -444,8 +444,9 @@ def test_one_queue_elimination_equals_the_two_queue_reference_on_random_matrices
 
 
 def counting_heap_calls(monkeypatch, module) -> dict:
-    """Count the heappush and heappop calls that `module` makes, from now on."""
-    counts = {"push": 0, "pop": 0}
+    """Count the heappush and heappop calls that `module` makes, and the keys it heapifies,
+    from now on."""
+    counts = {"push": 0, "pop": 0, "heapify": 0}
 
     def push(heap, key):
         counts["push"] += 1
@@ -455,31 +456,71 @@ def counting_heap_calls(monkeypatch, module) -> dict:
         counts["pop"] += 1
         return heapq.heappop(heap)
 
+    def heapify(heap):
+        counts["heapify"] += len(heap)
+        heapq.heapify(heap)
+
     monkeypatch.setattr(module, "heappush", push)
     monkeypatch.setattr(module, "heappop", pop)
+    monkeypatch.setattr(module, "heapify", heapify)
     return counts
 
 
-def test_one_queue_elimination_pushes_what_the_reference_pushes_on_every_ladder_rung(monkeypatch):
+def ladder_boundaries() -> list:
+    """(rung name, its boundaries d_0 .. d_L) for each rung of scripts/ladder.py."""
     spec = importlib.util.spec_from_file_location("ladder", FIXTURES.parent / "scripts" / "ladder.py")
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    ours, reference = counting_heap_calls(monkeypatch, algebra), counting_heap_calls(monkeypatch, helpers)
+    out = []
     for name, paths, length in ladder.RUNGS:
         om = build_omega(paths(length), length)
-        boundaries = [om.boundary(n) for n in range(length + 1)]
+        out.append((name, [om.boundary(n) for n in range(length + 1)]))
+    return out
+
+
+def test_one_queue_elimination_pushes_what_the_reference_pushes_on_every_ladder_rung(monkeypatch):
+    ours, reference = counting_heap_calls(monkeypatch, algebra), counting_heap_calls(monkeypatch, helpers)
+    for name, boundaries in ladder_boundaries():
         for counts in (ours, reference):
-            counts.update(push=0, pop=0)
+            counts.update(push=0, pop=0, heapify=0)
         got = chain_eliminations(algebra._eliminate, boundaries)
         assert got == chain_eliminations(eliminate_with_two_queues, boundaries), name
-        assert ours["push"] == reference["push"] and ours["pop"] <= reference["pop"], (name, ours, reference)
+        assert ours["push"] == reference["push"] and ours["heapify"] == reference["heapify"], (name, ours, reference)
+        assert ours["pop"] <= reference["pop"], (name, ours, reference)
 
 
 def test_the_elimination_stops_with_its_last_row(monkeypatch):
-    # K4 L3 Z has no Euclid step; a queue drained of its stale keys pops all 201 it pushes
+    # K4 L3 Z has no Euclid step, and its pivots neither make nor change a unit entry nor
+    # leave a key out of date: the 105 keys of the first queue are all it gets, and a queue
+    # drained of its stale keys would pop them all
     vs = [Vertex(s) for s in "abcd"]
     k4 = WeightedDigraph.build(vs, [(x, y) for x in vs for y in vs if x != y], dict(zip(vs, [1, 2, 3, 4])), ZZ)
     om = build_omega(paths_functor(k4, 3), 3)
     counts = counting_heap_calls(monkeypatch, algebra)
     assert [len(d) for d in om.invariant_factors] == [0, 3, 9, 27]
-    assert counts["pop"] < counts["push"] == 201
+    assert counts == {"push": 0, "pop": 44, "heapify": 105}
+
+
+def settled_columns_have_unit_factors(m: Matrix, skip) -> bool:
+    """Whether the columns J of m that `_eliminate(m, skip)` settles, without the rows in
+    skip, have |J| unit invariant factors, by `smith_normal_form`."""
+    settled = algebra._eliminate(m, skip)[1]
+    keep = {i: r for r, i in enumerate(i for i in range(m.rows) if i not in skip)}
+    columns = [{keep[i]: x for i, x in m.entries[j].items() if i in keep} for j in settled]
+    return smith_normal_form(Matrix.from_columns(m.ring, columns, len(keep))).d == (m.ring.one,) * len(settled)
+
+
+def test_the_settled_columns_have_unit_factors_whatever_the_pivot_order():
+    # chain_invariant_factors drops the next boundary's rows J because m[I, J] is invertible
+    # for the unit pivots' rows I; then m[:, J] has |J| unit invariant factors, which no
+    # pivot order changes
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(500):
+            m, skip = random_sparse_matrix(rng)
+            assert settled_columns_have_unit_factors(m, skip), (seed, m, skip)
+    for name, boundaries in ladder_boundaries():
+        settled = ()
+        for n, m in enumerate(boundaries):
+            assert settled_columns_have_unit_factors(m, set(settled)), (name, n)
+            settled = algebra._eliminate(m, settled)[1]

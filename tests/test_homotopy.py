@@ -137,6 +137,23 @@ def test_an_undeclared_path_vertex_left_unmapped_is_named():
         induced_chain_map(f, build_omega(src, 1), build_omega(tgt, 1))
 
 
+@pytest.mark.parametrize("weights", [{a: 1, b: 1}, {a: 1}], ids=["weighted", "unweighted"])
+def test_the_one_step_homotopy_maps_an_undeclared_path_vertex(weights):
+    # b is on a path but not declared: F maps b and b' as f and g map b
+    src = PathComplex.build([a], [Path((a,)), Path((b,)), Path((a, b))], weights, ZZ)
+    tgt = complex_from_paths([Path((x, y))], weights={x: 1, y: 1}, ring=ZZ)
+    f = PathMorphism(src, tgt, {a: x, b: y})
+    rep = one_step_homotopy_pathcx(f, f, allow_degenerate=True)
+    assert (rep.ok, rep.problems) == (True, [])
+    assert rep.homotopy.vertex_map == {a: x, b: y, a.primed(): x, b.primed(): y}
+    if b in weights:
+        cert = chain_homotopy_certificate(f, f, 2, allow_degenerate=True)
+        assert (cert.ok, cert.problems, cert.identity_holds, cert.homology_maps_equal) == (True, [], True, True)
+    else:
+        with pytest.raises(MissingWeightError, match="^vertex b has no weight$"):
+            chain_homotopy_certificate(f, f, 2, allow_degenerate=True)
+
+
 def test_verify_path_morphism_lists_failing_paths_by_length_then_vertices():
     # failures on paths of lengths 1, 2 and 3, in the text and order of a sorted walk of the source
     e = Vertex("e")
