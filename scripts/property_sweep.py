@@ -24,10 +24,14 @@ Checks, on freshly sampled instances:
     what the certificate run over Q itself reports
     (helpers.certificate_over_the_ring): the same flags, or the same error
     type and message,
-  * f_*, g_* and L on path codes equal those from `mapped_rows` and the
-    prism on Path objects (helpers.routes_compared), as those certificates
-    build them, and between random vertex maps over Z and Z/7, errors
-    included (helpers.route_outcomes),
+  * f_* and g_* on path codes equal those from `mapped_rows` on Path
+    objects (helpers.route_outcomes), errors included: between the complexes
+    those certificates run on, and between random vertex maps over Z and Z/7,
+  * between those random vertex maps, which need not be morphisms,
+    `certify_one_step` (the certificate without its one-step check), which
+    checks on the target's path chains, reports what the same certificate on
+    Omega matrices of the source and the target reports
+    (helpers.certify_one_step_by_matrices), also with the lifts doubled,
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
   * homology from the reduced chain (each boundary eliminated without the
@@ -70,9 +74,9 @@ from wph import algebra, chain
 from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
-from wph.homotopy import chain_homotopy_certificate
+from wph.homotopy import chain_homotopy_certificate, certify_one_step
 from wph.oracle import homology_dimensions
-from wph.pathcx import inclusion_bottom, inclusion_top
+from wph.pathcx import PathMorphism, inclusion_bottom, inclusion_top
 
 from helpers import (
     assert_chain_verdict_matches_lattice,
@@ -80,6 +84,7 @@ from helpers import (
     bold_reference,
     certificate_outcome,
     certificate_over_the_ring,
+    certify_one_step_by_matrices,
     chain_eliminations,
     doubled_lifts,
     eliminate_with_two_queues,
@@ -87,6 +92,7 @@ from helpers import (
     homology_of_pair,
     omega_by_face_comprehension,
     one_row_kernel_by_elimination,
+    outcome,
     random_complex,
     random_digraph_complex,
     random_directed_hypergraph,
@@ -97,7 +103,6 @@ from helpers import (
     random_unit_weight_complex,
     random_units_complex,
     route_outcomes,
-    routes_compared,
 )
 
 
@@ -156,19 +161,25 @@ def main():
                 for case in cases:
                     got = certificate_outcome(chain_homotopy_certificate, *case)
                     assert got == certificate_outcome(certificate_over_the_ring, *case), (i, doubled, case)
-        # f_*, g_* and L on path codes equal mapped_rows and the prism on Paths: as the
-        # certificates build them, and between random vertex maps over Z and Z/7
-        with routes_compared() as pairs:
-            for case in cases:
-                certificate_outcome(chain_homotopy_certificate, *case)
-        assert all(got == want for got, want in pairs), i
+        # f_* and g_* on path codes equal mapped_rows on Paths: between the complexes the
+        # certificates run on (over Q the support complexes), and between random vertex maps
+        for f2, g2, n, _ in cases:
+            source, target = (pc.support() if pc.ring == QQ else pc for pc in (f2.source, f2.target))
+            top = min(n + 1, max(len(source.store.buckets), len(target.store.buckets)))
+            f2, g2 = (PathMorphism(source, target, m.vertex_map) for m in (f2, g2))
+            code, reference = route_outcomes(f2, g2, build_omega(source, top), build_omega(target, top))
+            assert code == reference, (i, f2, g2, n)
         with tempfile.TemporaryDirectory() as directory:
             assert_chain_verdict_matches_lattice(rng, QQ if i % 2 else Zmod(5), directory)
         for ring in (ZZ, Zmod(7)):
-            f2, g2, gammas = random_pair(rng, ring)
+            f2, g2, _ = random_pair(rng, ring)
             top = min(3, 1 + max(p.length for pc in (f2.source, f2.target) for p in pc.paths))
-            code, reference = route_outcomes(f2, g2, gammas, build_omega(f2.source, top), build_omega(f2.target, top))
-            assert code == reference, (i, ring, f2, g2, gammas)
+            code, reference = route_outcomes(f2, g2, build_omega(f2.source, top), build_omega(f2.target, top))
+            assert code == reference, (i, ring, f2, g2)
+            for doubled in (False, True):
+                with doubled_lifts() if doubled else nullcontext():
+                    got = outcome(certify_one_step, f2, g2, 2)
+                    assert got == outcome(certify_one_step_by_matrices, f2, g2, 2), (i, ring, doubled, f2, g2)
 
         pq2 = random_complex(rng, ring=QQ, max_vertices=6, maxlen=3)
         dims = homology_dimensions(pq2, 3)

@@ -97,6 +97,8 @@ class Ring:
         """Total order on nonzero values used by the deterministic pivot rule."""
         raise NotImplementedError
 
+    least_pivot_size = None  # the pivot size no nonzero value is below, where there is one
+
     def __repr__(self):
         return self.name
 
@@ -127,6 +129,8 @@ class IntegerRing(Ring):
 
     def pivot_size(self, a):
         return abs(a)
+
+    least_pivot_size = 1
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -208,6 +212,8 @@ class ModularRing(Ring):
 
     def pivot_size(self, a):
         return a
+
+    least_pivot_size = 1
 
     def __eq__(self, other):
         return isinstance(other, ModularRing) and other.m == self.m
@@ -366,13 +372,21 @@ class SmithDecomposition:
 
 
 def _find_pivot(a, t, nr, nc, ring):
+    """(row, column) of the first nonzero of least pivot size in the block of a from (t, t),
+    in row-major order, or None.  The scan stops at the first entry of size
+    `ring.least_pivot_size` (1 over Z and Z/m), which no later entry can beat; over Q it
+    reads the whole block."""
+    floor = ring.least_pivot_size
     best = None  # (pivot size, row, column); the first of equal sizes wins
     for i in range(t, nr):
+        row = a[i]
         for j in range(t, nc):
-            x = a[i][j]
+            x = row[j]
             if x:  # nonzero: zero is falsy in every ring, and the test is cheap on Fractions
                 size = ring.pivot_size(x)
                 if best is None or size < best[0]:
+                    if size == floor:
+                        return i, j
                     best = (size, i, j)
     return None if best is None else best[1:]
 

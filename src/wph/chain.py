@@ -2,8 +2,9 @@
 
 Chains are taken on integer path codes (see OmegaComplex), with one walker per
 operator: `_face_terms` writes weighted boundaries and `prism` the one-jump lifts
-of the prism operator.  Omega, the induced maps, the chain homotopy and the prism
-check (`homotopy.verify_prism_identity`) all run on these two.
+of the prism operator.  Omega, the induced maps, the chain-homotopy certificate
+(`homotopy.certify_one_step`) and the prism check (`homotopy.verify_prism_identity`)
+all run on these two.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .algebra import (
     require_pid,
 )
 from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError, NotAMorphismError
-from .pathcx import Path, PathComplex, PathMorphism, PathStore, cylinder_tables, is_regular, lifts
+from .pathcx import Path, PathComplex, PathMorphism, PathStore, is_regular, lifts
 
 
 @dataclass
@@ -92,15 +93,8 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         raise MissingWeightError("Omega construction needs a weighted complex")
     ring = pc.ring
     require_pid(ring)
-    codes, vertices = pc.regular_path_codes(max_degree), pc.store.vertices
-    weights = pc.weight_map()
-    # each vertex number's weight and its negative, None for an unweighted vertex
-    signed = [(weights[v], ring.neg(weights[v])) if v in weights else None for v in vertices]
-    if None in signed:
-        for c in (c for bucket in codes[1:] for c in bucket):
-            for k in c:
-                if signed[k] is None:
-                    raise MissingWeightError(f"vertex {vertices[k].render()} has no weight")
+    codes = pc.regular_path_codes(max_degree)
+    signed = signed_weights(pc, codes)
     rows = [{c: i for i, c in enumerate(bucket)} for bucket in codes]
 
     faces = []  # faces[n]: the face terms of the regular n-paths (see _face_terms)
@@ -130,6 +124,20 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
             faces[n].__getitem__, omega, n, omega, n - 1, InvariantError
         )
     return omega
+
+
+def signed_weights(pc: PathComplex, codes: list) -> list:
+    """Each vertex number's weight and its negative, None for an unweighted vertex, as
+    `_face_terms` reads them; MissingWeightError for an unweighted vertex on a code of
+    degree 1 or more in codes, the regular path codes by degree."""
+    vertices, weights, neg = pc.store.vertices, pc.weight_map(), pc.ring.neg
+    signed = [(weights[v], neg(weights[v])) if v in weights else None for v in vertices]
+    if None in signed:
+        for c in (c for bucket in codes[1:] for c in bucket):
+            for k in c:
+                if signed[k] is None:
+                    raise MissingWeightError(f"vertex {vertices[k].render()} has no weight")
+    return signed
 
 
 def _face_terms(codes: list, below, signed: list, n: int) -> tuple:
@@ -279,7 +287,7 @@ def restrict_to_omega(
     A generator on one path takes that path's image as it is, unsummed, which is
     why each image must have distinct keys.  Every caller's does: the faces of a
     regular path are distinct (dropping entries s < t gives the same sequence only
-    if entries s..t are equal), and `code_images` sums the images that fall on one row.
+    if entries s..t are equal), and `induced_chain_map` gives each path one image term.
     """
     ring = source.ring
     zero, one, add, sub, mul, quo = ring.zero, ring.one, ring.add, ring.sub, ring.mul, ring.quo
@@ -376,64 +384,45 @@ def prism(code: tuple, bottom, top, coefficients) -> list:
     terms: lift k (`pathcx.lifts`) maps c_0..c_k by the vertex table bottom and c_k..c_n
     by top, with coefficient coefficients[c_k][k % 2], (-1)^k gamma(v_k) when coefficients[x] is the
     pair (gamma, -gamma) of vertex x.  On the tables of `pathcx.cylinder_tables` the
-    lifts are cylinder codes, which the prism check sums and `code_images` maps on."""
+    lifts are cylinder codes, which the prism check sums; on F's vertex tables of a
+    one-step homotopy F they are F's images of the lifts, which the certificate sums."""
     return list(zip(lifts(code, bottom, top), [coefficients[x][k & 1] for k, x in enumerate(code)]))
-
-
-def code_images(source: OmegaComplex, target: OmegaComplex, bottom_map: dict, top_map: dict, chain):
-    """Images of cylinder chains under the map F on the source's cylinder that sends v_k
-    to bottom_map[v_k] and v_k' to top_map[v_k]: images(n, m)(i) is F's image of chain(c),
-    c the code in row i of source.rows[n], as the `image` that `restrict_to_omega` takes
-    into target degree m.  chain(c) lists (cylinder code, coefficient) terms, numbered as
-    `pathcx.cylinder_tables` numbers them.
-
-    F is one table from cylinder numbers to target numbers (NotAMorphismError for a vertex
-    a map leaves out).  A vertex the target does not number gets a number of its own past
-    the target's, so an image code is regular exactly when the image path is.  Irregular
-    images are dropped and images on one row summed; a regular image off the target raises
-    ImageNotInOmegaError naming the image of the least such cylinder code.
-    """
-    vertices, numbers = source.store.vertices, dict(target.store.numbers)
-    unmapped = [v for v in vertices if v not in bottom_map or v not in top_map]
-    if unmapped:
-        raise NotAMorphismError(f"vertex {unmapped[0].render()} is unmapped")
-    table = [numbers.setdefault(m[v], len(numbers)) for v in vertices for m in (bottom_map, top_map)]
-    add = target.ring.add
-
-    def images(n: int, m: int):
-        codes, rows = list(source.rows[n]), target.rows[m]
-
-        def image(i: int):
-            out, off = {}, []
-            for code, c in chain(codes[i]):
-                y = tuple([table[x] for x in code])
-                row = rows.get(y)
-                if row is not None:
-                    out[row] = add(out[row], c) if row in out else c
-                elif is_regular(y):
-                    off.append((code, y))
-            if off:
-                path = Path(tuple(map(list(numbers).__getitem__, min(off)[1])))
-                raise ImageNotInOmegaError(f"image path {path.render()} is not in the target complex")
-            return out.items()
-
-        return image
-
-    return images
 
 
 def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComplex) -> dict:
     """Matrices of f on Omega, degree by degree; checks boundary commutation.
 
-    The images are f's of the cylinder's bottom copy, on path codes (`code_images`):
-    irregular images are dropped, and an image path outside the target raises
-    ImageNotInOmegaError.
+    Each regular path's image is taken on its code, through one table from source to
+    target vertex numbers (NotAMorphismError for a vertex f leaves out).  A vertex the
+    target does not number gets a number of its own past the target's, so an image code
+    is regular exactly when the image path is.  Irregular images are dropped, and a
+    regular image off the target raises ImageNotInOmegaError naming it.
     """
-    bottom, one = cylinder_tables(len(source.store.vertices))[0], target.ring.one
-    images = code_images(source, target, f.vertex_map, f.vertex_map, lambda c: [(tuple([bottom[x] for x in c]), one)])
+    vertices, numbers = source.store.vertices, dict(target.store.numbers)
+    unmapped = [v for v in vertices if v not in f.vertex_map]
+    if unmapped:
+        raise NotAMorphismError(f"vertex {unmapped[0].render()} is unmapped")
+    table = [numbers.setdefault(f.vertex_map[v], len(numbers)) for v in vertices]
+    one = target.ring.one
+
+    def images(n: int):
+        codes, rows = list(source.rows[n]), target.rows[n]
+
+        def image(i: int):
+            y = tuple([table[x] for x in codes[i]])
+            row = rows.get(y)
+            if row is not None:
+                return ((row, one),)
+            if is_regular(y):
+                path = Path(tuple(map(list(numbers).__getitem__, y)))
+                raise ImageNotInOmegaError(f"image path {path.render()} is not in the target complex")
+            return ()
+
+        return image
+
     top = min(source.max_degree, target.max_degree)
     mats = {
-        n: restrict_to_omega(images(n, n), source, n, target, n, ImageNotInOmegaError)
+        n: restrict_to_omega(images(n), source, n, target, n, ImageNotInOmegaError)
         for n in range(top + 1)
     }
     for n in range(1, top + 1):

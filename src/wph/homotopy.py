@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import QQ, ZZ
-from .chain import OmegaComplex, _face_terms, build_omega, code_images, induced_chain_map, prism, restrict_to_omega
+from .chain import _face_terms, build_omega, prism, signed_weights
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, render_set, set_weight
 from .digraph import paths_functor
 from .errors import (
@@ -15,7 +15,7 @@ from .errors import (
     NonInvertibleWeightError,
     NotAMorphismError,
 )
-from .pathcx import Path, PathComplex, PathMorphism, cylinder_tables, level_copies
+from .pathcx import Path, PathComplex, PathMorphism, cylinder_tables, is_regular, level_copies
 
 
 @dataclass
@@ -167,24 +167,23 @@ def verify_prism_identity(pc: PathComplex, codes: list) -> list:
     return reports
 
 
-def chain_homotopy(f: PathMorphism, g: PathMorphism, gammas: dict, source: OmegaComplex, target: OmegaComplex) -> dict:
-    """L_n : Omega_n(source) -> Omega_(n+1)(target) for n < source.max_degree: F_* after the prism.
+def _summed(terms, add) -> dict:
+    """{key: the sum of its coefficients} of (key, coefficient) terms, zero sums dropped."""
+    if len(terms) == 1:
+        ((k, c),) = terms
+        return {k: c} if c else {}
+    out: dict = {}
+    for k, c in terms:
+        out[k] = add(out[k], c) if k in out else c
+    return {k: c for k, c in out.items() if c}
 
-    F is the one-step homotopy of f and g (F(v) = f(v), F(v') = g(v)) and gammas
-    the inverse source weights.  `chain.code_images` maps the prism's cylinder codes
-    (`chain.prism`, the prism check's lift walker) by F: lift k, v_0..v_k v_k'..v_n',
-    goes to f(v_0)..f(v_k) g(v_k)..g(v_n) with coefficient (-1)^k gammas[v_k].
-    `restrict_to_omega` re-expresses each generator's image in Omega_(n+1)(target)
-    (ImageNotInOmegaError when it leaves it), with no Omega of the cylinder.
-    """
-    neg = target.ring.neg
-    signs = [(w, neg(w)) for w in map(gammas.__getitem__, source.store.vertices)]
-    bottom, top = cylinder_tables(len(signs))
-    lifts = code_images(source, target, f.vertex_map, g.vertex_map, lambda c: prism(c, bottom, top, signs))
-    return {
-        n: restrict_to_omega(lifts(n, n + 1), source, n, target, n + 1, ImageNotInOmegaError)
-        for n in range(source.max_degree)
-    }
+
+def _vanishes(gen: dict, chains: list, add, mul) -> bool:
+    """Whether the sum of gen[i] chains[i] over the rows i of an Omega generator is 0, each
+    chains[i] a {key: coefficient} dict with no zero coefficient."""
+    if len(gen) == 1:  # a nonzero multiple of a nonzero chain is not 0 over Z and Z/p
+        return not chains[next(iter(gen))]
+    return not _summed([(k, mul(x, c)) for i, x in gen.items() for k, c in chains[i].items()], add)
 
 
 @dataclass
@@ -213,14 +212,35 @@ def chain_homotopy_certificate(
 def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> CertificateReport:
     """The certificate of f and g, whose one-step check has passed, up to max_degree.
 
-    Builds L_n : Omega_n(source) -> Omega_(n+1)(target) and checks the identity
-    dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).  Both
-    sides must be weighted over one ring (MissingWeightError otherwise).
+    Checks that L = F_# P, the one-step homotopy F after the prism P, is a chain
+    homotopy: dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).
+    Both sides must be weighted over one ring (MissingWeightError otherwise).
 
-    L_n is F_* after the prism on path codes, F the one-step homotopy, with no
-    Omega of the cylinder (`chain_homotopy`); f_* and g_* (`induced_chain_map`)
-    take their images on the same codes.  Once the identity holds there, L is a
-    chain homotopy on Omega, whatever complex the prism passes through.
+    Only the source's Omega is built.  Every check runs on chains of the target's
+    path codes: the images f_# x, g_# x and F_# P x of each Omega_n(source)
+    generator x, and their weighted boundaries (`chain._face_terms`, which reads
+    the target's regular paths once per degree).  Each source path's images under
+    f, g and F after the prism (`chain.prism`, looked up when called) are taken
+    once per call, irregular ones dropped; a generator's are their sums by
+    linearity.  The checks run in this order: f's membership in every degree, then
+    f's chain-map squares, the same two for g, L's membership, and the identity,
+    each degree by degree and generator by generator:
+    - Membership.  Each image path must be a target path
+      (ImageNotInOmegaError naming the image off it; for L, F's image of the least
+      cylinder code off it) and the image's boundary must have no term off the
+      target's paths (ImageNotInOmegaError naming the generator).  Over a field
+      Omega_m(target) is the kernel of that outside part of the boundary; over Z it
+      is the kernel's integer points, the saturated lattice that its Hermite basis
+      spans.  So this is the test `chain.restrict_to_omega` makes against the basis.
+    - The chain-map squares d f_# x = f_# d x and d g_# x = g_# d x
+      (ImageNotInOmegaError naming the degree).
+    - The identity d F_# P x + F_# P d x = g_# x - f_# x.
+    The coordinates of Omega_m(target) in the regular m-paths are injective, so a
+    square or the identity holds on path chains exactly when it holds on the
+    matrices of f_*, g_* and L in the Omega bases (`chain.induced_chain_map`
+    builds f_*'s): every verdict, and every error with its index, is the one those
+    matrices give.  Once the identity holds, L is a chain homotopy on Omega,
+    whatever complex the prism passes through.
 
     Over Q the certificate runs on the support complexes over Z.  The one-step
     check (weight preservation included), the source's unit weights and the
@@ -253,14 +273,16 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     alike, and f_* = g_* on H_n.  The tests cross-check the flag with that
     lattice test on Omega built afresh (tests/helpers.py).
 
-    Degree cap.  Omega is built only up to D = min(max_degree + 1, 1 + the
-    longest path of the source and the target), and the loops run to D - 1.
-    When D <= max_degree, every degree n from D to max_degree is past the
-    source's longest path, so Omega_n(source) = 0: f_*, g_*, L_n and the identity
-    have zero columns there, and H_n(source) = 0.  L_(D-1) lands in
-    Omega_D(target), which is built.  Every path of length at most
-    max_degree + 1 has length at most D, so each Omega reads the same regular
-    paths, and raises the same errors, as when built up to max_degree + 1.
+    Degree cap.  D = min(max_degree + 1, 1 + the longest path of the source and
+    the target).  Omega of the source is built up to D; f and g are checked up to
+    degree D, and L and the identity up to D - 1.  When D <= max_degree, every
+    degree n from D to max_degree is past the source's longest path, so
+    Omega_n(source) = 0: f_*, g_*, L_n and the identity have zero columns there,
+    and H_n(source) = 0.  L_(D-1) lands in degree D of the target, whose paths up
+    to D are read, and whose weights are checked there as `build_omega(target, D)`
+    checks them.  Every path of length at most max_degree + 1 has length at most
+    D, so the same regular paths are read, and the same errors raised, as up to
+    max_degree + 1.
     """
     gammas = _require_invertible_weights(f.source)
     ring = f.source.ring
@@ -271,22 +293,117 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
         f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
         gammas = dict.fromkeys(gammas, ZZ.one)
 
-    top = min(max_degree + 1, max(len(f.source.store.buckets), len(f.target.store.buckets)))
-    om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
-    f_mats = induced_chain_map(f, om_src, om_tgt)
-    g_mats = induced_chain_map(g, om_src, om_tgt)
-    L = chain_homotopy(f, g, gammas, om_src, om_tgt)
+    source, target, ring = f.source, f.target, f.source.ring
+    add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
+    top = min(max_degree + 1, max(len(source.store.buckets), len(target.store.buckets)))
+    om = build_omega(source, top)
+    codes = target.regular_path_codes(top)
+    weights = signed_weights(target, codes)  # refuses as build_omega(target, top) does
+    # each regular target path's face terms by face code, and {face: coefficient} of those off the target
+    boundary = dict.fromkeys(codes[0], ((), {}))
+    for m in range(1, top + 1):
+        if codes[m]:
+            keys = dict(zip(codes[m - 1], codes[m - 1]))  # a target path's face is keyed by its code; the rest are cut
+            table, cut = _face_terms(codes[m], keys.get, weights, m)
+            boundary.update(zip(codes[m], zip(table, map(dict, cut))))  # the faces of a regular path are distinct
+    paths = [list(rows) for rows in om.rows]  # the source code in each row
+    used = [sorted({i for gen in basis.entries for i in gen}) for basis in om.bases]  # the rows generators use
+    signed, faces = signed_weights(source, ()), {}  # faces: a used source path's face terms
+    for n in range(1, top + 1):
+        if used[n]:
+            sources = [paths[n][i] for i in used[n]]
+            faces.update(zip(sources, _face_terms(sources, {}.get, signed, n)[0]))
+    numbers, vertices = dict(target.store.numbers), source.store.vertices
 
+    def table(m: PathMorphism) -> list:  # a vertex off the target gets a number past the target's
+        unmapped = [v for v in vertices if v not in m.vertex_map]
+        if unmapped:
+            raise NotAMorphismError(f"vertex {unmapped[0].render()} is unmapped")
+        return [numbers.setdefault(m.vertex_map[v], len(numbers)) for v in vertices]
+
+    def in_omega(n: int, m: int, outside: dict, off: set, named) -> None:
+        """The membership check, generator by generator, of the images of the Omega_n(source)
+        generators in Omega_m(target): row i's image has the boundary terms outside[i] off
+        the target, and its paths are target paths unless i is in off, when named(i) names
+        the image path to report."""
+        for j, gen in enumerate(om.bases[n].entries):
+            for i in sorted(gen):
+                if i in off:
+                    path = Path(tuple(map(list(numbers).__getitem__, named(i))))
+                    raise ImageNotInOmegaError(f"image path {path.render()} is not in the target complex")
+            if not _vanishes(gen, outside, add, mul):
+                raise ImageNotInOmegaError(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
+
+    maps = []  # per map, f and g: its vertex table and, by degree, its regular images {row: code}
+    for h in (f, g):
+        t, images = table(h), []
+        for n in range(top + 1):
+            image, off, outside = {}, set(), {}
+            for i in used[n]:
+                y = tuple([t[x] for x in paths[n][i]])
+                outside[i] = {}
+                if is_regular(y):
+                    image[i] = y
+                    if y in boundary:
+                        outside[i] = boundary[y][1]
+                    else:
+                        off.add(i)
+            in_omega(n, n, outside, off, image.get)
+            images.append(image)
+        for n in range(1, top + 1):  # d h_# x = h_# d x
+            squares = {}
+            for i in used[n]:
+                terms = list(boundary[images[n][i]][0]) if i in images[n] else []
+                for q, w in faces[paths[n][i]]:
+                    y = tuple([t[x] for x in q])
+                    if is_regular(y):
+                        terms.append((y, neg(w)))
+                squares[i] = _summed(terms, add)
+            if not all(_vanishes(gen, squares, add, mul) for gen in om.bases[n].entries):
+                raise ImageNotInOmegaError(f"induced map does not commute with the boundary in degree {n}")
+        maps.append((t, images))
+
+    (tf, f_images), (tg, g_images) = maps
+    signs = [(w, neg(w)) for w in map(gammas.__getitem__, vertices)]
+    low, high = cylinder_tables(len(vertices))
+
+    def lifted(p: tuple) -> list:  # the regular ones of F's images of the prism's lifts of p
+        return [u for u in prism(p, tf, tg, signs) if is_regular(u[0])]
+
+    def least_off(p: tuple) -> tuple:  # F's image of the least cylinder lift of p off the target
+        lifts = zip(prism(p, low, high, signs), prism(p, tf, tg, signs))
+        return min((c, y) for (c, _), (y, _) in lifts if is_regular(y) and y not in boundary)[1]
+
+    L = []  # by degree: {row: F_# P of its path}
     for n in range(top):
-        total = om_tgt.boundary(n + 1) @ L[n]
-        if n >= 1:
-            total = total + L[n - 1] @ om_src.boundary(n)
-        want = g_mats[n] - f_mats[n]
-        for j in range(total.cols):
-            if total.entries[j] != want.entries[j]:
-                raise HomotopyIdentityFailedError(
-                    f"chain-homotopy identity fails on Omega_{n} generator {j}"
-                )
+        chains, off, outside = {}, set(), {}
+        for i in used[n]:
+            terms = lifted(paths[n][i])
+            chains[i] = chain = _summed(terms, add)
+            if all(y in boundary for y, _ in terms):
+                outside[i] = _summed([(q, mul(c, w)) for y, c in chain.items() for q, w in boundary[y][1].items()], add)
+            else:
+                off.add(i)
+        in_omega(n, n + 1, outside, off, lambda i: least_off(paths[n][i]))
+        L.append(chains)
+
+    lifts = {paths[n][i]: chain for n in range(top) for i, chain in L[n].items()}  # F_# P by source code
+    for n in range(top):  # d F_# P x + F_# P d x = g_# x - f_# x
+        defects = {}
+        for i, chain in L[n].items():
+            terms = [(q, mul(c, w)) for y, c in chain.items() for q, w in boundary[y][0]]
+            if i in g_images[n]:
+                terms.append((g_images[n][i], neg(one)))
+            if i in f_images[n]:
+                terms.append((f_images[n][i], one))
+            for q, w in faces.get(paths[n][i], ()):
+                if q not in lifts:  # a face that no generator uses
+                    lifts[q] = _summed(lifted(q), add)
+                terms += [(y, mul(w, c)) for y, c in lifts[q].items()]
+            defects[i] = _summed(terms, add)
+        for j, gen in enumerate(om.bases[n].entries):
+            if not _vanishes(gen, defects, add, mul):
+                raise HomotopyIdentityFailedError(f"chain-homotopy identity fails on Omega_{n} generator {j}")
 
     return CertificateReport(
         ok=True,

@@ -226,6 +226,17 @@ SPARSE_SAMPLES = [
 ]
 
 
+def find_pivot_by_full_scan(a, t, nr, nc, ring):
+    """What `algebra._find_pivot` returns, by reading the whole block from (t, t): the first
+    nonzero of least pivot size in row-major order, or None."""
+    best = None
+    for i in range(t, nr):
+        for j in range(t, nc):
+            if a[i][j] and (best is None or ring.pivot_size(a[i][j]) < best[0]):
+                best = (ring.pivot_size(a[i][j]), i, j)
+    return None if best is None else best[1:]
+
+
 def random_sparse_matrix(rng: random.Random, max_dim: int = 8) -> tuple:
     """A random mostly zero matrix over one of SPARSE_SAMPLES' rings, any shape down to
     0 x 0, and a random set of its rows to skip."""
@@ -404,7 +415,7 @@ def mapped_rows(terms, vertex_map: dict, target) -> list:
     """The image of the chain `terms`, (Path, coefficient) pairs, under a vertex map, as
     (target row, coefficient) pairs: irregular images dropped and equal rows summed
     (two paths can map onto one); an image off the target raises ImageNotInOmegaError.
-    The reference for `chain.code_images`, which does the same on path codes."""
+    The reference for `chain.induced_chain_map`'s images, taken on path codes."""
     ring = target.ring
     out: dict = {}
     for p, c in terms:
@@ -437,9 +448,11 @@ def induced_chain_map_by_paths(f: PathMorphism, source, target) -> dict:
 
 
 def chain_homotopy_by_prism(f: PathMorphism, g: PathMorphism, gammas: dict, source, target) -> dict:
-    """What `homotopy.chain_homotopy` gives, each image the `mapped_rows`, under the
-    one-step homotopy F of f and g, of `prism_by_paths` of the source path, Path by Path,
-    its lifts sorted as cylinder paths (the order in which an error names them)."""
+    """L_n : Omega_n(source) -> Omega_(n+1)(target) as matrices, for n < source.max_degree:
+    each image the `mapped_rows`, under the one-step homotopy F of f and g, of
+    `prism_by_paths` of the source path, Path by Path, its lifts sorted as cylinder paths
+    (the order in which an error names them).  The reference for the L that
+    `homotopy.certify_one_step` checks on path chains."""
     ring = source.ring
     vertex_map = {v: f.vertex_map[v] for v in f.source.vertices}
     vertex_map.update({v.primed(): g.vertex_map[v] for v in f.source.vertices})
@@ -461,45 +474,13 @@ def outcome(run, *args):
         return type(exc).__name__, str(exc)
 
 
-def route_outcomes(f: PathMorphism, g: PathMorphism, gammas: dict, source, target) -> tuple:
-    """(code route, reference route) of f_*, g_* and L between the given Omega complexes:
-    `induced_chain_map` and `homotopy.chain_homotopy` against `induced_chain_map_by_paths`
-    and `chain_homotopy_by_prism`, each as its matrices or its error's type and message."""
+def route_outcomes(f: PathMorphism, g: PathMorphism, source, target) -> tuple:
+    """(code route, reference route) of f_* and g_* between the given Omega complexes:
+    `induced_chain_map` against `induced_chain_map_by_paths`, each as its matrices or
+    its error's type and message."""
     code = [outcome(induced_chain_map, m, source, target) for m in (f, g)]
-    code.append(outcome(homotopy.chain_homotopy, f, g, gammas, source, target))
     reference = [outcome(induced_chain_map_by_paths, m, source, target) for m in (f, g)]
-    reference.append(outcome(chain_homotopy_by_prism, f, g, gammas, source, target))
     return code, reference
-
-
-@contextmanager
-def routes_compared():
-    """While open, each f_*, g_* and L that `homotopy.chain_homotopy_certificate` builds is
-    also taken on the reference route (`induced_chain_map_by_paths`,
-    `chain_homotopy_by_prism`); yields the list of (code route, reference) outcomes, one
-    per build, each its matrices or its error's type and message."""
-    pairs = []
-    induced, lifted = homotopy.induced_chain_map, homotopy.chain_homotopy
-
-    def both(code, reference):
-        def run(*args):
-            want = outcome(reference, *args)
-            try:
-                got = code(*args)
-            except WphError as exc:
-                pairs.append(((type(exc).__name__, str(exc)), want))
-                raise
-            pairs.append((got, want))
-            return got
-
-        return run
-
-    homotopy.induced_chain_map = both(induced, induced_chain_map_by_paths)
-    homotopy.chain_homotopy = both(lifted, chain_homotopy_by_prism)
-    try:
-        yield pairs
-    finally:
-        homotopy.induced_chain_map, homotopy.chain_homotopy = induced, lifted
 
 
 def random_pair(rng: random.Random, ring) -> tuple:
@@ -547,15 +528,22 @@ def doubled_lifts():
 
 
 def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int, allow_degenerate: bool = False):
-    """`homotopy.chain_homotopy_certificate` run on the complexes as given, over their own
-    ring, Q included: the reference for the certificate's route over Q on the support
-    complexes over Z.  It lifts by the prism on Path objects (`chain_homotopy_by_prism`).
-    It calls `homotopy.build_omega` and `homotopy.induced_chain_map` by name, as the
-    certificate does, so a test that patches one patches both routes; `doubled_lifts`
-    patches the lifts of both."""
+    """`homotopy.chain_homotopy_certificate` run on Omega matrices over the complexes' own
+    ring, Q included: the one-step check, then `certify_one_step_by_matrices`.  The
+    reference for the certificate's route over Q on the support complexes over Z."""
     hrep = homotopy.one_step_homotopy_pathcx(f, g, allow_degenerate=allow_degenerate)
     if not hrep.ok:
         return homotopy.CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
+    return certify_one_step_by_matrices(f, g, max_degree)
+
+
+def certify_one_step_by_matrices(f: PathMorphism, g: PathMorphism, max_degree: int):
+    """What `homotopy.certify_one_step` reports, or raises, computed the way it was before
+    it ran on path chains: Omega of the source and of the target built up to the degree
+    cap, f_* and g_* from `induced_chain_map`, L from the prism on Path objects
+    (`chain_homotopy_by_prism`), and dL + Ld = g_* - f_* compared column by column in the
+    target's Omega bases, over the complexes' own ring.  `doubled_lifts` doubles its
+    lifts too."""
     gammas = homotopy._require_invertible_weights(f.source)
     ring = f.source.ring
     if not f.target.is_weighted or f.target.ring != ring:
@@ -563,9 +551,9 @@ def certificate_over_the_ring(f: PathMorphism, g: PathMorphism, max_degree: int,
 
     longest = max((p.length for pc in (f.source, f.target) for p in pc.paths), default=-1)
     top = min(max_degree + 1, longest + 1)
-    om_src, om_tgt = homotopy.build_omega(f.source, top), homotopy.build_omega(f.target, top)
-    f_mats = homotopy.induced_chain_map(f, om_src, om_tgt)
-    g_mats = homotopy.induced_chain_map(g, om_src, om_tgt)
+    om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
+    f_mats = induced_chain_map(f, om_src, om_tgt)
+    g_mats = induced_chain_map(g, om_src, om_tgt)
     L = chain_homotopy_by_prism(f, g, gammas, om_src, om_tgt)
     for n in range(top):
         total = om_tgt.boundary(n + 1) @ L[n]

@@ -30,6 +30,7 @@ from helpers import (
     chain_eliminations,
     dense_columns,
     eliminate_with_two_queues,
+    find_pivot_by_full_scan,
     homology_of_pair,
     matrix_of_columns,
     random_sparse_matrix,
@@ -499,6 +500,17 @@ def test_the_elimination_stops_with_its_last_row(monkeypatch):
     counts = counting_heap_calls(monkeypatch, algebra)
     assert [len(d) for d in om.invariant_factors] == [0, 3, 9, 27]
     assert counts == {"push": 0, "pop": 44, "heapify": 105}
+
+
+def test_the_smith_pivot_scan_stops_at_a_least_size_and_changes_nothing(monkeypatch):
+    # over Z and Z/m the scan returns at the first entry of pivot size 1, which is the first
+    # least one in row-major order, so d, left and right equal those of the full scan
+    rng = random.Random(31)
+    matrices = [random_sparse_matrix(rng, max_dim=12)[0] for _ in range(300)]
+    assert {m.ring for m in matrices} == {ZZ, QQ, Zmod(7), Zmod(2)}
+    early = [smith_normal_form(m) for m in matrices]
+    monkeypatch.setattr(algebra, "_find_pivot", find_pivot_by_full_scan)
+    assert [smith_normal_form(m) for m in matrices] == early
 
 
 def settled_columns_have_unit_factors(m: Matrix, skip) -> bool:

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import pytest
 
-from wph import algebra, homotopy
+from wph import algebra, chain, homotopy
 from wph import io as wio
 from wph.algebra import QQ, ZZ, Matrix, Zmod
 from wph.chain import build_omega, induced_chain_map
@@ -40,6 +40,7 @@ from helpers import (
     assert_prism_routes_agree,
     certificate_outcome,
     certificate_over_the_ring,
+    certify_one_step_by_matrices,
     codes_of,
     doubled_lifts,
     homology_maps_equal,
@@ -51,11 +52,11 @@ from helpers import (
     random_q_homotopy,
     random_unit_weight_complex,
     random_units_complex,
+    outcome,
     route_outcomes,
-    routes_compared,
 )
 
-a, b, c, d, x, y, z = (Vertex(s) for s in "abcdxyz")
+a, b, c, d, w, x, y, z = (Vertex(s) for s in "abcdwxyz")
 
 
 def edge_target():
@@ -268,7 +269,6 @@ def test_the_certificate_on_the_cylinder_inclusions_builds_no_cylinder(monkeypat
 
 def test_a_homotopy_chain_builds_one_cylinder(monkeypatch):
     built = count_cylinder_builds(monkeypatch)
-    w = Vertex("w")
     src, tgt = point_source(), complex_from_paths([Path((x, y, z, w))], weights=dict.fromkeys([x, y, z, w], 1), ring=QQ)
     steps = [(PathMorphism(src, tgt, {a: t}), "forward") for t in (x, y, z, w)]
     assert chain_holds(steps)
@@ -443,6 +443,7 @@ def run_on(pc):
 
 
 def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
+    # the source's only: the target's paths are read as codes, and the cylinder gets no Omega
     built = []
     original = homotopy.build_omega
 
@@ -455,22 +456,21 @@ def test_certificate_builds_omega_once_per_distinct_complex(monkeypatch):
     f, g = inclusion_bottom(pc), inclusion_top(pc)
     assert f.target == pc.cylinder()
     assert chain_homotopy_certificate(f, g, 3).ok
-    assert built == [f.source.support(), f.target.support()]
+    assert built == [f.source.support()]
     assert homology_maps_equal(f, g, 3)
-    # homotopies whose target is not the cylinder: still no Omega of the cylinder
+    # homotopies whose target is not the cylinder: no Omega of the target or of the cylinder
     for name in ("point-to-edge", "dhyper-fixtures"):
         certify, pair = CERTIFICATES[name]
         built.clear()
         assert certify().ok
         f, _ = pair()
-        assert built == [run_on(f.source), run_on(f.target)]
-        assert f.source.cylinder() not in built and f.source.cylinder().support() not in built
-    # over Z a target weight that is no unit is outside the support argument: Omega on the complexes as given
+        assert built == [run_on(f.source)]
+    # over Z a target weight that is no unit is outside the support argument: Omega on the source as given
     src = complex_from_paths([Path((a,))], weights={a: 1}, ring=ZZ)
     tgt = complex_from_paths([Path((x, y)), Path((z,))], weights={x: 1, y: 1, z: 2}, ring=ZZ)
     built.clear()
     assert chain_homotopy_certificate(PathMorphism(src, tgt, {a: x}), PathMorphism(src, tgt, {a: y}), 3).ok
-    assert built == [src, tgt]
+    assert built == [src]
 
 
 @pytest.mark.parametrize(
@@ -574,14 +574,15 @@ def test_the_cylinder_inclusions_homotopy_induces_the_identity():
 
 
 def test_the_certificate_eliminates_nothing_outside_its_omega_builds(monkeypatch):
-    # kernels (`_echelon`) and invariant factors (`_eliminate`) are counted apart for the
-    # calls made inside `build_omega` and the rest of the certificate
-    counts = {"omega": 0, "rest": 0}
+    # kernels (`_echelon`), invariant factors (`_eliminate`), re-expressions in Omega bases
+    # (`restrict_to_omega`) and matrix products are counted apart for the calls made inside
+    # `build_omega` and the rest of the certificate, which works on path chains alone
+    counts = {"omega": Counter(), "rest": Counter()}
     inside = []
 
-    def counting(original):
+    def counting(name, original):
         def run(*args):
-            counts["omega" if inside else "rest"] += 1
+            counts["omega" if inside else "rest"][name] += 1
             return original(*args)
 
         return run
@@ -593,13 +594,15 @@ def test_the_certificate_eliminates_nothing_outside_its_omega_builds(monkeypatch
         finally:
             inside.pop()
 
-    for name in ("_echelon", "_eliminate"):
-        monkeypatch.setattr(algebra, name, counting(getattr(algebra, name)))
+    for owner, name in ((algebra, "_echelon"), (algebra, "_eliminate"), (chain, "restrict_to_omega"), (Matrix, "matmul")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     monkeypatch.setattr(homotopy, "build_omega", omega)
     for pc in criterion5_complexes():
         assert chain_homotopy_certificate(inclusion_bottom(pc), inclusion_top(pc), 3).ok
-    assert counts["omega"] > 0
-    assert counts["rest"] == 0
+    for certify, _ in CERTIFICATES.values():
+        assert certify().ok
+    assert counts["omega"]["restrict_to_omega"] > 0  # the source's boundaries
+    assert counts["rest"] == Counter()
 
 
 def fixture_body(name: str):
@@ -636,18 +639,26 @@ CERTIFICATES = {  # id -> (the certificate, the pair f, g it certifies)
 
 @pytest.mark.parametrize("certify, pair", CERTIFICATES.values(), ids=CERTIFICATES)
 def test_every_certificate_computes_exactly_the_induced_maps_of_f_and_g(monkeypatch, certify, pair):
+    # F's lifts are taken on f's and on g's own vertex tables into the target's numbers,
+    # once per code: every source path below the degree cap, and each face off the source
     calls = []
-    original = homotopy.induced_chain_map
+    original = homotopy.prism
 
-    def recording(f, source, target):
-        calls.append((f.source, f.target, f.vertex_map))
-        return original(f, source, target)
+    def recording(code, bottom, top, coefficients):
+        calls.append((code, list(bottom), list(top)))
+        return original(code, bottom, top, coefficients)
 
-    monkeypatch.setattr(homotopy, "induced_chain_map", recording)
+    monkeypatch.setattr(homotopy, "prism", recording)
     cert = certify()
     assert cert.ok and cert.identity_holds and cert.homology_maps_equal
-    assert calls == [(run_on(m.source), run_on(m.target), m.vertex_map) for m in pair()]
-    assert homology_maps_equal(*pair(), cert.degrees_checked - 1)
+    f, g = pair()
+    tables = [[f.target.store.numbers[m.vertex_map[v]] for v in f.source.store.vertices] for m in (f, g)]
+    assert calls and all([bottom, top] == tables for _, bottom, top in calls)
+    codes = [code for code, _, _ in calls]
+    cap = min(cert.degrees_checked, max(len(f.source.store.buckets), len(f.target.store.buckets)))
+    assert len(set(codes)) == len(codes)
+    assert set(codes) >= {c for bucket in f.source.regular_path_codes(cap - 1) for c in bucket}
+    assert homology_maps_equal(f, g, cert.degrees_checked - 1)
 
 
 def test_lifts_that_map_onto_one_path_are_summed():
@@ -682,79 +693,167 @@ def test_a_wrong_homotopy_is_refused(pair):
     ids=["point-to-edge", "cylinder-inclusions"],
 )
 def test_certificate_work_stops_at_the_longest_path(monkeypatch, pair):
-    built = []
-    original = homotopy.build_omega
+    # Omega of the source, and the target's regular paths, up to 1 + the longest path
+    built, read = [], []
+    original, codes = homotopy.build_omega, PathComplex.regular_path_codes
 
     def recording(pc, max_degree):
-        built.append(max_degree)
+        built.append((pc, max_degree))
         return original(pc, max_degree)
 
+    def reading(pc, max_degree):
+        read.append((pc, max_degree))
+        return codes(pc, max_degree)
+
     monkeypatch.setattr(homotopy, "build_omega", recording)
+    monkeypatch.setattr(PathComplex, "regular_path_codes", reading)
     f, g = pair()
     longest = max(p.length for p in f.target.paths)  # the target holds the longest path of the three
     assert longest + 1 < 4
     reports = {}
     for n in (3, 20000):
         built.clear()
+        read.clear()
         cert = chain_homotopy_certificate(f, g, n)
         assert cert.degrees_checked == n + 1
-        reports[n] = (cert.ok, cert.problems, cert.identity_holds, cert.homology_maps_equal, list(built))
+        reports[n] = (cert.ok, cert.problems, cert.identity_holds, cert.homology_maps_equal, list(built), set(read))
         assert homology_maps_equal(f, g, n)
     assert reports[3] == reports[20000]
     assert reports[3][:4] == (True, [], True, True)
-    assert set(reports[3][4]) == {longest + 1}
+    source, target = run_on(f.source), run_on(f.target)
+    assert reports[3][4] == [(source, longest + 1)]
+    assert reports[3][5] == {(source, longest + 1), (target, longest + 1)}
 
 
 def test_the_code_route_builds_the_reference_matrices_on_the_support_route_cases():
-    # f_*, g_* and L as the certificate builds them, against mapped_rows and the prism on Paths
+    # f_* and g_* on path codes against mapped_rows on Paths, between the complexes each
+    # certificate runs on (over Q, the support complexes) up to its degree cap
     outcomes = Counter()
-    with routes_compared() as pairs:
-        for f, g, n, degenerate in support_route_cases():
-            outcomes[certificate_outcome(chain_homotopy_certificate, f, g, n, degenerate)[0]] += 1
-    assert all(got == want for got, want in pairs)
-    assert len(pairs) == 3 * (outcomes[True] + outcomes["HomotopyIdentityFailedError"]) and outcomes[True] >= 100
+    for f, g, n, _ in support_route_cases():
+        source, target = run_on(f.source), run_on(f.target)
+        cap = min(n + 1, max(len(source.store.buckets), len(target.store.buckets)))
+        f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
+        code, reference = route_outcomes(f, g, build_omega(source, cap), build_omega(target, cap))
+        assert code == reference, (f, g, n)
+        outcomes.update("error" if isinstance(got, tuple) else "matrices" for got in code)
+    assert outcomes["matrices"] >= 1000
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(7), Zmod(2)], ids=["Z", "Z/7", "Z/2"])
 def test_the_code_route_gives_the_reference_matrices_and_errors_on_random_pairs(ring):
-    # vertex maps that need not be morphisms: images and lifts off the target raise, naming the same path
+    # vertex maps that need not be morphisms: images off the target raise, naming the same path
     rng = random.Random(23)
     kinds = Counter()
     for _ in range(300):
-        f, g, gammas = random_pair(rng, ring)
+        f, g, _ = random_pair(rng, ring)
         longest = max(p.length for pc in (f.source, f.target) for p in pc.paths)
         top = min(3, longest + 1)
         om_src, om_tgt = build_omega(f.source, top), build_omega(f.target, top)
-        code, reference = route_outcomes(f, g, gammas, om_src, om_tgt)
-        assert code == reference, (f, g, gammas)
+        code, reference = route_outcomes(f, g, om_src, om_tgt)
+        assert code == reference, (f, g)
         kinds.update("error" if isinstance(got, tuple) else "matrices" for got in code)
-    assert kinds["error"] >= 100 and kinds["matrices"] >= 100
+    assert kinds["error"] >= 100 and kinds["matrices"] >= 15
+
+
+def outcome_kind(got) -> str:
+    """A certificate outcome's kind: ok, or its error's type and what it names."""
+    if not isinstance(got, tuple):
+        return "ok"
+    for name in ("image path", "image of Omega", "induced map", "identity fails", "weight"):
+        if name in got[1]:
+            return f"{got[0]}: {name}"
+    return got[0]
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["prism", "doubled-prism"])
+@pytest.mark.parametrize(
+    "ring, kinds_met",
+    [
+        (ZZ, {"NonInvertibleWeightError: weight", "ImageNotInOmegaError: image path", "ImageNotInOmegaError: induced map"}),
+        (Zmod(7), {"ok", "ImageNotInOmegaError: image path", "ImageNotInOmegaError: induced map", "HomotopyIdentityFailedError: identity fails"}),
+        (Zmod(2), {"ok", "ImageNotInOmegaError: image path"}),
+    ],
+    ids=["Z", "Z/7", "Z/2"],
+)
+def test_the_certificate_gives_the_reference_outcome_on_random_pairs(ring, kinds_met, doubled):
+    # the pairs above: `certify_one_step`, which leaves out the one-step check, meets images
+    # and lifts off the target, maps that break the chain-map square and failed identities,
+    # and reports each as the certificate on Omega matrices does; the whole certificate
+    # reports what its reference does
+    rng = random.Random(23)
+    kinds = Counter()
+    with doubled_lifts() if doubled else nullcontext():
+        for _ in range(300):
+            f, g, _ = random_pair(rng, ring)
+            for n in (0, 2):
+                got = outcome(homotopy.certify_one_step, f, g, n)
+                assert got == outcome(certify_one_step_by_matrices, f, g, n), (f, g, n)
+                kinds[outcome_kind(got)] += 1
+            got = certificate_outcome(chain_homotopy_certificate, f, g, 2)
+            assert got == certificate_outcome(certificate_over_the_ring, f, g, 2), (f, g)
+    assert set(kinds) >= kinds_met
+    # twice the lifts over Z/2 is no lift at all: the identity fails wherever g_* - f_* is not 0
+    assert (kinds["HomotopyIdentityFailedError: identity fails"] >= 100) is (doubled and ring == Zmod(2))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(7)], ids=["Z", "Z/7"])
+def test_an_image_outside_the_target_omega_names_its_generator(ring):
+    # f sends the square (a b d) - (a c d) onto (x y w) - (x z w), whose outside face (x w)
+    # is left with the coefficient w(z) - w(y) = 1: on the target's paths, not in its Omega_2
+    src = weighted_square(ring, 1)
+    tgt = complex_from_paths([Path((x, y, w)), Path((x, z, w))], weights={x: 1, y: 1, z: 2, w: 1}, ring=ring)
+    f = PathMorphism(src, tgt, {a: x, b: y, c: z, d: w})
+    got = outcome(homotopy.certify_one_step, f, f, 2)
+    assert got == outcome(certify_one_step_by_matrices, f, f, 2)
+    assert got == ("ImageNotInOmegaError", "image of Omega_2 generator 0 is not in the target Omega_2")
 
 
 def test_the_first_lift_off_the_target_in_the_prism_order_is_named():
     # both lifts of (b a) leave the target: (a) sorts before (b), so the lifts sorted as
     # cylinder paths list lift 1, (b a a'), before lift 0, (b b' a'): F's image of lift 1 is named
-    w = Vertex("w")
     src = complex_from_paths([Path((b, a))], weights={a: 1, b: 1}, ring=ZZ)
-    tgt = complex_from_paths([Path((x, z)), Path((y, w))], weights=dict.fromkeys([w, x, y, z], 1), ring=ZZ)
+    paths = [Path((x, z)), Path((y, w)), Path((x, y)), Path((z, w))]  # F's images of (a), (b) and (b a), (b' a')
+    tgt = complex_from_paths(paths, weights=dict.fromkeys([w, x, y, z], 1), ring=ZZ)
     f, g = PathMorphism(src, tgt, {b: x, a: y}), PathMorphism(src, tgt, {b: z, a: w})
-    om_src, om_tgt = build_omega(src, 2), build_omega(tgt, 2)
-    code, reference = route_outcomes(f, g, {a: 1, b: 1}, om_src, om_tgt)
-    assert code == reference
-    assert code[2] == ("ImageNotInOmegaError", "image path (x y w) is not in the target complex")
+    got = outcome(homotopy.certify_one_step, f, g, 1)
+    assert got == outcome(certify_one_step_by_matrices, f, g, 1)
+    assert got == ("ImageNotInOmegaError", "image path (x y w) is not in the target complex")
+
+
+def test_an_irregular_lift_is_dropped_and_the_regular_one_off_the_target_named():
+    # f(b) = g(b) = u: the lift (u u) of (b) and the lift (x u u) of (a b) are irregular
+    u = Vertex("u")
+    src = complex_from_paths([Path((a, b))], weights={a: 1, b: 1}, ring=ZZ)
+    tgt = complex_from_paths([Path((x, u)), Path((y, u)), Path((x, y))], weights=dict.fromkeys([u, x, y], 1), ring=ZZ)
+    f, g = PathMorphism(src, tgt, {a: x, b: u}), PathMorphism(src, tgt, {a: y, b: u})
+    got = outcome(homotopy.certify_one_step, f, g, 1)
+    assert got == outcome(certify_one_step_by_matrices, f, g, 1)
+    assert got == ("ImageNotInOmegaError", "image path (x y u) is not in the target complex")
 
 
 def test_images_off_the_target_vertices_are_named():
-    # u and t are no target vertices; each gets a number of its own, shared by f's and g's tables
+    # u and t are no target vertices; each gets a number of its own past the target's
     u, t = Vertex("u"), Vertex("t")
     src = complex_from_paths([Path((a, b))], weights={a: 1, b: 1}, ring=ZZ)
     tgt = complex_from_paths([Path((x, y))], weights={x: 1, y: 1}, ring=ZZ)
     om_src, om_tgt = build_omega(src, 2), build_omega(tgt, 2)
-    for fmap, gmap, named in [
-        ({a: u, b: x}, {a: t, b: y}, ["(u)", "(t)", "(u t)"]),  # the lift of (a) is (u t), not (u u)
-        ({a: x, b: u}, {a: y, b: u}, ["(u)", "(u)", "(x y u)"]),  # the lift (u u) of (b) is irregular
-    ]:
+    for fmap, gmap, named in [({a: u, b: x}, {a: t, b: y}, ["(u)", "(t)"]), ({a: x, b: u}, {a: y, b: u}, ["(u)", "(u)"])]:
         f, g = PathMorphism(src, tgt, fmap), PathMorphism(src, tgt, gmap)
-        code, reference = route_outcomes(f, g, {a: 1, b: 1}, om_src, om_tgt)
+        code, reference = route_outcomes(f, g, om_src, om_tgt)
         assert code == reference
         assert code == [("ImageNotInOmegaError", f"image path {p} is not in the target complex") for p in named]
+        # the certificate checks f first, and names the same path
+        assert outcome(homotopy.certify_one_step, f, g, 2) == code[0] == outcome(certify_one_step_by_matrices, f, g, 2)
+
+
+def test_a_target_path_vertex_without_a_weight_is_refused_as_omega_of_the_target_refuses_it():
+    # z is on the target's edge (y z) but on no image: the certificate builds no Omega of
+    # the target, and still names z as build_omega(target) does
+    src = complex_from_paths([Path((a,))], weights={a: 1}, ring=ZZ)
+    tgt = PathComplex.build([x, y, z], [Path((x,)), Path((y,)), Path((z,)), Path((x, y)), Path((y, z))], {x: 1, y: 1}, ZZ)
+    f, g = PathMorphism(src, tgt, {a: x}), PathMorphism(src, tgt, {a: y})
+    assert one_step_homotopy_pathcx(f, g).ok
+    with pytest.raises(MissingWeightError, match="^vertex z has no weight$"):
+        build_omega(tgt, 2)
+    for run in (chain_homotopy_certificate, certificate_over_the_ring):
+        assert certificate_outcome(run, f, g, 2) == ("MissingWeightError", "vertex z has no weight")
