@@ -8,7 +8,7 @@ have equal storage.  Products, sums and comparisons work on those entries.
 
 Kernels and lattice solves read one column reduction of the sparse columns
 stacked over the identity (`_echelon`).  Homology reads only invariant factors
-(`Matrix.invariant_factors`), from one sparse elimination with one pivot
+(`_eliminate`), from one sparse elimination with one pivot
 queue: unit pivots first, then Euclid steps over Z when no unit is left.  An
 entry is keyed when it is made or changes value, and a key popped with an
 out-of-date cost is pushed again with the current one.  Along a chain complex
@@ -348,12 +348,6 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, self.ring.sub)
 
-    @cached_property
-    def invariant_factors(self) -> tuple:
-        """The nonzero Smith diagonal (all ones over a field), whose length is the rank; by one
-        sparse elimination without transforms."""
-        return _eliminate(self)[0]
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -398,7 +392,7 @@ def smith_normal_form(m: Matrix) -> SmithDecomposition:
     broken by lowest row then column index.  The elimination runs on a dense
     working array: m with the transforms riding along, left to the right of m's
     rows and right below them.  This is the reference the sparse engine
-    (`Matrix.invariant_factors`) is tested against; no production path calls it.
+    (`_eliminate`) is tested against; no production path calls it.
     """
     require_pid(m.ring)
     ring = m.ring

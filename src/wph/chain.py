@@ -389,20 +389,34 @@ def prism(code: tuple, bottom, top, coefficients) -> list:
     return list(zip(lifts(code, bottom, top), [coefficients[x][k & 1] for k, x in enumerate(code)]))
 
 
+def image_numbers(source: PathStore, target: PathStore) -> tuple:
+    """(number, off_target): number(vertex_map) is a map's table from source to target vertex
+    numbers, a vertex off the target numbered past them once per call, so an image code is
+    regular exactly when the image path is; off_target(code) names that image path."""
+    vertices, numbers = source.vertices, dict(target.numbers)
+
+    def number(vertex_map: dict) -> list:
+        unmapped = [v for v in vertices if v not in vertex_map]
+        if unmapped:
+            raise NotAMorphismError(f"vertex {unmapped[0].render()} is unmapped")
+        return [numbers.setdefault(vertex_map[v], len(numbers)) for v in vertices]
+
+    def off_target(code: tuple) -> ImageNotInOmegaError:
+        path = Path(tuple(map(list(numbers).__getitem__, code)))
+        return ImageNotInOmegaError(f"image path {path.render()} is not in the target complex")
+
+    return number, off_target
+
+
 def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComplex) -> dict:
     """Matrices of f on Omega, degree by degree; checks boundary commutation.
 
-    Each regular path's image is taken on its code, through one table from source to
-    target vertex numbers (NotAMorphismError for a vertex f leaves out).  A vertex the
-    target does not number gets a number of its own past the target's, so an image code
-    is regular exactly when the image path is.  Irregular images are dropped, and a
-    regular image off the target raises ImageNotInOmegaError naming it.
+    Each regular path's image is taken on its code, through f's table of `image_numbers`.
+    Irregular images are dropped, and a regular image off the target raises
+    ImageNotInOmegaError naming it.
     """
-    vertices, numbers = source.store.vertices, dict(target.store.numbers)
-    unmapped = [v for v in vertices if v not in f.vertex_map]
-    if unmapped:
-        raise NotAMorphismError(f"vertex {unmapped[0].render()} is unmapped")
-    table = [numbers.setdefault(f.vertex_map[v], len(numbers)) for v in vertices]
+    number, off_target = image_numbers(source.store, target.store)
+    table = number(f.vertex_map)
     one = target.ring.one
 
     def images(n: int):
@@ -414,8 +428,7 @@ def induced_chain_map(f: PathMorphism, source: OmegaComplex, target: OmegaComple
             if row is not None:
                 return ((row, one),)
             if is_regular(y):
-                path = Path(tuple(map(list(numbers).__getitem__, y)))
-                raise ImageNotInOmegaError(f"image path {path.render()} is not in the target complex")
+                raise off_target(y)
             return ()
 
         return image

@@ -201,11 +201,6 @@ def underlying_hypergraph(g: DirectedHypergraph) -> Hypergraph:
     return Hypergraph.build(a.origin | a.end for a in g.arrows)
 
 
-def merged_arrow_count(g: DirectedHypergraph) -> int:
-    """How many arrows collapsed into shared undirected edges."""
-    return len(g.arrows) - len(underlying_hypergraph(g).edges)
-
-
 def density_two_functor(h: Hypergraph, maxlen: int) -> PathComplex:
     """Paths whose consecutive vertex pairs (repeats included) share an edge."""
     neigh: dict = {v: set() for v in h.vertices}

@@ -1,7 +1,7 @@
 """Weighted digraphs, their path complexes, and the box product with line digraphs."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .algebra import Ring
@@ -31,9 +31,6 @@ class LineDigraph:
 
     def arrows(self) -> list:
         return [(k, k + 1) if fwd else (k + 1, k) for k, fwd in enumerate(self.steps)]
-
-
-I1_FORWARD = LineDigraph.forward(1)
 
 
 @dataclass(frozen=True)
@@ -88,39 +85,3 @@ def box_product(g: WeightedDigraph, line: LineDigraph) -> WeightedDigraph:
     edges = {(x.primed(i), y.primed(i)) for x, y in g.edges for i in levels}
     edges.update((v.primed(i), v.primed(j)) for v in g.vertices for i, j in line.arrows())
     return WeightedDigraph.build(vertices, edges, g.level_weights(levels), g.ring)
-
-
-@dataclass
-class EqualityReport:
-    equal: bool
-    only_left: list = field(default_factory=list)
-    only_right: list = field(default_factory=list)
-    problems: list = field(default_factory=list)
-
-
-def compare_weighted_complexes(left: PathComplex, right: PathComplex) -> EqualityReport:
-    """Structural equality of two weighted path complexes (paths and weights)."""
-    only_left = sorted(left.paths - right.paths, key=lambda p: (p.length, p.vertices))
-    only_right = sorted(right.paths - left.paths, key=lambda p: (p.length, p.vertices))
-    problems = []
-    if left.vertices != right.vertices:
-        problems.append("vertex sets differ")
-    if left.is_weighted != right.is_weighted:
-        problems.append("one side is weighted, the other is not")
-    elif left.is_weighted and left.weights != right.weights:
-        problems.append("weight functions differ")
-    equal = not (only_left or only_right or problems)
-    return EqualityReport(equal, only_left, only_right, problems)
-
-
-def check_cylinder_equality(g: WeightedDigraph, maxlen: int) -> EqualityReport:
-    """Cylinder of the path complex vs path complex of the box product with 0 -> 1.
-
-    Both sides are compared on paths of length <= maxlen + 1: the cylinder is
-    taken over the (maxlen+1)-truncated complex and cut back to maxlen + 1, so
-    that the two finite truncations of the equality of unbounded complexes
-    match exactly.
-    """
-    left = paths_functor(g, maxlen + 1).cylinder().truncate(maxlen + 1)
-    right = paths_functor(box_product(g, I1_FORWARD), maxlen + 1)
-    return compare_weighted_complexes(left, right)

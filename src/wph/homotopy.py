@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import QQ, ZZ
-from .chain import _face_terms, build_omega, prism, signed_weights
+from .chain import _face_terms, build_omega, image_numbers, prism, signed_weights
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, render_set, set_weight
 from .digraph import paths_functor
 from .errors import (
@@ -108,7 +108,9 @@ def chain_step_pairs(steps: list) -> list:
     return [(b, a) if d == "backward" else (a, b) for (a, _), (b, d) in zip(steps, steps[1:])]
 
 
-def _require_invertible_weights(pc: PathComplex) -> dict:
+def _inverse_weights(pc: PathComplex) -> list:
+    """(gamma, -gamma) per store vertex, gamma its inverse weight, as `chain.prism` reads
+    them; None for an unweighted vertex (see `_require_weights`)."""
     if not pc.is_weighted:
         raise NonInvertibleWeightError("an unweighted complex has no invertible weights")
     ring = pc.ring
@@ -119,7 +121,14 @@ def _require_invertible_weights(pc: PathComplex) -> dict:
                 f"weight {w} of vertex {v.render()} is not invertible in {ring.name}"
             )
         gammas[v] = ring.inv(w)
-    return gammas
+    return [(gammas[v], ring.neg(gammas[v])) if v in gammas else None for v in pc.store.vertices]
+
+
+def _require_weights(coefficients: list, vertices: tuple, codes) -> None:
+    """MissingWeightError for the least vertex on the codes whose coefficients are None."""
+    missing = [k for k in set().union(*codes) if coefficients[k] is None]
+    if missing:
+        raise MissingWeightError(f"vertex {vertices[min(missing)].render()} has no weight")
 
 
 @dataclass
@@ -138,17 +147,14 @@ def verify_prism_identity(pc: PathComplex, codes: list) -> list:
     becomes Paths.  Weights must be units (NonInvertibleWeightError) on every path
     vertex (MissingWeightError), and a complex with no cylinder is refused (`level_copies`).
     """
-    gammas = _require_invertible_weights(pc)
+    coefficients = _inverse_weights(pc)
     store = pc.store
     cylinder = sorted(level_copies(store.vertices, (0, 1)))  # refuses a complex that has no cylinder
-    for k in sorted(set().union(*codes)):
-        if store.vertices[k] not in gammas:
-            raise MissingWeightError(f"vertex {store.vertices[k].render()} has no weight")
+    _require_weights(coefficients, store.vertices, codes)
     ring = pc.ring
     add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
     signed = {u: (w, neg(w)) for u, w in pc.level_weights((0, 1)).items()}
     by_store, by_cylinder = [signed.get(v) for v in store.vertices], [signed.get(u) for u in cylinder]
-    coefficients = [(w, neg(w)) if w is not None else None for w in map(gammas.get, store.vertices)]
     bottom, top = cylinder_tables(len(store.vertices))
 
     reports = []
@@ -214,7 +220,7 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
 
     Checks that L = F_# P, the one-step homotopy F after the prism P, is a chain
     homotopy: dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).
-    Both sides must be weighted over one ring (MissingWeightError otherwise).
+    Both sides must be weighted over one ring, as must each vertex L lifts (MissingWeightError).
 
     Only the source's Omega is built.  Every check runs on chains of the target's
     path codes: the images f_# x, g_# x and F_# P x of each Omega_n(source)
@@ -223,7 +229,7 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     f, g and F after the prism (`chain.prism`, looked up when called) are taken
     once per call, irregular ones dropped; a generator's are their sums by
     linearity.  The checks run in this order: f's membership in every degree, then
-    f's chain-map squares, the same two for g, L's membership, and the identity,
+    f's chain-map squares, the same two for g, the weights L lifts, L's membership and the identity,
     each degree by degree and generator by generator:
     - Membership.  Each image path must be a target path
       (ImageNotInOmegaError naming the image off it; for L, F's image of the least
@@ -284,14 +290,14 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     D, so the same regular paths are read, and the same errors raised, as up to
     max_degree + 1.
     """
-    gammas = _require_invertible_weights(f.source)
+    signs = _inverse_weights(f.source)
     ring = f.source.ring
     if not f.target.is_weighted or f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
     if ring == QQ:  # the same outcome on the support complexes (see above)
         source, target = f.source.support(), f.target.support()
         f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
-        gammas = dict.fromkeys(gammas, ZZ.one)
+        signs = [s and (ZZ.one, -ZZ.one) for s in signs]
 
     source, target, ring = f.source, f.target, f.source.ring
     add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
@@ -313,13 +319,7 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
         if used[n]:
             sources = [paths[n][i] for i in used[n]]
             faces.update(zip(sources, _face_terms(sources, {}.get, signed, n)[0]))
-    numbers, vertices = dict(target.store.numbers), source.store.vertices
-
-    def table(m: PathMorphism) -> list:  # a vertex off the target gets a number past the target's
-        unmapped = [v for v in vertices if v not in m.vertex_map]
-        if unmapped:
-            raise NotAMorphismError(f"vertex {unmapped[0].render()} is unmapped")
-        return [numbers.setdefault(m.vertex_map[v], len(numbers)) for v in vertices]
+    number, off_target = image_numbers(source.store, target.store)
 
     def in_omega(n: int, m: int, outside: dict, off: set, named) -> None:
         """The membership check, generator by generator, of the images of the Omega_n(source)
@@ -329,14 +329,13 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
         for j, gen in enumerate(om.bases[n].entries):
             for i in sorted(gen):
                 if i in off:
-                    path = Path(tuple(map(list(numbers).__getitem__, named(i))))
-                    raise ImageNotInOmegaError(f"image path {path.render()} is not in the target complex")
+                    raise off_target(named(i))
             if not _vanishes(gen, outside, add, mul):
                 raise ImageNotInOmegaError(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
 
     maps = []  # per map, f and g: its vertex table and, by degree, its regular images {row: code}
     for h in (f, g):
-        t, images = table(h), []
+        t, images = number(h.vertex_map), []
         for n in range(top + 1):
             image, off, outside = {}, set(), {}
             for i in used[n]:
@@ -364,8 +363,8 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
         maps.append((t, images))
 
     (tf, f_images), (tg, g_images) = maps
-    signs = [(w, neg(w)) for w in map(gammas.__getitem__, vertices)]
-    low, high = cylinder_tables(len(vertices))
+    _require_weights(signs, source.store.vertices, (paths[n][i] for n in range(top) for i in used[n]))  # L lifts them
+    low, high = cylinder_tables(len(signs))
 
     def lifted(p: tuple) -> list:  # the regular ones of F's images of the prism's lifts of p
         return [u for u in prism(p, tf, tg, signs) if is_regular(u[0])]

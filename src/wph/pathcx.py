@@ -49,10 +49,6 @@ class Path(_PathFields):
             raise InvariantError("elementary paths are non-empty")
         return tuple.__new__(cls, (vertices,))
 
-    @classmethod
-    def of(cls, *vs: Vertex) -> "Path":
-        return cls(tuple(vs))
-
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
@@ -334,10 +330,6 @@ class PathMorphism:
     source: PathComplex
     target: PathComplex
     vertex_map: dict
-
-
-def identity_morphism(pc: PathComplex) -> PathMorphism:
-    return PathMorphism(pc, pc, {v: v for v in pc.vertices})
 
 
 def inclusion_bottom(pc: PathComplex) -> PathMorphism:

@@ -13,7 +13,9 @@ from pathlib import Path as FsPath
 
 from wph import algebra, chain, cli, homotopy
 from wph import io as wio
-from wph.algebra import QQ, ZZ, HomologyGroup, Matrix, Zmod, homology_group, kernel_basis, require_pid
+from wph.algebra import (
+    QQ, ZZ, HomologyGroup, Matrix, Zmod, chain_invariant_factors, homology_group, kernel_basis, require_pid,
+)
 from wph.chain import build_omega, induced_chain_map, restrict_to_omega
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
@@ -23,7 +25,9 @@ from wph.pathcx import (
     Path,
     PathComplex,
     PathMorphism,
+    PathStore,
     Vertex,
+    canonical_weights,
     complex_from_paths,
     is_regular,
     level_copies,
@@ -49,7 +53,8 @@ def homology_of_pair(boundary_out: Matrix, boundary_in: Matrix) -> HomologyGroup
     boundary_in maps into it (from degree n+1); see `algebra.homology_group`.
     """
     require_pid(boundary_out.ring)
-    return homology_group(boundary_out, boundary_in, boundary_out.invariant_factors, boundary_in.invariant_factors)
+    d_out, d_in = chain_invariant_factors([boundary_out])[0], chain_invariant_factors([boundary_in])[0]
+    return homology_group(boundary_out, boundary_in, d_out, d_in)
 
 
 def eliminate_with_two_queues(m: Matrix, skip=()) -> tuple:
@@ -271,7 +276,7 @@ def walk_paths_by_paths(successors: dict, maxlen: int) -> list:
     """Every walk of at most maxlen steps from any key of `successors` along its values,
     as Path objects: the reference for `pathcx.walk_paths`, which walks on vertex numbers
     straight into sorted code buckets."""
-    paths = [Path.of(v) for v in sorted(successors)]
+    paths = [Path((v,)) for v in sorted(successors)]
     frontier = list(paths)
     for _ in range(maxlen):
         frontier = [Path(p.vertices + (y,)) for p in frontier for y in successors[p.vertices[-1]]]
@@ -312,9 +317,10 @@ def prism_differences_by_paths(pc: PathComplex, paths: list) -> list:
     """What `homotopy.verify_prism_identity` reports as each path's difference, from
     `prism_by_paths` and `boundary_by_paths`: the reference for the check on codes.  Both
     routes subtract e_p' - e_p, so equal differences are equal left sides."""
-    gammas = homotopy._require_invertible_weights(pc)
+    homotopy._inverse_weights(pc)  # refuses as the check on codes does
     level_copies(pc.vertices, (0, 1))
     ring = pc.ring
+    gammas = {v: ring.inv(w) for v, w in pc.weights}
     signed = {v: (w, ring.neg(w)) for v, w in pc.level_weights((0, 1)).items()}
     out = []
     for p in paths:
@@ -392,7 +398,7 @@ def induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> b
             continue
         img = om_tgt.boundary(n + 1)
         both = Matrix.from_columns(img.ring, img.entries + moved.entries, img.rows)
-        if both.invariant_factors != img.invariant_factors:
+        if chain_invariant_factors([both])[0] != chain_invariant_factors([img])[0]:
             return False
     return True
 
@@ -451,11 +457,17 @@ def chain_homotopy_by_prism(f: PathMorphism, g: PathMorphism, gammas: dict, sour
     """L_n : Omega_n(source) -> Omega_(n+1)(target) as matrices, for n < source.max_degree:
     each image the `mapped_rows`, under the one-step homotopy F of f and g, of
     `prism_by_paths` of the source path, Path by Path, its lifts sorted as cylinder paths
-    (the order in which an error names them).  The reference for the L that
-    `homotopy.certify_one_step` checks on path chains."""
-    ring = source.ring
-    vertex_map = {v: f.vertex_map[v] for v in f.source.vertices}
-    vertex_map.update({v.primed(): g.vertex_map[v] for v in f.source.vertices})
+    (the order in which an error names them).  The least vertex without a gamma on a path
+    that some generator uses is refused first, with MissingWeightError.  The reference
+    for the L that `homotopy.certify_one_step` checks on path chains."""
+    ring, vertices = source.ring, f.source.store.vertices
+    used = [{i for gen in source.bases[n].entries for i in gen} for n in range(source.max_degree)]
+    lifted_paths = {source.store.path(c) for n, rows in enumerate(used) for c, i in source.rows[n].items() if i in rows}
+    missing = sorted({v for p in lifted_paths for v in p.vertices} - set(gammas))
+    if missing:
+        raise MissingWeightError(f"vertex {missing[0].render()} has no weight")
+    vertex_map = {v: f.vertex_map[v] for v in vertices}
+    vertex_map.update({v.primed(): g.vertex_map[v] for v in vertices})
 
     def lifted(paths: list):
         return lambda i: mapped_rows(sorted(prism_by_paths(paths[i], gammas, ring)), vertex_map, target)
@@ -483,12 +495,16 @@ def route_outcomes(f: PathMorphism, g: PathMorphism, source, target) -> tuple:
     return code, reference
 
 
-def random_pair(rng: random.Random, ring) -> tuple:
+def random_pair(rng: random.Random, ring, weights=None) -> tuple:
     """(f, g, gammas) for a random pair of vertex maps over ring (Z or a Z/p), not checked
     to be morphisms: from a complex of regular random walks into the path complex of a
-    random digraph, whose images and lifts' images may leave the target.  gammas is any
-    nonzero draw per source vertex, for L."""
-    draw = (lambda: rng.choice([1, -1, 2, 3, -6])) if ring == ZZ else (lambda: rng.randint(1, ring.m - 1))
+    random digraph, whose images and lifts' images may leave the target.  Weights are
+    drawn from the given values, by default 1, -1, 2, 3 and -6 over Z and any nonzero
+    value over Z/p.  gammas is one such draw per source vertex, for L."""
+    if weights is None and ring != ZZ:
+        draw = lambda: rng.randint(1, ring.m - 1)  # noqa: E731
+    else:
+        draw = lambda: rng.choice(weights or [1, -1, 2, 3, -6])  # noqa: E731
     maxlen = rng.randint(1, 3)
     tverts = [Vertex(f"t{i}") for i in range(rng.randint(2, 4))]
     density = rng.uniform(0.5, 1)
@@ -544,8 +560,9 @@ def certify_one_step_by_matrices(f: PathMorphism, g: PathMorphism, max_degree: i
     (`chain_homotopy_by_prism`), and dL + Ld = g_* - f_* compared column by column in the
     target's Omega bases, over the complexes' own ring.  `doubled_lifts` doubles its
     lifts too."""
-    gammas = homotopy._require_invertible_weights(f.source)
+    homotopy._inverse_weights(f.source)  # refuses as the certificate does
     ring = f.source.ring
+    gammas = {v: ring.inv(w) for v, w in f.source.weights}
     if not f.target.is_weighted or f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
 
@@ -821,45 +838,56 @@ def bold_reference(g: DirectedHypergraph, maxlen: int) -> PathComplex:
       pre(e)    -- inside the opening block, all vertices so far in A_e;
       mid(e,f)  -- crossed e, connector block so far inside B_e & A_f;
       post(e)   -- crossed e, closing block so far inside B_e (accepting).
+    It runs path by path on vertex numbers (places in the sorted vertices), and the
+    closure adds both truncations of each path, longest paths first.
     """
-    arrows = g.sorted_arrows()
-
-    def arrival_states(w, crossed: int) -> set:
-        return {("post", crossed)} | {("mid", crossed, j) for j, b in enumerate(arrows) if w in b.origin}
+    vertices = sorted(g.vertices)
+    number = {v: k for k, v in enumerate(vertices)}.__getitem__
+    arrows = [(frozenset(map(number, a.origin)), frozenset(map(number, a.end))) for a in g.sorted_arrows()]
+    # arrival[e]: (w, the states on reaching w of B_e: post(e), and mid(e, f) for w in A_f)
+    arrival = [
+        [(w, {("post", e)} | {("mid", e, f) for f, (origin, _) in enumerate(arrows) if w in origin}) for w in end]
+        for e, (_, end) in enumerate(arrows)
+    ]
+    accepting = {("post", e) for e in range(len(arrows))}
+    step = {}  # state -> its moves: (next vertex, the states entered there)
+    for e, (origin, end) in enumerate(arrows):
+        step["pre", e] = [(u, {("pre", e)}) for u in origin] + arrival[e]
+        step["post", e] = [(u, {("post", e)}) for u in end]
+        for f, (origin_f, _) in enumerate(arrows):
+            step["mid", e, f] = [(u, {("mid", e, f)}) for u in end & origin_f] + arrival[f]
 
     accepted = set()
     frontier = []
-    for v in sorted(g.vertices):
-        states = frozenset(("pre", i) for i, a in enumerate(arrows) if v in a.origin)
+    for v in range(len(vertices)):
+        states = frozenset(("pre", i) for i, (origin, _) in enumerate(arrows) if v in origin)
         if states:
-            frontier.append((Path.of(v), states))
+            frontier.append(((v,), states))
     while frontier:
         nxt = []
         for path, states in frontier:
-            if any(s[0] == "post" for s in states):
+            if not states.isdisjoint(accepting):
                 accepted.add(path)
-            if path.length == maxlen + 1:
+            if len(path) == maxlen + 2:
                 continue
             moves: dict = {}
             for s in states:
-                if s[0] == "pre":
-                    for u in arrows[s[1]].origin:
-                        moves.setdefault(u, set()).add(s)
-                    for u in arrows[s[1]].end:
-                        moves.setdefault(u, set()).update(arrival_states(u, s[1]))
-                elif s[0] == "mid":
-                    _, e, f = s
-                    for u in arrows[e].end & arrows[f].origin:
-                        moves.setdefault(u, set()).add(s)
-                    for u in arrows[f].end:
-                        moves.setdefault(u, set()).update(arrival_states(u, f))
-                else:  # post
-                    for u in arrows[s[1]].end:
-                        moves.setdefault(u, set()).add(s)
-            nxt.extend((Path(path.vertices + (u,)), frozenset(moves[u])) for u in sorted(moves))
+                for u, entered in step[s]:
+                    moves.setdefault(u, set()).update(entered)
+            nxt.extend((path + (u,), frozenset(moves[u])) for u in sorted(moves))
         frontier = nxt
-    pc = complex_from_paths(accepted, g.weight_map() if g.is_weighted else None, g.ring)
-    return pc.truncate(maxlen)
+    closed = [set() for _ in range(maxlen + 2)]  # closed[n]: the n-paths
+    for c in accepted:
+        closed[len(c) - 1].add(c)
+    for n in range(maxlen + 1, 0, -1):
+        for c in closed[n]:
+            closed[n - 1].update((c[1:], c[:-1]))
+    used = sorted({k for (k,) in closed[0]})  # the complex's vertices, renumbered in order
+    place = {k: i for i, k in enumerate(used)}
+    buckets = [[tuple(map(place.__getitem__, c)) for c in bucket] for bucket in closed[: maxlen + 1]]
+    store = PathStore(tuple(vertices[k] for k in used), tuple(tuple(sorted(bucket)) for bucket in buckets))
+    weights = canonical_weights(g.weight_map() if g.is_weighted else None, g.ring)
+    return PathComplex(frozenset(store.vertices), store, weights, g.ring)
 
 
 def random_directed_hypergraph(

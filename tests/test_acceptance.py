@@ -21,10 +21,8 @@ from wph.dhyper import (
     natural_digraph,
 )
 from wph.digraph import (
-    I1_FORWARD,
+    LineDigraph,
     box_product,
-    check_cylinder_equality,
-    compare_weighted_complexes,
     paths_functor,
 )
 from wph.homotopy import chain_homotopy_certificate, one_step_homotopy_pathcx, verify_prism_identity
@@ -132,19 +130,19 @@ def test_criterion_6_cylinder_equals_box_product(announce):
     dg_count = dh_count = 0
     for path in fixture_paths("dg_"):
         g = wio.parse(path.read_bytes()).body
-        if not check_cylinder_equality(g, maxlen=4).equal:
+        if paths_functor(g, 5).cylinder().truncate(5) != paths_functor(box_product(g, LineDigraph.forward()), 5):
             ok = False
         dg_count += 1
     for path in fixture_paths("dh_"):
         g = wio.parse(path.read_bytes()).body
-        left = natural_digraph(hyper_box_product(g, I1_FORWARD))
-        right = box_product(natural_digraph(g), I1_FORWARD)
+        left = natural_digraph(hyper_box_product(g, LineDigraph.forward()))
+        right = box_product(natural_digraph(g), LineDigraph.forward())
         if not (left.vertices == right.vertices and left.edges == right.edges
                 and left.weight_map() == right.weight_map()):
             ok = False
         cyl = paths_functor(natural_digraph(g), 4).cylinder().truncate(4)
-        boxed = paths_functor(natural_digraph(hyper_box_product(g, I1_FORWARD)), 4)
-        if not compare_weighted_complexes(cyl, boxed).equal:
+        boxed = paths_functor(natural_digraph(hyper_box_product(g, LineDigraph.forward())), 4)
+        if cyl != boxed:
             ok = False
         dh_count += 1
     ok = ok and dg_count >= 10 and dh_count >= 10
@@ -160,7 +158,7 @@ def test_criterion_7_vertex_pipeline_cylinder_relations(announce):
     singleton_eq = inclusions = 0
     for path in fixture_paths("dh_"):
         g = wio.parse(path.read_bytes()).body
-        box = hyper_box_product(g, I1_FORWARD)
+        box = hyper_box_product(g, LineDigraph.forward())
         singletons = all(len(s) == 1 for s in g.origin_end_sets())
         for functor in (connective_functor, bold_functor, density_two_of):
             cyl = functor(g, L + 1).cylinder().truncate(L + 1)
@@ -170,7 +168,7 @@ def test_criterion_7_vertex_pipeline_cylinder_relations(announce):
             inclusions += 1
         if singletons:
             cyl = connective_functor(g, L + 1).cylinder().truncate(L + 1)
-            if not compare_weighted_complexes(cyl, connective_functor(box, L + 1)).equal:
+            if cyl != connective_functor(box, L + 1):
                 ok = False
             singleton_eq += 1
     ok = ok and singleton_eq >= 5

@@ -29,7 +29,6 @@ from wph.pathcx import (
     PathMorphism,
     Vertex,
     complex_from_paths,
-    identity_morphism,
     inclusion_bottom,
     inclusion_top,
 )
@@ -110,7 +109,7 @@ def test_one_step_homotopy_along_an_edge():
 
 def test_identity_is_strictly_homotopic_to_itself_only_with_degeneracies():
     pc = edge_target()
-    ident = identity_morphism(pc)
+    ident = PathMorphism(pc, pc, {v: v for v in pc.vertices})
     assert not one_step_homotopy_pathcx(ident, ident).ok
     assert one_step_homotopy_pathcx(ident, ident, allow_degenerate=True).ok
 
@@ -190,7 +189,7 @@ def random_vertex_map(rng: random.Random, source: PathComplex) -> tuple:
         vmap = {v: rng.choice(sorted(target.vertices)) for v in vmap}
     else:
         images = [Path(tuple(vmap[v] for v in p.vertices)) for p in source.paths if rng.random() < 0.9]
-        images += [Path.of(u) for u in tverts]  # every map lands on a target vertex
+        images += [Path((u,)) for u in tverts]  # every map lands on a target vertex
         draws = {u: rng.choice([w for v, w in source.weights if vmap[v] == u] or [1]) for u in tverts}
         target = complex_from_paths(images, draws if rng.random() < 0.8 else None, source.ring)
     v = rng.choice(sorted(vmap))
@@ -767,15 +766,16 @@ def outcome_kind(got) -> str:
 
 @pytest.mark.parametrize("doubled", [False, True], ids=["prism", "doubled-prism"])
 @pytest.mark.parametrize(
-    "ring, kinds_met",
+    "ring, weights, kinds_met",
     [
-        (ZZ, {"NonInvertibleWeightError: weight", "ImageNotInOmegaError: image path", "ImageNotInOmegaError: induced map"}),
-        (Zmod(7), {"ok", "ImageNotInOmegaError: image path", "ImageNotInOmegaError: induced map", "HomotopyIdentityFailedError: identity fails"}),
-        (Zmod(2), {"ok", "ImageNotInOmegaError: image path"}),
+        (ZZ, None, {"NonInvertibleWeightError: weight", "ImageNotInOmegaError: image path", "ImageNotInOmegaError: induced map"}),
+        (ZZ, (1, -1), {"ok", "ImageNotInOmegaError: image path", "ImageNotInOmegaError: induced map", "HomotopyIdentityFailedError: identity fails"}),
+        (Zmod(7), None, {"ok", "ImageNotInOmegaError: image path", "ImageNotInOmegaError: induced map", "HomotopyIdentityFailedError: identity fails"}),
+        (Zmod(2), None, {"ok", "ImageNotInOmegaError: image path"}),
     ],
-    ids=["Z", "Z/7", "Z/2"],
+    ids=["Z", "Z-units", "Z/7", "Z/2"],
 )
-def test_the_certificate_gives_the_reference_outcome_on_random_pairs(ring, kinds_met, doubled):
+def test_the_certificate_gives_the_reference_outcome_on_random_pairs(ring, weights, kinds_met, doubled):
     # the pairs above: `certify_one_step`, which leaves out the one-step check, meets images
     # and lifts off the target, maps that break the chain-map square and failed identities,
     # and reports each as the certificate on Omega matrices does; the whole certificate
@@ -784,7 +784,7 @@ def test_the_certificate_gives_the_reference_outcome_on_random_pairs(ring, kinds
     kinds = Counter()
     with doubled_lifts() if doubled else nullcontext():
         for _ in range(300):
-            f, g, _ = random_pair(rng, ring)
+            f, g, _ = random_pair(rng, ring, weights)
             for n in (0, 2):
                 got = outcome(homotopy.certify_one_step, f, g, n)
                 assert got == outcome(certify_one_step_by_matrices, f, g, n), (f, g, n)
@@ -792,6 +792,8 @@ def test_the_certificate_gives_the_reference_outcome_on_random_pairs(ring, kinds
             got = certificate_outcome(chain_homotopy_certificate, f, g, 2)
             assert got == certificate_outcome(certificate_over_the_ring, f, g, 2), (f, g)
     assert set(kinds) >= kinds_met
+    if weights:  # units only: no weight refuses a pair, so the outcomes come from the path-chain checks
+        assert sum(k for kind, k in kinds.items() if "Weight" not in kind) >= 300
     # twice the lifts over Z/2 is no lift at all: the identity fails wherever g_* - f_* is not 0
     assert (kinds["HomotopyIdentityFailedError: identity fails"] >= 100) is (doubled and ring == Zmod(2))
 
@@ -857,3 +859,22 @@ def test_a_target_path_vertex_without_a_weight_is_refused_as_omega_of_the_target
         build_omega(tgt, 2)
     for run in (chain_homotopy_certificate, certificate_over_the_ring):
         assert certificate_outcome(run, f, g, 2) == ("MissingWeightError", "vertex z has no weight")
+
+
+def test_an_unweighted_vertex_on_no_lifted_path_is_not_read():
+    # c lies only on the irregular path (c c), which no generator uses, so L lifts no path
+    # through it: its missing weight is never read
+    pc = PathComplex.build([b], [Path((c, c))], {b: 1}, ZZ)
+    f = PathMorphism(pc, pc, {b: b, c: c})
+    got = outcome(homotopy.certify_one_step, f, f, 2)
+    assert got == outcome(certify_one_step_by_matrices, f, f, 2)
+    assert got.ok and got.identity_holds
+
+
+def test_an_unweighted_vertex_on_a_lifted_path_is_refused_by_name():
+    # the generator (b) is lifted, and b has no weight: both routes refuse, as the prism check does
+    pc = PathComplex.build([a], [Path((a,)), Path((b,))], {a: 1}, ZZ)
+    f = PathMorphism(pc, pc, {a: a, b: b})
+    want = ("MissingWeightError", "vertex b has no weight")
+    assert outcome(homotopy.certify_one_step, f, f, 2) == outcome(certify_one_step_by_matrices, f, f, 2) == want
+    assert outcome(verify_prism_identity, pc, [(1,)]) == want

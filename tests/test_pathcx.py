@@ -51,7 +51,7 @@ def test_vertices_and_paths_are_tuple_values():
     assert Vertex("a", 1) == ("a", 1) and hash(Vertex("a", 1)) == hash(("a", 1))
     assert sorted([Vertex("b"), Vertex("a", 1), Vertex("a")]) == [Vertex("a"), Vertex("a", 1), Vertex("b")]
     assert sorted([Path((b,)), Path((a, b)), Path((a,))]) == [Path((a,)), Path((a, b)), Path((b,))]
-    assert repr(Path.of(a, Vertex("b", 1))) == "(a b')"
+    assert repr(Path((a, Vertex("b", 1)))) == "(a b')"
 
 
 def test_primed_vertices_render_with_trailing_apostrophes():

@@ -15,7 +15,7 @@ from wph.dhyper import (
     underlying_hypergraph,
 )
 from wph.errors import InvariantError
-from wph.digraph import I1_FORWARD, WeightedDigraph, box_product, paths_functor
+from wph.digraph import LineDigraph, WeightedDigraph, box_product, paths_functor
 from wph.pathcx import Path, PathComplex, Vertex, complex_from_paths
 
 from helpers import (
@@ -92,14 +92,14 @@ def fixture_bodies(prefix: str) -> list:
 def digraph_cases() -> list:
     rng = random.Random(61)
     cases = fixture_bodies("dg_")
-    cases += [(name + " x I1", box_product(g, I1_FORWARD)) for name, g in fixture_bodies("dg_")]
+    cases += [(name + " x I1", box_product(g, LineDigraph.forward())) for name, g in fixture_bodies("dg_")]
     return cases + [(f"random {i}", random_digraph(rng)) for i in range(150)]
 
 
 def hypergraph_cases() -> list:
     rng = random.Random(67)
     cases = fixture_bodies("dh_")
-    cases += [(name + " x I1", hyper_box_product(g, I1_FORWARD)) for name, g in fixture_bodies("dh_")]
+    cases += [(name + " x I1", hyper_box_product(g, LineDigraph.forward())) for name, g in fixture_bodies("dh_")]
     return cases + [(f"random {i}", random_directed_hypergraph(rng, max_vertices=5, max_side=3)) for i in range(100)]
 
 
@@ -163,7 +163,7 @@ def test_regular_path_codes_are_what_coding_every_path_gives():
 
 def test_build_codes_the_paths_it_is_given_once():
     a, b, z = Vertex("a"), Vertex("b"), Vertex("z")
-    paths = [Path.of(a), Path.of(b), Path((a, b)), Path((a, b)), Path((b, z, z))]
+    paths = [Path((a,)), Path((b,)), Path((a, b)), Path((a, b)), Path((b, z, z))]
     pc = PathComplex.build([a, b], paths)  # z is undeclared, and (a b) is given twice
     assert pc.store.vertices == (a, b, z)
     assert pc.store.buckets == (((0,), (1,)), ((0, 1),), ((1, 2, 2),))
