@@ -26,12 +26,15 @@ Checks, on freshly sampled instances:
     type and message,
   * f_* and g_* on path codes equal those from `mapped_rows` on Path
     objects (helpers.route_outcomes), errors included: between the complexes
-    those certificates run on, and between random vertex maps over Z and Z/7,
+    those certificates run on, and between random vertex maps over Z, Z/7
+    and Q (the Q pairs drawn from a generator of their own, seeded alike, so
+    the other draws stay those of earlier sweeps),
   * between those random vertex maps, which need not be morphisms,
     `certify_one_step` (the certificate without its one-step check), which
     checks on the target's path chains, reports what the same certificate on
     Omega matrices of the source and the target reports
-    (helpers.certify_one_step_by_matrices), also with the lifts doubled,
+    (helpers.certify_one_step_by_matrices), also with the lifts doubled; over
+    Q, whether or not the maps keep the weights (support complexes or Q),
   * the Smith-normal-form pipeline agrees with the independent
     rational-elimination oracle,
   * homology from the reduced chain (each boundary eliminated without the
@@ -106,6 +109,9 @@ from helpers import (
 )
 
 
+# the weights of the Q pairs: mostly 1, so that some pairs keep every weight
+Q_PAIR_WEIGHTS = [Fraction(1), Fraction(1), Fraction(1), Fraction(1, 2), Fraction(-3)]
+
 # (ring, weight draw) for the one-row kernel check: Z with unit-free weights, Q, Z/7, Z/2
 ONE_ROW_SAMPLES = [
     (ZZ, lambda rng: rng.choice([0, 2, -2, 3, 4, 6])),
@@ -127,6 +133,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     rng = random.Random(args.seed)
+    q_pairs = random.Random(args.seed)  # the Q pairs' own draws
     one_row_kernel = chain._one_row_kernel
 
     for i in range(args.count):
@@ -171,8 +178,8 @@ def main():
             assert code == reference, (i, f2, g2, n)
         with tempfile.TemporaryDirectory() as directory:
             assert_chain_verdict_matches_lattice(rng, QQ if i % 2 else Zmod(5), directory)
-        for ring in (ZZ, Zmod(7)):
-            f2, g2, _ = random_pair(rng, ring)
+        for ring, draws, weights in ((ZZ, rng, None), (Zmod(7), rng, None), (QQ, q_pairs, Q_PAIR_WEIGHTS)):
+            f2, g2, _ = random_pair(draws, ring, weights)
             top = min(3, 1 + max(p.length for pc in (f2.source, f2.target) for p in pc.paths))
             code, reference = route_outcomes(f2, g2, build_omega(f2.source, top), build_omega(f2.target, top))
             assert code == reference, (i, ring, f2, g2)

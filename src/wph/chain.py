@@ -38,7 +38,9 @@ class OmegaComplex:
     boundaries[n] (n >= 1) expresses the weighted boundary Omega_n ->
     Omega_{n-1} in those generator bases.  Paths are the integer codes of the
     complex's store, which sort as the paths do, and rows[n] maps the code of
-    each regular n-path to its row.
+    each regular n-path to its row.  faces[n] holds each row's weighted boundary
+    as `_face_terms` writes it: a face with a row in degree n - 1 keyed by that
+    row, one outside the complex by its code (faces[0] is empty per row).
     """
 
     max_degree: int
@@ -47,6 +49,7 @@ class OmegaComplex:
     boundaries: dict  # n -> Matrix (rank_{n-1} x rank_n)
     store: PathStore  # the complex's, which numbers its vertices
     rows: list  # rows[n]: code of a regular n-path -> its row
+    faces: list  # faces[n]: the face terms of each row
 
     def rank(self, n: int) -> int:
         if 0 <= n <= self.max_degree:
@@ -118,7 +121,7 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
         columns.sort(key=min)  # by pivot row, which no two generators share
         bases.append(Matrix.from_columns(ring, columns, len(table)))
 
-    omega = OmegaComplex(max_degree, ring, bases, {}, pc.store, rows)
+    omega = OmegaComplex(max_degree, ring, bases, {}, pc.store, rows, faces)
     for n in range(1, max_degree + 1):
         omega.boundaries[n] = restrict_to_omega(
             faces[n].__getitem__, omega, n, omega, n - 1, InvariantError

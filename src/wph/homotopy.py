@@ -222,15 +222,16 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     homotopy: dL + Ld = g_* - f_* exactly (HomotopyIdentityFailedError otherwise).
     Both sides must be weighted over one ring, as must each vertex L lifts (MissingWeightError).
 
-    Only the source's Omega is built.  Every check runs on chains of the target's
-    path codes: the images f_# x, g_# x and F_# P x of each Omega_n(source)
-    generator x, and their weighted boundaries (`chain._face_terms`, which reads
-    the target's regular paths once per degree).  Each source path's images under
-    f, g and F after the prism (`chain.prism`, looked up when called) are taken
-    once per call, irregular ones dropped; a generator's are their sums by
-    linearity.  The checks run in this order: f's membership in every degree, then
-    f's chain-map squares, the same two for g, the weights L lifts, L's membership and the identity,
-    each degree by degree and generator by generator:
+    Only the source's Omega is built.  Every check runs on one chain type: for each
+    of f_#, g_# and L = F_# P, its chain of each source path in a row of Omega_n, as
+    {target path code: coefficient}, irregular images dropped.  Each is taken once
+    per call (F's lifts by `chain.prism`, looked up when called); a generator's are
+    their sums by linearity.  A chain's boundary is read from the target's face
+    terms (`chain._face_terms`, once per target degree), and d x from the source's
+    Omega (`OmegaComplex.faces`).  The checks run in this order: f's membership in
+    every degree, then f's chain-map squares, the same two for g, the weights L
+    lifts, L's membership and the identity, each degree by degree and generator by
+    generator:
     - Membership.  Each image path must be a target path
       (ImageNotInOmegaError naming the image off it; for L, F's image of the least
       cylinder code off it) and the image's boundary must have no term off the
@@ -238,9 +239,10 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
       Omega_m(target) is the kernel of that outside part of the boundary; over Z it
       is the kernel's integer points, the saturated lattice that its Hermite basis
       spans.  So this is the test `chain.restrict_to_omega` makes against the basis.
-    - The chain-map squares d f_# x = f_# d x and d g_# x = g_# d x
-      (ImageNotInOmegaError naming the degree).
-    - The identity d F_# P x + F_# P d x = g_# x - f_# x.
+    - The boundary check d(h x) + s h(d x) = 0, s = -1, of the chain-map squares
+      for h = f_#, g_# (ImageNotInOmegaError naming the degree), and the identity
+      d L x + L d x + f_# x - g_# x = 0, s = +1.  d x leaves out x's faces off the
+      source: x is in Omega, so their terms cancel.
     The coordinates of Omega_m(target) in the regular m-paths are injective, so a
     square or the identity holds on path chains exactly when it holds on the
     matrices of f_*, g_* and L in the Omega bases (`chain.induced_chain_map`
@@ -248,15 +250,15 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     matrices give.  Once the identity holds, L is a chain homotopy on Omega,
     whatever complex the prism passes through.
 
-    Over Q the certificate runs on the support complexes over Z.  The one-step
-    check (weight preservation included), the source's unit weights and the
-    same-ring check come first, on the Q complexes; then f and g are re-pointed
-    at source.support() and target.support() (weight 1 where the weight is
-    nonzero, 0 where it is 0), the ring becomes Z and every inverse weight 1.
+    Over Q the certificate runs on the support complexes over Z when f and g keep
+    every source weight, and on the Q complexes otherwise.  The source's unit
+    weights and the same-ring check come first, on the Q complexes; then f and g
+    are re-pointed at source.support() and target.support() (weight 1 where the
+    weight is nonzero, 0 where it is 0), the ring becomes Z and every inverse weight 1.
     With w(p) the product of the nonzero weights on p, phi(e_p) = w(p)^-1 e_p
     is a chain isomorphism from the support complex onto the weighted one, as
     every nonzero weight is a unit of Q.  It commutes with f_*, g_* and L,
-    because F preserves weights: the lift of p at k weighs w(p) delta(p_k), and
+    because f and g keep weights: F's lift of p at k weighs w(p) delta(p_k), and
     the prism scales it by delta(p_k)^-1.  So dL + Ld = g_* - f_* holds for
     delta exactly when it holds on the support complex.  phi is diagonal, so
     generators keep their pivot rows, and Omega over Z has the same ranks as
@@ -294,8 +296,9 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     ring = f.source.ring
     if not f.target.is_weighted or f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
-    if ring == QQ:  # the same outcome on the support complexes (see above)
-        source, target = f.source.support(), f.target.support()
+    weight = f.target.weight_map().get
+    if ring == QQ and all(weight(m.vertex_map.get(v)) == w for m in (f, g) for v, w in f.source.weights):
+        source, target = f.source.support(), f.target.support()  # the same outcome (see above)
         f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
         signs = [s and (ZZ.one, -ZZ.one) for s in signs]
 
@@ -314,18 +317,21 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
             boundary.update(zip(codes[m], zip(table, map(dict, cut))))  # the faces of a regular path are distinct
     paths = [list(rows) for rows in om.rows]  # the source code in each row
     used = [sorted({i for gen in basis.entries for i in gen}) for basis in om.bases]  # the rows generators use
-    signed, faces = signed_weights(source, ()), {}  # faces: a used source path's face terms
-    for n in range(1, top + 1):
-        if used[n]:
-            sources = [paths[n][i] for i in used[n]]
-            faces.update(zip(sources, _face_terms(sources, {}.get, signed, n)[0]))
     number, off_target = image_numbers(source.store, target.store)
 
-    def in_omega(n: int, m: int, outside: dict, off: set, named) -> None:
-        """The membership check, generator by generator, of the images of the Omega_n(source)
-        generators in Omega_m(target): row i's image has the boundary terms outside[i] off
-        the target, and its paths are target paths unless i is in off, when named(i) names
-        the image path to report."""
+    def check_membership(n: int, m: int, h: list, named) -> None:
+        """Membership in Omega_m(target) of the chains h[n] of the Omega_n(source) generators,
+        generator by generator; named(i) names the path of row i's chain to report off the target."""
+        outside, off = {}, set()
+        for i in used[n]:
+            chain = h[n][i]
+            try:  # KeyError for a path off the target
+                if len(chain) == 1 and one in chain.values():  # one image path: its dict as it is
+                    outside[i] = boundary[next(iter(chain))][1]
+                else:
+                    outside[i] = _summed([(q, mul(c, w)) for y, c in chain.items() for q, w in boundary[y][1].items()], add)
+            except KeyError:
+                off.add(i)
         for j, gen in enumerate(om.bases[n].entries):
             for i in sorted(gen):
                 if i in off:
@@ -333,76 +339,52 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
             if not _vanishes(gen, outside, add, mul):
                 raise ImageNotInOmegaError(f"image of Omega_{n} generator {j} is not in the target Omega_{m}")
 
-    maps = []  # per map, f and g: its vertex table and, by degree, its regular images {row: code}
-    for h in (f, g):
-        t, images = number(h.vertex_map), []
-        for n in range(top + 1):
-            image, off, outside = {}, set(), {}
-            for i in used[n]:
-                y = tuple([t[x] for x in paths[n][i]])
-                outside[i] = {}
-                if is_regular(y):
-                    image[i] = y
-                    if y in boundary:
-                        outside[i] = boundary[y][1]
-                    else:
-                        off.add(i)
-            in_omega(n, n, outside, off, image.get)
-            images.append(image)
-        for n in range(1, top + 1):  # d h_# x = h_# d x
-            squares = {}
-            for i in used[n]:
-                terms = list(boundary[images[n][i]][0]) if i in images[n] else []
-                for q, w in faces[paths[n][i]]:
-                    y = tuple([t[x] for x in q])
-                    if is_regular(y):
-                        terms.append((y, neg(w)))
-                squares[i] = _summed(terms, add)
-            if not all(_vanishes(gen, squares, add, mul) for gen in om.bases[n].entries):
-                raise ImageNotInOmegaError(f"induced map does not commute with the boundary in degree {n}")
-        maps.append((t, images))
-
-    (tf, f_images), (tg, g_images) = maps
-    _require_weights(signs, source.store.vertices, (paths[n][i] for n in range(top) for i in used[n]))  # L lifts them
-    low, high = cylinder_tables(len(signs))
-
-    def lifted(p: tuple) -> list:  # the regular ones of F's images of the prism's lifts of p
-        return [u for u in prism(p, tf, tg, signs) if is_regular(u[0])]
-
-    def least_off(p: tuple) -> tuple:  # F's image of the least cylinder lift of p off the target
-        lifts = zip(prism(p, low, high, signs), prism(p, tf, tg, signs))
-        return min((c, y) for (c, _), (y, _) in lifts if is_regular(y) and y not in boundary)[1]
-
-    L = []  # by degree: {row: F_# P of its path}
-    for n in range(top):
-        chains, off, outside = {}, set(), {}
-        for i in used[n]:
-            terms = lifted(paths[n][i])
-            chains[i] = chain = _summed(terms, add)
-            if all(y in boundary for y, _ in terms):
-                outside[i] = _summed([(q, mul(c, w)) for y, c in chain.items() for q, w in boundary[y][1].items()], add)
-            else:
-                off.add(i)
-        in_omega(n, n + 1, outside, off, lambda i: least_off(paths[n][i]))
-        L.append(chains)
-
-    lifts = {paths[n][i]: chain for n in range(top) for i, chain in L[n].items()}  # F_# P by source code
-    for n in range(top):  # d F_# P x + F_# P d x = g_# x - f_# x
+    def check_boundary(n: int, h: list, negate: bool, extra, error) -> None:
+        """d(h x) + s h(d x) + extra(i) vanishes on each Omega_n(source) generator x, s = -1 when
+        negate and +1 otherwise, row i's terms added at i; error(j) for generator j otherwise."""
         defects = {}
-        for i, chain in L[n].items():
-            terms = [(q, mul(c, w)) for y, c in chain.items() for q, w in boundary[y][0]]
-            if i in g_images[n]:
-                terms.append((g_images[n][i], neg(one)))
-            if i in f_images[n]:
-                terms.append((f_images[n][i], one))
-            for q, w in faces.get(paths[n][i], ()):
-                if q not in lifts:  # a face that no generator uses
-                    lifts[q] = _summed(lifted(q), add)
-                terms += [(y, mul(w, c)) for y, c in lifts[q].items()]
-            defects[i] = _summed(terms, add)
+        for i in used[n]:
+            terms = [(q, mul(c, w)) for y, c in h[n][i].items() for q, w in boundary[y][0]]
+            for r, w in om.faces[n][i]:
+                if r.__class__ is int:  # a face off the source has no row (see above)
+                    w = neg(w) if negate else w
+                    terms += [(y, mul(w, c)) for y, c in h[n - 1][r].items()]
+            defects[i] = _summed(terms + extra(i), add)
         for j, gen in enumerate(om.bases[n].entries):
             if not _vanishes(gen, defects, add, mul):
-                raise HomotopyIdentityFailedError(f"chain-homotopy identity fails on Omega_{n} generator {j}")
+                raise error(j)
+
+    maps = []  # f's and g's vertex tables and chains by degree and row
+    for m in (f, g):
+        t = number(m.vertex_map)
+        chains = [[{y: one} if is_regular(y) else {} for y in (tuple([t[x] for x in p]) for p in rows)] for rows in paths]
+        for n in range(top + 1):
+            check_membership(n, n, chains, lambda i: next(iter(chains[n][i])))
+        for n in range(1, top + 1):  # d h_# x = h_# d x
+            check_boundary(n, chains, True, lambda i: [], lambda j: ImageNotInOmegaError(
+                f"induced map does not commute with the boundary in degree {n}"))
+        maps.append((t, chains))
+
+    (tf, fc), (tg, gc) = maps
+    _require_weights(signs, source.store.vertices, (p for rows in paths[:top] for p in rows))  # L lifts them
+
+    def lifted(p: tuple) -> dict:  # L's chain of p; a term that sums to 0 stays, so its path is checked
+        chain = {}
+        for y, c in prism(p, tf, tg, signs):
+            if is_regular(y):
+                chain[y] = add(chain[y], c) if y in chain else c
+        return chain
+
+    def least_off(p: tuple) -> tuple:  # F's image of the least cylinder lift of p off the target
+        lifts = zip(prism(p, *cylinder_tables(len(signs)), signs), prism(p, tf, tg, signs))
+        return min((c, y) for (c, _), (y, _) in lifts if is_regular(y) and y not in boundary)[1]
+
+    L = [[lifted(p) for p in rows] for rows in paths[:top]]
+    for n in range(top):
+        check_membership(n, n + 1, L, lambda i: least_off(paths[n][i]))
+    for n in range(top):  # d F_# P x + F_# P d x + f_# x - g_# x = 0
+        check_boundary(n, L, False, lambda i: [*fc[n][i].items(), *((y, neg(c)) for y, c in gc[n][i].items())],
+                       lambda j: HomotopyIdentityFailedError(f"chain-homotopy identity fails on Omega_{n} generator {j}"))
 
     return CertificateReport(
         ok=True,

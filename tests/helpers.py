@@ -496,11 +496,11 @@ def route_outcomes(f: PathMorphism, g: PathMorphism, source, target) -> tuple:
 
 
 def random_pair(rng: random.Random, ring, weights=None) -> tuple:
-    """(f, g, gammas) for a random pair of vertex maps over ring (Z or a Z/p), not checked
-    to be morphisms: from a complex of regular random walks into the path complex of a
-    random digraph, whose images and lifts' images may leave the target.  Weights are
-    drawn from the given values, by default 1, -1, 2, 3 and -6 over Z and any nonzero
-    value over Z/p.  gammas is one such draw per source vertex, for L."""
+    """(f, g, gammas) for a random pair of vertex maps over ring (Z, a Z/p, or Q with the
+    weights given), not checked to be morphisms: from a complex of regular random walks
+    into the path complex of a random digraph, whose images and lifts' images may leave
+    the target.  Weights are drawn from the given values, by default 1, -1, 2, 3 and -6
+    over Z and any nonzero value over Z/p.  gammas is one such draw per source vertex, for L."""
     if weights is None and ring != ZZ:
         draw = lambda: rng.randint(1, ring.m - 1)  # noqa: E731
     else:

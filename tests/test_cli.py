@@ -671,6 +671,19 @@ def test_a_weight_that_is_no_unit_is_why_the_certificate_refuses(capsys, ring):
         assert cli_homology_maps_equal(argv)
 
 
+@pytest.mark.parametrize("ring", ["z", "q"])
+def test_maps_that_do_not_keep_a_weight_are_refused_by_name(capsys, ring):
+    # the point a (weight 1) into the edge x -> y (weights 3, 1): f(a) = x changes the weight,
+    # and over Z and Q alike H_0 of the edge identifies x with 3y, so H(f) != H(g)
+    point = str(FIXTURES / ("pc_point_z.json" if ring == "z" else "pc_point_q.json"))
+    argv = ("homotopy-check", point, str(FIXTURES / f"pc_edge_w31_{ring}.json"), "--f", str(FIXTURES / "mor_a_to_x.json"),
+            "--g", str(FIXTURES / "mor_a_to_y.json"), "--certify-chain-homotopy")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "one-step homotopy: FAIL\n")
+    assert err == "  weight of a not preserved: 1 -> 3\n"
+    assert not cli_homology_maps_equal(argv)
+
+
 def fixture_commands() -> list:
     """Every subcommand on every fixture it takes: validate; homology under each --coeff and
     pipeline; functor; prism-check at degrees 0..3; homotopy-check in both categories, one-step
@@ -693,6 +706,7 @@ def fixture_commands() -> list:
         commands += [["functor", path, "--functor", name, "--maxlen", "2"] for name in functors]
     commands += [["functor", path, "--functor", "box:I1f"] for path in of("dg_")]
     pairs = [("pc_point_q", "pc_edge_q"), ("pc_point_w2_q", "pc_edge_w2_q"), ("pc_point_w2_z", "pc_edge_w2_z")]
+    pairs += [("pc_point_q", "pc_edge_w31_q"), ("pc_point_z", "pc_edge_w31_z")]
     ends = [("mor_a_to_x", "mor_a_to_y"), ("mor_a_to_y", "mor_a_to_x")]
     certificates = ([], ["--certify-chain-homotopy"])
     for (source, target), (f, g) in itertools.product(pairs, ends):

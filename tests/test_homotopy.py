@@ -604,6 +604,39 @@ def test_the_certificate_eliminates_nothing_outside_its_omega_builds(monkeypatch
     assert counts["rest"] == Counter()
 
 
+def test_the_certificate_walks_the_faces_of_the_target_alone_once_per_degree(monkeypatch):
+    # the source's face terms come from its Omega (`OmegaComplex.faces`): outside
+    # `build_omega`, `_face_terms` runs only on the target's regular paths, once per degree
+    calls, inside = [], []
+
+    def counting(codes, below, signed, n, original=chain._face_terms):
+        if not inside:
+            calls.append((list(codes), n))
+        return original(codes, below, signed, n)
+
+    def omega(pc, max_degree, original=homotopy.build_omega):
+        inside.append(pc)
+        try:
+            return original(pc, max_degree)
+        finally:
+            inside.pop()
+
+    for owner in (chain, homotopy):
+        monkeypatch.setattr(owner, "_face_terms", counting)
+    monkeypatch.setattr(homotopy, "build_omega", omega)
+    cylinders = [
+        (lambda pc=pc: chain_homotopy_certificate(inclusion_bottom(pc), inclusion_top(pc), 3), lambda pc=pc: [inclusion_bottom(pc)])
+        for pc in criterion5_complexes()
+    ]
+    for certify, pair in cylinders + list(CERTIFICATES.values()):
+        calls.clear()
+        assert certify().ok
+        target = pair()[0].target
+        degrees = [n for _, n in calls]
+        assert degrees and len(set(degrees)) == len(degrees)
+        assert all(codes == list(target.regular_path_codes(n)[n]) for codes, n in calls)
+
+
 def fixture_body(name: str):
     return wio.parse((FIXTURES / name).read_bytes()).body
 
@@ -808,6 +841,17 @@ def test_an_image_outside_the_target_omega_names_its_generator(ring):
     got = outcome(homotopy.certify_one_step, f, f, 2)
     assert got == outcome(certify_one_step_by_matrices, f, f, 2)
     assert got == ("ImageNotInOmegaError", "image of Omega_2 generator 0 is not in the target Omega_2")
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, Zmod(5)], ids=["Q", "Z", "Z/5"])
+def test_maps_that_do_not_keep_the_weights_fail_the_identity_on_every_ring(ring):
+    # f(a) = a changes the weight 1 to 3; the support complexes over Z forget weights, so over Q
+    # the certificate must not run on them: g_* - f_* = b - a is no boundary of 3b - a
+    src = complex_from_paths([Path((a,))], weights={a: 1}, ring=ring)
+    tgt = complex_from_paths([Path((a, b))], weights={a: 3, b: 1}, ring=ring)
+    f, g = PathMorphism(src, tgt, {a: a}), PathMorphism(src, tgt, {a: b})
+    want = ("HomotopyIdentityFailedError", "chain-homotopy identity fails on Omega_0 generator 0")
+    assert outcome(homotopy.certify_one_step, f, g, 2) == outcome(certify_one_step_by_matrices, f, g, 2) == want
 
 
 def test_the_first_lift_off_the_target_in_the_prism_order_is_named():
