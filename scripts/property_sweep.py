@@ -58,7 +58,13 @@ Checks, on freshly sampled instances:
   * Omega bases and boundaries equal those built on codes of every path,
     irregular ones too, with each degree's face table from a comprehension
     over `regular_faces` (helpers.omega_by_face_comprehension), on a random
-    complex over Z, Q, Z/7 and Z/2, zero weights allowed.
+    complex over Z, Q, Z/7 and Z/2, zero weights allowed,
+  * `homology`, the prism check on every regular path of length 1 or more and
+    `certify_one_step` on the identity refuse a complex with unit weights over
+    Q, Z, Z/7 and Z/2 whose weights miss two or more vertices of those paths
+    by one MissingWeightError naming the least of them (the complexes drawn
+    from a generator of their own, seeded alike, so the other draws stay
+    those of earlier sweeps).
 
     python3 scripts/property_sweep.py --count 100 --seed 1
 """
@@ -77,7 +83,7 @@ from wph import algebra, chain
 from wph.algebra import QQ, ZZ, Zmod
 from wph.chain import build_omega, homology, homology_of_omega
 from wph.dhyper import bold_functor
-from wph.homotopy import chain_homotopy_certificate, certify_one_step
+from wph.homotopy import chain_homotopy_certificate, certify_one_step, verify_prism_identity
 from wph.oracle import homology_dimensions
 from wph.pathcx import PathMorphism, inclusion_bottom, inclusion_top
 
@@ -127,6 +133,22 @@ def assert_eliminations_agree(om, i) -> None:
     assert got == chain_eliminations(eliminate_with_two_queues, boundaries), i
 
 
+def assert_routes_name_the_least_unweighted_vertex(rng, k) -> None:
+    """Omega, the prism check and the certificate refuse a complex with two or more
+    unweighted vertices on its regular paths of length 1 or more by naming the least."""
+    on_paths = []
+    while len(on_paths) < 2:
+        pc = random_units_complex(rng, k)
+        on_paths = sorted({v for p in pc.paths if p.length and p.is_regular() for v in p.vertices})
+    unweighted = set(rng.sample(on_paths, rng.randint(2, len(on_paths))))
+    pc = pc.reweighted({v: w for v, w in pc.weights if v not in unweighted}, pc.ring)
+    codes = [c for bucket in pc.store.regular_codes[1:] for c in bucket]
+    identity = PathMorphism(pc, pc, {v: v for v in pc.vertices})
+    got = [outcome(homology, pc, 4), outcome(verify_prism_identity, pc, codes)]
+    got.append(outcome(certify_one_step, identity, identity, 3))
+    assert got == [("MissingWeightError", f"vertex {min(unweighted).render()} has no weight")] * 3, (k, pc, got)
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--count", type=int, default=100)
@@ -134,6 +156,7 @@ def main():
     args = parser.parse_args()
     rng = random.Random(args.seed)
     q_pairs = random.Random(args.seed)  # the Q pairs' own draws
+    unweighted = random.Random(args.seed)  # the draws of the complexes with unweighted vertices
     one_row_kernel = chain._one_row_kernel
 
     for i in range(args.count):
@@ -187,6 +210,9 @@ def main():
                 with doubled_lifts() if doubled else nullcontext():
                     got = outcome(certify_one_step, f2, g2, 2)
                     assert got == outcome(certify_one_step_by_matrices, f2, g2, 2), (i, ring, doubled, f2, g2)
+
+        for k in range(4):
+            assert_routes_name_the_least_unweighted_vertex(unweighted, k)
 
         pq2 = random_complex(rng, ring=QQ, max_vertices=6, maxlen=3)
         dims = homology_dimensions(pq2, 3)

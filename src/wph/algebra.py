@@ -326,28 +326,6 @@ class Matrix:
     def __matmul__(self, other):
         return self.matmul(other)
 
-    def _entrywise(self, other: "Matrix", op) -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols) or self.ring != other.ring:
-            raise ValueError("dimension or ring mismatch")
-        zero = self.ring.zero
-        out = []
-        for left, right in zip(self.entries, other.entries):
-            col = dict(left)
-            for i, y in right.items():
-                x = op(col.get(i, zero), y)
-                if x:
-                    col[i] = x
-                else:
-                    col.pop(i, None)
-            out.append(col)
-        return Matrix.from_columns(self.ring, out, self.rows)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, self.ring.add)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, self.ring.sub)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -357,12 +335,6 @@ class SmithDecomposition:
     left: Matrix
     right: Matrix
     rank: int
-
-    def diagonal_matrix(self, rows: int, cols: int, ring: Ring) -> Matrix:
-        out = [[ring.zero] * cols for _ in range(rows)]
-        for i, x in enumerate(self.d):
-            out[i][i] = x
-        return Matrix.from_rows(ring, out)
 
 
 def _find_pivot(a, t, nr, nc, ring):

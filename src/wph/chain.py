@@ -23,7 +23,7 @@ from .algebra import (
     kernel_basis,
     require_pid,
 )
-from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError, NotAMorphismError
+from .errors import ImageNotInOmegaError, InvariantError, MissingWeightError, NonInvertibleWeightError, NotAMorphismError
 from .pathcx import Path, PathComplex, PathMorphism, PathStore, is_regular, lifts
 
 
@@ -97,7 +97,7 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     ring = pc.ring
     require_pid(ring)
     codes = pc.regular_path_codes(max_degree)
-    signed = signed_weights(pc, codes)
+    signed = signed_weights(pc, codes[1:])
     rows = [{c: i for i, c in enumerate(bucket)} for bucket in codes]
 
     faces = []  # faces[n]: the face terms of the regular n-paths (see _face_terms)
@@ -129,17 +129,30 @@ def build_omega(pc: PathComplex, max_degree: int) -> OmegaComplex:
     return omega
 
 
-def signed_weights(pc: PathComplex, codes: list) -> list:
-    """Each vertex number's weight and its negative, None for an unweighted vertex, as
-    `_face_terms` reads them; MissingWeightError for an unweighted vertex on a code of
-    degree 1 or more in codes, the regular path codes by degree."""
-    vertices, weights, neg = pc.store.vertices, pc.weight_map(), pc.ring.neg
-    signed = [(weights[v], neg(weights[v])) if v in weights else None for v in vertices]
+def signed_weights(pc: PathComplex, buckets=(), inverse: bool = False) -> list:
+    """Every per-vertex table: (x, -x) for each vertex number, None for one without a weight,
+    x its weight as `_face_terms` reads it or, under inverse, its inverse weight as `prism`
+    does (NonInvertibleWeightError for an unweighted complex or a non-unit weight).
+
+    It is also every refusal of a path vertex without a weight (Omega, the prism check and
+    the certificate): MissingWeightError naming the least vertex number on the codes in
+    buckets, lists of codes, whose entry is None.  The codes are walked only when some
+    entry is None."""
+    ring, vertices, weights = pc.ring, pc.store.vertices, pc.weight_map()
+    if inverse:
+        if not pc.is_weighted:
+            raise NonInvertibleWeightError("an unweighted complex has no invertible weights")
+        for v, w in weights.items():
+            if not ring.is_unit(w):
+                raise NonInvertibleWeightError(
+                    f"weight {w} of vertex {v.render()} is not invertible in {ring.name}"
+                )
+        weights = {v: ring.inv(w) for v, w in weights.items()}
+    signed = [(weights[v], ring.neg(weights[v])) if v in weights else None for v in vertices]
     if None in signed:
-        for c in (c for bucket in codes[1:] for c in bucket):
-            for k in c:
-                if signed[k] is None:
-                    raise MissingWeightError(f"vertex {vertices[k].render()} has no weight")
+        missing = [k for bucket in buckets for c in bucket for k in c if signed[k] is None]
+        if missing:
+            raise MissingWeightError(f"vertex {vertices[min(missing)].render()} has no weight")
     return signed
 
 

@@ -36,9 +36,9 @@ from .errors import (
     WphError,
 )
 from .homotopy import (
+    certify_edge_weighted,
     certify_one_step,
     chain_step_pairs,
-    edge_weighted_certificate,
     one_step_homotopy_dhyper,
     one_step_homotopy_pathcx,
     verify_prism_identity,
@@ -312,7 +312,7 @@ def cmd_homotopy_check(args) -> int:
     rep = one_step_homotopy_dhyper(f, g, mode=args.strictness)
     code = _report(rep.ok, "one-step homotopy", rep.problems)
     if code == EXIT_OK and args.certify:
-        cert = edge_weighted_certificate(f, g, args.max_dim, maxlen=args.maxlen, mode=args.strictness)
+        cert = certify_edge_weighted(f, g, args.max_dim, maxlen=args.maxlen, mode=args.strictness)
         code = _report_certificate(cert, args.max_dim)
     return code
 

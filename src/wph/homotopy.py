@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .algebra import QQ, ZZ
+from .algebra import QQ
 from .chain import _face_terms, build_omega, image_numbers, prism, signed_weights
 from .dhyper import HyperMorphism, _set_vertex, classify_morphism, natural_digraph, render_set, set_weight
 from .digraph import paths_functor
@@ -108,29 +108,6 @@ def chain_step_pairs(steps: list) -> list:
     return [(b, a) if d == "backward" else (a, b) for (a, _), (b, d) in zip(steps, steps[1:])]
 
 
-def _inverse_weights(pc: PathComplex) -> list:
-    """(gamma, -gamma) per store vertex, gamma its inverse weight, as `chain.prism` reads
-    them; None for an unweighted vertex (see `_require_weights`)."""
-    if not pc.is_weighted:
-        raise NonInvertibleWeightError("an unweighted complex has no invertible weights")
-    ring = pc.ring
-    gammas = {}
-    for v, w in pc.weights:
-        if not ring.is_unit(w):
-            raise NonInvertibleWeightError(
-                f"weight {w} of vertex {v.render()} is not invertible in {ring.name}"
-            )
-        gammas[v] = ring.inv(w)
-    return [(gammas[v], ring.neg(gammas[v])) if v in gammas else None for v in pc.store.vertices]
-
-
-def _require_weights(coefficients: list, vertices: tuple, codes) -> None:
-    """MissingWeightError for the least vertex on the codes whose coefficients are None."""
-    missing = [k for k in set().union(*codes) if coefficients[k] is None]
-    if missing:
-        raise MissingWeightError(f"vertex {vertices[min(missing)].render()} has no weight")
-
-
 @dataclass
 class PrismReport:
     ok: bool
@@ -144,18 +121,19 @@ def verify_prism_identity(pc: PathComplex, codes: list) -> list:
     Both sides are summed on cylinder codes (`pathcx.cylinder_tables`): P is `chain.prism`
     and d is `chain._face_terms`, which weighs p's vertices by store number and its
     lifts' by cylinder number.  Only a nonzero difference (left side minus right)
-    becomes Paths.  Weights must be units (NonInvertibleWeightError) on every path
-    vertex (MissingWeightError), and a complex with no cylinder is refused (`level_copies`).
+    becomes Paths.  `chain.signed_weights` gives P the inverse weights and d the weights,
+    the cylinder's being the store's with each entry taken twice (v_k' weighs as v_k).
+    Weights must be units (NonInvertibleWeightError), a complex with no cylinder is
+    refused (`level_copies`), and then the least vertex without a weight on the codes
+    (MissingWeightError).
     """
-    coefficients = _inverse_weights(pc)
-    store = pc.store
-    cylinder = sorted(level_copies(store.vertices, (0, 1)))  # refuses a complex that has no cylinder
-    _require_weights(coefficients, store.vertices, codes)
+    coefficients = signed_weights(pc, inverse=True)
+    cylinder = sorted(level_copies(pc.store.vertices, (0, 1)))  # refuses a complex that has no cylinder
+    by_store = signed_weights(pc, [codes])  # refuses a vertex without a weight on the codes
+    by_cylinder = [x for x in by_store for _ in (0, 1)]  # v_k and v_k' weigh alike, at 2k and 2k + 1
     ring = pc.ring
     add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
-    signed = {u: (w, neg(w)) for u, w in pc.level_weights((0, 1)).items()}
-    by_store, by_cylinder = [signed.get(v) for v in store.vertices], [signed.get(u) for u in cylinder]
-    bottom, top = cylinder_tables(len(store.vertices))
+    bottom, top = cylinder_tables(len(by_store))
 
     reports = []
     for code in codes:
@@ -251,10 +229,10 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     whatever complex the prism passes through.
 
     Over Q the certificate runs on the support complexes over Z when f and g keep
-    every source weight, and on the Q complexes otherwise.  The source's unit
-    weights and the same-ring check come first, on the Q complexes; then f and g
-    are re-pointed at source.support() and target.support() (weight 1 where the
-    weight is nonzero, 0 where it is 0), the ring becomes Z and every inverse weight 1.
+    every source weight, and on the Q complexes otherwise.  The source's unit weights
+    and the same-ring check come first, on the Q complexes; then f and g are re-pointed
+    at source.support() and target.support() (weight 1 where the weight is nonzero, 0
+    where it is 0), and the prism's table over Z is the support source's (all 1s).
     With w(p) the product of the nonzero weights on p, phi(e_p) = w(p)^-1 e_p
     is a chain isomorphism from the support complex onto the weighted one, as
     every nonzero weight is a unit of Q.  It commutes with f_*, g_* and L,
@@ -292,7 +270,7 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     D, so the same regular paths are read, and the same errors raised, as up to
     max_degree + 1.
     """
-    signs = _inverse_weights(f.source)
+    signed_weights(f.source, inverse=True)  # the source's weights are units, checked first
     ring = f.source.ring
     if not f.target.is_weighted or f.target.ring != ring:
         raise MissingWeightError("the certificate needs both sides weighted over one ring")
@@ -300,14 +278,13 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
     if ring == QQ and all(weight(m.vertex_map.get(v)) == w for m in (f, g) for v, w in f.source.weights):
         source, target = f.source.support(), f.target.support()  # the same outcome (see above)
         f, g = (PathMorphism(source, target, m.vertex_map) for m in (f, g))
-        signs = [s and (ZZ.one, -ZZ.one) for s in signs]
 
     source, target, ring = f.source, f.target, f.source.ring
     add, mul, neg, one = ring.add, ring.mul, ring.neg, ring.one
     top = min(max_degree + 1, max(len(source.store.buckets), len(target.store.buckets)))
     om = build_omega(source, top)
     codes = target.regular_path_codes(top)
-    weights = signed_weights(target, codes)  # refuses as build_omega(target, top) does
+    weights = signed_weights(target, codes[1:])  # refuses as build_omega(target, top) does
     # each regular target path's face terms by face code, and {face: coefficient} of those off the target
     boundary = dict.fromkeys(codes[0], ((), {}))
     for m in range(1, top + 1):
@@ -366,7 +343,7 @@ def certify_one_step(f: PathMorphism, g: PathMorphism, max_degree: int) -> Certi
         maps.append((t, chains))
 
     (tf, fc), (tg, gc) = maps
-    _require_weights(signs, source.store.vertices, (p for rows in paths[:top] for p in rows))  # L lifts them
+    signs = signed_weights(source, paths[:top], inverse=True)  # L lifts the paths in these rows
 
     def lifted(p: tuple) -> dict:  # L's chain of p; a term that sums to 0 stays, so its path is checked
         chain = {}
@@ -457,14 +434,23 @@ def edge_weighted_certificate(
     maxlen: int = 4,
     mode: str = "strict",
 ) -> CertificateReport:
-    """Certify equal induced maps on edge-weighted homology (natural pipeline).
+    """Certify equal induced maps on edge-weighted homology (natural pipeline): the one-step
+    check of f and g, then `certify_edge_weighted` once it passes."""
+    hrep = one_step_homotopy_dhyper(f, g, mode=mode)
+    if not hrep.ok:
+        return CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
+    return certify_edge_weighted(f, g, max_degree, maxlen, mode)
+
+
+def certify_edge_weighted(
+    f: HyperMorphism, g: HyperMorphism, max_degree: int, maxlen: int = 4, mode: str = "strict"
+) -> CertificateReport:
+    """The edge-weighted certificate of f and g, whose one-step check has passed: the path
+    certificate on their natural path morphisms.
 
     Refuses with NonInvertibleWeight when the source is unweighted or some
     origin/end set weight |A| of the source is not a unit of the ring.
     """
-    hrep = one_step_homotopy_dhyper(f, g, mode=mode)
-    if not hrep.ok:
-        return CertificateReport(False, [f"not one-step homotopic: {p}" for p in hrep.problems])
     if not f.source.is_weighted:
         raise NonInvertibleWeightError("an unweighted hypergraph has no invertible set weights")
     ring = f.source.ring

@@ -16,7 +16,7 @@ from wph import io as wio
 from wph.algebra import (
     QQ, ZZ, HomologyGroup, Matrix, Zmod, chain_invariant_factors, homology_group, kernel_basis, require_pid,
 )
-from wph.chain import build_omega, induced_chain_map, restrict_to_omega
+from wph.chain import build_omega, induced_chain_map, restrict_to_omega, signed_weights
 from wph.dhyper import Arrow, DirectedHypergraph, HyperMorphism
 from wph.digraph import WeightedDigraph, paths_functor
 from wph.errors import HomotopyIdentityFailedError, ImageNotInOmegaError, MissingWeightError, WphError
@@ -39,6 +39,41 @@ FIXTURES = FsPath(__file__).resolve().parent.parent / "fixtures"
 def dense_columns(m: Matrix) -> list:
     """The columns of m as dense tuples."""
     return [tuple(col.get(i, m.ring.zero) for i in range(m.rows)) for col in m.entries]
+
+
+def entrywise(a: Matrix, b: Matrix, op) -> Matrix:
+    """op(a_ij, b_ij) entry by entry, zero entries dropped, for two matrices of one shape
+    over one ring (ValueError otherwise)."""
+    if (a.rows, a.cols) != (b.rows, b.cols) or a.ring != b.ring:
+        raise ValueError("dimension or ring mismatch")
+    zero = a.ring.zero
+    out = []
+    for left, right in zip(a.entries, b.entries):
+        col = dict(left)
+        for i, y in right.items():
+            x = op(col.get(i, zero), y)
+            if x:
+                col[i] = x
+            else:
+                col.pop(i, None)
+        out.append(col)
+    return Matrix.from_columns(a.ring, out, a.rows)
+
+
+def matrix_add(a: Matrix, b: Matrix) -> Matrix:
+    return entrywise(a, b, a.ring.add)
+
+
+def matrix_sub(a: Matrix, b: Matrix) -> Matrix:
+    return entrywise(a, b, a.ring.sub)
+
+
+def diagonal_matrix(snf, rows: int, cols: int, ring) -> Matrix:
+    """The rows x cols matrix with a `SmithDecomposition`'s invariant factors snf.d on its diagonal."""
+    out = [[ring.zero] * cols for _ in range(rows)]
+    for i, x in enumerate(snf.d):
+        out[i][i] = x
+    return Matrix.from_rows(ring, out)
 
 
 def matrix_of_columns(ring, cols, rows: int) -> Matrix:
@@ -317,7 +352,7 @@ def prism_differences_by_paths(pc: PathComplex, paths: list) -> list:
     """What `homotopy.verify_prism_identity` reports as each path's difference, from
     `prism_by_paths` and `boundary_by_paths`: the reference for the check on codes.  Both
     routes subtract e_p' - e_p, so equal differences are equal left sides."""
-    homotopy._inverse_weights(pc)  # refuses as the check on codes does
+    signed_weights(pc, inverse=True)  # refuses as the check on codes does
     level_copies(pc.vertices, (0, 1))
     ring = pc.ring
     gammas = {v: ring.inv(w) for v, w in pc.weights}
@@ -393,7 +428,7 @@ def induced_homology_maps_equal(om_src, om_tgt, f_mats, g_mats, max_degree) -> b
     are equal exactly when their invariant factors are (equal rank, over a field).
     """
     for n in range(max_degree + 1):
-        moved = (f_mats[n] - g_mats[n]) @ kernel_basis(om_src.boundary(n))
+        moved = matrix_sub(f_mats[n], g_mats[n]) @ kernel_basis(om_src.boundary(n))
         if moved.is_zero():
             continue
         img = om_tgt.boundary(n + 1)
@@ -560,7 +595,7 @@ def certify_one_step_by_matrices(f: PathMorphism, g: PathMorphism, max_degree: i
     (`chain_homotopy_by_prism`), and dL + Ld = g_* - f_* compared column by column in the
     target's Omega bases, over the complexes' own ring.  `doubled_lifts` doubles its
     lifts too."""
-    homotopy._inverse_weights(f.source)  # refuses as the certificate does
+    signed_weights(f.source, inverse=True)  # refuses as the certificate does
     ring = f.source.ring
     gammas = {v: ring.inv(w) for v, w in f.source.weights}
     if not f.target.is_weighted or f.target.ring != ring:
@@ -575,8 +610,8 @@ def certify_one_step_by_matrices(f: PathMorphism, g: PathMorphism, max_degree: i
     for n in range(top):
         total = om_tgt.boundary(n + 1) @ L[n]
         if n >= 1:
-            total = total + L[n - 1] @ om_src.boundary(n)
-        want = g_mats[n] - f_mats[n]
+            total = matrix_add(total, L[n - 1] @ om_src.boundary(n))
+        want = matrix_sub(g_mats[n], f_mats[n])
         if total != want:
             for j in range(total.cols):
                 if total.entries[j] != want.entries[j]:

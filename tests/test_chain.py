@@ -49,7 +49,9 @@ from helpers import (
     grid_complex,
     homology_maps_equal,
     homology_of_pair,
+    matrix_add,
     matrix_of_columns,
+    matrix_sub,
     omega_by_face_comprehension,
     one_row_kernel_by_elimination,
     random_complex,
@@ -661,7 +663,8 @@ def test_sparse_storage_stays_canonical(data):
 
     n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
     a, b, c = Matrix(ring, n, k, dense(n, k)), Matrix(ring, k, m, dense(k, m)), Matrix(ring, n, k, dense(n, k))
-    produced = [a, b, c, a @ b, a + c, a - c, a - a, a + (Matrix.zeros(ring, n, k) - a), kernel_basis(a)]
+    produced = [a, b, c, a @ b, matrix_add(a, c), matrix_sub(a, c), matrix_sub(a, a)]
+    produced += [matrix_add(a, matrix_sub(Matrix.zeros(ring, n, k), a)), kernel_basis(a)]
     produced += [Matrix.from_columns(ring, list(a.entries) + list(c.entries), n), Matrix.identity(ring, k)]
     if n:
         produced.append(Matrix.from_rows(ring, dense(n, k)))

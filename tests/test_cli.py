@@ -551,6 +551,21 @@ def test_edge_weighted_certificate_on_an_unweighted_target_exits_2(tmp_path, cap
     assert err == "error: the certificate needs both sides weighted over one ring\n"
 
 
+def test_the_hypergraph_certificate_checks_the_one_step_homotopy_once(monkeypatch, capsys):
+    checked = []
+    original = homotopy.one_step_homotopy_dhyper
+
+    def recording(f, g, mode="strict"):
+        checked.append((f, g))
+        return original(f, g, mode=mode)
+
+    for module in (cli, homotopy):
+        monkeypatch.setattr(module, "one_step_homotopy_dhyper", recording)
+    code, out, _ = run(capsys, *_DH_CERT_ARGS)
+    assert code == 0 and "chain-homotopy certificate: PASS" in out
+    assert len(checked) == 1
+
+
 def test_chain_without_chain_mode_exits_2(capsys):
     argv = _CERT_ARGS[:-1] + ("--chain", "/nonexistent.json")
     assert run(capsys, *argv) == (2, "", "error: --chain does not apply to --mode one-step\n")

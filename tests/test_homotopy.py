@@ -922,3 +922,14 @@ def test_an_unweighted_vertex_on_a_lifted_path_is_refused_by_name():
     want = ("MissingWeightError", "vertex b has no weight")
     assert outcome(homotopy.certify_one_step, f, f, 2) == outcome(certify_one_step_by_matrices, f, f, 2) == want
     assert outcome(verify_prism_identity, pc, [(1,)]) == want
+
+
+def test_every_route_names_the_least_vertex_without_a_weight():
+    # a and b have no weight and both lie on (b a): Omega, the prism check and the
+    # certificate name the least of them, whichever path they walk first
+    pc = PathComplex.build([a, b, c], [Path((a,)), Path((b,)), Path((c,)), Path((b, a))], {c: 1}, ZZ)
+    f = PathMorphism(pc, pc, {v: v for v in pc.vertices})
+    codes = [code for bucket in pc.store.regular_codes for code in bucket]
+    want = ("MissingWeightError", "vertex a has no weight")
+    assert outcome(chain.homology, pc, 2) == outcome(verify_prism_identity, pc, codes) == want
+    assert outcome(homotopy.certify_one_step, f, f, 2) == want
